@@ -11,11 +11,10 @@ from .encode import (
     Log,
     PosNeg,
     SpikeTime,
-    SpikeVolley,
     encode_image,
 )
 from .network import Mode, NetworkConfig, RunSummary, TnnNetwork, Winner
-from .stdp import RuleCase, StdpParams
+from .stdp import StdpParams
 
 __version__ = "0.1.0"
 
@@ -27,10 +26,8 @@ __all__ = [
     "Mode",
     "NetworkConfig",
     "PosNeg",
-    "RuleCase",
     "RunSummary",
     "SpikeTime",
-    "SpikeVolley",
     "StdpParams",
     "TnnNetwork",
     "Winner",

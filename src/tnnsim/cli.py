@@ -30,7 +30,7 @@ import sys
 from typing import Optional
 
 from . import costmodel, dataio, gamma, metrics, network
-from .encode import INF, Linear, Log, PosNeg, encode_image
+from .encode import Linear, Log, PosNeg, encode_image, format_spike_time
 from .stdp import StdpParams
 
 
@@ -110,10 +110,9 @@ def _parse_layers(text: str) -> tuple[tuple[int, int], ...]:
     return tuple(layers)
 
 
-def _make_encoder(cfg: dict[str, str], period: int):
-    name = cfg.get("encoder", "posneg")
+def _make_encoder(name: str, pixel_threshold: int, period: int):
     if name == "posneg":
-        return PosNeg(threshold=_config_int(cfg, "pixel_threshold", 127))
+        return PosNeg(threshold=pixel_threshold)
     if name == "linear":
         return Linear(period=period)
     if name == "log":
@@ -147,7 +146,9 @@ def _network_config(cfg: dict[str, str], pixel_count: int) -> network.NetworkCon
             pixel_count=pixel_count,
             period=period,
             threshold=threshold,
-            encoder=_make_encoder(cfg, period),
+            encoder=_make_encoder(
+                cfg.get("encoder", "posneg"), _config_int(cfg, "pixel_threshold", 127), period
+            ),
             stdp_params=params,
             mode=network.Mode(mode_text),
             seed=_config_int(cfg, "seed", 0),
@@ -171,7 +172,10 @@ def _load_dataset(
         dataset = dataio.attach_labels(dataset, labels)
     limit = _config_int(cfg, "limit", 0)
     if limit > 0:
-        dataset = dataio.LabeledDataset(images=dataset.images[:limit])
+        labels = None if dataset.labels is None else dataset.labels[:limit]
+        dataset = dataio.LabeledDataset(
+            dataset.pixels[:limit], dataset.width, dataset.height, labels
+        )
     return dataset
 
 
@@ -181,30 +185,25 @@ def _cmd_encode(args) -> int:
     if args.labels:
         with open(args.labels, "rb") as f:
             dataset = dataio.attach_labels(dataset, dataio.read_idx_labels(f))
-    if args.encoder == "posneg":
-        kind = PosNeg(threshold=args.threshold)
-    elif args.encoder == "linear":
-        kind = Linear(period=args.period)
-    else:
-        kind = Log(period=args.period)
+    kind = _make_encoder(args.encoder, args.threshold, args.period)
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
-    def render(t) -> str:
+    def render(times) -> str:
         if isinstance(kind, PosNeg):
             # Channel bit: 1 where the spike fires at time 0.
-            return "1" if t == 0 else "0"
-        return "inf" if t == INF else str(int(t))
+            return " ".join("1" if t == 0 else "0" for t in times)
+        return " ".join(map(format_spike_time, times))
 
+    pixel_count = dataset.width * dataset.height
     with open(f"{out}_pos.txt", "w") as pos_f, open(f"{out}_neg.txt", "w") as neg_f:
-        for img in dataset:
-            volley = encode_image(img.pixels, kind)
-            pos_f.write(" ".join(render(t) for t in volley.positive) + "\n")
-            neg_f.write(" ".join(render(t) for t in volley.negative) + "\n")
-    if any(img.label is not None for img in dataset):
+        for pixels in dataset.pixels:
+            times = encode_image(pixels, kind).tolist()
+            pos_f.write(render(times[:pixel_count]) + "\n")
+            neg_f.write(render(times[pixel_count:]) + "\n")
+    if dataset.labels is not None:
         with open(f"{out}_labels.txt", "w") as lab_f:
-            for img in dataset:
-                lab_f.write(f"{img.label}\n")
+            lab_f.writelines(f"{lab}\n" for lab in dataset.labels.tolist())
     return 0
 
 
@@ -255,8 +254,7 @@ def _cmd_train(args) -> int:
     )
     if len(dataset) == 0:
         raise ConfigError("training dataset is empty")
-    first = dataset[0]
-    net = network.TnnNetwork(_network_config(cfg, first.width * first.height))
+    net = network.TnnNetwork(_network_config(cfg, dataset.width * dataset.height))
     summary = net.train(dataset, epochs=_config_int(cfg, "epochs", 1))
     _write_run_artifacts(net, summary, pathlib.Path(args.out), with_weights=True)
     realized, potential = metrics.cycle_savings(summary.trace, net.config.period)
@@ -275,8 +273,7 @@ def _cmd_infer(args) -> int:
     )
     if len(dataset) == 0:
         raise ConfigError("inference dataset is empty")
-    first = dataset[0]
-    net = network.TnnNetwork(_network_config(cfg, first.width * first.height))
+    net = network.TnnNetwork(_network_config(cfg, dataset.width * dataset.height))
     network.load_weights_npz(net, args.weights)
     summary = net.infer(dataset)
     _write_run_artifacts(net, summary, pathlib.Path(args.out), with_weights=False)

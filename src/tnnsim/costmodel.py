@@ -20,7 +20,6 @@ divisor counts waste slots and always cost strictly more.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence, TextIO
 
@@ -191,17 +190,3 @@ def write_sweep_csv(points: Iterable[SweepPoint], stream: TextIO) -> None:
             cells.append(str(val) if isinstance(val, int) else repr(float(val)))
         stream.write(",".join(cells) + "\n")
 
-
-def throughput(images: int, cfg: ComparatorBankConfig, unit: UnitCostParams) -> float:
-    """Wall-clock seconds to push ``images`` through the bank sequentially."""
-    if images < 0:
-        raise ValueError(f"images must be >= 0, got {images}")
-    return images * cost_report(cfg, unit).processing_time
-
-
-def capacity(budget: float, cfg: ComparatorBankConfig, unit: UnitCostParams) -> int:
-    """Whole images that fit in a time budget (sequential model)."""
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    per_image = cost_report(cfg, unit).processing_time
-    return math.floor(budget / per_image)

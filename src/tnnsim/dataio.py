@@ -16,7 +16,7 @@ from __future__ import annotations
 import io
 import struct
 from dataclasses import dataclass
-from typing import BinaryIO, Iterable, Optional, Union
+from typing import BinaryIO, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,47 +52,58 @@ class LineTextError(ValueError):
     """Malformed line-text input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PixelImage:
-    """One grayscale image, row-major, intensities 0..255."""
+    """One image of a dataset: its row of intensities and its label."""
 
-    pixels: tuple[int, ...]
+    pixels: np.ndarray
     width: int
     height: int
     label: Optional[int] = None
 
+
+def _check_labels(labels: np.ndarray) -> None:
+    bad = np.flatnonzero((labels < 0) | (labels > 9))
+    if bad.size:
+        i = int(bad[0])
+        raise LabelRangeError(f"label {labels[i]} at index {i} outside 0..9")
+
+
+@dataclass(frozen=True, eq=False)
+class LabeledDataset:
+    """Images of one size as a ``(N, width * height)`` uint8 array, row-major,
+    with an optional int64 label 0..9 per image."""
+
+    pixels: np.ndarray
+    width: int
+    height: int
+    labels: Optional[np.ndarray] = None
+
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ValueError(f"image dimensions must be positive, got {self.width}x{self.height}")
-        if len(self.pixels) != self.width * self.height:
+        pix, labels = self.pixels, self.labels
+        if not isinstance(pix, np.ndarray) or pix.dtype != np.uint8:
+            got = getattr(pix, "dtype", type(pix).__name__)
+            raise ValueError(f"pixels must be a uint8 array, got {got}")
+        if pix.ndim != 2 or pix.shape[1] != self.width * self.height:
             raise ValueError(
-                f"expected {self.width * self.height} pixels, got {len(self.pixels)}"
+                f"expected pixels of shape (N, {self.width * self.height}), got {pix.shape}"
             )
-        for p in self.pixels:
-            if not 0 <= p <= 255:
-                raise ValueError(f"pixel value {p} outside 0..255")
-        if self.label is not None and not 0 <= self.label <= 9:
-            raise LabelRangeError(f"label {self.label} outside 0..9")
-
-
-@dataclass(frozen=True)
-class LabeledDataset:
-    """An ordered collection of images, optionally all labeled."""
-
-    images: tuple[PixelImage, ...]
+        if labels is not None:
+            if not isinstance(labels, np.ndarray) or labels.dtype != np.int64:
+                got = getattr(labels, "dtype", type(labels).__name__)
+                raise ValueError(f"labels must be an int64 array, got {got}")
+            if labels.shape != (len(pix),):
+                raise ValueError(f"{len(pix)} images but {labels.size} labels")
+            _check_labels(labels)
 
     def __len__(self) -> int:
-        return len(self.images)
-
-    def __iter__(self):
-        return iter(self.images)
+        return len(self.pixels)
 
     def __getitem__(self, i: int) -> PixelImage:
-        return self.images[i]
-
-    @property
-    def labels(self) -> tuple[Optional[int], ...]:
-        return tuple(img.label for img in self.images)
+        label = None if self.labels is None else int(self.labels[i])
+        return PixelImage(self.pixels[i], self.width, self.height, label)
 
 
 def _as_bytes(data: Union[bytes, bytearray, BinaryIO]) -> bytes:
@@ -120,21 +131,16 @@ def read_idx_images(data: Union[bytes, bytearray, BinaryIO]) -> LabeledDataset:
     need = count * rows * cols
     if need > _MAX_DECLARED:
         raise DimensionOverflowError(f"declared payload of {need} bytes is implausible")
-    body = raw[16:]
-    if len(body) < need:
-        raise TruncatedStreamError(f"payload needs {need} bytes, stream has {len(body)}")
-    pix = np.frombuffer(body[:need], dtype=np.uint8).reshape(count, rows * cols)
-    images = tuple(
-        PixelImage(pixels=tuple(int(v) for v in row), width=cols, height=rows)
-        for row in pix
-    )
-    return LabeledDataset(images=images)
+    if len(raw) - 16 < need:
+        raise TruncatedStreamError(f"payload needs {need} bytes, stream has {len(raw) - 16}")
+    pixels = np.frombuffer(raw, dtype=np.uint8, count=need, offset=16)
+    return LabeledDataset(pixels.reshape(count, rows * cols), width=cols, height=rows)
 
 
 def read_idx_labels(
     data: Union[bytes, bytearray, BinaryIO], check_range: bool = True
-) -> tuple[int, ...]:
-    """Parse an IDX label file into a tuple of integer labels.
+) -> np.ndarray:
+    """Parse an IDX label file into an int64 label array.
 
     With ``check_range`` (the default) any byte outside 0..9 raises
     ``LabelRangeError``.
@@ -147,55 +153,41 @@ def read_idx_labels(
         raise BadMagicError(f"expected label magic {IDX_LABEL_MAGIC}, got {magic}")
     if count < 0 or count > _MAX_DECLARED:
         raise DimensionOverflowError(f"declared count {count} out of range")
-    body = raw[8:]
-    if len(body) < count:
-        raise TruncatedStreamError(f"payload needs {count} bytes, stream has {len(body)}")
-    labels = tuple(int(b) for b in body[:count])
+    if len(raw) - 8 < count:
+        raise TruncatedStreamError(f"payload needs {count} bytes, stream has {len(raw) - 8}")
+    # Widened so that label arithmetic (negation, sums) cannot wrap.
+    labels = np.frombuffer(raw, dtype=np.uint8, count=count, offset=8).astype(np.int64)
     if check_range:
-        for i, lab in enumerate(labels):
-            if lab > 9:
-                raise LabelRangeError(f"label {lab} at index {i} outside 0..9")
+        _check_labels(labels)
     return labels
 
 
 def write_idx_images(dataset: LabeledDataset, stream: BinaryIO) -> None:
     """Write images back out in IDX layout (inverse of ``read_idx_images``)."""
-    if not dataset.images:
+    if len(dataset) == 0:
         raise ValueError("cannot write an empty dataset")
-    first = dataset.images[0]
-    for img in dataset.images:
-        if (img.width, img.height) != (first.width, first.height):
-            raise ValueError("all images in an IDX file must share dimensions")
-    stream.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, len(dataset.images), first.height, first.width))
-    for img in dataset.images:
-        stream.write(bytes(img.pixels))
+    stream.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, len(dataset), dataset.height, dataset.width))
+    stream.write(dataset.pixels.tobytes())
 
 
-def write_idx_labels(labels: Iterable[int], stream: BinaryIO) -> None:
-    labs = list(labels)
-    for i, lab in enumerate(labs):
-        if not 0 <= lab <= 9:
-            raise LabelRangeError(f"label {lab} at index {i} outside 0..9")
-    stream.write(struct.pack(">ii", IDX_LABEL_MAGIC, len(labs)))
-    stream.write(bytes(labs))
+def write_idx_labels(labels: Sequence[int], stream: BinaryIO) -> None:
+    labs = np.asarray(labels, dtype=np.int64)
+    _check_labels(labs)
+    stream.write(struct.pack(">ii", IDX_LABEL_MAGIC, labs.size))
+    stream.write(labs.astype(np.uint8).tobytes())
 
 
-def attach_labels(dataset: LabeledDataset, labels: Iterable[int]) -> LabeledDataset:
+def attach_labels(dataset: LabeledDataset, labels: Sequence[int]) -> LabeledDataset:
     """Pair each image with its label; counts must match."""
-    labs = tuple(labels)
-    if len(labs) != len(dataset.images):
-        raise ValueError(f"{len(dataset.images)} images but {len(labs)} labels")
-    images = tuple(
-        PixelImage(pixels=img.pixels, width=img.width, height=img.height, label=lab)
-        for img, lab in zip(dataset.images, labs)
+    return LabeledDataset(
+        dataset.pixels, dataset.width, dataset.height, np.asarray(labels, dtype=np.int64)
     )
-    return LabeledDataset(images=images)
 
 
 def write_linetext(dataset: LabeledDataset, stream: io.TextIOBase) -> None:
     """Write one image per line as space-separated decimal intensities."""
-    for img in dataset.images:
-        stream.write(" ".join(str(p) for p in img.pixels))
+    for row in dataset.pixels.tolist():
+        stream.write(" ".join(map(str, row)))
         stream.write("\n")
 
 
@@ -204,7 +196,7 @@ def read_linetext(
 ) -> LabeledDataset:
     """Read a line-text file; every line must hold ``width * height`` pixels."""
     expected = width * height
-    images = []
+    rows = []
     for lineno, line in enumerate(stream, start=1):
         if not line.strip():
             continue
@@ -219,5 +211,6 @@ def read_linetext(
         for v in vals:
             if not 0 <= v <= 255:
                 raise LineTextError(f"line {lineno}: pixel value {v} outside 0..255")
-        images.append(PixelImage(pixels=tuple(vals), width=width, height=height))
-    return LabeledDataset(images=tuple(images))
+        rows.append(vals)
+    pixels = np.array(rows, dtype=np.uint8).reshape(len(rows), expected)
+    return LabeledDataset(pixels, width=width, height=height)

@@ -3,8 +3,9 @@
 Three encoder families convert 8-bit intensities into spike times inside a
 gamma cycle of ``period`` clock steps. Every family produces a positive and
 a negative channel per pixel, the negative channel encoding the reflected
-intensity, so an encoded volley always carries ``2 * pixel_count`` lines
-(the positive block first, then the negative block).
+intensity ``255 - v``, so an encoded volley always carries
+``2 * pixel_count`` lines (the positive block first, then the negative
+block). A volley is a float array of spike times with ``inf`` for no spike.
 
 Reference formulas
 ------------------
@@ -29,19 +30,15 @@ dimmer one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 INF = float("inf")
 
 SpikeTime = Union[int, float]
 """A spike time is a finite cycle index, or ``INF`` when no spike occurs."""
-
-
-def is_spike(t: SpikeTime) -> bool:
-    """True when ``t`` is a real (finite) spike."""
-    return t != INF
 
 
 @dataclass(frozen=True)
@@ -76,109 +73,32 @@ class Log:
 EncoderKind = Union[PosNeg, Linear, Log]
 
 
-@dataclass(frozen=True)
-class SpikeVolley:
-    """Spike times presented to a layer in one gamma cycle.
-
-    ``times[:pixel_count]`` is the positive channel and the remainder the
-    negative channel, one line per pixel in each block.
-    """
-
-    times: tuple[SpikeTime, ...]
-    pixel_count: int
-
-    def __post_init__(self):
-        if len(self.times) != 2 * self.pixel_count:
-            raise ValueError(
-                f"volley must hold 2 * {self.pixel_count} lines, got {len(self.times)}"
-            )
-
-    @property
-    def positive(self) -> tuple[SpikeTime, ...]:
-        return self.times[: self.pixel_count]
-
-    @property
-    def negative(self) -> tuple[SpikeTime, ...]:
-        return self.times[self.pixel_count :]
-
-
-def posneg_bits(pixel: int, threshold: int) -> tuple[int, int]:
-    """Return the (positive, negative) bit pair for one pixel.
-
-    Exactly one of the two bits is set: the positive bit when the pixel
-    exceeds the threshold, the negative bit otherwise.
-    """
-    pos = 1 if pixel > threshold else 0
-    return pos, 1 - pos
-
-
-def bit_to_spiketime(bit: int) -> SpikeTime:
-    """A set bit is a spike at time 0; a clear bit is no spike at all."""
-    return 0 if bit else INF
-
-
-def level_to_time(level: int, period: int) -> SpikeTime:
-    """Map a quantized brightness level to its spike time.
-
-    Level 0 never spikes; level 1 spikes last (``period - 1``) and levels at
-    or above ``period`` spike at time 0.
-    """
-    if level <= 0:
-        return INF
-    return max(0, period - level)
-
-
-def scalar_encode(value: int, kind: EncoderKind) -> SpikeTime:
-    """Encode one intensity under a graded (linear or log) code."""
-    if not isinstance(kind, (Linear, Log)):
-        raise TypeError(f"scalar_encode requires a Linear or Log encoder, got {kind!r}")
-    if value == 0:
-        return INF
+def _graded(v: np.ndarray, kind: Union[Linear, Log]) -> np.ndarray:
+    """Spike times of int64 intensities under a graded code."""
     if isinstance(kind, Linear):
-        level = math.ceil(value * kind.period / 256)
-        return level_to_time(level, kind.period)
-    steps = math.floor(math.log2(255 / value) * (kind.period - 1) / 8)
-    return min(kind.period - 1, steps)
+        level = (v * kind.period + 255) // 256  # ceil(v * period / 256)
+        return np.where(v > 0, kind.period - level, INF)
+    if isinstance(kind, Log):
+        steps = np.floor(np.log2(255 / np.maximum(v, 1)) * (kind.period - 1) / 8)
+        return np.where(v > 0, np.minimum(kind.period - 1, steps), INF)
+    raise TypeError(f"unknown encoder {kind!r}")
 
 
-def negate_then_encode(value: int, kind: EncoderKind) -> SpikeTime:
-    """Encode the reflected intensity ``|value - 255|`` for the negative channel."""
-    return scalar_encode(abs(value - 255), kind)
+def encode_image(pixels, kind: EncoderKind) -> np.ndarray:
+    """Encode intensities 0..255 into dual-channel spike times.
 
-
-def encode_image(image, kind: EncoderKind) -> SpikeVolley:
-    """Encode an image into a dual-channel volley.
-
-    Accepts a ``dataio.PixelImage`` or any plain iterable of intensities
-    (a flat list, a numpy row). The positive block comes first, then the
-    negative block, so synapse line indices are stable across modules.
+    ``pixels`` holds one image along its last axis (one row, or a stack of
+    rows). The result doubles that axis into float64 times, ``inf`` for no
+    spike: the positive block first, then the negative block, so synapse
+    line indices are stable across modules.
     """
-    px = list(getattr(image, "pixels", image))
+    # Widened first: in uint8, ``v * period`` wraps.
+    v = np.asarray(pixels).astype(np.int64)
     if isinstance(kind, PosNeg):
-        bits = [posneg_bits(p, kind.threshold) for p in px]
-        pos = [bit_to_spiketime(b[0]) for b in bits]
-        neg = [bit_to_spiketime(b[1]) for b in bits]
-    else:
-        pos = [scalar_encode(p, kind) for p in px]
-        neg = [negate_then_encode(p, kind) for p in px]
-    return SpikeVolley(times=tuple(pos + neg), pixel_count=len(px))
+        on = v > kind.threshold
+        return np.concatenate([np.where(on, 0.0, INF), np.where(on, INF, 0.0)], axis=-1)
+    return np.concatenate([_graded(v, kind), _graded(255 - v, kind)], axis=-1)
 
 
 def format_spike_time(t: SpikeTime) -> str:
     return "inf" if t == INF else str(int(t))
-
-
-def parse_spike_time(token: str) -> SpikeTime:
-    if token == "inf":
-        return INF
-    return int(token)
-
-
-def volley_to_line(volley: SpikeVolley) -> str:
-    """One volley as a line of space-separated times, ``inf`` for no spike."""
-    return " ".join(format_spike_time(t) for t in volley.times)
-
-
-def volley_from_line(line: str, pixel_count: int) -> SpikeVolley:
-    times = tuple(parse_spike_time(tok) for tok in line.split())
-    return SpikeVolley(times=times, pixel_count=pixel_count)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import gamma, stdp
 from .dataio import LabeledDataset
-from .encode import INF, EncoderKind, PosNeg, SpikeVolley, encode_image
+from .encode import INF, EncoderKind, PosNeg, encode_image
 from .neuron import layer_spike_times
 
 
@@ -111,7 +111,6 @@ class _CycleOutcome:
     length: int
     cause: gamma.GrstCause
     column_times: np.ndarray
-    column_neurons: np.ndarray
     winner: Optional[Winner]
 
 
@@ -131,18 +130,14 @@ class TnnNetwork:
         self.generator = gamma.GeneratorState(period=config.period)
         self.controller = gamma.make_controller(config.layers[-1][0])
 
-    def run_gamma_cycle(self, volley: SpikeVolley, learn: bool) -> _CycleOutcome:
-        """Present one volley for one gamma cycle.
+    def run_gamma_cycle(self, volley: np.ndarray, learn: bool) -> _CycleOutcome:
+        """Present one volley (layer-0 spike times) for one gamma cycle.
 
         Returns the cycle outcome; when ``learn`` is set, weights update at
         the closing reset.
         """
         cfg = self.config
-        if len(volley.times) != cfg.fan_in(0):
-            raise ValueError(
-                f"volley has {len(volley.times)} lines, layer 0 expects {cfg.fan_in(0)}"
-            )
-        x = np.asarray(volley.times, dtype=float)
+        x = np.asarray(volley, dtype=float)
         layer_inputs = []
         layer_winner_idx = []
         layer_winner_time = []
@@ -191,7 +186,6 @@ class TnnNetwork:
             length=result.length,
             cause=result.cause,
             column_times=final_times,
-            column_neurons=layer_winner_idx[-1],
             winner=winner,
         )
 
@@ -199,13 +193,16 @@ class TnnNetwork:
         if len(dataset) == 0:
             raise ValueError("dataset is empty")
         cfg = self.config
-        volleys = [encode_image(img.pixels, cfg.encoder) for img in dataset]
+        if dataset.pixels.shape[1] != cfg.pixel_count:
+            raise ValueError(
+                f"images have {dataset.pixels.shape[1]} pixels, layer 0 expects {cfg.pixel_count}"
+            )
         trace = gamma.GammaTrace(period=cfg.period, column_count=cfg.layers[-1][0])
         winners: list[Optional[Winner]] = []
         total = 0
         for _ in range(epochs):
-            for volley in volleys:
-                out = self.run_gamma_cycle(volley, learn=learn)
+            for pixels in dataset.pixels:
+                out = self.run_gamma_cycle(encode_image(pixels, cfg.encoder), learn=learn)
                 total += out.length
                 pairs = tuple(
                     (c, int(t))
@@ -290,41 +287,33 @@ def save_summary_npz(summary: RunSummary, path) -> None:
 
 
 def load_summary_npz(path) -> RunSummary:
+    # Each member is read once: every ``data[key]`` lookup decompresses the
+    # whole member again.
     with np.load(path) as data:
         period, cols, epochs, images = (int(v) for v in data["meta"])
-        trace = gamma.GammaTrace(period=period, column_count=cols)
-        for i in range(len(data["lengths"])):
-            finite = np.isfinite(data["col_times"][i])
-            pairs = tuple(
-                (int(c), int(data["col_times"][i, c])) for c in np.nonzero(finite)[0]
+        col_times, lengths, causes = data["col_times"], data["lengths"], data["causes"]
+        win_col, win_neuron, win_time = data["win_col"], data["win_neuron"], data["win_time"]
+    trace = gamma.GammaTrace(period=period, column_count=cols)
+    for times, length, cause in zip(col_times.tolist(), lengths.tolist(), causes.tolist()):
+        trace.add(
+            gamma.GammaCycleRecord(
+                length=length,
+                cause=gamma.GrstCause.CONTROL if cause else gamma.GrstCause.PERIOD,
+                winners=tuple((c, int(t)) for c, t in enumerate(times) if t != INF),
             )
-            trace.add(
-                gamma.GammaCycleRecord(
-                    length=int(data["lengths"][i]),
-                    cause=gamma.GrstCause.CONTROL
-                    if data["causes"][i]
-                    else gamma.GrstCause.PERIOD,
-                    winners=pairs,
-                )
-            )
-        winners = [
-            None
-            if data["win_col"][i] < 0
-            else Winner(
-                column=int(data["win_col"][i]),
-                neuron=int(data["win_neuron"][i]),
-                time=int(data["win_time"][i]),
-            )
-            for i in range(len(data["win_col"]))
-        ]
-        return RunSummary(
-            gamma_cycles=len(trace),
-            total_clock_cycles=int(sum(trace.lengths())),
-            trace=trace,
-            winners=winners,
-            epochs=epochs,
-            images=images,
         )
+    winners = [
+        None if c < 0 else Winner(column=c, neuron=n, time=int(t))
+        for c, n, t in zip(win_col.tolist(), win_neuron.tolist(), win_time.tolist())
+    ]
+    return RunSummary(
+        gamma_cycles=len(trace),
+        total_clock_cycles=int(sum(trace.lengths())),
+        trace=trace,
+        winners=winners,
+        epochs=epochs,
+        images=images,
+    )
 
 
 def save_weights_npz(net: TnnNetwork, path) -> None:

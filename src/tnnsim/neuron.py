@@ -1,4 +1,4 @@
-"""Ramp-no-leak neurons and winner-take-all columns.
+"""Ramp-no-leak neurons evaluated a whole bank at a time.
 
 Synapse weights are stored as integer half-units so the smallest learning
 step (half a unit) stays exact; a weight's effective value is
@@ -13,127 +13,15 @@ neuron spikes at the first step where the summed response reaches its
 threshold. Within a column the earliest neuron spike wins and inhibits the
 rest until the next gamma reset; ties break to the lowest neuron index so
 replays are deterministic.
-
-``neuron_spike_time`` is the plain reference evaluator; ``layer_spike_times``
-computes the same result for a whole bank of neurons at once via histogram
-cumsums and is what the network loop uses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from .encode import INF, SpikeTime, SpikeVolley
-
-
-class ColumnStateError(ValueError):
-    """A column operation was called in the wrong phase of a gamma cycle."""
-
-
-def weight_cap(half_units: int) -> int:
-    """Ramp saturation height: the weight value rounded down to whole units."""
-    return half_units // 2
-
-
-def rnl_response(half_units: int, s: SpikeTime, t: int) -> int:
-    """Response of one synapse at step ``t`` to a spike arriving at ``s``.
-
-    Zero before the spike (or when there is none); afterwards a unit ramp
-    capped at the whole-unit weight value.
-    """
-    if half_units < 0:
-        raise ValueError(f"weight half-units must be >= 0, got {half_units}")
-    if s == INF or t < s:
-        return 0
-    return min(t - int(s) + 1, weight_cap(half_units))
-
-
-@dataclass
-class RnlNeuron:
-    """One neuron: a weight per input line plus a firing threshold."""
-
-    weights: list[int]
-    threshold: int
-
-    def __post_init__(self):
-        if self.threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {self.threshold}")
-        for w in self.weights:
-            if w < 0:
-                raise ValueError(f"weight half-units must be >= 0, got {w}")
-
-
-def neuron_spike_time(n: RnlNeuron, volley: SpikeVolley, period: int) -> SpikeTime:
-    """First step in ``0..period-1`` where the potential reaches threshold.
-
-    Returns ``INF`` when the threshold is never reached inside the cycle.
-    """
-    if len(volley.times) != len(n.weights):
-        raise ValueError(
-            f"volley has {len(volley.times)} lines but neuron has {len(n.weights)} weights"
-        )
-    for t in range(period):
-        total = 0
-        for w, s in zip(n.weights, volley.times):
-            total += rnl_response(w, s, t)
-        if total >= n.threshold:
-            return t
-    return INF
-
-
-@dataclass
-class Column:
-    """A bank of neurons competing under 1-winner-take-all inhibition."""
-
-    neurons: list[RnlNeuron]
-    inhibited: bool = False
-    stdp_applied: bool = False
-    last_winner: Optional[int] = None
-
-    def __post_init__(self):
-        if not self.neurons:
-            raise ValueError("a column needs at least one neuron")
-        lines = len(self.neurons[0].weights)
-        for n in self.neurons:
-            if len(n.weights) != lines:
-                raise ValueError("all neurons in a column must share input line count")
-
-    @property
-    def line_count(self) -> int:
-        return len(self.neurons[0].weights)
-
-
-def column_wta(
-    c: Column, volley: SpikeVolley, period: int
-) -> tuple[Optional[int], SpikeTime]:
-    """Run one cycle of winner-take-all over the column.
-
-    Returns the winning neuron index and its spike time, or ``(None, INF)``
-    when nothing spikes. A winner inhibits the column until reset; calling
-    again on the inhibited column raises ``ColumnStateError``.
-    """
-    if c.inhibited:
-        raise ColumnStateError("column already produced its winner this gamma cycle")
-    best_idx: Optional[int] = None
-    best_t: SpikeTime = INF
-    for idx, n in enumerate(c.neurons):
-        t = neuron_spike_time(n, volley, period)
-        if t < best_t:
-            best_idx, best_t = idx, t
-    if best_idx is not None:
-        c.inhibited = True
-        c.last_winner = best_idx
-    return best_idx, best_t
-
-
-def column_reset(c: Column) -> None:
-    """Gamma reset: lift inhibition and re-arm the learning guard."""
-    c.inhibited = False
-    c.stdp_applied = False
-    c.last_winner = None
+from .encode import SpikeTime
 
 
 def layer_spike_times(
@@ -145,9 +33,9 @@ def layer_spike_times(
     """Spike times for a whole bank of neurons sharing one input volley.
 
     ``weights_hu`` is ``(neurons, lines)`` in half-units. Returns a float
-    vector with ``np.inf`` where a neuron stays silent. Matches
-    ``neuron_spike_time`` line for line; the potential is built as a double
-    cumsum of ramp start/stop histograms instead of a per-step loop.
+    vector with ``np.inf`` where a neuron stays silent. The potential is
+    built as a double cumsum of ramp start/stop histograms instead of a
+    per-step loop.
     """
     weights_hu = np.asarray(weights_hu)
     n_neurons = weights_hu.shape[0]
@@ -177,11 +65,3 @@ def layer_spike_times(
     fired = reached.any(axis=1)
     out[fired] = np.argmax(reached[fired], axis=1)
     return out
-
-
-def earliest_winner(spike_times: np.ndarray) -> tuple[Optional[int], SpikeTime]:
-    """Lowest-index earliest finite entry, as WTA would pick it."""
-    if spike_times.size == 0 or not np.isfinite(spike_times).any():
-        return None, INF
-    idx = int(np.argmin(spike_times))
-    return idx, int(spike_times[idx])

@@ -22,21 +22,9 @@ way the SEARCH and QUIET cases are ever reached.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-from .encode import INF, SpikeTime, SpikeVolley
-from .neuron import Column, ColumnStateError
-
-
-class RuleCase(enum.Enum):
-    CAPTURE = "capture"
-    BACKOFF_LATE = "backoff_late"
-    SEARCH = "search"
-    BACKOFF_NOIN = "backoff_noin"
-    QUIET = "quiet"
 
 
 @dataclass(frozen=True)
@@ -61,66 +49,6 @@ class StdpParams:
         return 2 * self.w_max
 
 
-def classify_case(x: SpikeTime, z: SpikeTime) -> RuleCase:
-    """Total classification of one (input, output) spike-time pair."""
-    x_fires = x != INF
-    z_fires = z != INF
-    if x_fires and z_fires:
-        return RuleCase.CAPTURE if x <= z else RuleCase.BACKOFF_LATE
-    if x_fires:
-        return RuleCase.SEARCH
-    if z_fires:
-        return RuleCase.BACKOFF_NOIN
-    return RuleCase.QUIET
-
-
-_DELTAS = {
-    RuleCase.CAPTURE: lambda p: p.u_capture,
-    RuleCase.BACKOFF_LATE: lambda p: -p.u_backoff,
-    RuleCase.SEARCH: lambda p: p.u_search,
-    RuleCase.BACKOFF_NOIN: lambda p: -p.u_backoff,
-    RuleCase.QUIET: lambda p: p.u_quiet,
-}
-
-
-def apply_update(half_units: int, case: RuleCase, p: StdpParams) -> int:
-    """One saturating weight step for the given case."""
-    nxt = half_units + _DELTAS[case](p)
-    return min(max(nxt, 0), p.half_unit_cap)
-
-
-def update_column(
-    col: Column, volley: SpikeVolley, winner_time: SpikeTime, p: StdpParams
-) -> Column:
-    """Apply one gamma cycle's worth of learning to a column.
-
-    Must run exactly once per cycle, at the reset; a second call before
-    ``column_reset`` raises ``ColumnStateError``. The winner's synapses
-    update against its spike time; with no winner, every neuron updates
-    against ``z = INF``.
-    """
-    if col.stdp_applied:
-        raise ColumnStateError("column weights already updated this gamma cycle")
-    if len(volley.times) != col.line_count:
-        raise ValueError(
-            f"volley has {len(volley.times)} lines but column has {col.line_count}"
-        )
-    if col.last_winner is None:
-        if winner_time != INF:
-            raise ValueError("winner_time must be INF for a column with no winner")
-        targets = range(len(col.neurons))
-    else:
-        targets = [col.last_winner]
-    for idx in targets:
-        n = col.neurons[idx]
-        n.weights = [
-            apply_update(w, classify_case(x, winner_time), p)
-            for w, x in zip(n.weights, volley.times)
-        ]
-    col.stdp_applied = True
-    return col
-
-
 def update_layer(
     weights_hu: np.ndarray,
     x: np.ndarray,
@@ -128,7 +56,7 @@ def update_layer(
     z: np.ndarray,
     p: StdpParams,
 ) -> None:
-    """Vectorized ``update_column`` over a whole layer, in place.
+    """One gamma cycle's weight update for a whole layer, in place.
 
     ``weights_hu`` is ``(columns, neurons, lines)`` half-units; ``x`` the
     input spike times, ``winner_idx`` each column's winner (-1 for none),

@@ -18,7 +18,7 @@ import pathlib
 
 import numpy as np
 
-from .dataio import LabeledDataset, PixelImage, write_idx_images, write_idx_labels
+from .dataio import LabeledDataset, write_idx_images, write_idx_labels
 
 WIDTH = 28
 HEIGHT = 28
@@ -86,19 +86,13 @@ def glyph(digit: int) -> np.ndarray:
     return canvas
 
 
-def make_digit_image(digit: int, rng: np.random.Generator) -> PixelImage:
-    """One noisy, jittered rendering of a digit."""
+def make_digit_image(digit: int, rng: np.random.Generator) -> np.ndarray:
+    """One noisy, jittered rendering of a digit as a row-major uint8 row."""
     canvas = glyph(digit)
     dy, dx = rng.integers(-_MAX_SHIFT, _MAX_SHIFT + 1, size=2)
     canvas = np.roll(canvas, (int(dy), int(dx)), axis=(0, 1))
     canvas = canvas + rng.normal(0.0, _NOISE_SIGMA, size=canvas.shape)
-    pixels = np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
-    return PixelImage(
-        pixels=tuple(int(v) for v in pixels.ravel()),
-        width=WIDTH,
-        height=HEIGHT,
-        label=digit,
-    )
+    return np.clip(np.rint(canvas), 0, 255).astype(np.uint8).ravel()
 
 
 def make_dataset(count: int, seed: int) -> LabeledDataset:
@@ -106,15 +100,16 @@ def make_dataset(count: int, seed: int) -> LabeledDataset:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rng = np.random.default_rng(seed)
-    images = tuple(make_digit_image(i % 10, rng) for i in range(count))
-    return LabeledDataset(images=images)
+    pixels = np.stack([make_digit_image(i % 10, rng) for i in range(count)])
+    labels = np.arange(count, dtype=np.int64) % 10
+    return LabeledDataset(pixels, WIDTH, HEIGHT, labels)
 
 
 def write_idx_pair(dataset: LabeledDataset, images_path, labels_path) -> None:
     with open(images_path, "wb") as f:
         write_idx_images(dataset, f)
     with open(labels_path, "wb") as f:
-        write_idx_labels([img.label for img in dataset.images], f)
+        write_idx_labels(dataset.labels, f)
 
 
 def main(argv=None) -> int:

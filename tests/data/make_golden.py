@@ -18,10 +18,11 @@ HERE = pathlib.Path(__file__).parent
 
 
 def main() -> None:
-    image = synth.make_dataset(5, seed=7).images[4]
+    image = synth.make_dataset(5, seed=7)[4]
     assert image.label == 4
-    pos_bits = ["1" if p > 127 else "0" for p in image.pixels]
-    neg_bits = ["0" if p > 127 else "1" for p in image.pixels]
+    pixels = image.pixels.tolist()
+    pos_bits = ["1" if p > 127 else "0" for p in pixels]
+    neg_bits = ["0" if p > 127 else "1" for p in pixels]
     (HERE / "digit4_pos.txt").write_text(" ".join(pos_bits) + "\n")
     (HERE / "digit4_neg.txt").write_text(" ".join(neg_bits) + "\n")
     print(f"wrote golden channel files for label {image.label}")

@@ -1,0 +1,220 @@
+"""Scalar reference model: one neuron, one column, one synapse at a time.
+
+Tests compare the array kernels (``neuron.layer_spike_times``,
+``stdp.update_layer``, ``encode.encode_image``) against these plain
+per-element restatements of the same rules. Volleys here are plain
+sequences of spike times, ``INF`` for no spike.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
+
+import numpy as np
+
+from tnnsim.encode import INF, EncoderKind, Linear, PosNeg, SpikeTime
+from tnnsim.stdp import StdpParams
+
+
+def readme_encode(pixels: Sequence[int], kind: EncoderKind) -> list[SpikeTime]:
+    """The README encoder formulas, pixel by pixel: positive block, then the
+    negative block of the reflected intensities ``255 - v``."""
+
+    def graded(v: int) -> SpikeTime:
+        if v == 0:
+            return INF
+        if isinstance(kind, Linear):
+            return kind.period - math.ceil(v * kind.period / 256)
+        return min(kind.period - 1, math.floor(math.log2(255 / v) * (kind.period - 1) / 8))
+
+    if isinstance(kind, PosNeg):
+        pos = [0 if v > kind.threshold else INF for v in pixels]
+        neg = [INF if v > kind.threshold else 0 for v in pixels]
+        return pos + neg
+    return [graded(v) for v in pixels] + [graded(255 - v) for v in pixels]
+
+
+class ColumnStateError(ValueError):
+    """A column operation was called in the wrong phase of a gamma cycle."""
+
+
+def weight_cap(half_units: int) -> int:
+    """Ramp saturation height: the weight value rounded down to whole units."""
+    return half_units // 2
+
+
+def rnl_response(half_units: int, s: SpikeTime, t: int) -> int:
+    """Response of one synapse at step ``t`` to a spike arriving at ``s``.
+
+    Zero before the spike (or when there is none); afterwards a unit ramp
+    capped at the whole-unit weight value.
+    """
+    if half_units < 0:
+        raise ValueError(f"weight half-units must be >= 0, got {half_units}")
+    if s == INF or t < s:
+        return 0
+    return min(t - int(s) + 1, weight_cap(half_units))
+
+
+@dataclass
+class RnlNeuron:
+    """One neuron: a weight per input line plus a firing threshold."""
+
+    weights: list[int]
+    threshold: int
+
+    def __post_init__(self):
+        if self.threshold < 1:
+            raise ValueError(f"threshold must be >= 1, got {self.threshold}")
+        for w in self.weights:
+            if w < 0:
+                raise ValueError(f"weight half-units must be >= 0, got {w}")
+
+
+def neuron_spike_time(n: RnlNeuron, times: Sequence[SpikeTime], period: int) -> SpikeTime:
+    """First step in ``0..period-1`` where the potential reaches threshold.
+
+    Returns ``INF`` when the threshold is never reached inside the cycle.
+    """
+    if len(times) != len(n.weights):
+        raise ValueError(
+            f"volley has {len(times)} lines but neuron has {len(n.weights)} weights"
+        )
+    for t in range(period):
+        total = 0
+        for w, s in zip(n.weights, times):
+            total += rnl_response(w, s, t)
+        if total >= n.threshold:
+            return t
+    return INF
+
+
+@dataclass
+class Column:
+    """A bank of neurons competing under 1-winner-take-all inhibition."""
+
+    neurons: list[RnlNeuron]
+    inhibited: bool = False
+    stdp_applied: bool = False
+    last_winner: Optional[int] = None
+
+    def __post_init__(self):
+        if not self.neurons:
+            raise ValueError("a column needs at least one neuron")
+        lines = len(self.neurons[0].weights)
+        for n in self.neurons:
+            if len(n.weights) != lines:
+                raise ValueError("all neurons in a column must share input line count")
+
+    @property
+    def line_count(self) -> int:
+        return len(self.neurons[0].weights)
+
+
+def column_wta(
+    c: Column, times: Sequence[SpikeTime], period: int
+) -> tuple[Optional[int], SpikeTime]:
+    """Run one cycle of winner-take-all over the column.
+
+    Returns the winning neuron index and its spike time, or ``(None, INF)``
+    when nothing spikes. A winner inhibits the column until reset; calling
+    again on the inhibited column raises ``ColumnStateError``.
+    """
+    if c.inhibited:
+        raise ColumnStateError("column already produced its winner this gamma cycle")
+    best_idx: Optional[int] = None
+    best_t: SpikeTime = INF
+    for idx, n in enumerate(c.neurons):
+        t = neuron_spike_time(n, times, period)
+        if t < best_t:
+            best_idx, best_t = idx, t
+    if best_idx is not None:
+        c.inhibited = True
+        c.last_winner = best_idx
+    return best_idx, best_t
+
+
+def column_reset(c: Column) -> None:
+    """Gamma reset: lift inhibition and re-arm the learning guard."""
+    c.inhibited = False
+    c.stdp_applied = False
+    c.last_winner = None
+
+
+def earliest_winner(spike_times: np.ndarray) -> tuple[Optional[int], SpikeTime]:
+    """Lowest-index earliest finite entry, as WTA would pick it."""
+    if spike_times.size == 0 or not np.isfinite(spike_times).any():
+        return None, INF
+    idx = int(np.argmin(spike_times))
+    return idx, int(spike_times[idx])
+
+
+class RuleCase(enum.Enum):
+    CAPTURE = "capture"
+    BACKOFF_LATE = "backoff_late"
+    SEARCH = "search"
+    BACKOFF_NOIN = "backoff_noin"
+    QUIET = "quiet"
+
+
+def classify_case(x: SpikeTime, z: SpikeTime) -> RuleCase:
+    """Total classification of one (input, output) spike-time pair."""
+    x_fires = x != INF
+    z_fires = z != INF
+    if x_fires and z_fires:
+        return RuleCase.CAPTURE if x <= z else RuleCase.BACKOFF_LATE
+    if x_fires:
+        return RuleCase.SEARCH
+    if z_fires:
+        return RuleCase.BACKOFF_NOIN
+    return RuleCase.QUIET
+
+
+_DELTAS = {
+    RuleCase.CAPTURE: lambda p: p.u_capture,
+    RuleCase.BACKOFF_LATE: lambda p: -p.u_backoff,
+    RuleCase.SEARCH: lambda p: p.u_search,
+    RuleCase.BACKOFF_NOIN: lambda p: -p.u_backoff,
+    RuleCase.QUIET: lambda p: p.u_quiet,
+}
+
+
+def apply_update(half_units: int, case: RuleCase, p: StdpParams) -> int:
+    """One saturating weight step for the given case."""
+    nxt = half_units + _DELTAS[case](p)
+    return min(max(nxt, 0), p.half_unit_cap)
+
+
+def update_column(
+    col: Column, times: Sequence[SpikeTime], winner_time: SpikeTime, p: StdpParams
+) -> Column:
+    """Apply one gamma cycle's worth of learning to a column.
+
+    Must run exactly once per cycle, at the reset; a second call before
+    ``column_reset`` raises ``ColumnStateError``. The winner's synapses
+    update against its spike time; with no winner, every neuron updates
+    against ``z = INF``.
+    """
+    if col.stdp_applied:
+        raise ColumnStateError("column weights already updated this gamma cycle")
+    if len(times) != col.line_count:
+        raise ValueError(
+            f"volley has {len(times)} lines but column has {col.line_count}"
+        )
+    if col.last_winner is None:
+        if winner_time != INF:
+            raise ValueError("winner_time must be INF for a column with no winner")
+        targets = range(len(col.neurons))
+    else:
+        targets = [col.last_winner]
+    for idx in targets:
+        n = col.neurons[idx]
+        n.weights = [
+            apply_update(w, classify_case(x, winner_time), p)
+            for w, x in zip(n.weights, times)
+        ]
+    col.stdp_applied = True
+    return col

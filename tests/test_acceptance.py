@@ -29,7 +29,7 @@ from tnnsim.gamma import (
 )
 from tnnsim.metrics import purity as purity_metric
 from tnnsim.network import NetworkConfig, RunSummary, TnnNetwork, Winner
-from tnnsim.neuron import RnlNeuron, neuron_spike_time
+from tnnsim.neuron import layer_spike_times
 from tnnsim.stdp import StdpParams
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -74,7 +74,7 @@ def desk_scale():
     return SimpleNamespace(
         net=net,
         summary=summary,
-        labels=[img.label for img in test.images],
+        labels=test.labels,
         elapsed=elapsed,
     )
 
@@ -82,20 +82,22 @@ def desk_scale():
 def test_criterion_01_posneg_golden_encoding():
     with criterion(1, "posneg golden encoding"):
         t0 = time.perf_counter()
-        images = synth.make_dataset(50, seed=7).images
-        for img in images:
-            volley = encode_image(img.pixels, PosNeg())
-            for px, pos_t, neg_t in zip(img.pixels, volley.positive, volley.negative):
-                if px > 127:
+        images = synth.make_dataset(50, seed=7)
+        for px in images.pixels:
+            volley = encode_image(px, PosNeg())
+            pos, neg = volley[: len(px)], volley[len(px) :]
+            for p, pos_t, neg_t in zip(px.tolist(), pos.tolist(), neg.tolist()):
+                if p > 127:
                     assert pos_t == 0 and neg_t == INF
                 else:
                     assert pos_t == INF and neg_t == 0
         # bit-exact channel files for the digit-4 sample
         sample = images[4]
         assert sample.label == 4
-        volley = encode_image(sample.pixels, PosNeg())
-        pos_line = " ".join("1" if t == 0 else "0" for t in volley.positive) + "\n"
-        neg_line = " ".join("1" if t == 0 else "0" for t in volley.negative) + "\n"
+        volley = encode_image(sample.pixels, PosNeg()).tolist()
+        half = len(volley) // 2
+        pos_line = " ".join("1" if t == 0 else "0" for t in volley[:half]) + "\n"
+        neg_line = " ".join("1" if t == 0 else "0" for t in volley[half:]) + "\n"
         assert pos_line == (DATA / "digit4_pos.txt").read_text()
         assert neg_line == (DATA / "digit4_neg.txt").read_text()
         assert time.perf_counter() - t0 < 1.0
@@ -195,15 +197,8 @@ def test_criterion_05_rnl_oracle_equivalence():
                 for _ in range(lines)
             ]
             threshold = int(rng.integers(1, 60))
-            padded_w = weights + [0] * (len(weights) % 2)
-            padded_t = times + [INF] * (len(times) % 2)
-            from tnnsim.encode import SpikeVolley
-
-            volley = SpikeVolley(
-                times=tuple(padded_t), pixel_count=len(padded_t) // 2
-            )
-            n = RnlNeuron(weights=padded_w, threshold=threshold)
-            got = neuron_spike_time(n, volley, 16)
+            t = layer_spike_times(np.array([weights]), times, 16, threshold)[0]
+            got = INF if np.isinf(t) else int(t)
             want = _brute_force_spike_time(weights, times, 16, threshold)
             if got != want:
                 mismatches += 1

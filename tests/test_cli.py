@@ -23,14 +23,9 @@ from tnnsim.network import load_summary_npz
 
 def make_images(path, specs, side=4):
     """Write an IDX image file from (fill_value, label) specs."""
-    images = tuple(
-        dataio.PixelImage(
-            pixels=tuple(v for v in pattern), width=side, height=side, label=None
-        )
-        for pattern, _ in specs
-    )
+    pixels = np.array([pattern for pattern, _ in specs], dtype=np.uint8)
     with open(path, "wb") as f:
-        dataio.write_idx_images(dataio.LabeledDataset(images=images), f)
+        dataio.write_idx_images(dataio.LabeledDataset(pixels, side, side), f)
 
 
 def make_labels(path, labels):

@@ -14,11 +14,9 @@ from tnnsim.costmodel import (
     SweepPoint,
     TimingViolationError,
     UnitCostParams,
-    capacity,
     cost_report,
     cycles_required,
     sweep,
-    throughput,
     write_sweep_csv,
 )
 
@@ -176,31 +174,6 @@ class TestSweep:
         write_sweep_csv(points, buf)
         row = buf.getvalue().splitlines()[1]
         assert row == "," * (len(REPORT_FIELDS) - 1)
-
-
-class TestThroughputCapacity:
-    def test_throughput_is_sequential(self):
-        t = throughput(60, cfg(49), REFERENCE_UNIT)
-        assert t == 60 * 16e-9
-
-    def test_throughput_ratio_for_larger_images(self):
-        small = throughput(60, cfg(49, pixels=784), REFERENCE_UNIT)
-        large = throughput(60, cfg(49, pixels=2160), REFERENCE_UNIT)
-        # 45 cycles vs 16 cycles per image: about 2.7x slower.
-        assert large / small == 45 / 16
-        assert 2.5 < large / small < 3.0
-
-    def test_capacity_zero_budget(self):
-        assert capacity(0.0, cfg(49), REFERENCE_UNIT) == 0
-
-    def test_capacity_one_millisecond(self):
-        assert capacity(1e-3, cfg(49, pixels=784), REFERENCE_UNIT) == 62500
-        assert capacity(1e-3, cfg(49, pixels=2160), REFERENCE_UNIT) == 22222
-
-    def test_capacity_shrinks_with_image_size(self):
-        small = capacity(1e-3, cfg(49, pixels=784), REFERENCE_UNIT)
-        large = capacity(1e-3, cfg(49, pixels=2160), REFERENCE_UNIT)
-        assert 0.3 < large / small < 0.4
 
 
 class TestValidation:

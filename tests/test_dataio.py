@@ -3,6 +3,7 @@
 import io
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from tnnsim.dataio import (
     LabeledDataset,
     LabelRangeError,
     LineTextError,
-    PixelImage,
     TruncatedStreamError,
     attach_labels,
     read_idx_images,
@@ -38,13 +38,20 @@ def pack_labels(labels):
     return struct.pack(">ii", 2049, len(labels)) + bytes(labels)
 
 
+def dataset_of(rows, width, height):
+    """An unlabeled dataset from a list of pixel lists."""
+    pixels = np.array(rows, dtype=np.uint8).reshape(len(rows), width * height)
+    return LabeledDataset(pixels, width=width, height=height)
+
+
 class TestReadIdxImages:
     def test_two_images_parsed_back(self):
         imgs = [[10, 20, 30, 40, 50, 60], [0, 255, 128, 1, 2, 3]]
         dataset = read_idx_images(pack_images(imgs, rows=2, cols=3))
         assert len(dataset) == 2
-        assert dataset[0].pixels == (10, 20, 30, 40, 50, 60)
-        assert dataset[1].pixels == (0, 255, 128, 1, 2, 3)
+        assert dataset.pixels.dtype == np.uint8
+        assert dataset.pixels.tolist() == imgs
+        assert dataset[1].pixels.tolist() == [0, 255, 128, 1, 2, 3]
         assert dataset[0].width == 3
         assert dataset[0].height == 2
         assert dataset[0].label is None
@@ -52,15 +59,16 @@ class TestReadIdxImages:
     def test_accepts_stream(self):
         blob = pack_images([[7, 8, 9, 10]], rows=2, cols=2)
         dataset = read_idx_images(io.BytesIO(blob))
-        assert dataset[0].pixels == (7, 8, 9, 10)
+        assert dataset[0].pixels.tolist() == [7, 8, 9, 10]
 
     def test_empty_file_is_empty_dataset(self):
         dataset = read_idx_images(pack_images([], rows=28, cols=28))
         assert len(dataset) == 0
+        assert dataset.pixels.shape == (0, 784)
 
     def test_trailing_bytes_ignored(self):
         blob = pack_images([[1, 2, 3, 4]], rows=2, cols=2) + b"junk"
-        assert read_idx_images(blob)[0].pixels == (1, 2, 3, 4)
+        assert read_idx_images(blob)[0].pixels.tolist() == [1, 2, 3, 4]
 
     def test_bad_magic(self):
         blob = struct.pack(">iiii", 2049, 1, 2, 2) + bytes(4)
@@ -93,7 +101,9 @@ class TestReadIdxImages:
 
 class TestReadIdxLabels:
     def test_labels_parsed_back(self):
-        assert read_idx_labels(pack_labels([4, 0, 9, 7])) == (4, 0, 9, 7)
+        labels = read_idx_labels(pack_labels([4, 0, 9, 7]))
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [4, 0, 9, 7]
 
     def test_bad_magic(self):
         with pytest.raises(BadMagicError):
@@ -104,7 +114,7 @@ class TestReadIdxLabels:
             read_idx_labels(pack_labels([3, 10]))
 
     def test_range_check_can_be_disabled(self):
-        assert read_idx_labels(pack_labels([3, 10]), check_range=False) == (3, 10)
+        assert read_idx_labels(pack_labels([3, 10]), check_range=False).tolist() == [3, 10]
 
     def test_truncated_payload(self):
         blob = struct.pack(">ii", 2049, 5) + bytes(3)
@@ -121,42 +131,43 @@ class TestIdxRoundTrip:
         )
     )
     def test_images_round_trip(self, raw):
-        dataset = LabeledDataset(
-            images=tuple(
-                PixelImage(pixels=tuple(px), width=3, height=2) for px in raw
-            )
-        )
+        dataset = dataset_of(raw, width=3, height=2)
         buf = io.BytesIO()
         write_idx_images(dataset, buf)
         back = read_idx_images(buf.getvalue())
-        assert back.images == dataset.images
+        assert (back.width, back.height) == (3, 2)
+        assert np.array_equal(back.pixels, dataset.pixels)
 
     def test_labels_round_trip(self):
         buf = io.BytesIO()
         write_idx_labels([0, 1, 9, 9, 4], buf)
-        assert read_idx_labels(buf.getvalue()) == (0, 1, 9, 9, 4)
+        assert read_idx_labels(buf.getvalue()).tolist() == [0, 1, 9, 9, 4]
 
     def test_write_validates_labels(self):
         with pytest.raises(LabelRangeError):
             write_idx_labels([11], io.BytesIO())
 
     def test_write_rejects_mixed_dimensions(self):
-        dataset = LabeledDataset(
-            images=(
-                PixelImage(pixels=(1,) * 4, width=2, height=2),
-                PixelImage(pixels=(1,) * 6, width=3, height=2),
-            )
-        )
+        # One array holds every image, so rows that do not match the
+        # declared size never reach the writer.
         with pytest.raises(ValueError):
-            write_idx_images(dataset, io.BytesIO())
+            write_idx_images(
+                LabeledDataset(np.ones((2, 6), dtype=np.uint8), width=2, height=2),
+                io.BytesIO(),
+            )
+        with pytest.raises(ValueError):
+            write_idx_images(dataset_of([], width=2, height=2), io.BytesIO())
 
 
 class TestAttachLabels:
     def test_pairs_in_order(self):
         dataset = read_idx_images(pack_images([[1] * 4, [2] * 4], 2, 2))
         labeled = attach_labels(dataset, [3, 8])
-        assert labeled.labels == (3, 8)
-        assert labeled[0].pixels == (1, 1, 1, 1)
+        assert labeled.labels.tolist() == [3, 8]
+        assert labeled.labels.dtype == np.int64
+        assert labeled.pixels is dataset.pixels
+        assert labeled[0].pixels.tolist() == [1, 1, 1, 1]
+        assert labeled[1].label == 8
 
     def test_count_mismatch(self):
         dataset = read_idx_images(pack_images([[1] * 4], 2, 2))
@@ -166,16 +177,12 @@ class TestAttachLabels:
 
 class TestLineText:
     def test_round_trip_bit_exact(self):
-        dataset = LabeledDataset(
-            images=(
-                PixelImage(pixels=(0, 255, 17, 3), width=2, height=2),
-                PixelImage(pixels=(9, 9, 9, 9), width=2, height=2),
-            )
-        )
+        dataset = dataset_of([[0, 255, 17, 3], [9, 9, 9, 9]], width=2, height=2)
         buf = io.StringIO()
         write_linetext(dataset, buf)
+        assert buf.getvalue() == "0 255 17 3\n9 9 9 9\n"
         back = read_linetext(io.StringIO(buf.getvalue()), width=2, height=2)
-        assert [img.pixels for img in back] == [img.pixels for img in dataset]
+        assert np.array_equal(back.pixels, dataset.pixels)
 
     @given(
         st.lists(
@@ -185,15 +192,11 @@ class TestLineText:
         )
     )
     def test_round_trip_property(self, raw):
-        dataset = LabeledDataset(
-            images=tuple(
-                PixelImage(pixels=tuple(px), width=2, height=2) for px in raw
-            )
-        )
+        dataset = dataset_of(raw, width=2, height=2)
         buf = io.StringIO()
         write_linetext(dataset, buf)
         back = read_linetext(io.StringIO(buf.getvalue()), width=2, height=2)
-        assert [img.pixels for img in back] == [img.pixels for img in dataset]
+        assert np.array_equal(back.pixels, dataset.pixels)
 
     def test_wrong_pixel_count_diagnosed_with_line(self):
         with pytest.raises(LineTextError, match="line 2"):
@@ -213,14 +216,30 @@ class TestLineText:
 
 
 class TestPixelImage:
+    """Image invariants, checked once when the dataset is built."""
+
     def test_pixel_count_must_match_dims(self):
         with pytest.raises(ValueError):
-            PixelImage(pixels=(1, 2, 3), width=2, height=2)
+            LabeledDataset(np.zeros((1, 3), dtype=np.uint8), width=2, height=2)
+        with pytest.raises(ValueError):
+            LabeledDataset(np.zeros(4, dtype=np.uint8), width=2, height=2)
+        with pytest.raises(ValueError):
+            LabeledDataset(np.zeros((1, 0), dtype=np.uint8), width=0, height=2)
 
     def test_pixel_range_enforced(self):
+        # Intensities must already be uint8, so 0..255 holds by type.
         with pytest.raises(ValueError):
-            PixelImage(pixels=(0, 300, 0, 0), width=2, height=2)
+            LabeledDataset(np.array([[0, 300, 0, 0]]), width=2, height=2)
+        with pytest.raises(ValueError):
+            LabeledDataset([[0, 1, 0, 0]], width=2, height=2)
 
     def test_label_range_enforced(self):
+        pixels = np.zeros((2, 4), dtype=np.uint8)
+        with pytest.raises(LabelRangeError, match="label 12 at index 1"):
+            LabeledDataset(pixels, 2, 2, np.array([3, 12], dtype=np.int64))
         with pytest.raises(LabelRangeError):
-            PixelImage(pixels=(0,) * 4, width=2, height=2, label=12)
+            LabeledDataset(pixels, 2, 2, np.array([-1, 3], dtype=np.int64))
+        with pytest.raises(ValueError):
+            LabeledDataset(pixels, 2, 2, np.array([3, 4], dtype=np.uint8))
+        with pytest.raises(ValueError, match="2 images but 1 labels"):
+            LabeledDataset(pixels, 2, 2, np.array([3], dtype=np.int64))

@@ -1,190 +1,189 @@
 """Encoder behavior: bit channels, graded codes, volley layout."""
 
-
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracle import readme_encode
 
-from tnnsim.encode import (
-    INF,
-    Linear,
-    Log,
-    PosNeg,
-    SpikeVolley,
-    bit_to_spiketime,
-    encode_image,
-    level_to_time,
-    negate_then_encode,
-    posneg_bits,
-    scalar_encode,
-    volley_from_line,
-    volley_to_line,
-)
+from tnnsim.dataio import LabeledDataset
+from tnnsim.encode import INF, Linear, Log, PosNeg, encode_image
+
+
+def channels(pixels, kind):
+    """(positive, negative) spike-time lists of one image."""
+    times = encode_image(np.asarray(pixels, dtype=np.uint8), kind).tolist()
+    half = len(times) // 2
+    return times[:half], times[half:]
+
+
+def pos_time(v, kind):
+    """Positive-channel spike time of a single intensity."""
+    return channels([v], kind)[0][0]
+
+
+def neg_time(v, kind):
+    """Negative-channel spike time of a single intensity."""
+    return channels([v], kind)[1][0]
 
 
 class TestPosNegBits:
     def test_above_threshold(self):
-        assert posneg_bits(200, 127) == (1, 0)
+        assert channels([200], PosNeg(127)) == ([0], [INF])
 
     def test_below_threshold(self):
-        assert posneg_bits(0, 127) == (0, 1)
+        assert channels([0], PosNeg(127)) == ([INF], [0])
 
     def test_equal_joins_negative_side(self):
-        assert posneg_bits(127, 127) == (0, 1)
+        assert channels([127], PosNeg(127)) == ([INF], [0])
 
     @given(st.integers(0, 255), st.integers(0, 255))
     def test_channels_complement(self, pixel, threshold):
-        pos, neg = posneg_bits(pixel, threshold)
-        assert pos ^ neg == 1
+        pos, neg = channels([pixel], PosNeg(threshold))
+        assert {pos[0], neg[0]} == {0, INF}
 
 
 class TestBitToSpiketime:
     def test_set_bit_spikes_at_zero(self):
-        assert bit_to_spiketime(1) == 0
+        assert pos_time(255, PosNeg(127)) == 0
 
     def test_clear_bit_never_spikes(self):
-        assert bit_to_spiketime(0) == INF
+        assert pos_time(0, PosNeg(127)) == INF
 
 
 class TestLevelToTime:
     def test_calibration_vector(self):
-        # Level sequence 0..5 lands on [inf, 15, 14, 13, 12, 11].
-        assert [level_to_time(q, 16) for q in range(6)] == [INF, 15, 14, 13, 12, 11]
+        # Intensities at levels 0..5 (ceil(v / 16)) land on
+        # [inf, 15, 14, 13, 12, 11].
+        pos, _ = channels([0, 1, 17, 33, 49, 65], Linear(16))
+        assert pos == [INF, 15, 14, 13, 12, 11]
 
     def test_full_scale_level_spikes_first(self):
-        assert level_to_time(16, 16) == 0
+        # 241..255 all reach level 16.
+        assert pos_time(241, Linear(16)) == 0
+        assert pos_time(255, Linear(16)) == 0
 
     def test_overflow_clamps_to_zero(self):
-        assert level_to_time(20, 16) == 0
+        # No intensity reaches past the top level, at any period.
+        for period in range(2, 65):
+            pos, _ = channels(range(256), Linear(period))
+            assert min(pos) == 0
 
 
 class TestLinear:
     def test_zero_never_spikes(self):
-        assert scalar_encode(0, Linear(16)) == INF
+        assert pos_time(0, Linear(16)) == INF
 
     def test_brightest_spikes_first(self):
-        assert scalar_encode(255, Linear(16)) == 0
+        assert pos_time(255, Linear(16)) == 0
 
     def test_quantization_points(self):
         lin = Linear(16)
         # time = 16 - ceil(v / 16) for the 16-step code
-        assert scalar_encode(1, lin) == 15
-        assert scalar_encode(16, lin) == 15
-        assert scalar_encode(17, lin) == 14
-        assert scalar_encode(128, lin) == 8
-        assert scalar_encode(100, lin) == 9
-        assert scalar_encode(200, lin) == 3
+        assert pos_time(1, lin) == 15
+        assert pos_time(16, lin) == 15
+        assert pos_time(17, lin) == 14
+        assert pos_time(128, lin) == 8
+        assert pos_time(100, lin) == 9
+        assert pos_time(200, lin) == 3
 
     def test_monotone_nonincreasing_exhaustive(self):
-        lin = Linear(16)
-        times = [scalar_encode(v, lin) for v in range(256)]
+        times, _ = channels(range(256), Linear(16))
         for u in range(1, 255):
             assert times[u] >= times[u + 1]
 
     def test_times_in_range(self):
-        lin = Linear(16)
-        for v in range(1, 256):
-            assert 0 <= scalar_encode(v, lin) <= 15
+        times, _ = channels(range(1, 256), Linear(16))
+        assert all(0 <= t <= 15 for t in times)
 
 
 class TestLog:
     def test_zero_never_spikes(self):
-        assert scalar_encode(0, Log(16)) == INF
+        assert pos_time(0, Log(16)) == INF
 
     def test_brightest_spikes_first(self):
-        assert scalar_encode(255, Log(16)) == 0
+        assert pos_time(255, Log(16)) == 0
 
     def test_halving_points(self):
         log = Log(16)
         # floor(log2(255 / v) * 15 / 8), capped at 15
-        assert scalar_encode(128, log) == 1
-        assert scalar_encode(64, log) == 3
-        assert scalar_encode(32, log) == 5
-        assert scalar_encode(16, log) == 7
-        assert scalar_encode(2, log) == 13
-        assert scalar_encode(1, log) == 14
+        assert pos_time(128, log) == 1
+        assert pos_time(64, log) == 3
+        assert pos_time(32, log) == 5
+        assert pos_time(16, log) == 7
+        assert pos_time(2, log) == 13
+        assert pos_time(1, log) == 14
 
     def test_monotone_nonincreasing_exhaustive(self):
-        log = Log(16)
-        times = [scalar_encode(v, log) for v in range(256)]
+        times, _ = channels(range(256), Log(16))
         for u in range(1, 255):
             assert times[u] >= times[u + 1]
 
     def test_times_in_range(self):
-        log = Log(16)
-        for v in range(1, 256):
-            assert 0 <= scalar_encode(v, log) <= 15
+        times, _ = channels(range(1, 256), Log(16))
+        assert all(0 <= t <= 15 for t in times)
 
 
 class TestNegateThenEncode:
     def test_full_intensity_never_spikes(self):
-        assert negate_then_encode(255, Linear(16)) == INF
+        assert neg_time(255, Linear(16)) == INF
 
     def test_zero_intensity_spikes_first(self):
-        assert negate_then_encode(0, Linear(16)) == 0
+        assert neg_time(0, Linear(16)) == 0
 
     @given(st.integers(0, 255))
     def test_reflection_identity(self, v):
         lin = Linear(16)
-        assert negate_then_encode(v, lin) == scalar_encode(255 - v, lin)
+        assert neg_time(v, lin) == pos_time(255 - v, lin)
 
 
 class TestEncodeImage:
     def test_posneg_all_zero_image(self):
-        volley = encode_image([0] * 9, PosNeg(127))
-        assert volley.positive == (INF,) * 9
-        assert volley.negative == (0,) * 9
+        assert channels([0] * 9, PosNeg(127)) == ([INF] * 9, [0] * 9)
 
     def test_linear_constant_bright_image(self):
-        volley = encode_image([255] * 4, Linear(16))
-        assert volley.positive == (0,) * 4
-        assert volley.negative == (INF,) * 4
+        assert channels([255] * 4, Linear(16)) == ([0] * 4, [INF] * 4)
 
     def test_length_is_twice_pixels(self):
+        pixels = np.arange(30, dtype=np.uint8)
         for kind in (PosNeg(127), Linear(16), Log(16)):
-            assert len(encode_image(list(range(30)), kind).times) == 60
+            times = encode_image(pixels, kind)
+            assert times.shape == (60,)
+            assert times.dtype == np.float64
 
     @given(st.lists(st.integers(0, 255), min_size=1, max_size=40))
     def test_posneg_one_finite_spike_per_pixel_at_zero(self, pixels):
-        volley = encode_image(pixels, PosNeg(127))
-        for p, n in zip(volley.positive, volley.negative):
+        pos, neg = channels(pixels, PosNeg(127))
+        for p, n in zip(pos, neg):
             assert (p, n) in ((0, INF), (INF, 0))
 
     def test_accepts_object_with_pixels(self):
-        from tnnsim.dataio import PixelImage
-
-        img = PixelImage(pixels=(0, 255, 3, 200), width=2, height=2)
-        volley = encode_image(img, PosNeg(127))
-        assert volley.pixel_count == 4
-        assert volley.positive == (INF, 0, INF, 0)
+        # A dataset row, or the whole stack of rows at once.
+        dataset = LabeledDataset(
+            np.array([[0, 255, 3, 200], [255, 0, 0, 0]], dtype=np.uint8), width=2, height=2
+        )
+        volley = encode_image(dataset[0].pixels, PosNeg(127))
+        assert volley.tolist() == [INF, 0, INF, 0, 0, INF, 0, INF]
+        stacked = encode_image(dataset.pixels, PosNeg(127))
+        assert stacked.shape == (2, 8)
+        assert np.array_equal(stacked[0], volley)
 
     def test_deterministic(self):
-        pixels = list(range(0, 256, 5))
+        pixels = np.arange(0, 256, 5, dtype=np.uint8)
         for kind in (PosNeg(127), Linear(16), Log(16)):
-            assert encode_image(pixels, kind) == encode_image(pixels, kind)
+            assert np.array_equal(encode_image(pixels, kind), encode_image(pixels, kind))
 
 
-class TestVolley:
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            SpikeVolley(times=(0, 1, 2), pixel_count=2)
-
-    def test_line_round_trip(self):
-        volley = SpikeVolley(times=(0, 5, INF, 15, INF, 3), pixel_count=3)
-        line = volley_to_line(volley)
-        assert line == "0 5 inf 15 inf 3"
-        assert volley_from_line(line, 3) == volley
-
-    @given(
-        st.lists(
-            st.one_of(st.integers(0, 15), st.just(INF)),
-            min_size=2,
-            max_size=20,
-        ).filter(lambda xs: len(xs) % 2 == 0)
-    )
-    def test_line_round_trip_property(self, times):
-        volley = SpikeVolley(times=tuple(times), pixel_count=len(times) // 2)
-        assert volley_from_line(volley_to_line(volley), len(times) // 2) == volley
+class TestReadmeFormulas:
+    def test_every_intensity_period_and_encoder(self):
+        # uint8 input on purpose: the encoder must widen before it computes
+        # ``v * period`` or ``255 - v``.
+        pixels = np.arange(256, dtype=np.uint8)
+        kinds = [PosNeg(t) for t in range(256)]
+        kinds += [k(p) for p in range(2, 65) for k in (Linear, Log)]
+        for kind in kinds:
+            want = readme_encode(range(256), kind)
+            assert encode_image(pixels, kind).tolist() == want, kind
 
 
 class TestEncoderValidation:
@@ -198,6 +197,6 @@ class TestEncoderValidation:
         with pytest.raises(ValueError):
             Log(period=0)
 
-    def test_scalar_encode_rejects_posneg(self):
+    def test_unknown_kind_rejected(self):
         with pytest.raises(TypeError):
-            scalar_encode(10, PosNeg(127))
+            encode_image(np.zeros(4, dtype=np.uint8), "linear")

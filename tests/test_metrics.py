@@ -1,9 +1,11 @@
 """Histogram, purity, and cycle-savings metrics on fabricated runs."""
 
 import io
+import struct
 
 import pytest
 
+from tnnsim.dataio import read_idx_labels
 from tnnsim.gamma import GammaCycleRecord, GammaTrace, GrstCause
 from tnnsim.metrics import (
     SpikeHistogram,
@@ -115,6 +117,12 @@ class TestPurity:
         winners = [w(5, 0, 0)] * 4
         report = purity(fake_summary(winners), [5, 3, 5, 3])
         assert report.groups[0].majority_label == 3
+        assert report.groups[0].majority_count == 2
+        # Labels as read from an IDX file: an unsigned dtype would wrap
+        # ``-label`` in the tie-break key and pick 3 here.
+        idx = struct.pack(">ii", 2049, 4) + bytes([0, 3, 0, 3])
+        report = purity(fake_summary(winners), read_idx_labels(idx))
+        assert report.groups[0].majority_label == 0
         assert report.groups[0].majority_count == 2
 
     def test_labels_tile_across_epochs(self):

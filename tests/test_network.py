@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from tnnsim.dataio import LabeledDataset, PixelImage
+from tnnsim.dataio import LabeledDataset
 from tnnsim.encode import PosNeg
 from tnnsim.network import (
     Mode,
@@ -20,23 +20,24 @@ from tnnsim.network import (
 from tnnsim.stdp import StdpParams
 
 
-def flat_image(value, label=0, side=4):
-    return PixelImage(
-        pixels=(value,) * (side * side), width=side, height=side, label=label
-    )
+def flat_image(value, side=4):
+    return [value] * (side * side)
 
 
-def two_tone_image(label=0, side=4):
+def two_tone_image(side=4):
     # left half bright, right half dark
-    px = []
-    for r in range(side):
-        for c in range(side):
-            px.append(200 if c < side // 2 else 30)
-    return PixelImage(pixels=tuple(px), width=side, height=side, label=label)
+    return [200 if c < side // 2 else 30 for r in range(side) for c in range(side)]
+
+
+def dataset_of(images, labels=None, side=4):
+    pixels = np.array(images, dtype=np.uint8).reshape(len(images), side * side)
+    if labels is not None:
+        labels = np.array(labels, dtype=np.int64)
+    return LabeledDataset(pixels, side, side, labels)
 
 
 def tiny_dataset():
-    return LabeledDataset(images=(two_tone_image(0), flat_image(250, 1)))
+    return dataset_of([two_tone_image(), flat_image(250)], labels=[0, 1])
 
 
 def tiny_config(**over):
@@ -178,7 +179,7 @@ class TestLearning:
     def test_empty_dataset_rejected(self):
         net = TnnNetwork(tiny_config())
         with pytest.raises(ValueError):
-            net.infer(LabeledDataset(images=()))
+            net.infer(dataset_of([]))
 
 
 class TestTwoLayer:
@@ -204,7 +205,7 @@ class TestTwoLayer:
 class TestWrongVolleySize:
     def test_mismatched_image_rejected(self):
         net = TnnNetwork(tiny_config())
-        bad = LabeledDataset(images=(flat_image(100, side=3),))
+        bad = dataset_of([flat_image(100, side=3)], side=3)
         with pytest.raises(ValueError):
             net.infer(bad)
 

