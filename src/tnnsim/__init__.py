@@ -13,7 +13,7 @@ from .encode import (
     SpikeTime,
     encode_image,
 )
-from .network import Mode, NetworkConfig, RunSummary, TnnNetwork, Winner
+from .network import Mode, NetworkConfig, RunSummary, TnnNetwork
 from .stdp import StdpParams
 
 __version__ = "0.1.0"
@@ -30,7 +30,6 @@ __all__ = [
     "SpikeTime",
     "StdpParams",
     "TnnNetwork",
-    "Winner",
     "encode_image",
     "__version__",
 ]

@@ -12,13 +12,18 @@ column first fires at step ``t``, the cycle has length ``t + 1`` (steps
 ``0..t``) and the reset edge lands on the following step, which is already
 step 0 of the next cycle. A never-satisfied controller leaves the periodic
 rollover in charge and the cycle runs the full period.
+
+A run's ``GammaTrace`` is columnar: arrays of cycle lengths, end causes
+and per-column first-spike times, one row per cycle, validated once.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, TextIO
+
+import numpy as np
 
 from .encode import INF, SpikeTime
 
@@ -132,43 +137,57 @@ def run_cycle(
     raise AssertionError("generator failed to roll over within its period")
 
 
-@dataclass(frozen=True)
-class GammaCycleRecord:
-    length: int
-    cause: GrstCause
-    winners: tuple[tuple[int, SpikeTime], ...]
+# Trace cause names, indexed by ``control``.
+CAUSE_NAMES = (GrstCause.PERIOD.value, GrstCause.CONTROL.value)
 
 
-@dataclass
+@dataclass(eq=False)
 class GammaTrace:
-    """Per-cycle log of lengths, causes, and column winners."""
+    """Columnar per-cycle log, one row per gamma cycle.
+
+    ``lengths[i]`` is cycle ``i``'s length in clock steps, ``control[i]`` is
+    true when the controller ended it and false when the period rolled over,
+    and ``col_times[i, c]`` is monitored column ``c``'s first spike time,
+    ``inf`` when the column stayed silent.
+    """
 
     period: int
-    column_count: int
-    records: list[GammaCycleRecord] = field(default_factory=list)
+    lengths: np.ndarray
+    control: np.ndarray
+    col_times: np.ndarray
 
-    def add(self, record: GammaCycleRecord) -> None:
-        if record.length > self.period:
-            raise ValueError(
-                f"cycle length {record.length} exceeds period {self.period}"
-            )
-        self.records.append(record)
+    def __post_init__(self):
+        self.lengths = np.asarray(self.lengths, dtype=np.int64)
+        self.control = np.asarray(self.control, dtype=bool)
+        self.col_times = np.asarray(self.col_times, dtype=float)
+        shapes = (self.lengths.shape, self.control.shape, self.col_times.shape)
+        if self.col_times.ndim != 2 or not self.column_count or not (
+            shapes[0] == shapes[1] == shapes[2][:1]
+        ):
+            raise ValueError(f"trace shapes disagree: lengths, control, col_times {shapes}")
+        bad = self.lengths[(self.lengths < 1) | (self.lengths > self.period)]
+        if bad.size:
+            raise ValueError(f"cycle length {bad[0]} outside 1..{self.period}")
+        t = self.col_times[self.col_times != INF]
+        bad = t[~((t >= 0) & (t < self.period) & (np.floor(t) == t))]
+        if bad.size:
+            raise ValueError(f"column spike time {bad[0]} not a step in 0..{self.period - 1}")
+
+    @property
+    def column_count(self) -> int:
+        return self.col_times.shape[1]
 
     def __len__(self) -> int:
-        return len(self.records)
-
-    def lengths(self) -> list[int]:
-        return [r.length for r in self.records]
+        return len(self.lengths)
 
 
 def write_trace_csv(trace: GammaTrace, stream: TextIO) -> None:
-    """One row per gamma cycle; winners packed as ``col:time`` pairs."""
+    """One row per gamma cycle; firing columns packed as ``col:time`` pairs."""
     stream.write("cycle,length,cause,winners\n")
-    for i, r in enumerate(trace.records):
-        packed = ";".join(
-            f"{col}:{'inf' if t == INF else int(t)}" for col, t in r.winners
-        )
-        stream.write(f"{i},{r.length},{r.cause.value},{packed}\n")
+    rows = zip(trace.lengths.tolist(), trace.control.tolist(), trace.col_times.tolist())
+    for i, (length, control, times) in enumerate(rows):
+        packed = ";".join(f"{c}:{int(t)}" for c, t in enumerate(times) if t != INF)
+        stream.write(f"{i},{length},{CAUSE_NAMES[control]},{packed}\n")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,8 @@
 """Run analysis: spike-time histograms, winner purity, cycle savings.
 
+Each metric is an array reduction over a run's columnar record; the
+reports hold plain Python numbers, so the writers never print numpy reprs.
+
 Purity is standard clustering purity over winner groups: presentations are
 grouped by their winning (column, neuron), each group votes its majority
 label, and purity is the fraction of presentations covered by those
@@ -18,17 +21,19 @@ early, so its last-spike time counts as the full period.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence, TextIO
 
+import numpy as np
+
+from .encode import INF
 from .gamma import GammaTrace
 from .network import RunSummary
 
 
 @dataclass(frozen=True)
 class SpikeHistogram:
-    """Winner spike-time counts over one run; index t holds time t."""
+    """Network winner spike-time counts over one run; index t holds time t."""
 
     counts: tuple[int, ...]
     inf_count: int
@@ -39,25 +44,18 @@ class SpikeHistogram:
 
     def mode_fraction(self) -> tuple[Optional[int], float]:
         """The busiest finite time and its share of all presentations."""
-        if self.total == 0 or not self.counts:
+        if not any(self.counts):
             return None, 0.0
-        best = max(range(len(self.counts)), key=lambda t: self.counts[t])
-        if self.counts[best] == 0:
-            return None, 0.0
+        best = self.counts.index(max(self.counts))
         return best, self.counts[best] / self.total
 
 
 def spike_histogram(summary: RunSummary) -> SpikeHistogram:
     """Count network winner times over all presentations."""
-    period = summary.trace.period
-    counts = [0] * period
-    inf_count = 0
-    for win in summary.winners:
-        if win is None:
-            inf_count += 1
-        else:
-            counts[win.time] += 1
-    return SpikeHistogram(counts=tuple(counts), inf_count=inf_count)
+    times = summary.win_time
+    fired = times != INF
+    counts = np.bincount(times[fired].astype(np.int64), minlength=summary.trace.period)
+    return SpikeHistogram(counts=tuple(counts.tolist()), inf_count=int((~fired).sum()))
 
 
 @dataclass(frozen=True)
@@ -84,38 +82,32 @@ def purity(summary: RunSummary, labels: Sequence[int]) -> PurityReport:
     """Clustering purity of winner groups against the true labels.
 
     ``labels`` covers one dataset pass; multi-epoch summaries tile it.
+    Majority ties go to the lowest label.
     """
-    n = len(summary.winners)
-    labs = list(labels)
+    n = summary.gamma_cycles
+    labs = np.asarray(labels, dtype=np.int64)
     if len(labs) * summary.epochs == n:
-        labs = labs * summary.epochs
+        labs = np.tile(labs, summary.epochs)
     if len(labs) != n:
         raise ValueError(
             f"{n} presentations but {len(labels)} labels (epochs={summary.epochs})"
         )
-    by_group: dict[tuple[int, int], Counter] = defaultdict(Counter)
-    unassigned = 0
-    for win, lab in zip(summary.winners, labs):
-        if win is None:
-            unassigned += 1
-        else:
-            by_group[(win.column, win.neuron)][lab] += 1
-    stats = []
-    covered = 0
-    for (col, neuron), votes in sorted(by_group.items()):
-        label, count = max(votes.items(), key=lambda kv: (kv[1], -kv[0]))
-        covered += count
-        stats.append(
-            GroupStat(
-                column=col,
-                neuron=neuron,
-                size=sum(votes.values()),
-                majority_label=label,
-                majority_count=count,
-            )
-        )
-    frac = covered / n if n else 0.0
-    return PurityReport(purity=frac, groups=tuple(stats), unassigned=unassigned)
+    if n == 0:
+        return PurityReport(purity=0.0, groups=(), unassigned=0)
+    won = summary.win_col >= 0
+    pairs = np.stack([summary.win_col, summary.win_neuron], axis=1)[won]
+    groups, group = np.unique(pairs, axis=0, return_inverse=True)
+    values, label = np.unique(labs, return_inverse=True)
+    votes = np.zeros((len(groups), len(values)), dtype=np.int64)
+    # The inverse's shape for ``axis=0`` differs across numpy releases.
+    np.add.at(votes, (group.reshape(-1), label[won]), 1)
+    # argmax takes the first maximum, so the lowest label wins a tie.
+    best = votes.argmax(axis=1)
+    majority = votes[np.arange(len(groups)), best]
+    # One row per group, in GroupStat's field order.
+    table = np.column_stack([groups, votes.sum(axis=1), values[best], majority])
+    stats = tuple(GroupStat(*row) for row in table.tolist())
+    return PurityReport(int(majority.sum()) / n, stats, unassigned=int((~won).sum()))
 
 
 def cycle_savings(trace: GammaTrace, period: int) -> tuple[float, float]:
@@ -124,17 +116,13 @@ def cycle_savings(trace: GammaTrace, period: int) -> tuple[float, float]:
     Realized uses delivered cycle lengths; potential uses last-spike times,
     charging cycles with silent columns the whole period.
     """
-    if len(trace) == 0:
+    n = len(trace)
+    if n == 0:
         raise ValueError("trace is empty")
-    lengths = trace.lengths()
-    last_spikes = []
-    for rec in trace.records:
-        if len(rec.winners) == trace.column_count:
-            last_spikes.append(max(t for _, t in rec.winners))
-        else:
-            last_spikes.append(period)
-    realized = 1.0 - (sum(lengths) / len(lengths)) / period
-    potential = 1.0 - (sum(last_spikes) / len(last_spikes)) / period
+    times = trace.col_times
+    last_spikes = np.where((times != INF).all(axis=1), times.max(axis=1), period)
+    realized = 1.0 - (int(trace.lengths.sum()) / n) / period
+    potential = 1.0 - (int(last_spikes.sum()) / n) / period
     return realized, potential
 
 

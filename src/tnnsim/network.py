@@ -6,6 +6,10 @@ becomes one input line of the next layer. The gamma controller watches the
 final layer only, so in relaxed mode a cycle ends one step after the last
 final-layer column has fired and inner layers simply free-run.
 
+A run leaves one columnar ``RunSummary``, one row per presentation: the
+gamma trace plus each final-layer column's winning neuron. Network
+winners, clock totals and every metric derive from these arrays.
+
 Everything is deterministic given the config seed: weight initialization
 draws from a seeded generator and the simulation itself has no other
 randomness, so repeated runs produce identical artifacts.
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, TextIO, Union
+from typing import TextIO, Union
 
 import numpy as np
 
@@ -81,37 +85,51 @@ class NetworkConfig:
         return self.layers[layer - 1][0]
 
 
-@dataclass(frozen=True)
-class Winner:
-    """Network-level output of one presentation."""
-
-    column: int
-    neuron: int
-    time: int
-
-
-@dataclass
+@dataclass(eq=False)
 class RunSummary:
-    """Everything a run leaves behind, enough to rebuild every metric."""
+    """Everything a run leaves behind, enough to rebuild every metric.
 
-    gamma_cycles: int
-    total_clock_cycles: int
+    One row per presentation: the gamma trace plus ``col_neurons``, the
+    winning neuron of each final-layer column, -1 exactly where the
+    column stayed silent. The network winner is the earliest column, ties
+    going to the lowest index; ``win_col`` and ``win_neuron`` are -1 and
+    ``win_time`` is inf where every column stayed silent.
+    """
+
     trace: gamma.GammaTrace
-    winners: list[Optional[Winner]]
+    col_neurons: np.ndarray
     epochs: int
     images: int
 
     def __post_init__(self):
-        if self.total_clock_cycles != sum(self.trace.lengths()):
-            raise ValueError("total clock cycles must equal the sum of trace lengths")
+        self.col_neurons = np.asarray(self.col_neurons, dtype=np.int64)
+        silent = self.trace.col_times == INF
+        if not np.array_equal(self.col_neurons == -1, silent) or (self.col_neurons < -1).any():
+            raise ValueError(
+                "col_neurons must hold a neuron index for every column that "
+                "fired and -1 for every silent column"
+            )
 
+    @property
+    def gamma_cycles(self) -> int:
+        return len(self.trace)
 
-@dataclass
-class _CycleOutcome:
-    length: int
-    cause: gamma.GrstCause
-    column_times: np.ndarray
-    winner: Optional[Winner]
+    @property
+    def total_clock_cycles(self) -> int:
+        return int(self.trace.lengths.sum())
+
+    @property
+    def win_time(self) -> np.ndarray:
+        return self.trace.col_times.min(axis=1)
+
+    @property
+    def win_col(self) -> np.ndarray:
+        return np.where(self.win_time == INF, -1, self.trace.col_times.argmin(axis=1))
+
+    @property
+    def win_neuron(self) -> np.ndarray:
+        col = self.trace.col_times.argmin(axis=1)
+        return self.col_neurons[np.arange(len(col)), col]
 
 
 class TnnNetwork:
@@ -130,17 +148,16 @@ class TnnNetwork:
         self.generator = gamma.GeneratorState(period=config.period)
         self.controller = gamma.make_controller(config.layers[-1][0])
 
-    def run_gamma_cycle(self, volley: np.ndarray, learn: bool) -> _CycleOutcome:
+    def run_gamma_cycle(self, volley: np.ndarray, learn: bool) -> tuple:
         """Present one volley (layer-0 spike times) for one gamma cycle.
 
-        Returns the cycle outcome; when ``learn`` is set, weights update at
-        the closing reset.
+        Returns the ``gamma.CycleResult`` and the final layer's per-column
+        winner times (inf when silent) and neurons (-1 when silent); when
+        ``learn`` is set, weights update at the closing reset.
         """
         cfg = self.config
         x = np.asarray(volley, dtype=float)
-        layer_inputs = []
-        layer_winner_idx = []
-        layer_winner_time = []
+        layers = []  # (input volley, winner neurons, winner times) per layer
         for k, w in enumerate(self.weights):
             cols, neurons, lines = w.shape
             times = layer_spike_times(
@@ -148,46 +165,19 @@ class TnnNetwork:
             ).reshape(cols, neurons)
             idx = np.argmin(times, axis=1)
             win_t = times[np.arange(cols), idx]
-            fired = np.isfinite(win_t)
-            layer_inputs.append(x)
-            layer_winner_idx.append(np.where(fired, idx, -1).astype(np.int64))
-            layer_winner_time.append(np.where(fired, win_t, np.inf))
-            x = layer_winner_time[-1]
+            layers.append((x, np.where(np.isfinite(win_t), idx, -1), win_t))
+            x = win_t
 
-        final_times = layer_winner_time[-1]
         result = gamma.run_cycle(
-            self.generator,
-            self.controller,
-            [t if np.isfinite(t) else INF for t in final_times],
-            relaxed=cfg.mode is Mode.RELAXED,
+            self.generator, self.controller, x.tolist(), relaxed=cfg.mode is Mode.RELAXED
         )
         self.generator = result.generator
         self.controller = result.controller
 
         if learn:
-            for k, w in enumerate(self.weights):
-                stdp.update_layer(
-                    w,
-                    layer_inputs[k],
-                    layer_winner_idx[k],
-                    layer_winner_time[k],
-                    cfg.stdp_params,
-                )
-
-        winner = None
-        if np.isfinite(final_times).any():
-            col = int(np.argmin(final_times))
-            winner = Winner(
-                column=col,
-                neuron=int(layer_winner_idx[-1][col]),
-                time=int(final_times[col]),
-            )
-        return _CycleOutcome(
-            length=result.length,
-            cause=result.cause,
-            column_times=final_times,
-            winner=winner,
-        )
+            for w, (inputs, idx, win_t) in zip(self.weights, layers):
+                stdp.update_layer(w, inputs, idx, win_t, cfg.stdp_params)
+        return result, x, layers[-1][1]
 
     def _run(self, dataset: LabeledDataset, epochs: int, learn: bool) -> RunSummary:
         if len(dataset) == 0:
@@ -197,29 +187,19 @@ class TnnNetwork:
             raise ValueError(
                 f"images have {dataset.pixels.shape[1]} pixels, layer 0 expects {cfg.pixel_count}"
             )
-        trace = gamma.GammaTrace(period=cfg.period, column_count=cfg.layers[-1][0])
-        winners: list[Optional[Winner]] = []
-        total = 0
-        for _ in range(epochs):
-            for pixels in dataset.pixels:
-                out = self.run_gamma_cycle(encode_image(pixels, cfg.encoder), learn=learn)
-                total += out.length
-                pairs = tuple(
-                    (c, int(t))
-                    for c, t in enumerate(out.column_times)
-                    if np.isfinite(t)
-                )
-                trace.add(
-                    gamma.GammaCycleRecord(
-                        length=out.length, cause=out.cause, winners=pairs
-                    )
-                )
-                winners.append(out.winner)
+        n, cols = epochs * len(dataset), cfg.layers[-1][0]
+        lengths = np.empty(n, dtype=np.int64)
+        control = np.empty(n, dtype=bool)
+        col_times = np.empty((n, cols))
+        col_neurons = np.empty((n, cols), dtype=np.int64)
+        for i in range(n):
+            volley = encode_image(dataset.pixels[i % len(dataset)], cfg.encoder)
+            result, col_times[i], col_neurons[i] = self.run_gamma_cycle(volley, learn=learn)
+            lengths[i] = result.length
+            control[i] = result.cause is gamma.GrstCause.CONTROL
         return RunSummary(
-            gamma_cycles=len(trace),
-            total_clock_cycles=total,
-            trace=trace,
-            winners=winners,
+            trace=gamma.GammaTrace(cfg.period, lengths, control, col_times),
+            col_neurons=col_neurons,
             epochs=epochs,
             images=len(dataset),
         )
@@ -238,82 +218,43 @@ class TnnNetwork:
 def write_summary_csv(summary: RunSummary, stream: TextIO) -> None:
     """One row per presentation; silent presentations carry inf/empty."""
     stream.write("presentation,length,cause,winner_column,winner_neuron,winner_time\n")
-    for i, (rec, win) in enumerate(zip(summary.trace.records, summary.winners)):
-        if win is None:
-            tail = ",,inf"
-        else:
-            tail = f"{win.column},{win.neuron},{win.time}"
-        stream.write(f"{i},{rec.length},{rec.cause.value},{tail}\n")
+    trace = summary.trace
+    rows = zip(
+        trace.lengths.tolist(),
+        trace.control.tolist(),
+        summary.win_col.tolist(),
+        summary.win_neuron.tolist(),
+        summary.win_time.tolist(),
+    )
+    for i, (length, control, col, neuron, t) in enumerate(rows):
+        tail = ",,inf" if col < 0 else f"{col},{neuron},{int(t)}"
+        stream.write(f"{i},{length},{gamma.CAUSE_NAMES[control]},{tail}\n")
 
 
 def save_summary_npz(summary: RunSummary, path) -> None:
-    """Compact binary form of the trace, exact enough to rebuild it."""
-    records = summary.trace.records
-    cols = summary.trace.column_count
-    n = len(records)
-    col_times = np.full((n, cols), np.inf, dtype=np.float32)
-    col_neurons = np.full((n, cols), -1, dtype=np.int16)
-    for i, rec in enumerate(records):
-        for c, t in rec.winners:
-            col_times[i, c] = t
-    lengths = np.array([r.length for r in records], dtype=np.int32)
-    causes = np.array(
-        [1 if r.cause is gamma.GrstCause.CONTROL else 0 for r in records],
-        dtype=np.int8,
-    )
-    win_col = np.array(
-        [w.column if w else -1 for w in summary.winners], dtype=np.int32
-    )
-    win_neuron = np.array(
-        [w.neuron if w else -1 for w in summary.winners], dtype=np.int32
-    )
-    win_time = np.array(
-        [w.time if w else np.inf for w in summary.winners], dtype=np.float32
-    )
+    """Compact binary form of the run record, exact enough to rebuild it."""
+    trace = summary.trace
     np.savez_compressed(
         path,
-        lengths=lengths,
-        causes=causes,
-        col_times=col_times,
-        col_neurons=col_neurons,
-        win_col=win_col,
-        win_neuron=win_neuron,
-        win_time=win_time,
+        lengths=trace.lengths.astype(np.int32),
+        causes=trace.control.astype(np.int8),
+        col_times=trace.col_times.astype(np.float32),
+        col_neurons=summary.col_neurons.astype(np.int16),
         meta=np.array(
-            [summary.trace.period, cols, summary.epochs, summary.images],
+            [trace.period, trace.column_count, summary.epochs, summary.images],
             dtype=np.int64,
         ),
     )
 
 
 def load_summary_npz(path) -> RunSummary:
+    """Rebuild a run record; malformed members raise ``ValueError``."""
     # Each member is read once: every ``data[key]`` lookup decompresses the
     # whole member again.
     with np.load(path) as data:
-        period, cols, epochs, images = (int(v) for v in data["meta"])
-        col_times, lengths, causes = data["col_times"], data["lengths"], data["causes"]
-        win_col, win_neuron, win_time = data["win_col"], data["win_neuron"], data["win_time"]
-    trace = gamma.GammaTrace(period=period, column_count=cols)
-    for times, length, cause in zip(col_times.tolist(), lengths.tolist(), causes.tolist()):
-        trace.add(
-            gamma.GammaCycleRecord(
-                length=length,
-                cause=gamma.GrstCause.CONTROL if cause else gamma.GrstCause.PERIOD,
-                winners=tuple((c, int(t)) for c, t in enumerate(times) if t != INF),
-            )
-        )
-    winners = [
-        None if c < 0 else Winner(column=c, neuron=n, time=int(t))
-        for c, n, t in zip(win_col.tolist(), win_neuron.tolist(), win_time.tolist())
-    ]
-    return RunSummary(
-        gamma_cycles=len(trace),
-        total_clock_cycles=int(sum(trace.lengths())),
-        trace=trace,
-        winners=winners,
-        epochs=epochs,
-        images=images,
-    )
+        period, _, epochs, images = (int(v) for v in data["meta"])
+        trace = gamma.GammaTrace(period, data["lengths"], data["causes"], data["col_times"])
+        return RunSummary(trace, data["col_neurons"], epochs, images)
 
 
 def save_weights_npz(net: TnnNetwork, path) -> None:
@@ -323,7 +264,12 @@ def save_weights_npz(net: TnnNetwork, path) -> None:
 
 
 def load_weights_npz(net: TnnNetwork, path) -> None:
-    """Restore weights into an already-shaped network."""
+    """Restore weights into an already-shaped network.
+
+    Each layer must match the network's shape, hold integers and lie in
+    ``0..half_unit_cap``; anything else raises ``ValueError``.
+    """
+    cap = net.config.stdp_params.half_unit_cap
     with np.load(path) as data:
         for k in range(len(net.weights)):
             key = f"layer{k}"
@@ -334,4 +280,9 @@ def load_weights_npz(net: TnnNetwork, path) -> None:
                 raise ValueError(
                     f"{key} shape {arr.shape} does not match network {net.weights[k].shape}"
                 )
+            if not np.issubdtype(arr.dtype, np.integer):
+                raise ValueError(f"{key} has dtype {arr.dtype}, weights must be integers")
+            bad = arr[(arr < 0) | (arr > cap)]
+            if bad.size:
+                raise ValueError(f"{key} holds weight {bad[0]} outside 0..{cap}")
             net.weights[k] = arr.astype(np.int16)

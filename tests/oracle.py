@@ -1,8 +1,9 @@
 """Scalar reference model: one neuron, one column, one synapse at a time.
 
 Tests compare the array kernels (``neuron.layer_spike_times``,
-``stdp.update_layer``, ``encode.encode_image``) against these plain
-per-element restatements of the same rules. Volleys here are plain
+``stdp.update_layer``, ``encode.encode_image``) and the run metrics
+(``metrics.spike_histogram``, ``purity``, ``cycle_savings``) against these
+plain per-element restatements of the same rules. Volleys here are plain
 sequences of spike times, ``INF`` for no spike.
 """
 
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -218,3 +220,71 @@ def update_column(
         ]
     col.stdp_applied = True
     return col
+
+
+# A network winner: (column, neuron, time), or None for a silent presentation.
+NetWinner = Optional[tuple[int, int, int]]
+
+
+def network_winner(times: Sequence[SpikeTime], neurons: Sequence[int]) -> NetWinner:
+    """Earliest firing column of one presentation, ties to the lowest index."""
+    best = None
+    for c, t in enumerate(times):
+        if t != INF and (best is None or t < times[best]):
+            best = c
+    return None if best is None else (best, neurons[best], int(times[best]))
+
+
+def spike_histogram(winners: Sequence[NetWinner], period: int) -> tuple[tuple[int, ...], int]:
+    """(counts per winner time, silent presentations)."""
+    counts = [0] * period
+    inf_count = 0
+    for win in winners:
+        if win is None:
+            inf_count += 1
+        else:
+            counts[win[2]] += 1
+    return tuple(counts), inf_count
+
+
+def purity(
+    winners: Sequence[NetWinner], labels: Sequence[int], epochs: int
+) -> tuple[float, list[tuple[int, int, int, int, int]], int]:
+    """(purity, groups as (column, neuron, size, majority label, majority
+    count) sorted by (column, neuron), unassigned presentations)."""
+    n = len(winners)
+    labs = list(labels)
+    if len(labs) * epochs == n:
+        labs = labs * epochs
+    if len(labs) != n:
+        raise ValueError(f"{n} presentations but {len(labels)} labels")
+    by_group: dict[tuple[int, int], Counter] = defaultdict(Counter)
+    unassigned = 0
+    for win, lab in zip(winners, labs):
+        if win is None:
+            unassigned += 1
+        else:
+            by_group[win[:2]][lab] += 1
+    groups = []
+    covered = 0
+    for (col, neuron), votes in sorted(by_group.items()):
+        label, count = max(votes.items(), key=lambda kv: (kv[1], -kv[0]))
+        covered += count
+        groups.append((col, neuron, sum(votes.values()), label, count))
+    return (covered / n if n else 0.0), groups, unassigned
+
+
+def cycle_savings(
+    lengths: Sequence[int], col_times: Sequence[Sequence[SpikeTime]], period: int
+) -> tuple[float, float]:
+    """(realized, potential) savings; a row with a silent column counts as
+    the whole period."""
+    last_spikes = []
+    for times in col_times:
+        if all(t != INF for t in times):
+            last_spikes.append(int(max(times)))
+        else:
+            last_spikes.append(period)
+    realized = 1.0 - (sum(lengths) / len(lengths)) / period
+    potential = 1.0 - (sum(last_spikes) / len(last_spikes)) / period
+    return realized, potential

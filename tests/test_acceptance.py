@@ -18,7 +18,6 @@ from tnnsim import costmodel, metrics, synth
 from tnnsim.cli import main as cli_main
 from tnnsim.encode import INF, PosNeg, encode_image
 from tnnsim.gamma import (
-    GammaCycleRecord,
     GammaTrace,
     GeneratorState,
     GrstCause,
@@ -28,7 +27,7 @@ from tnnsim.gamma import (
     verify_scenarios,
 )
 from tnnsim.metrics import purity as purity_metric
-from tnnsim.network import NetworkConfig, RunSummary, TnnNetwork, Winner
+from tnnsim.network import NetworkConfig, RunSummary, TnnNetwork
 from tnnsim.neuron import layer_spike_times
 from tnnsim.stdp import StdpParams
 
@@ -215,9 +214,9 @@ def test_criterion_06_low_threshold_time_zero():
         for w in net.weights:
             w[:] = 2  # every weight nonzero (one whole unit)
         summary = net.infer(images)
-        assert all(w is not None and w.time == 0 for w in summary.winners)
+        assert (summary.win_time == 0).all()
         # in relaxed mode a universal time-0 volley ends every cycle in 1 step
-        assert all(l == 1 for l in summary.trace.lengths())
+        assert (summary.trace.lengths == 1).all()
 
 
 def test_criterion_07_desk_scale_stabilization(desk_scale):
@@ -233,12 +232,12 @@ def test_criterion_07_desk_scale_stabilization(desk_scale):
 def test_criterion_08_cycle_savings(desk_scale):
     with criterion(8, "relaxed-cycle savings"):
         # synthetic: every column's last spike at step 5 under period 16
-        trace = GammaTrace(period=16, column_count=3)
-        pairs = tuple((c, 5) for c in range(3))
-        for _ in range(64):
-            trace.add(
-                GammaCycleRecord(length=6, cause=GrstCause.CONTROL, winners=pairs)
-            )
+        trace = GammaTrace(
+            period=16,
+            lengths=np.full(64, 6),
+            control=np.ones(64, dtype=bool),
+            col_times=np.full((64, 3), 5.0),
+        )
         realized, potential = metrics.cycle_savings(trace, 16)
         assert potential == 0.6875
         assert realized == 0.625
@@ -251,26 +250,11 @@ def test_criterion_08_cycle_savings(desk_scale):
 
 def test_criterion_09_purity_sanity(desk_scale):
     with criterion(9, "winner-group purity"):
-        winners = [
-            Winner(0, 0, 5),
-            Winner(0, 0, 5),
-            Winner(0, 0, 5),
-            Winner(1, 1, 5),
-            Winner(1, 1, 5),
-        ]
-        trace = GammaTrace(period=16, column_count=2)
-        for w in winners:
-            trace.add(
-                GammaCycleRecord(length=6, cause=GrstCause.CONTROL, winners=())
-            )
-        summary = RunSummary(
-            gamma_cycles=5,
-            total_clock_cycles=30,
-            trace=trace,
-            winners=winners,
-            epochs=1,
-            images=5,
-        )
+        # winners (column, neuron) at time 5: (0,0) three times, (1,1) twice
+        col_times = np.array([[5, INF]] * 3 + [[INF, 5]] * 2)
+        col_neurons = np.array([[0, -1]] * 3 + [[-1, 1]] * 2)
+        trace = GammaTrace(16, np.full(5, 6), np.ones(5, dtype=bool), col_times)
+        summary = RunSummary(trace, col_neurons, epochs=1, images=5)
         assert purity_metric(summary, [7, 7, 3, 2, 2]).purity == 0.8
         desk = purity_metric(desk_scale.summary, desk_scale.labels)
         assert 0.0 <= desk.purity <= 1.0

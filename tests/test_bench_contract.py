@@ -1,0 +1,85 @@
+"""The benchmark's per-module spans still fit the library.
+
+``perfbench/spans.py`` times functions by rebinding them by name, and
+counts work from their arguments and results. A refactor that renames,
+inlines or re-routes one of them would silently zero a per-module metric.
+This runs a tiny two-layer train, an inference, the CSV writers, the npz
+round trip and the metrics under its tracer, and checks that every target
+was found, counted and numbered by layer.
+"""
+
+import importlib.util
+import io
+import pathlib
+import sys
+
+from tnnsim import gamma, metrics, network, synth
+from tnnsim.encode import Linear
+
+SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    """Import ``spans.py`` by path without writing bytecode next to it."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+def test_spans_cover_a_two_layer_run(tmp_path):
+    ds = synth.make_dataset(6, seed=1)
+    cfg = network.NetworkConfig(
+        layers=((6, 4), (3, 3)),
+        pixel_count=784,
+        threshold=(2500, 4),
+        encoder=Linear(period=16),
+    )
+    net = network.TnnNetwork(cfg)
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        trained = net.train(ds, epochs=2)
+        inferred = net.infer(ds)
+        for summary in (trained, inferred):
+            network.write_summary_csv(summary, io.StringIO())
+            gamma.write_trace_csv(summary.trace, io.StringIO())
+        network.save_summary_npz(inferred, tmp_path / "summary.npz")
+        network.load_summary_npz(tmp_path / "summary.npz")
+        metrics.spike_histogram(inferred)
+        metrics.purity(inferred, ds.labels)
+        metrics.cycle_savings(inferred.trace, inferred.trace.period)
+    out = tracer.summary()
+
+    assert tracer.unmeasured == []
+    # The encoder hook still reads a ``.times`` attribute that the array
+    # encoder no longer has.
+    assert tracer.uncounted <= {"encode.encode_image"}
+    assert out["network.run_gamma_cycle.calls"] == 3 * len(ds)
+    layered = {
+        label.rsplit(".", 1)[1]
+        for label, *_ in tracer.spans
+        if label.startswith(("neuron.layer_spike_times.", "stdp.update_layer."))
+    }
+    assert layered == {"L0", "L1"}
+    for k in (0, 1):
+        assert out[f"neuron.layer_spike_times.L{k}.calls"] == 3 * len(ds)
+        assert out[f"stdp.update_layer.L{k}.calls"] == 2 * len(ds)
+    assert out["gamma.sim_steps"] == (
+        trained.total_clock_cycles + inferred.total_clock_cycles
+    )
+    for name in (
+        "network.train",
+        "network.infer",
+        "network.write_summary_csv",
+        "gamma.write_trace_csv",
+        "network.save_summary_npz",
+        "network.load_summary_npz",
+        "metrics.spike_histogram",
+        "metrics.purity",
+        "metrics.cycle_savings",
+    ):
+        assert out[f"{name}.calls"] >= 1, name

@@ -329,6 +329,45 @@ class TestTrainInferReport:
             assert (rep_out / name).exists()
         assert "purity" in (rep_out / "purity.csv").read_text()
 
+    def test_report_rejects_summary_without_column_neurons(
+        self, cfg_path, tmp_path, capsys
+    ):
+        out = tmp_path / "t"
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        # Rewrite the summary in the older format: col_neurons all -1.
+        with np.load(out / "summary.npz") as data:
+            members = dict(data)
+        members["col_neurons"] = np.full_like(members["col_neurons"], -1)
+        assert np.isfinite(members["col_times"]).any()
+        np.savez_compressed(out / "summary.npz", **members)
+        rc = run_cli(
+            ["report", "--summary", str(out / "summary.npz"), "--out", str(tmp_path / "r")]
+        )
+        assert rc == 1
+        assert "col_neurons" in capsys.readouterr().err
+
+    def test_infer_rejects_out_of_range_weights(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "t"
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with np.load(out / "weights.npz") as data:
+            layer = data["layer0"]
+        layer[0, 0, 0] = 100
+        np.savez_compressed(out / "weights.npz", layer0=layer)
+        rc = run_cli(
+            [
+                "infer",
+                "--config",
+                str(cfg_path),
+                "--weights",
+                str(out / "weights.npz"),
+                "--out",
+                str(tmp_path / "i"),
+            ]
+        )
+        assert rc == 1
+        assert "layer0 holds weight 100" in capsys.readouterr().err
+        assert not (tmp_path / "i").exists()
+
     def test_rerun_is_byte_identical(self, cfg_path, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import tnnsim.gamma as gamma
 from tnnsim.encode import INF
 from tnnsim.gamma import (
-    GammaCycleRecord,
     GammaTrace,
     GeneratorState,
     GrstCause,
@@ -213,21 +212,32 @@ class TestRunCycle:
 
 class TestTrace:
     def test_rejects_over_length_record(self):
-        trace = GammaTrace(period=16, column_count=2)
+        with pytest.raises(ValueError, match="cycle length 17"):
+            GammaTrace(16, [17], [False], [[INF, INF]])
+
+    def test_rejects_malformed_rows(self):
         with pytest.raises(ValueError):
-            trace.add(GammaCycleRecord(length=17, cause=GrstCause.PERIOD, winners=()))
+            GammaTrace(16, [0], [False], [[INF, INF]])  # length below 1
+        with pytest.raises(ValueError):
+            GammaTrace(16, [6, 6], [True], [[1, 2], [1, 2]])  # control too short
+        with pytest.raises(ValueError):
+            GammaTrace(16, [6], [True], [[1, 2], [1, 2]])  # extra time row
+        with pytest.raises(ValueError):
+            GammaTrace(16, [6], [True], np.empty((1, 0)))  # no columns
+        for t in (16, -1, 2.5, np.nan, -np.inf):
+            with pytest.raises(ValueError):
+                GammaTrace(16, [16], [False], [[t, INF]])
 
     def test_lengths_and_csv(self):
-        trace = GammaTrace(period=16, column_count=2)
-        trace.add(
-            GammaCycleRecord(
-                length=6, cause=GrstCause.CONTROL, winners=((0, 3), (1, 5))
-            )
+        trace = GammaTrace(
+            period=16,
+            lengths=[6, 16],
+            control=[True, False],
+            col_times=[[3, 5], [2, INF]],
         )
-        trace.add(
-            GammaCycleRecord(length=16, cause=GrstCause.PERIOD, winners=((0, 2),))
-        )
-        assert trace.lengths() == [6, 16]
+        assert trace.lengths.tolist() == [6, 16]
+        assert trace.column_count == 2
+        assert len(trace) == 2
         out = io.StringIO()
         write_trace_csv(trace, out)
         assert out.getvalue() == (

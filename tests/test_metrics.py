@@ -2,11 +2,16 @@
 
 import io
 import struct
+from collections import Counter
 
+import numpy as np
 import pytest
 
+import oracle
+
 from tnnsim.dataio import read_idx_labels
-from tnnsim.gamma import GammaCycleRecord, GammaTrace, GrstCause
+from tnnsim.encode import INF
+from tnnsim.gamma import GammaTrace
 from tnnsim.metrics import (
     SpikeHistogram,
     cycle_savings,
@@ -18,34 +23,30 @@ from tnnsim.metrics import (
     write_purity_csv,
     write_savings_csv,
 )
-from tnnsim.network import RunSummary, Winner
+from tnnsim.network import RunSummary
 
 
 def fake_summary(winners, period=16, column_count=3, epochs=1):
-    """RunSummary scaffold around a list of network winners (or None)."""
-    trace = GammaTrace(period=period, column_count=column_count)
-    total = 0
-    for w in winners:
-        if w is None:
-            length, cause, pairs = period, GrstCause.PERIOD, ()
-        else:
-            length = min(period, w.time + 1)
-            cause = GrstCause.CONTROL
-            pairs = tuple((c, w.time) for c in range(column_count))
-        trace.add(GammaCycleRecord(length=length, cause=cause, winners=pairs))
-        total += length
-    return RunSummary(
-        gamma_cycles=len(winners),
-        total_clock_cycles=total,
-        trace=trace,
-        winners=list(winners),
-        epochs=epochs,
-        images=len(winners) // epochs,
-    )
+    """RunSummary scaffold around a list of network winners (or None).
+
+    Each winner's column fires alone at the winner's time.
+    """
+    n = len(winners)
+    col_times = np.full((n, column_count), INF)
+    col_neurons = np.full((n, column_count), -1)
+    lengths = np.full(n, period)
+    for i, win in enumerate(winners):
+        if win is not None:
+            column, neuron, time = win
+            col_times[i, column] = time
+            col_neurons[i, column] = neuron
+            lengths[i] = min(period, time + 1)
+    trace = GammaTrace(period, lengths, lengths < period, col_times)
+    return RunSummary(trace, col_neurons, epochs=epochs, images=n // epochs)
 
 
 def w(time, column=0, neuron=0):
-    return Winner(column=column, neuron=neuron, time=time)
+    return (column, neuron, time)
 
 
 class TestSpikeHistogram:
@@ -153,15 +154,12 @@ class TestPurity:
 
 class TestCycleSavings:
     def make_trace(self, entries, period=16, column_count=3):
-        trace = GammaTrace(period=period, column_count=column_count)
-        for length, winners in entries:
-            cause = (
-                GrstCause.PERIOD if length == period else GrstCause.CONTROL
-            )
-            trace.add(
-                GammaCycleRecord(length=length, cause=cause, winners=winners)
-            )
-        return trace
+        col_times = np.full((len(entries), column_count), INF)
+        for i, (_, winners) in enumerate(entries):
+            for c, t in winners:
+                col_times[i, c] = t
+        lengths = np.array([length for length, _ in entries], dtype=np.int64)
+        return GammaTrace(period, lengths, lengths < period, col_times)
 
     def test_uniform_last_spike_at_five(self):
         # every column spikes by step 5; controller delivers 6-step cycles
@@ -188,7 +186,7 @@ class TestCycleSavings:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            cycle_savings(GammaTrace(period=16, column_count=1), 16)
+            cycle_savings(GammaTrace(16, [], [], np.empty((0, 1))), 16)
 
     def test_savings_csv(self):
         out = io.StringIO()
@@ -196,3 +194,90 @@ class TestCycleSavings:
         assert out.getvalue() == (
             "metric,fraction\nrealized_savings,0.625\npotential_savings,0.6875\n"
         )
+
+
+class TestAgainstPerRowReference:
+    """The array metrics equal the per-row loops in ``oracle`` on random
+    run records."""
+
+    @staticmethod
+    def random_summary(rng):
+        period = int(rng.integers(1, 17))
+        cols = int(rng.integers(1, 5))
+        epochs = int(rng.integers(1, 4))
+        images = int(rng.integers(1, 10))
+        n = epochs * images
+        # Row kinds: every column silent, some silent, none silent.
+        kind = rng.integers(0, 3, size=n)
+        silent = np.where(
+            (kind == 0)[:, None],
+            True,
+            (kind == 1)[:, None] & (rng.random((n, cols)) < 0.5),
+        )
+        col_times = np.where(silent, INF, rng.integers(0, period, size=(n, cols)))
+        col_neurons = np.where(silent, -1, rng.integers(0, 5, size=(n, cols)))
+        lengths = rng.integers(1, period + 1, size=n)
+        trace = GammaTrace(period, lengths, rng.random(n) < 0.5, col_times)
+        summary = RunSummary(trace, col_neurons, epochs=epochs, images=images)
+        # Few distinct labels, so majority votes often tie.
+        labels = rng.integers(0, 3, size=images)
+        labels = [labels.astype(np.uint8), labels, labels.tolist()][rng.integers(0, 3)]
+        return summary, labels
+
+    def test_random_records(self):
+        rng = np.random.default_rng(20)
+        seen = Counter()
+        for _ in range(2000):
+            summary, labels = self.random_summary(rng)
+            trace = summary.trace
+            winners = [
+                oracle.network_winner(times, neurons)
+                for times, neurons in zip(
+                    trace.col_times.tolist(), summary.col_neurons.tolist()
+                )
+            ]
+            got = list(zip(summary.win_col.tolist(), summary.win_neuron.tolist()))
+            assert got == [(-1, -1) if w is None else w[:2] for w in winners]
+
+            hist = spike_histogram(summary)
+            assert (hist.counts, hist.inf_count) == oracle.spike_histogram(
+                winners, trace.period
+            )
+
+            report = purity(summary, labels)
+            ref_purity, ref_groups, ref_unassigned = oracle.purity(
+                winners, [int(v) for v in labels], summary.epochs
+            )
+            # repr, not ==: the CSV writer formats with ``!r``.
+            assert repr(report.purity) == repr(ref_purity)
+            assert [
+                (g.column, g.neuron, g.size, g.majority_label, g.majority_count)
+                for g in report.groups
+            ] == ref_groups
+            assert all(
+                type(v) is int for g in report.groups for v in vars(g).values()
+            )
+            assert report.unassigned == ref_unassigned
+
+            savings = cycle_savings(trace, trace.period)
+            ref = oracle.cycle_savings(
+                trace.lengths.tolist(), trace.col_times.tolist(), trace.period
+            )
+            assert [repr(v) for v in savings] == [repr(v) for v in ref]
+
+            times = trace.col_times
+            seen["all-silent row"] += bool(np.isinf(times).all(axis=1).any())
+            seen["partly silent row"] += bool(
+                (np.isinf(times).any(axis=1) & np.isfinite(times).any(axis=1)).any()
+            )
+            seen["multi-epoch tiling"] += summary.epochs > 1
+            seen["uint8 labels"] += getattr(labels, "dtype", None) == np.uint8
+            votes = {}
+            for w, lab in zip(winners, [int(v) for v in labels] * summary.epochs):
+                if w is not None:
+                    votes.setdefault(w[:2], Counter())[lab] += 1
+            seen["label vote tie"] += any(
+                len(c) > 1 and c[0] == c[1]
+                for c in (sorted(v.values(), reverse=True) for v in votes.values())
+            )
+        assert min(seen.values()) >= 100, seen

@@ -97,9 +97,9 @@ class TestLowThresholdSpikesAtZero:
         for w in net.weights:
             w[:] = 14
         summary = net.infer(ds)
-        assert all(w is not None and w.time == 0 for w in summary.winners)
+        assert summary.win_time.tolist() == [0, 0]
         # relaxed mode: a time-0 winner everywhere ends the cycle in 1 step
-        assert summary.trace.lengths() == [1, 1]
+        assert summary.trace.lengths.tolist() == [1, 1]
 
     def test_zero_weights_never_spike(self):
         ds = tiny_dataset()
@@ -107,8 +107,10 @@ class TestLowThresholdSpikesAtZero:
         for w in net.weights:
             w[:] = 0
         summary = net.infer(ds)
-        assert all(w is None for w in summary.winners)
-        assert summary.trace.lengths() == [16, 16]
+        assert summary.win_col.tolist() == [-1, -1]
+        assert summary.win_neuron.tolist() == [-1, -1]
+        assert np.isinf(summary.win_time).all()
+        assert summary.trace.lengths.tolist() == [16, 16]
 
 
 class TestModes:
@@ -118,18 +120,19 @@ class TestModes:
         fixed = TnnNetwork(tiny_config(mode=Mode.FIXED))
         s_relaxed = relaxed.infer(ds)
         s_fixed = fixed.infer(ds)
-        assert s_fixed.winners == s_relaxed.winners
-        assert all(l == 16 for l in s_fixed.trace.lengths())
-        assert all(l <= 16 for l in s_relaxed.trace.lengths())
+        for field in ("win_col", "win_neuron", "win_time"):
+            assert np.array_equal(getattr(s_fixed, field), getattr(s_relaxed, field))
+        assert (s_fixed.trace.lengths == 16).all()
+        assert (s_relaxed.trace.lengths <= 16).all()
 
     def test_relaxed_cycle_length_is_last_spike_plus_one(self):
         ds = tiny_dataset()
         net = TnnNetwork(tiny_config())
         summary = net.infer(ds)
-        for rec in summary.trace.records:
-            if len(rec.winners) == net.config.layers[-1][0]:
-                last = max(t for _, t in rec.winners)
-                assert rec.length == min(16, last + 1)
+        trace = summary.trace
+        for length, times in zip(trace.lengths, trace.col_times):
+            if np.isfinite(times).all():
+                assert length == min(16, times.max() + 1)
 
 
 class TestDeterminism:
@@ -197,9 +200,10 @@ class TestTwoLayer:
         summary = net.infer(ds)
         # layer 1 fans in from layer 0's four columns
         assert net.weights[1].shape == (2, 2, 4)
-        assert all(w is not None for w in summary.winners)
+        assert np.isfinite(summary.win_time).all()
         # network winner is a layer-1 column
-        assert all(w.column in (0, 1) for w in summary.winners)
+        assert set(summary.win_col.tolist()) <= {0, 1}
+        assert summary.col_neurons.shape == (len(ds), 2)
 
 
 class TestWrongVolleySize:
@@ -244,17 +248,74 @@ class TestSummaryArtifacts:
         path = tmp_path / "summary.npz"
         save_summary_npz(summary, path)
         loaded = load_summary_npz(path)
-        assert loaded.winners == summary.winners
-        assert loaded.trace.lengths() == summary.trace.lengths()
-        assert [r.cause for r in loaded.trace.records] == [
-            r.cause for r in summary.trace.records
-        ]
-        assert [r.winners for r in loaded.trace.records] == [
-            r.winners for r in summary.trace.records
-        ]
+        for field in ("lengths", "control", "col_times"):
+            assert np.array_equal(getattr(loaded.trace, field), getattr(summary.trace, field))
+        assert np.array_equal(loaded.col_neurons, summary.col_neurons)
+        for field in ("win_col", "win_neuron", "win_time"):
+            assert np.array_equal(getattr(loaded, field), getattr(summary, field))
+        assert loaded.trace.period == summary.trace.period
         assert loaded.epochs == summary.epochs
         assert loaded.images == summary.images
         assert loaded.total_clock_cycles == summary.total_clock_cycles
+
+    def test_summary_npz_keeps_column_neurons(self, tmp_path):
+        ds = tiny_dataset()
+        net = TnnNetwork(tiny_config())
+        w = net.weights[0]
+        w[:] = 14
+        w[:, 0] = 0  # neuron 0 never fires
+        w[1, 1] = 0  # in column 1 neither does neuron 1
+        summary = net.infer(ds)
+        assert summary.col_neurons.tolist() == [[1, 2, 1], [1, 2, 1]]
+        path = tmp_path / "summary.npz"
+        save_summary_npz(summary, path)
+        with np.load(path) as data:
+            assert data["col_neurons"].tolist() == [[1, 2, 1], [1, 2, 1]]
+            assert "win_col" not in data.files
+        assert load_summary_npz(path).col_neurons.tolist() == [[1, 2, 1], [1, 2, 1]]
+
+    def _write_summary_members(self, summary, path, **over):
+        trace = summary.trace
+        members = dict(
+            lengths=trace.lengths.astype(np.int32),
+            causes=trace.control.astype(np.int8),
+            col_times=trace.col_times.astype(np.float32),
+            col_neurons=summary.col_neurons.astype(np.int16),
+            meta=np.array(
+                [trace.period, trace.column_count, summary.epochs, summary.images],
+                dtype=np.int64,
+            ),
+        )
+        members.update(over)
+        np.savez_compressed(path, **members)
+
+    def test_summary_npz_without_column_neurons_rejected(self, tmp_path):
+        # The older format: col_neurons always -1, network winners stored
+        # in win_col/win_neuron/win_time.
+        net = TnnNetwork(tiny_config())
+        for w in net.weights:
+            w[:] = 14
+        summary = net.infer(tiny_dataset())
+        path = tmp_path / "summary.npz"
+        self._write_summary_members(
+            summary,
+            path,
+            col_neurons=np.full(summary.col_neurons.shape, -1, dtype=np.int16),
+            win_col=summary.win_col.astype(np.int32),
+            win_neuron=summary.win_neuron.astype(np.int32),
+            win_time=summary.win_time.astype(np.float32),
+        )
+        with pytest.raises(ValueError, match="col_neurons"):
+            load_summary_npz(path)
+
+    def test_summary_npz_over_length_cycle_rejected(self, tmp_path):
+        summary = TnnNetwork(tiny_config()).infer(tiny_dataset())
+        path = tmp_path / "summary.npz"
+        lengths = summary.trace.lengths.astype(np.int32)
+        lengths[0] = summary.trace.period + 1
+        self._write_summary_members(summary, path, lengths=lengths)
+        with pytest.raises(ValueError, match="cycle length 17"):
+            load_summary_npz(path)
 
     def test_weights_npz_round_trip(self, tmp_path):
         ds = tiny_dataset()
@@ -266,7 +327,30 @@ class TestSummaryArtifacts:
         load_weights_npz(other, path)
         for a, b in zip(net.weights, other.weights):
             assert np.array_equal(a, b)
-        assert other.infer(ds).winners == net.infer(ds).winners
+        got, want = other.infer(ds), net.infer(ds)
+        assert np.array_equal(got.trace.col_times, want.trace.col_times)
+        assert np.array_equal(got.col_neurons, want.col_neurons)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.int16(100), "layer0 holds weight 100 outside 0..14"),
+            (np.int32(65540), "layer0 holds weight 65540 outside 0..14"),
+            (np.float64(3.7), "layer0 has dtype float64"),
+            (np.int16(-3), "layer0 holds weight -3 outside 0..14"),
+        ],
+        ids=["above-cap", "wraps-in-int16", "fractional", "negative"],
+    )
+    def test_weights_out_of_range_rejected(self, tmp_path, bad, message):
+        net = TnnNetwork(tiny_config())
+        layer = net.weights[0].astype(bad.dtype)
+        layer[1, 2, 3] = bad
+        path = tmp_path / "weights.npz"
+        np.savez_compressed(path, layer0=layer)
+        before = net.weights[0].copy()
+        with pytest.raises(ValueError, match=message):
+            load_weights_npz(net, path)
+        assert np.array_equal(net.weights[0], before)
 
     def test_weights_shape_mismatch_rejected(self, tmp_path):
         net = TnnNetwork(tiny_config())
@@ -282,7 +366,7 @@ class TestClockAccounting:
         ds = tiny_dataset()
         net = TnnNetwork(tiny_config())
         summary = net.train(ds, epochs=3)
-        assert summary.total_clock_cycles == sum(summary.trace.lengths())
+        assert summary.total_clock_cycles == sum(summary.trace.lengths.tolist())
         assert summary.gamma_cycles == 3 * len(ds)
         assert summary.epochs == 3
         assert summary.images == len(ds)
