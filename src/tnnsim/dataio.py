@@ -1,19 +1,12 @@
 """Reading and writing image datasets.
 
-Two on-disk formats are supported:
-
-* the classic big-endian IDX layout (magic 2051 for image files, 2049 for
-  label files, 32-bit dimension sizes, then raw unsigned bytes), and
-* a plain line-text layout with one image per line, pixels written as
-  space-separated decimal intensities.
-
-Line-text round trips are bit-exact: writing a dataset and reading it back
-reproduces every pixel value.
+The on-disk format is the classic big-endian IDX layout: magic 2051 for
+image files, 2049 for label files, 32-bit dimension sizes, then raw
+unsigned bytes.
 """
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Optional, Sequence, Union
@@ -46,10 +39,6 @@ class DimensionOverflowError(IdxFormatError):
 
 class LabelRangeError(IdxFormatError):
     """A label byte falls outside 0..9."""
-
-
-class LineTextError(ValueError):
-    """Malformed line-text input."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,13 +126,10 @@ def read_idx_images(data: Union[bytes, bytearray, BinaryIO]) -> LabeledDataset:
     return LabeledDataset(pixels.reshape(count, rows * cols), width=cols, height=rows)
 
 
-def read_idx_labels(
-    data: Union[bytes, bytearray, BinaryIO], check_range: bool = True
-) -> np.ndarray:
+def read_idx_labels(data: Union[bytes, bytearray, BinaryIO]) -> np.ndarray:
     """Parse an IDX label file into an int64 label array.
 
-    With ``check_range`` (the default) any byte outside 0..9 raises
-    ``LabelRangeError``.
+    Any byte outside 0..9 raises ``LabelRangeError``.
     """
     raw = _as_bytes(data)
     if len(raw) < 8:
@@ -157,8 +143,7 @@ def read_idx_labels(
         raise TruncatedStreamError(f"payload needs {count} bytes, stream has {len(raw) - 8}")
     # Widened so that label arithmetic (negation, sums) cannot wrap.
     labels = np.frombuffer(raw, dtype=np.uint8, count=count, offset=8).astype(np.int64)
-    if check_range:
-        _check_labels(labels)
+    _check_labels(labels)
     return labels
 
 
@@ -182,35 +167,3 @@ def attach_labels(dataset: LabeledDataset, labels: Sequence[int]) -> LabeledData
     return LabeledDataset(
         dataset.pixels, dataset.width, dataset.height, np.asarray(labels, dtype=np.int64)
     )
-
-
-def write_linetext(dataset: LabeledDataset, stream: io.TextIOBase) -> None:
-    """Write one image per line as space-separated decimal intensities."""
-    for row in dataset.pixels.tolist():
-        stream.write(" ".join(map(str, row)))
-        stream.write("\n")
-
-
-def read_linetext(
-    stream: io.TextIOBase, width: int, height: int
-) -> LabeledDataset:
-    """Read a line-text file; every line must hold ``width * height`` pixels."""
-    expected = width * height
-    rows = []
-    for lineno, line in enumerate(stream, start=1):
-        if not line.strip():
-            continue
-        try:
-            vals = [int(tok) for tok in line.split()]
-        except ValueError as exc:
-            raise LineTextError(f"line {lineno}: {exc}") from None
-        if len(vals) != expected:
-            raise LineTextError(
-                f"line {lineno}: expected {expected} pixels, got {len(vals)}"
-            )
-        for v in vals:
-            if not 0 <= v <= 255:
-                raise LineTextError(f"line {lineno}: pixel value {v} outside 0..255")
-        rows.append(vals)
-    pixels = np.array(rows, dtype=np.uint8).reshape(len(rows), expected)
-    return LabeledDataset(pixels, width=width, height=height)

@@ -1,10 +1,15 @@
-"""Gamma reset generation and relaxed-cycle control.
+"""Relaxed gamma-cycle control in closed form, and the gamma trace.
 
-The generator is an up counter over a fixed period that pulses ``grst``
-when the counter tops out, or early when the controller asserts control.
-The controller keeps one latch per monitored column; a latch sets on the
-first output spike of its column and holds until reset, and control goes
-high once every latch is set (every column has fired at least once).
+In hardware the generator is an up counter over a fixed period that pulses
+``grst`` when the counter tops out, or early when the controller asserts
+control. The controller keeps one latch per monitored column; a latch sets
+on the first output spike of its column and holds until reset, and control
+goes high once every latch is set (every column has fired at least once).
+Every cycle ends on a ``grst`` that zeroes the counter and clears the
+latches, so nothing carries into the next cycle: a cycle's length and cause
+follow from its columns' first-spike times alone, and ``run_cycle``
+computes them directly. The tests keep the clocked, step-by-step model
+as the oracle it is checked against.
 
 Timing convention: latches observe step ``k``'s spikes during step ``k``
 and the generator samples control on the next step. So when the last
@@ -36,105 +41,27 @@ class GrstCause(enum.Enum):
 
 
 @dataclass(frozen=True)
-class GeneratorState:
-    counter: int = 0
-    period: int = 16
-
-    def __post_init__(self):
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        if not 0 <= self.counter < self.period:
-            raise ValueError(f"counter {self.counter} outside 0..{self.period - 1}")
-
-
-def generator_step(g: GeneratorState, control: bool) -> tuple[bool, GeneratorState]:
-    """Advance the counter one clock step.
-
-    Pulses ``grst`` on rollover or whenever control is asserted; either way
-    the counter restarts at 0.
-    """
-    grst = g.counter == g.period - 1 or bool(control)
-    nxt = 0 if grst else g.counter + 1
-    return grst, GeneratorState(counter=nxt, period=g.period)
-
-
-@dataclass(frozen=True)
-class ControllerState:
-    column_latches: tuple[bool, ...]
-
-    @property
-    def column_count(self) -> int:
-        return len(self.column_latches)
-
-
-def make_controller(column_count: int) -> ControllerState:
-    """Fresh controller; monitoring zero columns is a configuration error."""
-    if column_count < 1:
-        raise ValueError(f"controller must monitor at least one column, got {column_count}")
-    return ControllerState(column_latches=(False,) * column_count)
-
-
-def controller_observe(c: ControllerState, spikes: Sequence[bool]) -> ControllerState:
-    """Fold one step's per-column output flags into the latches."""
-    if len(spikes) != c.column_count:
-        raise ValueError(
-            f"expected {c.column_count} column flags, got {len(spikes)}"
-        )
-    return ControllerState(
-        column_latches=tuple(
-            latch or bool(s) for latch, s in zip(c.column_latches, spikes)
-        )
-    )
-
-
-def controller_control(c: ControllerState) -> bool:
-    """High once every monitored column has fired this cycle."""
-    return all(c.column_latches)
-
-
-def grst_clear(c: ControllerState) -> ControllerState:
-    """Reset every latch for the next gamma cycle."""
-    return ControllerState(column_latches=(False,) * c.column_count)
-
-
-@dataclass(frozen=True)
 class CycleResult:
     length: int
     cause: GrstCause
-    generator: GeneratorState
-    controller: ControllerState
 
 
 def run_cycle(
-    gen: GeneratorState,
-    ctrl: ControllerState,
-    column_spike_times: Sequence[SpikeTime],
-    relaxed: bool,
+    column_spike_times: Sequence[SpikeTime], period: int, relaxed: bool
 ) -> CycleResult:
-    """Simulate one gamma cycle given each column's first-spike time.
+    """Length and cause of one gamma cycle from each column's first-spike time.
 
-    In relaxed mode the cycle ends one step after the last distinct column
-    fires (capped at the period); otherwise the periodic rollover always
-    ends it. Returns the cycle length, its cause, and the generator and
-    controller states carried into the next cycle (latches cleared, counter
-    reset by the ending grst).
+    Times are whole steps ``>= 0`` or ``INF``; a time at or past the period
+    never fires. In relaxed mode the cycle ends one step after the last
+    column fires, if that lands before the rollover; otherwise, and always
+    in fixed mode, the cycle runs the full period.
     """
-    if len(column_spike_times) != ctrl.column_count:
-        raise ValueError(
-            f"expected {ctrl.column_count} column spike times, got {len(column_spike_times)}"
-        )
-    period = gen.period
-    for k in range(period):
-        if relaxed and controller_control(ctrl):
-            # Control asserted from the previous step's observations: this
-            # step carries the early grst edge and opens the next cycle.
-            _, gen = generator_step(gen, True)
-            return CycleResult(k, GrstCause.CONTROL, gen, grst_clear(ctrl))
-        grst, gen = generator_step(gen, False)
-        ctrl = controller_observe(ctrl, [t == k for t in column_spike_times])
-        if grst:
-            return CycleResult(k + 1, GrstCause.PERIOD, gen, grst_clear(ctrl))
-    raise AssertionError("generator failed to roll over within its period")
+    if not len(column_spike_times):
+        raise ValueError("gamma control must monitor at least one column")
+    last = max(column_spike_times)
+    if relaxed and last + 1 < period:
+        return CycleResult(int(last) + 1, GrstCause.CONTROL)
+    return CycleResult(period, GrstCause.PERIOD)
 
 
 # Trace cause names, indexed by ``control``.
@@ -198,53 +125,30 @@ class ScenarioResult:
 
 
 def verify_scenarios(period: int = 16, column_count: int = 3) -> list[ScenarioResult]:
-    """The three functional checks for the generator/controller pair.
+    """The three functional checks of relaxed gamma control.
 
     1. Every column fires simultaneously: early reset one step later.
     2. Columns fire one by one: early reset only after the last one.
-    3. A silent cycle right after a relaxed one: latches must have cleared,
-       so the rollover fires exactly on the period.
+    3. No column fires: the rollover ends the cycle exactly on the period.
+       No latch state carries between cycles, so this cycle needs no
+       previous one to prime it.
     """
-    results = []
-    gen = GeneratorState(period=period)
-    ctrl = make_controller(column_count)
-
+    if period < 2:
+        raise ValueError(f"period must be >= 2 to leave room for an early reset, got {period}")
+    if column_count < 1:
+        raise ValueError(f"scenarios need at least one column, got {column_count}")
     mid = period // 4
-    res = run_cycle(gen, ctrl, [mid] * column_count, relaxed=True)
-    ok = res.length == mid + 1 and res.cause is GrstCause.CONTROL
-    results.append(
-        ScenarioResult(
-            "simultaneous-spikes",
-            ok,
-            f"length {res.length} (want {mid + 1}), cause {res.cause.value}",
-        )
+    stagger = [(2 + 3 * i) % (period - 1) for i in range(column_count)]
+    table = (
+        ("simultaneous-spikes", [mid] * column_count, mid + 1, GrstCause.CONTROL),
+        ("staggered-spikes", stagger, max(stagger) + 1, GrstCause.CONTROL),
+        ("silent-cycle", [INF] * column_count, period, GrstCause.PERIOD),
     )
-
-    gen2 = GeneratorState(period=period)
-    ctrl2 = make_controller(column_count)
-    stagger = [
-        (2 + 3 * i) % (period - 1) for i in range(column_count)
-    ]
-    last = max(stagger)
-    res2 = run_cycle(gen2, ctrl2, stagger, relaxed=True)
-    ok2 = res2.length == last + 1 and res2.cause is GrstCause.CONTROL
-    results.append(
-        ScenarioResult(
-            "staggered-spikes",
-            ok2,
-            f"length {res2.length} (want {last + 1}), cause {res2.cause.value}",
+    results = []
+    for name, times, want, cause in table:
+        res = run_cycle(times, period, relaxed=True)
+        ok = res.length == want and res.cause is cause
+        results.append(
+            ScenarioResult(name, ok, f"length {res.length} (want {want}), cause {res.cause.value}")
         )
-    )
-
-    # Prime with a completed relaxed cycle, then present nothing: a sticky
-    # latch would fire control instantly instead of waiting out the period.
-    res3 = run_cycle(res.generator, res.controller, [INF] * column_count, relaxed=True)
-    ok3 = res3.length == period and res3.cause is GrstCause.PERIOD
-    results.append(
-        ScenarioResult(
-            "silent-cycle",
-            ok3,
-            f"length {res3.length} (want {period}), cause {res3.cause.value}",
-        )
-    )
     return results

@@ -2,9 +2,11 @@
 
 One image is presented per gamma cycle. The encoded volley drives layer 0;
 each column's winner-take-all output (the winner's spike time, or silence)
-becomes one input line of the next layer. The gamma controller watches the
+becomes one input line of the next layer. Gamma control watches the
 final layer only, so in relaxed mode a cycle ends one step after the last
-final-layer column has fired and inner layers simply free-run.
+final-layer column has fired and inner layers simply free-run. Every cycle
+ends on a reset that clears the control state, so the network carries none
+from one presentation to the next: only the weights persist.
 
 A run leaves one columnar ``RunSummary``, one row per presentation: the
 gamma trace plus each final-layer column's winning neuron. Network
@@ -70,6 +72,11 @@ class NetworkConfig:
         for t in th:
             if t < 1:
                 raise ValueError(f"threshold must be >= 1, got {t}")
+        enc_period = getattr(self.encoder, "period", self.period)
+        if enc_period != self.period:
+            raise ValueError(
+                f"encoder period {enc_period} differs from network period {self.period}"
+            )
 
     @property
     def thresholds(self) -> tuple[int, ...]:
@@ -133,7 +140,7 @@ class RunSummary:
 
 
 class TnnNetwork:
-    """Mutable simulation state: weights plus the gamma machinery."""
+    """Mutable simulation state: the weights of every layer."""
 
     def __init__(self, config: NetworkConfig):
         self.config = config
@@ -145,8 +152,6 @@ class TnnNetwork:
             self.weights.append(
                 rng.integers(0, cap + 1, size=shape, dtype=np.int16)
             )
-        self.generator = gamma.GeneratorState(period=config.period)
-        self.controller = gamma.make_controller(config.layers[-1][0])
 
     def run_gamma_cycle(self, volley: np.ndarray, learn: bool) -> tuple:
         """Present one volley (layer-0 spike times) for one gamma cycle.
@@ -168,11 +173,7 @@ class TnnNetwork:
             layers.append((x, np.where(np.isfinite(win_t), idx, -1), win_t))
             x = win_t
 
-        result = gamma.run_cycle(
-            self.generator, self.controller, x.tolist(), relaxed=cfg.mode is Mode.RELAXED
-        )
-        self.generator = result.generator
-        self.controller = result.controller
+        result = gamma.run_cycle(x.tolist(), cfg.period, relaxed=cfg.mode is Mode.RELAXED)
 
         if learn:
             for w, (inputs, idx, win_t) in zip(self.weights, layers):
@@ -248,10 +249,14 @@ def save_summary_npz(summary: RunSummary, path) -> None:
 
 
 def load_summary_npz(path) -> RunSummary:
-    """Rebuild a run record; malformed members raise ``ValueError``."""
+    """Rebuild a run record; missing or malformed members raise ``ValueError``."""
     # Each member is read once: every ``data[key]`` lookup decompresses the
     # whole member again.
     with np.load(path) as data:
+        members = ("lengths", "causes", "col_times", "col_neurons", "meta")
+        missing = [k for k in members if k not in data]
+        if missing:
+            raise ValueError(f"summary file missing {', '.join(missing)}")
         period, _, epochs, images = (int(v) for v in data["meta"])
         trace = gamma.GammaTrace(period, data["lengths"], data["causes"], data["col_times"])
         return RunSummary(trace, data["col_neurons"], epochs, images)

@@ -1,10 +1,11 @@
 """Scalar reference model: one neuron, one column, one synapse at a time.
 
 Tests compare the array kernels (``neuron.layer_spike_times``,
-``stdp.update_layer``, ``encode.encode_image``) and the run metrics
-(``metrics.spike_histogram``, ``purity``, ``cycle_savings``) against these
-plain per-element restatements of the same rules. Volleys here are plain
-sequences of spike times, ``INF`` for no spike.
+``stdp.update_layer``, ``encode.encode_image``), the run metrics
+(``metrics.spike_histogram``, ``purity``, ``cycle_savings``) and the
+closed-form ``gamma.run_cycle`` against these plain per-element
+restatements of the same rules; gamma control is clocked one step at a time.
+Volleys here are plain sequences of spike times, ``INF`` for no spike.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from tnnsim.encode import INF, EncoderKind, Linear, PosNeg, SpikeTime
+from tnnsim.gamma import CycleResult, GrstCause
 from tnnsim.stdp import StdpParams
 
 
@@ -288,3 +290,72 @@ def cycle_savings(
     realized = 1.0 - (sum(lengths) / len(lengths)) / period
     potential = 1.0 - (sum(last_spikes) / len(last_spikes)) / period
     return realized, potential
+
+
+@dataclass(frozen=True)
+class GeneratorState:
+    """The gamma generator: an up counter over the period."""
+
+    counter: int = 0
+    period: int = 16
+
+    def __post_init__(self):
+        if self.period < 1:
+            raise ValueError(f"period must be >= 1, got {self.period}")
+        if not 0 <= self.counter < self.period:
+            raise ValueError(f"counter {self.counter} outside 0..{self.period - 1}")
+
+
+def generator_step(g: GeneratorState, control: bool) -> tuple[bool, GeneratorState]:
+    """Pulse ``grst`` on rollover or on control; either way restart at 0."""
+    grst = g.counter == g.period - 1 or bool(control)
+    return grst, GeneratorState(0 if grst else g.counter + 1, g.period)
+
+
+@dataclass(frozen=True)
+class ControllerState:
+    """One latch per monitored column."""
+
+    column_latches: tuple[bool, ...]
+
+
+def make_controller(column_count: int) -> ControllerState:
+    if column_count < 1:
+        raise ValueError(f"controller must monitor at least one column, got {column_count}")
+    return ControllerState((False,) * column_count)
+
+
+def controller_observe(c: ControllerState, spikes: Sequence[bool]) -> ControllerState:
+    """OR one step's per-column output flags into the latches."""
+    if len(spikes) != len(c.column_latches):
+        raise ValueError(f"expected {len(c.column_latches)} column flags, got {len(spikes)}")
+    return ControllerState(tuple(a or bool(s) for a, s in zip(c.column_latches, spikes)))
+
+
+def controller_control(c: ControllerState) -> bool:
+    """High once every monitored column has fired this cycle."""
+    return all(c.column_latches)
+
+
+def grst_clear(c: ControllerState) -> ControllerState:
+    return ControllerState((False,) * len(c.column_latches))
+
+
+def clocked_cycle(
+    gen: GeneratorState, ctrl: ControllerState, times: Sequence[SpikeTime], relaxed: bool
+) -> tuple[CycleResult, GeneratorState, ControllerState]:
+    """Clock one gamma cycle; returns its result and the generator and
+    controller states it carries into the next cycle."""
+    if len(times) != len(ctrl.column_latches):
+        raise ValueError(f"expected {len(ctrl.column_latches)} column times, got {len(times)}")
+    for k in range(gen.period):
+        if relaxed and controller_control(ctrl):
+            # Control latched from the previous step's spikes: this step
+            # carries the early grst edge and opens the next cycle.
+            _, gen = generator_step(gen, True)
+            return CycleResult(k, GrstCause.CONTROL), gen, grst_clear(ctrl)
+        grst, gen = generator_step(gen, False)
+        ctrl = controller_observe(ctrl, [t == k for t in times])
+        if grst:
+            return CycleResult(k + 1, GrstCause.PERIOD), gen, grst_clear(ctrl)
+    raise AssertionError("generator failed to roll over within its period")

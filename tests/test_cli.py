@@ -9,6 +9,7 @@ import pytest
 import tnnsim.gamma
 from tnnsim import dataio
 from tnnsim.cli import ConfigError, main, parse_config
+from tnnsim.encode import INF
 
 
 def run_cli(argv):
@@ -243,12 +244,36 @@ class TestVerifyGammaCommand:
         assert "FAIL" not in out
 
     def test_injected_fault_exits_two(self, capsys, monkeypatch):
-        # break latch clearing; the silent-cycle scenario must catch it
-        monkeypatch.setattr(tnnsim.gamma, "grst_clear", lambda c: c)
+        # A closed form that ignores silent columns; the silent-cycle
+        # scenario must catch it.
+        def wrong(times, period, relaxed):
+            g = tnnsim.gamma
+            last = max((t for t in times if t != INF), default=0)
+            if relaxed and last + 1 < period:
+                return g.CycleResult(int(last) + 1, g.GrstCause.CONTROL)
+            return g.CycleResult(period, g.GrstCause.PERIOD)
+
+        monkeypatch.setattr(tnnsim.gamma, "run_cycle", wrong)
         rc = run_cli(["verify-gamma"])
         out = capsys.readouterr().out
         assert rc == 2
-        assert "FAIL" in out
+        assert "FAIL  silent-cycle" in out
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--period", "1"], "period"),
+            (["--period", "0"], "period"),
+            (["--period", "-3"], "period"),
+            (["--columns", "0"], "column"),
+        ],
+    )
+    def test_bad_arguments_exit_one(self, capsys, flags, message):
+        rc = run_cli(["verify-gamma", *flags])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
     def test_module_entry_point(self):
         import subprocess
@@ -345,6 +370,23 @@ class TestTrainInferReport:
         )
         assert rc == 1
         assert "col_neurons" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "member", ["lengths", "causes", "col_times", "col_neurons", "meta"]
+    )
+    def test_report_names_missing_summary_member(self, cfg_path, tmp_path, capsys, member):
+        out = tmp_path / "t"
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        with np.load(out / "summary.npz") as data:
+            members = dict(data)
+        del members[member]
+        np.savez_compressed(out / "summary.npz", **members)
+        rc = run_cli(
+            ["report", "--summary", str(out / "summary.npz"), "--out", str(tmp_path / "r")]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and member in err
 
     def test_infer_rejects_out_of_range_weights(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "t"

@@ -1,4 +1,4 @@
-"""IDX parsing against hand-packed byte layouts, line-text round trips."""
+"""IDX parsing against hand-packed byte layouts."""
 
 import io
 import struct
@@ -14,15 +14,12 @@ from tnnsim.dataio import (
     IdxFormatError,
     LabeledDataset,
     LabelRangeError,
-    LineTextError,
     TruncatedStreamError,
     attach_labels,
     read_idx_images,
     read_idx_labels,
-    read_linetext,
     write_idx_images,
     write_idx_labels,
-    write_linetext,
 )
 
 
@@ -113,9 +110,6 @@ class TestReadIdxLabels:
         with pytest.raises(LabelRangeError):
             read_idx_labels(pack_labels([3, 10]))
 
-    def test_range_check_can_be_disabled(self):
-        assert read_idx_labels(pack_labels([3, 10]), check_range=False).tolist() == [3, 10]
-
     def test_truncated_payload(self):
         blob = struct.pack(">ii", 2049, 5) + bytes(3)
         with pytest.raises(TruncatedStreamError):
@@ -173,46 +167,6 @@ class TestAttachLabels:
         dataset = read_idx_images(pack_images([[1] * 4], 2, 2))
         with pytest.raises(ValueError):
             attach_labels(dataset, [1, 2])
-
-
-class TestLineText:
-    def test_round_trip_bit_exact(self):
-        dataset = dataset_of([[0, 255, 17, 3], [9, 9, 9, 9]], width=2, height=2)
-        buf = io.StringIO()
-        write_linetext(dataset, buf)
-        assert buf.getvalue() == "0 255 17 3\n9 9 9 9\n"
-        back = read_linetext(io.StringIO(buf.getvalue()), width=2, height=2)
-        assert np.array_equal(back.pixels, dataset.pixels)
-
-    @given(
-        st.lists(
-            st.lists(st.integers(0, 255), min_size=4, max_size=4),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    def test_round_trip_property(self, raw):
-        dataset = dataset_of(raw, width=2, height=2)
-        buf = io.StringIO()
-        write_linetext(dataset, buf)
-        back = read_linetext(io.StringIO(buf.getvalue()), width=2, height=2)
-        assert np.array_equal(back.pixels, dataset.pixels)
-
-    def test_wrong_pixel_count_diagnosed_with_line(self):
-        with pytest.raises(LineTextError, match="line 2"):
-            read_linetext(io.StringIO("1 2 3 4\n1 2 3\n"), width=2, height=2)
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(LineTextError):
-            read_linetext(io.StringIO("1 2 x 4\n"), width=2, height=2)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(LineTextError):
-            read_linetext(io.StringIO("1 2 3 999\n"), width=2, height=2)
-
-    def test_blank_lines_skipped(self):
-        back = read_linetext(io.StringIO("\n1 2 3 4\n\n"), width=2, height=2)
-        assert len(back) == 1
 
 
 class TestPixelImage:

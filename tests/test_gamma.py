@@ -1,4 +1,4 @@
-"""Gamma generator/controller behavior against a closed-form oracle."""
+"""Closed-form gamma control against the clocked generator/controller oracle."""
 
 import io
 
@@ -7,37 +7,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-import tnnsim.gamma as gamma
-from tnnsim.encode import INF
-from tnnsim.gamma import (
-    GammaTrace,
+import oracle
+from oracle import (
     GeneratorState,
-    GrstCause,
+    clocked_cycle,
     controller_control,
     controller_observe,
     generator_step,
     grst_clear,
     make_controller,
+)
+from tnnsim.encode import INF
+from tnnsim.gamma import (
+    GammaTrace,
+    GrstCause,
     run_cycle,
     verify_scenarios,
     write_trace_csv,
 )
 
 
-def oracle_cycle(period, times, relaxed):
-    """Closed-form prediction of (length, cause) for one cycle.
-
-    Derived independently of the step loop: with the one-step control
-    sampling delay, the last column spike at step t ends the cycle after
-    t + 1 steps, unless the periodic rollover gets there first.
-    """
-    finite = [t for t in times if t != INF and t < period]
-    all_fired = len(finite) == len(times)
-    if relaxed and all_fired:
-        last = max(finite)
-        if last + 1 <= period - 1:
-            return last + 1, GrstCause.CONTROL
-    return period, GrstCause.PERIOD
+def clocked(period, times, relaxed):
+    """The oracle's result for one cycle from the reset state."""
+    res, _, _ = clocked_cycle(
+        GeneratorState(period=period), make_controller(len(times)), times, relaxed
+    )
+    return res
 
 
 class TestGenerator:
@@ -114,47 +109,80 @@ class TestController:
             )
 
 
+def check_chained_cycles_reset(seed):
+    """Chain the clocked model over random schedules; after every cycle the
+    carried counter is 0 and every latch is clear, so a cycle never depends
+    on the one before it."""
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        period = int(rng.integers(2, 21))
+        cols = int(rng.integers(1, 7))
+        gen, ctrl = GeneratorState(period=period), make_controller(cols)
+        for _ in range(5):
+            times = [
+                INF if rng.random() < 0.2 else int(rng.integers(0, period + 2))
+                for _ in range(cols)
+            ]
+            relaxed = bool(rng.integers(0, 2))
+            res, gen, ctrl = clocked_cycle(gen, ctrl, times, relaxed)
+            assert res == run_cycle(times, period, relaxed)
+            assert gen.counter == 0
+            assert not any(ctrl.column_latches)
+
+
 class TestRunCycle:
     def test_simultaneous_spikes_end_one_step_later(self):
-        res = run_cycle(GeneratorState(), make_controller(3), [4, 4, 4], True)
+        res = run_cycle([4, 4, 4], 16, True)
         assert (res.length, res.cause) == (5, GrstCause.CONTROL)
-        assert res.generator.counter == 0
-        assert res.controller.column_latches == (False, False, False)
+        assert type(res.length) is int
 
     def test_last_column_gates_the_reset(self):
-        res = run_cycle(GeneratorState(), make_controller(3), [2, 9, 5], True)
+        res = run_cycle([2, 9, 5], 16, True)
         assert (res.length, res.cause) == (10, GrstCause.CONTROL)
 
     def test_silent_column_leaves_periodic_rollover(self):
-        res = run_cycle(GeneratorState(), make_controller(2), [3, INF], True)
+        res = run_cycle([3, INF], 16, True)
         assert (res.length, res.cause) == (16, GrstCause.PERIOD)
 
     def test_fixed_mode_always_runs_full_period(self):
-        res = run_cycle(GeneratorState(), make_controller(2), [0, 0], False)
+        res = run_cycle([0, 0], 16, False)
         assert (res.length, res.cause) == (16, GrstCause.PERIOD)
 
     def test_spike_on_last_step_cannot_beat_rollover(self):
-        res = run_cycle(GeneratorState(), make_controller(1), [15], True)
+        res = run_cycle([15], 16, True)
         assert (res.length, res.cause) == (16, GrstCause.PERIOD)
 
     def test_spike_on_second_to_last_step_just_makes_it(self):
-        res = run_cycle(GeneratorState(), make_controller(1), [14], True)
+        res = run_cycle([14], 16, True)
         assert (res.length, res.cause) == (15, GrstCause.CONTROL)
 
     def test_wrong_column_count_rejected(self):
+        # Zero columns leave control nothing to watch; arrays count too.
         with pytest.raises(ValueError):
-            run_cycle(GeneratorState(), make_controller(2), [1], True)
+            run_cycle([], 16, True)
+        with pytest.raises(ValueError):
+            run_cycle(np.array([]), 16, True)
 
     def test_chained_cycles_account_every_clock_step(self):
         gen, ctrl = GeneratorState(), make_controller(2)
         schedules = [[3, 5], [INF, 2], [0, 0], [10, 14]]
         lengths = []
         for times in schedules:
-            res = run_cycle(gen, ctrl, times, True)
+            res, gen, ctrl = clocked_cycle(gen, ctrl, times, True)
+            assert res == run_cycle(times, 16, True)
             lengths.append(res.length)
-            gen, ctrl = res.generator, res.controller
         assert lengths == [6, 16, 1, 15]
         assert sum(lengths) == 6 + 16 + 1 + 15
+
+    def test_chained_cycles_always_reset(self):
+        check_chained_cycles_reset(seed=7)
+
+    def test_detects_sticky_latches(self, monkeypatch):
+        # Break the oracle's reset path: latches survive across cycles. The
+        # chained check must then fail, proving it can catch the fault.
+        monkeypatch.setattr(oracle, "grst_clear", lambda c: c)
+        with pytest.raises(AssertionError):
+            check_chained_cycles_reset(seed=7)
 
     @given(
         st.integers(2, 20),
@@ -169,10 +197,7 @@ class TestRunCycle:
                 max_size=6,
             )
         )
-        res = run_cycle(
-            GeneratorState(period=period), make_controller(len(times)), times, relaxed
-        )
-        assert (res.length, res.cause) == oracle_cycle(period, times, relaxed)
+        assert run_cycle(times, period, relaxed) == clocked(period, times, relaxed)
 
     def test_ten_thousand_random_schedules(self):
         rng = np.random.default_rng(2024)
@@ -185,13 +210,7 @@ class TestRunCycle:
                 for _ in range(cols)
             ]
             relaxed = bool(rng.integers(0, 2))
-            res = run_cycle(
-                GeneratorState(period=period),
-                make_controller(cols),
-                times,
-                relaxed,
-            )
-            if (res.length, res.cause) != oracle_cycle(period, times, relaxed):
+            if run_cycle(times, period, relaxed) != clocked(period, times, relaxed):
                 mismatches += 1
         assert mismatches == 0
 
@@ -204,10 +223,9 @@ class TestRunCycle:
                 max_size=5,
             )
         )
-        res = run_cycle(
-            GeneratorState(period=period), make_controller(len(times)), times, True
-        )
+        res = run_cycle(times, period, True)
         assert 1 <= res.length <= period
+        assert res == clocked(period, times, True)
 
 
 class TestTrace:
@@ -256,13 +274,6 @@ class TestVerifyScenarios:
             "staggered-spikes",
             "silent-cycle",
         ]
-
-    def test_detects_sticky_latches(self, monkeypatch):
-        # Break the reset path: latches survive across cycles. The silent
-        # cycle scenario must then fail, proving it can catch the fault.
-        monkeypatch.setattr(gamma, "grst_clear", lambda c: c)
-        results = verify_scenarios()
-        assert not results[2].passed
 
     def test_respects_period_argument(self):
         for result in verify_scenarios(period=8, column_count=2):

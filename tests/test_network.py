@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tnnsim.dataio import LabeledDataset
-from tnnsim.encode import PosNeg
+from tnnsim.encode import Linear, Log, PosNeg
 from tnnsim.network import (
     Mode,
     NetworkConfig,
@@ -76,6 +76,12 @@ class TestConfig:
             NetworkConfig(layers=((2, 2),), pixel_count=0, threshold=5)
         with pytest.raises(ValueError):
             NetworkConfig(layers=((2, 2),), pixel_count=9, threshold=(5, 5))
+
+    def test_encoder_period_must_match(self):
+        for period, enc in ((8, Linear(period=16)), (16, Linear(period=4)), (8, Log(period=16))):
+            with pytest.raises(ValueError, match=f"encoder period {enc.period} .* {period}"):
+                tiny_config(period=period, encoder=enc)
+        assert tiny_config(period=8, encoder=Linear(period=8)).period == 8
 
     def test_weights_start_inside_cap(self):
         net = TnnNetwork(tiny_config())
