@@ -28,7 +28,10 @@ import numpy as np
 from . import gamma, stdp
 from .dataio import LabeledDataset
 from .encode import INF, EncoderKind, PosNeg, encode_image
-from .neuron import layer_spike_times
+from .neuron import kernel_bytes, layer_spike_times, weight_planes
+
+# Largest working set one layer's spike-time kernel may need.
+KERNEL_BYTES_LIMIT = 1 << 30
 
 
 class Mode(enum.Enum):
@@ -77,12 +80,25 @@ class NetworkConfig:
             raise ValueError(
                 f"encoder period {enc_period} differs from network period {self.period}"
             )
+        for k, (cols, neurons) in enumerate(self.layers):
+            need = kernel_bytes(cols * neurons, self.fan_in(k), self.plane_depth, self.period)
+            if need > KERNEL_BYTES_LIMIT:
+                raise ValueError(
+                    f"layer {k} ({cols}x{neurons}, {self.fan_in(k)} lines) needs a "
+                    f"{need / 2**20:.0f} MiB kernel working set, over the "
+                    f"{KERNEL_BYTES_LIMIT // 2**20} MiB limit"
+                )
 
     @property
     def thresholds(self) -> tuple[int, ...]:
         if isinstance(self.threshold, tuple):
             return self.threshold
         return (self.threshold,) * len(self.layers)
+
+    @property
+    def plane_depth(self) -> int:
+        """Bit-planes per bank: a ramp never runs past the period."""
+        return min(self.stdp_params.w_max, self.period)
 
     def fan_in(self, layer: int) -> int:
         """Input line count of one layer: dual-channel pixels, then one
@@ -153,12 +169,22 @@ class TnnNetwork:
                 rng.integers(0, cap + 1, size=shape, dtype=np.int16)
             )
 
-    def run_gamma_cycle(self, volley: np.ndarray, learn: bool) -> tuple:
+    def pack_planes(self) -> list[np.ndarray]:
+        """Each layer's bit-planes, packed from the current weights, with
+        every column's neurons stacked into one ``(cols * neurons)`` bank."""
+        return [
+            weight_planes(w.reshape(-1, w.shape[2]), self.config.plane_depth)
+            for w in self.weights
+        ]
+
+    def run_gamma_cycle(self, volley: np.ndarray, planes: list, learn: bool) -> tuple:
         """Present one volley (layer-0 spike times) for one gamma cycle.
 
-        Returns the ``gamma.CycleResult`` and the final layer's per-column
-        winner times (inf when silent) and neurons (-1 when silent); when
-        ``learn`` is set, weights update at the closing reset.
+        ``planes`` is ``pack_planes()`` of the current weights. Returns
+        the ``gamma.CycleResult`` and the final layer's per-column winner
+        times (inf when silent) and neurons (-1 when silent); when
+        ``learn`` is set, weights update at the closing reset and the
+        planes of every rewritten row are repacked.
         """
         cfg = self.config
         x = np.asarray(volley, dtype=float)
@@ -166,7 +192,7 @@ class TnnNetwork:
         for k, w in enumerate(self.weights):
             cols, neurons, lines = w.shape
             times = layer_spike_times(
-                w.reshape(cols * neurons, lines), x, cfg.period, cfg.thresholds[k]
+                planes[k], x, cfg.period, cfg.thresholds[k], lines
             ).reshape(cols, neurons)
             idx = np.argmin(times, axis=1)
             win_t = times[np.arange(cols), idx]
@@ -176,8 +202,9 @@ class TnnNetwork:
         result = gamma.run_cycle(x.tolist(), cfg.period, relaxed=cfg.mode is Mode.RELAXED)
 
         if learn:
-            for w, (inputs, idx, win_t) in zip(self.weights, layers):
-                stdp.update_layer(w, inputs, idx, win_t, cfg.stdp_params)
+            for w, bank, (inputs, idx, win_t) in zip(self.weights, planes, layers):
+                rows = stdp.update_layer(w, inputs, idx, win_t, cfg.stdp_params)
+                bank[rows] = weight_planes(w.reshape(-1, w.shape[2])[rows], cfg.plane_depth)
         return result, x, layers[-1][1]
 
     def _run(self, dataset: LabeledDataset, epochs: int, learn: bool) -> RunSummary:
@@ -193,9 +220,10 @@ class TnnNetwork:
         control = np.empty(n, dtype=bool)
         col_times = np.empty((n, cols))
         col_neurons = np.empty((n, cols), dtype=np.int64)
+        planes = self.pack_planes()
         for i in range(n):
             volley = encode_image(dataset.pixels[i % len(dataset)], cfg.encoder)
-            result, col_times[i], col_neurons[i] = self.run_gamma_cycle(volley, learn=learn)
+            result, col_times[i], col_neurons[i] = self.run_gamma_cycle(volley, planes, learn)
             lengths[i] = result.length
             control[i] = result.cause is gamma.GrstCause.CONTROL
         return RunSummary(

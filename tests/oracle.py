@@ -5,7 +5,8 @@ Tests compare the array kernels (``neuron.layer_spike_times``,
 (``metrics.spike_histogram``, ``purity``, ``cycle_savings``) and the
 closed-form ``gamma.run_cycle`` against these plain per-element
 restatements of the same rules; gamma control is clocked one step at a time.
-Volleys here are plain sequences of spike times, ``INF`` for no spike.
+``cumsum_spike_times`` is the one array reference: the spike-time kernel
+that preceded the bit-plane kernel, on unpacked weights. Volleys here are plain sequences of spike times, ``INF`` for no spike.
 """
 
 from __future__ import annotations
@@ -94,6 +95,44 @@ def neuron_spike_time(n: RnlNeuron, times: Sequence[SpikeTime], period: int) -> 
         if total >= n.threshold:
             return t
     return INF
+
+
+def cumsum_spike_times(
+    weights_hu: np.ndarray, times: Sequence[SpikeTime], period: int, threshold
+) -> np.ndarray:
+    """Spike times of a ``(neurons, lines)`` bank from unpacked weights.
+
+    A second reference for the bit-plane kernel: each synapse adds +1 slope
+    at its arrival step and -1 where its ramp saturates, and the potential
+    is the double cumsum of those histograms. Steps at or past the period
+    fold into a discard bucket.
+    """
+    weights_hu = np.asarray(weights_hu)
+    n_neurons = weights_hu.shape[0]
+    t_arr = np.asarray(times, dtype=float)
+    if weights_hu.shape[1] != t_arr.shape[0]:
+        raise ValueError(
+            f"volley has {t_arr.shape[0]} lines but weights have {weights_hu.shape[1]}"
+        )
+    finite = np.isfinite(t_arr)
+    out = np.full(n_neurons, np.inf)
+    if not finite.any():
+        return out
+    s = t_arr[finite].astype(np.int64)
+    caps = (weights_hu[:, finite] // 2).astype(np.int64)
+    width = period + 1
+    starts = np.minimum(s, period)
+    ends = np.minimum(s + caps, period)
+    row = np.arange(n_neurons, dtype=np.int64)[:, None] * width
+    hist = np.bincount(
+        (row + starts[None, :]).ravel(), minlength=n_neurons * width
+    ) - np.bincount((row + ends).ravel(), minlength=n_neurons * width)
+    hist = hist.reshape(n_neurons, width)[:, :period]
+    potential = np.cumsum(np.cumsum(hist, axis=1), axis=1)
+    reached = potential >= np.asarray(threshold).reshape(-1, 1)
+    fired = reached.any(axis=1)
+    out[fired] = np.argmax(reached[fired], axis=1)
+    return out
 
 
 @dataclass

@@ -21,7 +21,7 @@ from tnnsim.encode import INF, PosNeg, encode_image
 from tnnsim.gamma import GammaTrace, run_cycle, verify_scenarios
 from tnnsim.metrics import purity as purity_metric
 from tnnsim.network import NetworkConfig, RunSummary, TnnNetwork
-from tnnsim.neuron import layer_spike_times
+from tnnsim.neuron import layer_spike_times, weight_planes
 from tnnsim.stdp import StdpParams
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -180,7 +180,8 @@ def test_criterion_05_rnl_oracle_equivalence():
                 for _ in range(lines)
             ]
             threshold = int(rng.integers(1, 60))
-            t = layer_spike_times(np.array([weights]), times, 16, threshold)[0]
+            planes = weight_planes(np.array([weights]), 7)
+            t = layer_spike_times(planes, times, 16, threshold, lines)[0]
             got = INF if np.isinf(t) else int(t)
             want = _brute_force_spike_time(weights, times, 16, threshold)
             if got != want:

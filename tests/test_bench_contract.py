@@ -13,6 +13,8 @@ import io
 import pathlib
 import sys
 
+import numpy as np
+
 from tnnsim import gamma, metrics, network, synth
 from tnnsim.encode import Linear
 
@@ -31,7 +33,7 @@ def load_spans():
     return module
 
 
-def test_spans_cover_a_two_layer_run(tmp_path):
+def test_spans_cover_a_two_layer_run(tmp_path, monkeypatch):
     ds = synth.make_dataset(6, seed=1)
     cfg = network.NetworkConfig(
         layers=((6, 4), (3, 3)),
@@ -40,6 +42,16 @@ def test_spans_cover_a_two_layer_run(tmp_path):
         encoder=Linear(period=16),
     )
     net = network.TnnNetwork(cfg)
+    # Each kernel call's volley, by layer, recorded under the tracer's
+    # wrapper; presentations call layer 0 then layer 1.
+    volleys = ([], [])
+    kernel = network.layer_spike_times
+
+    def record(planes, times, period, threshold, lines):
+        volleys[sum(map(len, volleys)) % 2].append(np.isfinite(times))
+        return kernel(planes, times, period, threshold, lines)
+
+    monkeypatch.setattr(network, "layer_spike_times", record)
     tracer = load_spans().Tracer()
     with tracer.installed():
         trained = net.train(ds, epochs=2)
@@ -68,6 +80,16 @@ def test_spans_cover_a_two_layer_run(tmp_path):
     for k in (0, 1):
         assert out[f"neuron.layer_spike_times.L{k}.calls"] == 3 * len(ds)
         assert out[f"stdp.update_layer.L{k}.calls"] == 2 * len(ds)
+    # Work counts: every neuron of a layer against each live input line,
+    # and the rows STDP must rewrite, from the layer shapes and outputs
+    # rather than from the kernel's arguments.
+    for k, (cols, neurons) in enumerate(cfg.layers):
+        finite = sum(int(v.sum()) for v in volleys[k])
+        assert out[f"neuron.L{k}.synapse_evals"] == cols * neurons * finite
+    won = {0: np.array(volleys[1][: 2 * len(ds)]), 1: trained.col_neurons >= 0}
+    for k, (cols, neurons) in enumerate(cfg.layers):
+        assert won[k].shape == (2 * len(ds), cols)
+        assert out[f"stdp.L{k}.rows_needed"] == won[k].sum() + (~won[k]).sum() * neurons
     assert out["gamma.sim_steps"] == (
         trained.total_clock_cycles + inferred.total_clock_cycles
     )

@@ -447,6 +447,19 @@ class TestTrainInferReport:
         rc = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("w_max", 16384, "w_max"), ("layers", "100000x100", "layer 0 ")],
+    )
+    def test_oversized_config_exits_one(self, data_dir, tmp_path, capsys, key, value, message):
+        keys = {"images": data_dir / "imgs.idx", "layers": "3x4", "threshold": 10, key: value}
+        cfg = write_config(tmp_path / "big.cfg", **keys)
+        rc = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not (tmp_path / "o").exists()
+
     def test_limit_key_trims_dataset(self, data_dir, tmp_path, capsys):
         cfg = write_config(
             tmp_path / "run.cfg",

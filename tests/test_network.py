@@ -5,9 +5,11 @@ import io
 import numpy as np
 import pytest
 
+from tnnsim import network, synth
 from tnnsim.dataio import LabeledDataset
 from tnnsim.encode import Linear, Log, PosNeg
 from tnnsim.network import (
+    KERNEL_BYTES_LIMIT,
     Mode,
     NetworkConfig,
     TnnNetwork,
@@ -82,6 +84,16 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"encoder period {enc.period} .* {period}"):
                 tiny_config(period=period, encoder=enc)
         assert tiny_config(period=8, encoder=Linear(period=8)).period == 8
+
+    def test_kernel_working_set_bounded(self):
+        # Layer 1 has 4 lines (one word), period 16 and depth min(7, 16):
+        # each neuron needs 17 * 7 + 8 * (16 + 7) = 303 bytes.
+        most = KERNEL_BYTES_LIMIT // 303
+        NetworkConfig(layers=((4, 2), (1, most)), pixel_count=9, threshold=5)
+        with pytest.raises(ValueError, match="layer 1 .* 1024 MiB"):
+            NetworkConfig(layers=((4, 2), (1, most + 1)), pixel_count=9, threshold=5)
+        with pytest.raises(ValueError, match="layer 0 "):
+            NetworkConfig(layers=((100000, 100),), pixel_count=784, threshold=5)
 
     def test_weights_start_inside_cap(self):
         net = TnnNetwork(tiny_config())
@@ -210,6 +222,44 @@ class TestTwoLayer:
         # network winner is a layer-1 column
         assert set(summary.win_col.tolist()) <= {0, 1}
         assert summary.col_neurons.shape == (len(ds), 2)
+
+
+class TestPlanesFollowWeights:
+    def test_planes_match_repacked_weights_after_every_cycle(self, monkeypatch):
+        """The planes repacked row by row after STDP equal a full repack of
+        the weights, through winner rows and silent columns in both layers."""
+        cfg = NetworkConfig(
+            layers=((6, 4), (3, 3)),
+            pixel_count=784,
+            threshold=(5000, 12),
+            encoder=Linear(period=16),
+        )
+        net = TnnNetwork(cfg)
+        banks = [cols * neurons for cols, neurons in cfg.layers]
+        silent, fired, checked = [0, 0], [0, 0], []
+        kernel, cycle = network.layer_spike_times, TnnNetwork.run_gamma_cycle
+
+        def count_columns(planes, x, period, threshold, lines):
+            times = kernel(planes, x, period, threshold, lines)
+            k = banks.index(planes.shape[0])
+            dead = np.isinf(times.reshape(net.weights[k].shape[:2])).all(axis=1)
+            silent[k] += int(dead.sum())
+            fired[k] += int((~dead).sum())
+            return times
+
+        def check_planes(tnn, volley, planes, learn):
+            out = cycle(tnn, volley, planes, learn)
+            for k, want in enumerate(tnn.pack_planes()):
+                assert np.array_equal(planes[k], want), (len(checked), k)
+            checked.append(learn)
+            return out
+
+        monkeypatch.setattr(network, "layer_spike_times", count_columns)
+        monkeypatch.setattr(TnnNetwork, "run_gamma_cycle", check_planes)
+        ds = synth.make_dataset(12, seed=1)
+        net.train(ds, epochs=3)
+        assert checked == [True] * 36
+        assert min(silent) > 0 and min(fired) > 0, (silent, fired)
 
 
 class TestWrongVolleySize:

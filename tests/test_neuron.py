@@ -1,8 +1,9 @@
 """Neuron and column behavior, checked against a brute-force simulator.
 
-The layer kernel is checked against the brute-force simulator and against
-the scalar oracle in ``oracle.py``; the oracle's own neuron and column
-model is checked here too.
+The bit-plane layer kernel is checked against the brute-force simulator,
+against the scalar oracle in ``oracle.py`` and against the oracle's
+cumsum kernel; the oracle's own neuron and column model is checked here
+too.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from oracle import (
     RnlNeuron,
     column_reset,
     column_wta,
+    cumsum_spike_times,
     earliest_winner,
     neuron_spike_time,
     rnl_response,
@@ -22,7 +24,7 @@ from oracle import (
 )
 
 from tnnsim.encode import INF
-from tnnsim.neuron import layer_spike_times
+from tnnsim.neuron import layer_spike_times, weight_planes
 
 
 def brute_force_spike_time(weights_hu, times, period, threshold):
@@ -44,9 +46,31 @@ def brute_force_spike_time(weights_hu, times, period, threshold):
     return INF
 
 
+def bank_spike_times(weights_hu, times, period, threshold, w_max=7):
+    """Evaluate a ``(neurons, lines)`` bank through its bit-planes."""
+    weights_hu = np.asarray(weights_hu)
+    planes = weight_planes(weights_hu, min(w_max, period))
+    return layer_spike_times(planes, times, period, threshold, weights_hu.shape[1])
+
+
+def stepwise_spike_times(weights_hu, times, period, threshold):
+    """Brute force for a whole bank: tabulate every step's potential."""
+    x = np.asarray(times, dtype=float)
+    live = np.isfinite(x)
+    arrival = x[live].astype(np.int64)
+    cap = np.asarray(weights_hu)[:, live].astype(np.int64) // 2
+    threshold = np.broadcast_to(threshold, cap.shape[:1])
+    out = np.full(cap.shape[0], np.inf)
+    for t in range(period):
+        ramp = np.clip(t - arrival + 1, 0, None)
+        potential = np.minimum(ramp[None, :], cap).sum(axis=1)
+        out[np.isinf(out) & (potential >= threshold)] = t
+    return out
+
+
 def library_spike_time(weights, times, period, threshold):
     """Evaluate one neuron through the library's layer kernel."""
-    t = layer_spike_times(np.array([weights]), times, period, threshold)[0]
+    t = bank_spike_times([weights], times, period, threshold)[0]
     return INF if np.isinf(t) else int(t)
 
 
@@ -165,7 +189,7 @@ class TestLayerSpikeTimes:
             INF if rng.random() < 0.25 else int(rng.integers(0, 16))
             for _ in range(lines)
         ]
-        vec = layer_spike_times(weights, times, 16, 25)
+        vec = bank_spike_times(weights, times, 16, 25)
         for i in range(neurons):
             want = oracle_spike_time(weights[i].tolist(), times, 16, 25)
             got = INF if np.isinf(vec[i]) else int(vec[i])
@@ -183,7 +207,7 @@ class TestLayerSpikeTimes:
                 for _ in range(lines)
             ]
             thresholds = rng.integers(1, 40, size=neurons)
-            vec = layer_spike_times(weights, times, period, thresholds)
+            vec = bank_spike_times(weights, times, period, thresholds)
             for i in range(neurons):
                 want = brute_force_spike_time(
                     weights[i].tolist(), times, period, int(thresholds[i])
@@ -193,17 +217,69 @@ class TestLayerSpikeTimes:
 
     def test_all_silent_input(self):
         weights = np.full((3, 4), 14, dtype=np.int16)
-        out = layer_spike_times(weights, [INF] * 4, 16, 1)
+        out = bank_spike_times(weights, [INF] * 4, 16, 1)
         assert np.all(np.isinf(out))
 
     def test_per_neuron_thresholds(self):
         weights = np.full((2, 700), 14, dtype=np.int16)
-        out = layer_spike_times(weights, [0] * 700, 16, np.array([400, 4000]))
+        out = bank_spike_times(weights, [0] * 700, 16, np.array([400, 4000]))
         assert out.tolist() == [0, 5]
 
     def test_line_count_mismatch(self):
         with pytest.raises(ValueError):
-            layer_spike_times(np.zeros((2, 3), dtype=np.int16), [0, 1], 16, 1)
+            bank_spike_times(np.zeros((2, 3), dtype=np.int16), [0, 1], 16, 1)
+        # Inside one 64-bit word and across a word boundary, both ways.
+        for bank, volley in ((64, 63), (63, 64), (65, 64), (64, 65)):
+            with pytest.raises(ValueError, match="volley has"):
+                bank_spike_times(np.zeros((2, bank), dtype=np.int16), [0] * volley, 16, 1)
+
+    def test_lines_must_fit_the_planes(self):
+        planes = weight_planes(np.zeros((2, 64), dtype=np.int16), 7)
+        with pytest.raises(ValueError, match="do not pack"):
+            layer_spike_times(planes, [0] * 65, 16, 1, 65)
+
+    def test_negative_time_rejected(self):
+        with pytest.raises(ValueError, match="negative"):
+            bank_spike_times(np.zeros((2, 3), dtype=np.int16), [0, -1, INF], 16, 1)
+
+    def test_planes_mark_whole_units(self):
+        # half-units 0..5 are weights 0, 0, 1, 1, 2, 2: plane k marks c >= k.
+        planes = weight_planes(np.array([[0, 1, 2, 3, 4, 5]]), 3)
+        assert planes.shape == (1, 3, 1)
+        assert planes.dtype == np.uint64
+        assert [int(p) for p in planes[0, :, 0]] == [0b111100, 0b110000, 0]
+
+
+class TestWordBoundaries:
+    """Bit-plane kernel vs the cumsum kernel and the brute force at line
+    counts around the 64-bit word, weight caps above the period, per-neuron
+    thresholds and all-silent and all-live volleys."""
+
+    @pytest.mark.parametrize("lines", [1, 63, 64, 65, 127, 1568])
+    def test_matches_references(self, lines):
+        rng = np.random.default_rng(1000 + lines)
+        fired = silent = 0
+        for w_max in (1, 7, 10, 20):
+            for period in (2, 16, 17, 33):
+                neurons = 5
+                weights = rng.integers(0, 2 * w_max + 1, size=(neurons, lines))
+                random = np.where(
+                    rng.random(lines) < 0.3, INF, rng.integers(0, period, size=lines)
+                ).astype(float)
+                volleys = (random, np.full(lines, INF), rng.integers(0, period, size=lines))
+                for times in volleys:
+                    reach = lines * min(w_max, period)
+                    thresholds = rng.integers(1, reach + 2, size=neurons)
+                    got = bank_spike_times(weights, times, period, thresholds, w_max)
+                    want = stepwise_spike_times(weights, times, period, thresholds)
+                    assert np.array_equal(got, want), (w_max, period)
+                    assert np.array_equal(
+                        got, cumsum_spike_times(weights, times, period, thresholds)
+                    )
+                    fired += int(np.isfinite(got).sum())
+                    silent += int(np.isinf(got).sum())
+        # Every shape sees both outcomes, so neither check is vacuous.
+        assert fired > 40 and silent > 40
 
 
 class TestColumnWta:

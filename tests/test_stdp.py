@@ -79,6 +79,11 @@ class TestApplyUpdate:
         with pytest.raises(ValueError):
             StdpParams(w_max=0)
 
+    def test_cap_must_fit_int16(self):
+        assert StdpParams(w_max=16383).half_unit_cap == np.iinfo(np.int16).max - 1
+        with pytest.raises(ValueError, match="w_max"):
+            StdpParams(w_max=16384)
+
 
 class TestUpdateColumn:
     def make_column(self):
@@ -177,8 +182,15 @@ class TestUpdateLayer:
                             int(expect[c, n, l]), classify_case(xt, zt), p
                         )
             got = weights.copy()
-            update_layer(got, x, winner_idx, z, p)
+            rows = update_layer(got, x, winner_idx, z, p)
             assert np.array_equal(got, expect)
+            want_rows = [
+                c * neurons + n
+                for c in range(cols)
+                for n in range(neurons)
+                if winner_idx[c] in (-1, n)
+            ]
+            assert rows.tolist() == want_rows
 
     def test_updates_in_place_and_saturates(self):
         p = StdpParams()
@@ -210,6 +222,36 @@ class TestUpdateLayer:
         )
         # capture +4, late backoff -6, no-input backoff -6
         assert weights.tolist() == [[[14, 4, 4]]]
+
+
+class TestNoWrap:
+    """Steps at or above the int16 range saturate like any other step."""
+
+    @pytest.mark.parametrize("u", [32767, 40000, 10**12])
+    def test_huge_capture_saturates(self, u):
+        weights = np.array([[[14, 10]]], dtype=np.int16)
+        update_layer(
+            weights, np.array([0.0, 0.0]), np.array([0]), np.array([0.0]), StdpParams(u_capture=u)
+        )
+        assert weights.tolist() == [[[14, 14]]]
+
+    @pytest.mark.parametrize("w_max", [7, 16383])
+    @pytest.mark.parametrize("u", [1, 32767, 40000])
+    def test_every_case_matches_scalar_rule(self, w_max, u):
+        p = StdpParams(u_capture=u, u_backoff=u, u_search=u, u_quiet=u, w_max=w_max)
+        cap = p.half_unit_cap
+        start = np.array([0, 1, cap // 2, cap - 1, cap], dtype=np.int16)
+        x = np.array([0.0, 0.0, 9.0, np.inf, 0.0])
+        # column 0 wins at step 3 on neuron 1; column 1 is silent
+        weights = np.stack([np.stack([start, start])] * 2)
+        update_layer(weights, x, np.array([1, -1]), np.array([3.0, np.inf]), p)
+        for c, n, z in ((0, 1, 3), (1, 0, INF), (1, 1, INF)):
+            want = [
+                apply_update(int(w), classify_case(INF if np.isinf(xt) else int(xt), z), p)
+                for w, xt in zip(start, x)
+            ]
+            assert weights[c, n].tolist() == want
+        assert weights[0, 0].tolist() == start.tolist()
 
 
 class TestLearningDynamics:
