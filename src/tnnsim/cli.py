@@ -9,57 +9,39 @@ Exit codes: 0 success, 1 validation or config error, 2 a verification
 scenario failed. Every command is deterministic given its flags and seed;
 re-running writes byte-identical artifacts.
 
-The config file is flat ``key = value`` text, ``#`` starts a comment:
+The config file is flat ``key = value`` text, ``#`` starts a comment; the
+network keys and their defaults belong to ``NetworkConfig.from_mapping``:
 
     images      = data/train-images.idx
     labels      = data/train-labels.idx
     layers      = 64x10
-    period      = 16
-    threshold   = 2744
-    encoder     = posneg
-    mode        = relaxed
-    seed        = 7
+    threshold   = 3000
     epochs      = 3
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import pathlib
 import sys
 from typing import Optional
 
 from . import costmodel, dataio, gamma, metrics, network
-from .encode import Linear, Log, PosNeg, encode_image, format_spike_time
-from .stdp import StdpParams
+from .encode import KINDS, Linear, PosNeg, encode_image, format_spike_time
 
 
 class ConfigError(ValueError):
     """Bad config file contents, with file/line context in the message."""
 
 
-_CONFIG_KEYS = {
-    "images",
-    "labels",
-    "train_images",
-    "train_labels",
-    "test_images",
-    "test_labels",
-    "limit",
-    "layers",
-    "period",
-    "threshold",
-    "encoder",
-    "pixel_threshold",
-    "mode",
-    "seed",
-    "epochs",
-    "u_capture",
-    "u_backoff",
-    "u_search",
-    "u_quiet",
-    "w_max",
-}
+# The run keys: which images to read and how long to train. Every other key
+# configures the network and is read by ``network.NetworkConfig.from_mapping``.
+_RUN_KEYS = (
+    "images", "labels", "train_images", "train_labels", "test_images", "test_labels",
+    "limit", "epochs",
+)
+_CONFIG_KEYS = frozenset(_RUN_KEYS + network.CONFIG_KEYS)
 
 
 def parse_config(path: pathlib.Path) -> dict[str, str]:
@@ -96,65 +78,8 @@ def _config_int(cfg: dict[str, str], key: str, default: int) -> int:
         raise ConfigError(f"key {key!r}: {cfg[key]!r} is not an integer") from None
 
 
-def _parse_layers(text: str) -> tuple[tuple[int, int], ...]:
-    layers = []
-    for part in text.split(","):
-        part = part.strip()
-        try:
-            cols, _, neurons = part.partition("x")
-            layers.append((int(cols), int(neurons)))
-        except ValueError:
-            raise ConfigError(
-                f"key 'layers': {part!r} is not COLSxNEURONS"
-            ) from None
-    return tuple(layers)
-
-
-def _make_encoder(name: str, pixel_threshold: int, period: int):
-    if name == "posneg":
-        return PosNeg(threshold=pixel_threshold)
-    if name == "linear":
-        return Linear(period=period)
-    if name == "log":
-        return Log(period=period)
-    raise ConfigError(f"key 'encoder': unknown encoder {name!r}")
-
-
 def _network_config(cfg: dict[str, str], pixel_count: int) -> network.NetworkConfig:
-    period = _config_int(cfg, "period", 16)
-    if "layers" not in cfg:
-        raise ConfigError("key 'layers' is required")
-    threshold_text = cfg.get("threshold", "2744")
-    parts = [p.strip() for p in threshold_text.split(",")]
-    try:
-        threshold = int(parts[0]) if len(parts) == 1 else tuple(int(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"key 'threshold': {threshold_text!r} is not an integer list") from None
-    mode_text = cfg.get("mode", "relaxed")
-    if mode_text not in ("fixed", "relaxed"):
-        raise ConfigError(f"key 'mode': must be fixed or relaxed, got {mode_text!r}")
-    params = StdpParams(
-        u_capture=_config_int(cfg, "u_capture", 2),
-        u_backoff=_config_int(cfg, "u_backoff", 2),
-        u_search=_config_int(cfg, "u_search", 2),
-        u_quiet=_config_int(cfg, "u_quiet", 1),
-        w_max=_config_int(cfg, "w_max", 7),
-    )
-    try:
-        return network.NetworkConfig(
-            layers=_parse_layers(cfg["layers"]),
-            pixel_count=pixel_count,
-            period=period,
-            threshold=threshold,
-            encoder=_make_encoder(
-                cfg.get("encoder", "posneg"), _config_int(cfg, "pixel_threshold", 127), period
-            ),
-            stdp_params=params,
-            mode=network.Mode(mode_text),
-            seed=_config_int(cfg, "seed", 0),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return network.NetworkConfig.from_mapping(cfg, pixel_count)
 
 
 def _load_dataset(
@@ -185,7 +110,8 @@ def _cmd_encode(args) -> int:
     if args.labels:
         with open(args.labels, "rb") as f:
             dataset = dataio.attach_labels(dataset, dataio.read_idx_labels(f))
-    kind = _make_encoder(args.encoder, args.threshold, args.period)
+    kind = KINDS[args.encoder]
+    kind = PosNeg(args.threshold) if kind is PosNeg else kind(args.period)
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
@@ -252,8 +178,6 @@ def _cmd_train(args) -> int:
     dataset = _load_dataset(
         cfg, ("train_images", "images"), ("train_labels", "labels")
     )
-    if len(dataset) == 0:
-        raise ConfigError("training dataset is empty")
     net = network.TnnNetwork(_network_config(cfg, dataset.width * dataset.height))
     summary = net.train(dataset, epochs=_config_int(cfg, "epochs", 1))
     _write_run_artifacts(net, summary, pathlib.Path(args.out), with_weights=True)
@@ -271,8 +195,6 @@ def _cmd_infer(args) -> int:
     dataset = _load_dataset(
         cfg, ("test_images", "images", "train_images"), ("test_labels", "labels", "train_labels")
     )
-    if len(dataset) == 0:
-        raise ConfigError("inference dataset is empty")
     net = network.TnnNetwork(_network_config(cfg, dataset.width * dataset.height))
     network.load_weights_npz(net, args.weights)
     summary = net.infer(dataset)
@@ -326,11 +248,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_enc = sub.add_parser("encode", help="encode IDX images into spike files")
     p_enc.add_argument("--idx", required=True, help="IDX image file")
     p_enc.add_argument("--labels", help="optional IDX label file")
+    p_enc.add_argument("--encoder", required=True, choices=list(KINDS))
     p_enc.add_argument(
-        "--encoder", required=True, choices=["posneg", "linear", "log"]
+        "--threshold", type=int, default=PosNeg.threshold, help="posneg pixel threshold"
     )
-    p_enc.add_argument("--threshold", type=int, default=127, help="posneg pixel threshold")
-    p_enc.add_argument("--period", type=int, default=16, help="gamma period for graded codes")
+    p_enc.add_argument(
+        "--period", type=int, default=Linear.period, help="gamma period for graded codes"
+    )
     p_enc.add_argument("--out", required=True, help="output path prefix")
     p_enc.set_defaults(func=_cmd_encode)
 
@@ -346,8 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_cost.set_defaults(func=_cmd_cost_sweep)
 
     p_ver = sub.add_parser("verify-gamma", help="run the generator/controller checks")
-    p_ver.add_argument("--period", type=int, default=16)
-    p_ver.add_argument("--columns", type=int, default=3)
+    scenario = inspect.signature(gamma.verify_scenarios).parameters
+    p_ver.add_argument("--period", type=int, default=scenario["period"].default)
+    p_ver.add_argument("--columns", type=int, default=scenario["column_count"].default)
     p_ver.set_defaults(func=_cmd_verify_gamma)
 
     p_train = sub.add_parser("train", help="train a network from a config file")

@@ -20,6 +20,7 @@ divisor counts waste slots and always cost strictly more.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Iterable, Optional, Sequence, TextIO
 
@@ -37,8 +38,10 @@ class ComparatorBankConfig:
     def __post_init__(self):
         if self.comparator_count < 1:
             raise ValueError(f"comparator_count must be >= 1, got {self.comparator_count}")
-        if self.clock_frequency <= 0:
-            raise ValueError(f"clock_frequency must be positive, got {self.clock_frequency}")
+        if not 0 < self.clock_frequency < math.inf:
+            raise ValueError(
+                f"clock_frequency must be positive and finite, got {self.clock_frequency}"
+            )
         if self.pixels_per_image < 1:
             raise ValueError(f"pixels_per_image must be >= 1, got {self.pixels_per_image}")
 
@@ -151,17 +154,22 @@ def sweep(
 ) -> list[SweepPoint]:
     """Evaluate the cost model along one axis, keeping input order.
 
-    Config or timing errors at a point are captured in that row instead of
-    aborting the rest of the sweep.
+    Every value must be positive and finite, and whole on the count axes
+    (``comparator_count``, ``image_size``), or ``ValueError`` names it
+    before any point is priced. Config or timing errors at a point are
+    captured in that row instead of aborting the rest of the sweep.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
     if len(values) == 0:
         raise ValueError("sweep needs at least one value")
+    for v in values:
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"sweep values must be positive and finite, got {v}")
+        if axis != "frequency" and v != int(v):
+            raise ValueError(f"{axis} values must be whole numbers, got {v}")
     points = []
     for v in values:
-        if v <= 0:
-            raise ValueError(f"sweep values must be positive, got {v}")
         try:
             report = cost_report(_with_axis(base, axis, v), unit)
             points.append(SweepPoint(value=v, report=report, error=None))

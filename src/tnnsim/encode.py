@@ -49,7 +49,7 @@ class PosNeg:
 
     def __post_init__(self):
         if not 0 <= self.threshold <= 255:
-            raise ValueError(f"threshold must be in 0..255, got {self.threshold}")
+            raise ValueError(f"pixel_threshold must be in 0..255, got {self.threshold}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,9 @@ class Log:
 
 
 EncoderKind = Union[PosNeg, Linear, Log]
+
+# Encoder kinds by the name the config file and the CLI give them.
+KINDS = {"posneg": PosNeg, "linear": Linear, "log": Log}
 
 
 def _graded(v: np.ndarray, kind: Union[Linear, Log]) -> np.ndarray:

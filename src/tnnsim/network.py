@@ -20,14 +20,15 @@ randomness, so repeated runs produce identical artifacts.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import TextIO, Union
+import json
+from dataclasses import dataclass, fields
+from typing import Mapping, TextIO, Union
 
 import numpy as np
 
 from . import gamma, stdp
 from .dataio import LabeledDataset
-from .encode import INF, EncoderKind, PosNeg, encode_image
+from .encode import INF, KINDS, EncoderKind, PosNeg, encode_image
 from .neuron import kernel_bytes, layer_spike_times, weight_planes
 
 # Largest working set one layer's spike-time kernel may need.
@@ -37,6 +38,36 @@ KERNEL_BYTES_LIMIT = 1 << 30
 class Mode(enum.Enum):
     FIXED = "fixed"
     RELAXED = "relaxed"
+
+
+def _read_layers(text: str) -> tuple[tuple[int, int], ...]:
+    return tuple((int(c), int(n)) for c, _, n in (p.partition("x") for p in text.split(",")))
+
+
+def _read_threshold(text: str) -> Union[int, tuple[int, ...]]:
+    values = tuple(int(part) for part in text.split(","))
+    return values[0] if len(values) == 1 else values
+
+
+_INT = (int, "an integer")
+# How each network config key reads, and what its text must look like.
+_READERS = {
+    "layers": (_read_layers, "COLSxNEURONS[,COLSxNEURONS...]"),
+    "period": _INT,
+    "threshold": (_read_threshold, "an integer or a comma list of integers"),
+    "encoder": (KINDS.__getitem__, " or ".join(KINDS)),
+    "pixel_threshold": _INT,
+    "mode": (Mode, " or ".join(m.value for m in Mode)),
+    "seed": _INT,
+    **{f.name: _INT for f in fields(stdp.StdpParams)},
+}
+# The network config keys, in the order ``NetworkConfig.to_mapping`` writes them.
+CONFIG_KEYS = tuple(_READERS)
+
+# The keys a weight file must agree on with the network it loads into: they
+# fix what the weights mean. Seed, mode and the learning steps only choose
+# how weights start, how cycles end and how weights move.
+_WEIGHT_KEYS = ("layers", "period", "threshold", "encoder", "pixel_threshold", "w_max")
 
 
 @dataclass(frozen=True)
@@ -56,6 +87,47 @@ class NetworkConfig:
     stdp_params: stdp.StdpParams = stdp.StdpParams()
     mode: Mode = Mode.RELAXED
     seed: int = 0
+
+    @classmethod
+    def from_mapping(cls, values: Mapping[str, str], pixel_count: int) -> NetworkConfig:
+        """Build a config from flat ``key = value`` strings. Only ``layers``
+        is required: a key left out keeps its field default, a value that
+        does not parse raises ``ValueError`` naming its key, and keys
+        outside ``CONFIG_KEYS`` are ignored."""
+        got = {}
+        for key, (read, form) in _READERS.items():
+            if key in values:
+                try:
+                    got[key] = read(values[key])
+                except (KeyError, ValueError):
+                    raise ValueError(f"key {key!r}: {values[key]!r} is not {form}") from None
+        if "layers" not in got:
+            raise ValueError("key 'layers' is required")
+        kind = got.pop("encoder", type(cls.encoder))
+        pixel_threshold = got.pop("pixel_threshold", PosNeg.threshold)
+        steps = {f.name: got.pop(f.name) for f in fields(stdp.StdpParams) if f.name in got}
+        period = got.get("period", cls.period)
+        return cls(
+            pixel_count=pixel_count,
+            encoder=PosNeg(pixel_threshold) if kind is PosNeg else kind(period),
+            stdp_params=stdp.StdpParams(**steps),
+            **got,  # the keys named after fields: layers, period, threshold, mode, seed
+        )
+
+    def to_mapping(self) -> dict[str, str]:
+        """The canonical strings ``from_mapping`` reads back: the threshold
+        as its per-layer list, ``pixel_threshold`` only for posneg."""
+        out = {
+            "layers": ",".join(f"{cols}x{neurons}" for cols, neurons in self.layers),
+            "period": self.period,
+            "threshold": ",".join(map(str, self.thresholds)),
+            "encoder": next(name for name, kind in KINDS.items() if type(self.encoder) is kind),
+            "pixel_threshold": getattr(self.encoder, "threshold", None),
+            "mode": self.mode.value,
+            "seed": self.seed,
+            **{f.name: getattr(self.stdp_params, f.name) for f in fields(stdp.StdpParams)},
+        }
+        return {key: str(value) for key, value in out.items() if value is not None}
 
     def __post_init__(self):
         if not self.layers:
@@ -261,14 +333,14 @@ def write_summary_csv(summary: RunSummary, stream: TextIO) -> None:
 
 
 def save_summary_npz(summary: RunSummary, path) -> None:
-    """Compact binary form of the run record, exact enough to rebuild it."""
+    """Binary form of the run record, each array at the dtype it holds."""
     trace = summary.trace
     np.savez_compressed(
         path,
-        lengths=trace.lengths.astype(np.int32),
-        causes=trace.control.astype(np.int8),
-        col_times=trace.col_times.astype(np.float32),
-        col_neurons=summary.col_neurons.astype(np.int16),
+        lengths=trace.lengths,
+        causes=trace.control,
+        col_times=trace.col_times,
+        col_neurons=summary.col_neurons,
         meta=np.array(
             [trace.period, trace.column_count, summary.epochs, summary.images],
             dtype=np.int64,
@@ -291,31 +363,58 @@ def load_summary_npz(path) -> RunSummary:
 
 
 def save_weights_npz(net: TnnNetwork, path) -> None:
+    """Each layer's weights as ``layer{k}``, and ``config``: the JSON of the
+    network's ``to_mapping()``."""
     np.savez_compressed(
-        path, **{f"layer{k}": w for k, w in enumerate(net.weights)}
+        path,
+        config=np.array(json.dumps(net.config.to_mapping())),
+        **{f"layer{k}": w for k, w in enumerate(net.weights)},
     )
 
 
-def load_weights_npz(net: TnnNetwork, path) -> None:
-    """Restore weights into an already-shaped network.
+def _check_trained_config(text: str, config: NetworkConfig) -> None:
+    try:
+        saved = json.loads(text)
+    except ValueError:
+        saved = None
+    if not isinstance(saved, dict):
+        raise ValueError("weight file config is not a JSON object")
+    ours = config.to_mapping()
+    for key in _WEIGHT_KEYS:
+        if saved.get(key) != ours.get(key):
+            raise ValueError(
+                f"weights were trained with {key} = {saved.get(key)}, "
+                f"the config has {key} = {ours.get(key)}"
+            )
 
-    Each layer must match the network's shape, hold integers and lie in
-    ``0..half_unit_cap``; anything else raises ``ValueError``.
+
+def load_weights_npz(net: TnnNetwork, path) -> None:
+    """Restore weights into an already-shaped network, all or nothing.
+
+    A file that records its ``config`` must agree with the network on
+    ``_WEIGHT_KEYS``; older files without one skip that check. Besides it
+    the file must hold exactly the network's ``layer{k}`` members, each of
+    the network's shape, integer and in ``0..half_unit_cap``. Anything else
+    raises ``ValueError`` before any weight is replaced.
     """
     cap = net.config.stdp_params.half_unit_cap
+    want = [f"layer{k}" for k in range(len(net.weights))]
     with np.load(path) as data:
-        for k in range(len(net.weights)):
-            key = f"layer{k}"
-            if key not in data:
-                raise ValueError(f"weight file missing {key}")
-            arr = data[key]
-            if arr.shape != net.weights[k].shape:
-                raise ValueError(
-                    f"{key} shape {arr.shape} does not match network {net.weights[k].shape}"
-                )
-            if not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError(f"{key} has dtype {arr.dtype}, weights must be integers")
-            bad = arr[(arr < 0) | (arr > cap)]
-            if bad.size:
-                raise ValueError(f"{key} holds weight {bad[0]} outside 0..{cap}")
-            net.weights[k] = arr.astype(np.int16)
+        if "config" in data.files:
+            _check_trained_config(str(data["config"]), net.config)
+        held = sorted(set(data.files) - {"config"})
+        if held != sorted(want):
+            raise ValueError(
+                f"weight file holds {', '.join(held) or 'no layers'}, a "
+                f"{len(want)}-layer network needs {', '.join(want)}"
+            )
+        layers = [data[key] for key in want]
+    for key, arr, current in zip(want, layers, net.weights):
+        if arr.shape != current.shape:
+            raise ValueError(f"{key} shape {arr.shape} does not match network {current.shape}")
+        if not np.issubdtype(arr.dtype, np.integer):
+            raise ValueError(f"{key} has dtype {arr.dtype}, weights must be integers")
+        bad = arr[(arr < 0) | (arr > cap)]
+        if bad.size:
+            raise ValueError(f"{key} holds weight {bad[0]} outside 0..{cap}")
+    net.weights[:] = [arr.astype(np.int16) for arr in layers]

@@ -220,6 +220,34 @@ class TestCostSweepCommand:
         assert "30" in capsys.readouterr().err
         assert len(out.read_text().splitlines()) == 3
 
+    @pytest.mark.parametrize(
+        "axis, values, message",
+        [
+            ("image_size", "inf", "finite, got inf"),
+            ("frequency", "nan", "finite, got nan"),
+            ("comparator_count", "2.5,2", "whole numbers, got 2.5"),
+        ],
+    )
+    def test_unpriceable_value_exits_one(self, tmp_path, capsys, axis, values, message):
+        out = tmp_path / "sweep.csv"
+        rc = run_cli(["cost-sweep", "--axis", axis, "--values", values, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_non_finite_base_frequency_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        rc = run_cli(
+            ["cost-sweep", "--axis", "comparator_count", "--values", "1,2",
+             "--frequency", "nan", "--out", str(out)]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: clock_frequency must be positive and finite, got nan\n"
+        )
+        assert not out.exists()
+
     def test_unknown_axis_exits_one(self, tmp_path, capsys):
         rc = run_cli(
             [
@@ -410,6 +438,41 @@ class TestTrainInferReport:
         assert "layer0 holds weight 100" in capsys.readouterr().err
         assert not (tmp_path / "i").exists()
 
+    def test_infer_rejects_weights_trained_under_other_config(self, data_dir, tmp_path, capsys):
+        data = {"images": data_dir / "imgs.idx", "labels": data_dir / "labs.idx"}
+        trained = write_config(
+            tmp_path / "train.cfg", **data, layers="3x4", encoder="posneg", threshold=1500,
+            period=16,
+        )
+        other = write_config(
+            tmp_path / "infer.cfg", **data, layers="3x4", encoder="linear", threshold=40,
+            period=9,
+        )
+        assert run_cli(["train", "--config", str(trained), "--out", str(tmp_path / "t")]) == 0
+        capsys.readouterr()
+        weights = str(tmp_path / "t" / "weights.npz")
+        rc = run_cli(
+            ["infer", "--config", str(other), "--weights", weights, "--out", str(tmp_path / "i")]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: weights were trained with period = 16, the config has period = 9\n"
+        )
+        assert not (tmp_path / "i").exists()
+
+    def test_infer_runs_trained_weights_in_fixed_mode(self, cfg_path, tmp_path):
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 0
+        fixed = tmp_path / "fixed.cfg"
+        fixed.write_text(cfg_path.read_text() + "mode = fixed\n")
+        rc = run_cli(
+            ["infer", "--config", str(fixed), "--weights", str(tmp_path / "t" / "weights.npz"),
+             "--out", str(tmp_path / "i")]
+        )
+        assert rc == 0
+        assert set(load_summary_npz(tmp_path / "i" / "summary.npz").trace.lengths) == {16}
+
     def test_rerun_is_byte_identical(self, cfg_path, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -458,6 +521,19 @@ class TestTrainInferReport:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["train", "infer"])
+    def test_empty_dataset_exits_one(self, tmp_path, capsys, command):
+        empty = tmp_path / "empty.idx"
+        empty.write_bytes(struct.pack(">iiii", 2051, 0, 4, 4))
+        cfg = write_config(tmp_path / "run.cfg", images=empty, layers="3x4", threshold=10)
+        weights = tmp_path / "weights.npz"
+        np.savez_compressed(weights, layer0=np.zeros((3, 4, 32), dtype=np.int16))
+        extra = ["--weights", str(weights)] if command == "infer" else []
+        rc = run_cli([command, "--config", str(cfg), *extra, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: dataset is empty\n"
         assert not (tmp_path / "o").exists()
 
     def test_limit_key_trims_dataset(self, data_dir, tmp_path, capsys):

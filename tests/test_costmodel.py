@@ -159,6 +159,21 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep("frequency", [1e9, -1.0], cfg(49), REFERENCE_UNIT)
 
+    @pytest.mark.parametrize("axis", ["comparator_count", "frequency", "image_size"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, axis, bad):
+        with pytest.raises(ValueError, match=f"finite, got {bad}"):
+            sweep(axis, [2, bad], cfg(49), REFERENCE_UNIT)
+
+    @pytest.mark.parametrize("axis", ["comparator_count", "image_size"])
+    def test_fractional_count_rejected(self, axis):
+        with pytest.raises(ValueError, match=f"{axis} values must be whole numbers, got 2.5"):
+            sweep(axis, [2.5, 2], cfg(49), REFERENCE_UNIT)
+
+    def test_fractional_frequency_priced(self):
+        (point,) = sweep("frequency", [1.5e9], cfg(49), REFERENCE_UNIT)
+        assert point.report.cycles == 16
+
     def test_csv_columns_are_report_fields(self):
         points = sweep("comparator_count", [49, 784], cfg(49), REFERENCE_UNIT)
         buf = io.StringIO()
@@ -182,6 +197,9 @@ class TestValidation:
             ComparatorBankConfig(0, GHZ, 784)
         with pytest.raises(ValueError):
             ComparatorBankConfig(49, 0.0, 784)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="clock_frequency must be positive and finite"):
+                ComparatorBankConfig(49, bad, 784)
         with pytest.raises(ValueError):
             ComparatorBankConfig(49, GHZ, 0)
 

@@ -1,16 +1,21 @@
 """End-to-end network behavior on small controlled datasets."""
 
 import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from tnnsim import network, synth
+from tnnsim import gamma, network, synth
 from tnnsim.dataio import LabeledDataset
-from tnnsim.encode import Linear, Log, PosNeg
+from tnnsim.encode import KINDS, Linear, Log, PosNeg
 from tnnsim.network import (
+    CONFIG_KEYS,
     KERNEL_BYTES_LIMIT,
     Mode,
+    RunSummary,
     NetworkConfig,
     TnnNetwork,
     load_summary_npz,
@@ -19,7 +24,7 @@ from tnnsim.network import (
     save_weights_npz,
     write_summary_csv,
 )
-from tnnsim.stdp import StdpParams
+from tnnsim.stdp import W_MAX_LIMIT, StdpParams
 
 
 def flat_image(value, side=4):
@@ -203,6 +208,127 @@ class TestLearning:
             net.infer(dataset_of([]))
 
 
+@st.composite
+def configs(draw):
+    layers = tuple(
+        draw(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), min_size=1, max_size=3))
+    )
+    period = draw(st.integers(2, 40))
+    threshold = draw(
+        st.one_of(st.integers(1, 5000), st.tuples(*[st.integers(1, 5000)] * len(layers)))
+    )
+    kind = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+    encoder = PosNeg(draw(st.integers(0, 255))) if kind is PosNeg else kind(period)
+    step = st.integers(0, 40)
+    params = StdpParams(
+        draw(step), draw(step), draw(step), draw(step), draw(st.integers(1, W_MAX_LIMIT))
+    )
+    return NetworkConfig(
+        layers=layers,
+        pixel_count=draw(st.integers(1, 50)),
+        period=period,
+        threshold=threshold,
+        encoder=encoder,
+        stdp_params=params,
+        mode=draw(st.sampled_from(Mode)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+
+
+class TestConfigCodec:
+    @given(configs())
+    def test_round_trip(self, cfg):
+        mapping = cfg.to_mapping()
+        assert NetworkConfig.from_mapping(mapping, cfg.pixel_count).to_mapping() == mapping
+        assert list(mapping) == [
+            k for k in CONFIG_KEYS if k != "pixel_threshold" or isinstance(cfg.encoder, PosNeg)
+        ]
+
+    def test_round_trip_keeps_config(self):
+        cfg = NetworkConfig(
+            layers=((12, 5), (3, 2)),
+            pixel_count=49,
+            period=17,
+            threshold=(900, 4),
+            encoder=Log(period=17),
+            stdp_params=StdpParams(u_capture=40, w_max=20),
+            mode=Mode.FIXED,
+            seed=3,
+        )
+        assert NetworkConfig.from_mapping(cfg.to_mapping(), 49) == cfg
+
+    @pytest.mark.parametrize("pixel_count", [1, 784])
+    def test_only_layers_gives_field_defaults(self, pixel_count):
+        got = NetworkConfig.from_mapping({"layers": "4x3,2x2"}, pixel_count)
+        assert got == NetworkConfig(((4, 3), (2, 2)), pixel_count)
+
+    def test_default_mapping(self):
+        assert NetworkConfig(((64, 10),), 784).to_mapping() == {
+            "layers": "64x10",
+            "period": "16",
+            "threshold": "2744",
+            "encoder": "posneg",
+            "pixel_threshold": "127",
+            "mode": "relaxed",
+            "seed": "0",
+            "u_capture": "2",
+            "u_backoff": "2",
+            "u_search": "2",
+            "u_quiet": "1",
+            "w_max": "7",
+        }
+
+    def test_other_keys_ignored(self):
+        got = NetworkConfig.from_mapping({"layers": "2x2", "epochs": "3", "images": "x"}, 4)
+        assert got == NetworkConfig(((2, 2),), 4)
+
+    def test_layers_required(self):
+        with pytest.raises(ValueError, match="key 'layers' is required"):
+            NetworkConfig.from_mapping({"period": "9"}, 4)
+
+    def test_threshold_list_is_per_layer(self):
+        cfg = NetworkConfig.from_mapping({"layers": "4x3,2x2", "threshold": "7, 3"}, 4)
+        assert cfg.threshold == (7, 3)
+        assert cfg.to_mapping()["threshold"] == "7,3"
+        one = NetworkConfig.from_mapping({"layers": "4x3,2x2", "threshold": "7"}, 4)
+        assert one.threshold == 7 and one.to_mapping()["threshold"] == "7,7"
+
+    def test_graded_encoder_follows_period(self):
+        cfg = NetworkConfig.from_mapping(
+            {"layers": "2x2", "encoder": "linear", "period": "9", "pixel_threshold": "40"}, 4
+        )
+        assert cfg.encoder == Linear(period=9)
+        assert "pixel_threshold" not in cfg.to_mapping()
+
+    def test_out_of_range_pixel_threshold_names_key(self):
+        with pytest.raises(ValueError, match="^pixel_threshold must be in 0..255, got 300"):
+            NetworkConfig.from_mapping({"layers": "2x2", "pixel_threshold": "300"}, 4)
+
+    MALFORMED = {
+        "layers": "3by4",
+        "period": "sixteen",
+        "threshold": "7,a",
+        "encoder": "morse",
+        "pixel_threshold": "1.5",
+        "mode": "sideways",
+        "seed": "s",
+        "u_capture": "two",
+        "u_backoff": "2.0",
+        "u_search": "",
+        "u_quiet": "1/2",
+        "w_max": "7x",
+    }
+
+    def test_malformed_cases_cover_every_key(self):
+        assert tuple(self.MALFORMED) == CONFIG_KEYS
+
+    @pytest.mark.parametrize("key", list(MALFORMED))
+    def test_malformed_value_names_key(self, key):
+        values = {"layers": "2x2", key: self.MALFORMED[key]}
+        with pytest.raises(ValueError, match=f"^key '{key}': "):
+            NetworkConfig.from_mapping(values, 4)
+
+
 class TestTwoLayer:
     def test_second_layer_sees_first_layer_winners(self):
         ds = tiny_dataset()
@@ -373,6 +499,36 @@ class TestSummaryArtifacts:
         with pytest.raises(ValueError, match="cycle length 17"):
             load_summary_npz(path)
 
+    def test_summary_npz_keeps_wide_values(self, tmp_path):
+        # Both configs are valid: a column wider than int16 holds, and a
+        # period past the integers float32 holds exactly.
+        NetworkConfig(layers=((1, 70000),), pixel_count=1)
+        period = 2**24 + 2
+        NetworkConfig(layers=((1, 1),), pixel_count=1, period=period)
+        trace = gamma.GammaTrace(
+            period, [period, 1, 1], [False, True, True], [[2**24 + 1], [0], [0]]
+        )
+        summary = RunSummary(trace, [[0], [65541], [40000]], epochs=1, images=3)
+        path = tmp_path / "summary.npz"
+        save_summary_npz(summary, path)
+        loaded = load_summary_npz(path)
+        assert loaded.col_neurons.tolist() == [[0], [65541], [40000]]
+        assert loaded.trace.col_times.tolist() == [[2**24 + 1], [0], [0]]
+        assert loaded.trace.lengths.tolist() == [period, 1, 1]
+        assert loaded.trace.control.tolist() == [False, True, True]
+
+    def test_summary_npz_narrow_format_loads(self, tmp_path):
+        # Files written with int32/int8/float32/int16 members still load.
+        net = TnnNetwork(tiny_config())
+        net.train(tiny_dataset(), epochs=2)
+        summary = net.infer(tiny_dataset())
+        path = tmp_path / "summary.npz"
+        self._write_summary_members(summary, path)
+        loaded = load_summary_npz(path)
+        for field in ("lengths", "control", "col_times"):
+            assert np.array_equal(getattr(loaded.trace, field), getattr(summary.trace, field))
+        assert np.array_equal(loaded.col_neurons, summary.col_neurons)
+
     def test_weights_npz_round_trip(self, tmp_path):
         ds = tiny_dataset()
         net = TnnNetwork(tiny_config())
@@ -405,6 +561,103 @@ class TestSummaryArtifacts:
         np.savez_compressed(path, layer0=layer)
         before = net.weights[0].copy()
         with pytest.raises(ValueError, match=message):
+            load_weights_npz(net, path)
+        assert np.array_equal(net.weights[0], before)
+
+    def test_weights_file_records_config(self, tmp_path):
+        net = TnnNetwork(tiny_config(encoder=PosNeg(100), mode=Mode.FIXED))
+        path = tmp_path / "weights.npz"
+        save_weights_npz(net, path)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["config", "layer0"]
+            assert json.loads(str(data["config"])) == net.config.to_mapping()
+
+    @pytest.mark.parametrize(
+        "key, over, trained, ours",
+        [
+            ("layers", dict(layers=((3, 4), (2, 2)), threshold=(8, 2)), "3x4", "3x4,2x2"),
+            ("period", dict(period=9), "16", "9"),
+            ("threshold", dict(threshold=9), "8", "9"),
+            ("encoder", dict(encoder=Linear(period=16)), "posneg", "linear"),
+            ("pixel_threshold", dict(encoder=PosNeg(100)), "127", "100"),
+            ("w_max", dict(stdp_params=StdpParams(w_max=9)), "7", "9"),
+        ],
+    )
+    def test_weights_trained_under_other_config_rejected(
+        self, tmp_path, key, over, trained, ours
+    ):
+        path = tmp_path / "weights.npz"
+        save_weights_npz(TnnNetwork(tiny_config()), path)
+        net = TnnNetwork(tiny_config(seed=4, **over))
+        before = [w.copy() for w in net.weights]
+        with pytest.raises(ValueError) as err:
+            load_weights_npz(net, path)
+        assert str(err.value) == (
+            f"weights were trained with {key} = {trained}, the config has {key} = {ours}"
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights, before))
+
+    def test_weights_load_under_other_run_settings(self, tmp_path):
+        # Seed, mode and learning steps may differ: relaxed-cycle savings
+        # are measured by running the same weights under both modes.
+        trained = TnnNetwork(tiny_config())
+        trained.train(tiny_dataset(), epochs=1)
+        path = tmp_path / "weights.npz"
+        save_weights_npz(trained, path)
+        steps = StdpParams(u_capture=5, u_backoff=6, u_search=3, u_quiet=0)
+        net = TnnNetwork(tiny_config(seed=9, mode=Mode.FIXED, stdp_params=steps))
+        load_weights_npz(net, path)
+        assert np.array_equal(net.weights[0], trained.weights[0])
+
+    def test_weights_missing_layer_rejected(self, tmp_path):
+        net = TnnNetwork(tiny_config(layers=((3, 4), (2, 2)), threshold=(8, 2)))
+        path = tmp_path / "weights.npz"
+        np.savez_compressed(path, layer1=net.weights[1])
+        want = "holds layer1, a 2-layer network needs layer0, layer1"
+        with pytest.raises(ValueError, match=want):
+            load_weights_npz(net, path)
+
+    def test_weights_without_config_load(self, tmp_path):
+        trained = TnnNetwork(tiny_config())
+        path = tmp_path / "weights.npz"
+        np.savez_compressed(path, layer0=trained.weights[0])
+        net = TnnNetwork(tiny_config(seed=9, threshold=9))
+        load_weights_npz(net, path)
+        assert np.array_equal(net.weights[0], trained.weights[0])
+
+    @pytest.mark.parametrize("text", ["not json", "[1, 2]"])
+    def test_weights_malformed_config_rejected(self, tmp_path, text):
+        net = TnnNetwork(tiny_config())
+        path = tmp_path / "weights.npz"
+        np.savez_compressed(path, config=np.array(text), layer0=net.weights[0])
+        with pytest.raises(ValueError, match="config is not a JSON object"):
+            load_weights_npz(net, path)
+
+    def test_weights_load_all_or_nothing(self, tmp_path):
+        cfg = tiny_config(layers=((3, 4), (2, 2)), threshold=(8, 2))
+        net = TnnNetwork(cfg)
+        donor = TnnNetwork(tiny_config(layers=cfg.layers, threshold=cfg.threshold, seed=9))
+        bad = donor.weights[1].copy()
+        bad[0, 0, 0] = 100
+        path = tmp_path / "weights.npz"
+        np.savez_compressed(path, layer0=donor.weights[0], layer1=bad)
+        before = [w.copy() for w in net.weights]
+        with pytest.raises(ValueError, match="layer1 holds weight 100"):
+            load_weights_npz(net, path)
+        assert not np.array_equal(donor.weights[0], before[0])
+        assert all(np.array_equal(a, b) for a, b in zip(net.weights, before))
+
+    def test_weights_deeper_than_network_rejected(self, tmp_path):
+        deep = TnnNetwork(tiny_config(layers=((3, 4), (2, 2)), threshold=(8, 2)))
+        net = TnnNetwork(tiny_config(seed=9))
+        before = net.weights[0].copy()
+        path = tmp_path / "weights.npz"
+        save_weights_npz(deep, path)
+        with pytest.raises(ValueError, match="layers = 3x4,2x2"):
+            load_weights_npz(net, path)
+        np.savez_compressed(path, layer0=deep.weights[0], layer1=deep.weights[1])
+        want = "holds layer0, layer1, a 1-layer network needs layer0$"
+        with pytest.raises(ValueError, match=want):
             load_weights_npz(net, path)
         assert np.array_equal(net.weights[0], before)
 
