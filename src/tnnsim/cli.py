@@ -96,6 +96,8 @@ def _load_dataset(
             labels = dataio.read_idx_labels(f)
         dataset = dataio.attach_labels(dataset, labels)
     limit = _config_int(cfg, "limit", 0)
+    if limit < 0:
+        raise ConfigError(f"key 'limit': {limit} is negative (0 keeps every image)")
     if limit > 0:
         labels = None if dataset.labels is None else dataset.labels[:limit]
         dataset = dataio.LabeledDataset(

@@ -139,6 +139,8 @@ class NetworkConfig:
             raise ValueError(f"pixel_count must be >= 1, got {self.pixel_count}")
         if self.period < 1:
             raise ValueError(f"period must be >= 1, got {self.period}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         th = self.thresholds
         if len(th) != len(self.layers):
             raise ValueError(
@@ -262,13 +264,9 @@ class TnnNetwork:
         x = np.asarray(volley, dtype=float)
         layers = []  # (input volley, winner neurons, winner times) per layer
         for k, w in enumerate(self.weights):
-            cols, neurons, lines = w.shape
-            times = layer_spike_times(
-                planes[k], x, cfg.period, cfg.thresholds[k], lines
-            ).reshape(cols, neurons)
-            idx = np.argmin(times, axis=1)
-            win_t = times[np.arange(cols), idx]
-            layers.append((x, np.where(np.isfinite(win_t), idx, -1), win_t))
+            cols, _, lines = w.shape
+            idx, win_t = layer_spike_times(planes[k], x, cfg.period, cfg.thresholds[k], lines, cols)
+            layers.append((x, idx, win_t))
             x = win_t
 
         result = gamma.run_cycle(x.tolist(), cfg.period, relaxed=cfg.mode is Mode.RELAXED)

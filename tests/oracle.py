@@ -5,8 +5,11 @@ Tests compare the array kernels (``neuron.layer_spike_times``,
 (``metrics.spike_histogram``, ``purity``, ``cycle_savings``) and the
 closed-form ``gamma.run_cycle`` against these plain per-element
 restatements of the same rules; gamma control is clocked one step at a time.
-``cumsum_spike_times`` is the one array reference: the spike-time kernel
-that preceded the bit-plane kernel, on unpacked weights. Volleys here are plain sequences of spike times, ``INF`` for no spike.
+The array references are per-neuron spike-time kernels: ``cumsum_spike_times``
+on unpacked weights, and ``plane_spike_times`` on bit-planes, which makes
+every arrival step's pass and never stops early; ``column_argmin`` reduces
+either to the column winners the production kernel returns. Volleys here
+are plain sequences of spike times, ``INF`` for no spike.
 """
 
 from __future__ import annotations
@@ -133,6 +136,53 @@ def cumsum_spike_times(
     fired = reached.any(axis=1)
     out[fired] = np.argmax(reached[fired], axis=1)
     return out
+
+
+def _pack_words(bits: np.ndarray) -> np.ndarray:
+    """Pack the last axis of a bool array into ``uint64`` words, line ``i``
+    at bit ``i % 64`` of word ``i // 64``."""
+    lines = bits.shape[-1]
+    padded = np.zeros(bits.shape[:-1] + (64 * -(-lines // 64),), dtype=bool)
+    padded[..., :lines] = bits
+    return np.packbits(padded, axis=-1, bitorder="little").view(np.uint64)
+
+
+def plane_spike_times(
+    planes: np.ndarray, times: Sequence[SpikeTime], period: int, threshold, lines: int
+) -> np.ndarray:
+    """Spike times of a bank from its ``(neurons, depth, words)`` bit-planes.
+
+    The per-neuron bit-plane kernel: for every distinct arrival step, one
+    popcount of each plane ANDed with the mask of the lines arriving then
+    gives the ramp units that start at each step, and the potential is
+    their running sum.
+    """
+    n_neurons, depth, words = planes.shape
+    t_arr = np.asarray(times, dtype=float)
+    if -(-lines // 64) != words or t_arr.shape[0] != lines:
+        raise ValueError(f"volley of {t_arr.shape[0]} lines does not fit {words} words")
+    out = np.full(n_neurons, np.inf)
+    steps = np.unique(t_arr[t_arr < period]).astype(np.int64)
+    if steps.size == 0:
+        return out
+    onsets = np.zeros((n_neurons, period + depth), dtype=np.int64)
+    for s, mask in zip(steps.tolist(), _pack_words(t_arr[None, :] == steps[:, None])):
+        onsets[:, s : s + depth] += np.bitwise_count(planes & mask).sum(axis=2, dtype=np.int64)
+    potential = np.cumsum(onsets[:, :period], axis=1)
+    reached = potential >= np.asarray(threshold).reshape(-1, 1)
+    fired = reached.any(axis=1)
+    out[fired] = np.argmax(reached[fired], axis=1)
+    return out
+
+
+def column_argmin(spike_times: np.ndarray, cols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-neuron spike times reduced to each column's (winner neuron,
+    winner time): the earliest, ties to the lowest index, -1/inf where
+    every neuron of the column is silent."""
+    by_col = np.asarray(spike_times, dtype=float).reshape(cols, -1)
+    idx = by_col.argmin(axis=1)
+    win = by_col[np.arange(cols), idx]
+    return np.where(np.isinf(win), -1, idx), win
 
 
 @dataclass

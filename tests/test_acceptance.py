@@ -14,7 +14,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracle import GeneratorState, clocked_cycle, controller_observe, make_controller
+from oracle import (
+    GeneratorState,
+    clocked_cycle,
+    column_argmin,
+    controller_observe,
+    make_controller,
+)
 from tnnsim import costmodel, metrics, synth
 from tnnsim.cli import main as cli_main
 from tnnsim.encode import INF, PosNeg, encode_image
@@ -170,21 +176,23 @@ def _brute_force_spike_time(weights_hu, times, period, threshold):
 
 def test_criterion_05_rnl_oracle_equivalence():
     with criterion(5, "ramp-neuron oracle equivalence"):
+        # Random layers of 1-3 columns of 1-3 neurons: the column kernel's
+        # winners against the brute force reduced by argmin.
         rng = np.random.default_rng(42)
         mismatches = 0
         for _ in range(10000):
-            lines = int(rng.integers(1, 9))
-            weights = rng.integers(0, 15, size=lines).tolist()
+            cols, per, lines = (int(v) for v in rng.integers(1, (4, 4, 9)))
+            weights = rng.integers(0, 15, size=(cols * per, lines))
             times = [
                 INF if rng.random() < 0.3 else int(rng.integers(0, 16))
                 for _ in range(lines)
             ]
             threshold = int(rng.integers(1, 60))
-            planes = weight_planes(np.array([weights]), 7)
-            t = layer_spike_times(planes, times, 16, threshold, lines)[0]
-            got = INF if np.isinf(t) else int(t)
-            want = _brute_force_spike_time(weights, times, 16, threshold)
-            if got != want:
+            planes = weight_planes(weights, 7)
+            idx, win = layer_spike_times(planes, times, 16, threshold, lines, cols)
+            spikes = [_brute_force_spike_time(row, times, 16, threshold) for row in weights.tolist()]
+            want_idx, want_win = column_argmin(spikes, cols)
+            if not (np.array_equal(idx, want_idx) and np.array_equal(win, want_win)):
                 mismatches += 1
         assert mismatches == 0
 

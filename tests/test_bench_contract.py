@@ -42,14 +42,18 @@ def test_spans_cover_a_two_layer_run(tmp_path, monkeypatch):
         encoder=Linear(period=16),
     )
     net = network.TnnNetwork(cfg)
-    # Each kernel call's volley, by layer, recorded under the tracer's
-    # wrapper; presentations call layer 0 then layer 1.
-    volleys = ([], [])
+    # Each kernel call's live input lines and answering columns, by layer,
+    # recorded under the tracer's wrapper; presentations call layer 0 then
+    # layer 1.
+    volleys, answered = ([], []), ([], [])
     kernel = network.layer_spike_times
 
-    def record(planes, times, period, threshold, lines):
-        volleys[sum(map(len, volleys)) % 2].append(np.isfinite(times))
-        return kernel(planes, times, period, threshold, lines)
+    def record(planes, times, period, threshold, lines, cols):
+        idx, win_t = kernel(planes, times, period, threshold, lines, cols)
+        k = sum(map(len, volleys)) % 2
+        volleys[k].append(np.isfinite(times))
+        answered[k].append(idx != -1)
+        return idx, win_t
 
     monkeypatch.setattr(network, "layer_spike_times", record)
     tracer = load_spans().Tracer()
@@ -86,10 +90,13 @@ def test_spans_cover_a_two_layer_run(tmp_path, monkeypatch):
     for k, (cols, neurons) in enumerate(cfg.layers):
         finite = sum(int(v.sum()) for v in volleys[k])
         assert out[f"neuron.L{k}.synapse_evals"] == cols * neurons * finite
-    won = {0: np.array(volleys[1][: 2 * len(ds)]), 1: trained.col_neurons >= 0}
+    # Training presentations come first; STDP rewrites a winner's row, or
+    # every row of a silent column.
     for k, (cols, neurons) in enumerate(cfg.layers):
-        assert won[k].shape == (2 * len(ds), cols)
-        assert out[f"stdp.L{k}.rows_needed"] == won[k].sum() + (~won[k]).sum() * neurons
+        won = np.array(answered[k][: 2 * len(ds)])
+        assert won.shape == (2 * len(ds), cols)
+        assert out[f"stdp.L{k}.rows_needed"] == won.sum() + (~won).sum() * neurons
+    assert np.array_equal(np.array(answered[1][: 2 * len(ds)]), trained.col_neurons >= 0)
     assert out["gamma.sim_steps"] == (
         trained.total_clock_cycles + inferred.total_clock_cycles
     )

@@ -304,12 +304,18 @@ class TestVerifyGammaCommand:
         assert captured.err.startswith("error: ") and message in captured.err
 
     def test_module_entry_point(self):
+        import os
+        import pathlib
         import subprocess
 
+        # The child imports the package the suite imported, installed or not.
+        src = str(pathlib.Path(tnnsim.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "tnnsim.cli", "verify-gamma"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         assert proc.returncode == 0
         assert "3/3 scenarios passed" in proc.stdout
@@ -547,6 +553,21 @@ class TestTrainInferReport:
         rc = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 0
         assert "trained 2 images" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, value", [("limit", -5), ("limit", -1), ("seed", -1)])
+    def test_negative_count_exits_one(self, data_dir, tmp_path, capsys, key, value):
+        cfg = write_config(
+            tmp_path / "run.cfg",
+            images=data_dir / "imgs.idx",
+            layers="2x2",
+            threshold=10,
+            **{key: value},
+        )
+        rc = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert not (tmp_path / "o").exists()
 
     def test_infer_requires_weights_flag(self, cfg_path, tmp_path, capsys):
         rc = run_cli(["infer", "--config", str(cfg_path), "--out", str(tmp_path / "o")])

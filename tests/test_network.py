@@ -92,8 +92,9 @@ class TestConfig:
 
     def test_kernel_working_set_bounded(self):
         # Layer 1 has 4 lines (one word), period 16 and depth min(7, 16):
-        # each neuron needs 17 * 7 + 8 * (16 + 7) = 303 bytes.
-        most = KERNEL_BYTES_LIMIT // 303
+        # each neuron needs 17 * 7 + 8 * 7 + 9 * 16 + 32 = 351 bytes, on top
+        # of 4 * (4 + 16) + 32 * 4 + 8 * 16 + 2**17 = 131408 for the volley.
+        most = (KERNEL_BYTES_LIMIT - 131408) // 351
         NetworkConfig(layers=((4, 2), (1, most)), pixel_count=9, threshold=5)
         with pytest.raises(ValueError, match="layer 1 .* 1024 MiB"):
             NetworkConfig(layers=((4, 2), (1, most + 1)), pixel_count=9, threshold=5)
@@ -304,6 +305,13 @@ class TestConfigCodec:
         with pytest.raises(ValueError, match="^pixel_threshold must be in 0..255, got 300"):
             NetworkConfig.from_mapping({"layers": "2x2", "pixel_threshold": "300"}, 4)
 
+    def test_negative_seed_names_key(self):
+        # It parses, so the config's own check rejects it, before any
+        # generator is seeded.
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
+            NetworkConfig.from_mapping({"layers": "2x2", "seed": "-1"}, 4)
+        assert NetworkConfig.from_mapping({"layers": "2x2", "seed": "0"}, 4).seed == 0
+
     MALFORMED = {
         "layers": "3by4",
         "period": "sixteen",
@@ -365,13 +373,12 @@ class TestPlanesFollowWeights:
         silent, fired, checked = [0, 0], [0, 0], []
         kernel, cycle = network.layer_spike_times, TnnNetwork.run_gamma_cycle
 
-        def count_columns(planes, x, period, threshold, lines):
-            times = kernel(planes, x, period, threshold, lines)
+        def count_columns(planes, x, period, threshold, lines, cols):
+            idx, win_t = kernel(planes, x, period, threshold, lines, cols)
             k = banks.index(planes.shape[0])
-            dead = np.isinf(times.reshape(net.weights[k].shape[:2])).all(axis=1)
-            silent[k] += int(dead.sum())
-            fired[k] += int((~dead).sum())
-            return times
+            silent[k] += int((idx == -1).sum())
+            fired[k] += int((idx != -1).sum())
+            return idx, win_t
 
         def check_planes(tnn, volley, planes, learn):
             out = cycle(tnn, volley, planes, learn)
