@@ -142,7 +142,7 @@ def _cmd_cost_sweep(args) -> int:
         pixels_per_image=args.pixels,
     )
     values = [float(v) for v in args.values.split(",") if v.strip()]
-    points = costmodel.sweep(args.axis, values, base, costmodel.REFERENCE_UNIT)
+    points = costmodel.sweep(args.axis, values, base)
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w") as f:

@@ -16,12 +16,18 @@ A consequence worth knowing: for any comparator count that exactly divides
 the pixel count, ``count * cycles`` is the same number, so per-image energy
 is identical across all divisor-sized banks at a given frequency. Non
 divisor counts waste slots and always cost strictly more.
+
+Every price comes from one fixed comparator cell, synthesized at a 1 GHz
+nominal clock: 1.33 area units per comparator, 546.3058 nW dynamic power at
+that clock, 35.7914 nW leakage and a 0.04 ns critical path, so clocks above
+25 GHz are rejected. The cell is not configurable; only the bank's width,
+clock and image size are.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence, TextIO
 
 
@@ -46,30 +52,12 @@ class ComparatorBankConfig:
             raise ValueError(f"pixels_per_image must be >= 1, got {self.pixels_per_image}")
 
 
-@dataclass(frozen=True)
-class UnitCostParams:
-    """Per-comparator cost figures for one cell implementation."""
-
-    area_per_comparator: float
-    dynamic_power_at_nominal: float
-    leakage_power: float
-    nominal_clock_period: float
-    critical_path: float
-
-    def __post_init__(self):
-        for f in fields(self):
-            if getattr(self, f.name) <= 0:
-                raise ValueError(f"{f.name} must be strictly positive")
-
-
-# Unit comparator synthesized at a 1 GHz nominal clock.
-REFERENCE_UNIT = UnitCostParams(
-    area_per_comparator=1.33,
-    dynamic_power_at_nominal=546.3058e-9,
-    leakage_power=35.7914e-9,
-    nominal_clock_period=1e-9,
-    critical_path=0.04e-9,
-)
+# The comparator cell, synthesized at a 1 GHz nominal clock.
+AREA_PER_COMPARATOR = 1.33
+DYNAMIC_POWER_AT_NOMINAL = 546.3058e-9
+LEAKAGE_POWER = 35.7914e-9
+NOMINAL_CLOCK_PERIOD = 1e-9
+CRITICAL_PATH = 0.04e-9
 
 
 @dataclass(frozen=True)
@@ -84,38 +72,29 @@ class CostReport:
     wasted_comparator_cycles: int
 
 
-def cycles_required(pixels: int, comparators: int) -> int:
-    """Clock cycles to sample every pixel with a bank of the given width."""
-    if comparators < 1:
-        raise ValueError(f"comparators must be >= 1, got {comparators}")
-    if pixels < 1:
-        raise ValueError(f"pixels must be >= 1, got {pixels}")
-    return -(-pixels // comparators)
-
-
-def cost_report(cfg: ComparatorBankConfig, unit: UnitCostParams) -> CostReport:
+def cost_report(cfg: ComparatorBankConfig) -> CostReport:
     """Price one image through the bank.
 
     Raises ``TimingViolationError`` when the requested clock period is
     shorter than the comparator critical path.
     """
     period = 1.0 / cfg.clock_frequency
-    if period < unit.critical_path:
+    if period < CRITICAL_PATH:
         raise TimingViolationError(
-            f"clock period {period:.3e} s below critical path {unit.critical_path:.3e} s"
+            f"clock period {period:.3e} s below critical path {CRITICAL_PATH:.3e} s"
         )
-    cycles = cycles_required(cfg.pixels_per_image, cfg.comparator_count)
+    cycles = -(-cfg.pixels_per_image // cfg.comparator_count)
     # Comparator-cycle slots as an exact integer first, so divisor-sized
     # banks produce bitwise identical energies.
     slots = cfg.comparator_count * cycles
     processing_time = cycles * period
-    dynamic_energy = slots * unit.dynamic_power_at_nominal * unit.nominal_clock_period
-    leakage_energy = slots * unit.leakage_power * period
+    dynamic_energy = slots * DYNAMIC_POWER_AT_NOMINAL * NOMINAL_CLOCK_PERIOD
+    leakage_energy = slots * LEAKAGE_POWER * period
     total_energy = dynamic_energy + leakage_energy
     return CostReport(
         cycles=cycles,
         processing_time=processing_time,
-        area=cfg.comparator_count * unit.area_per_comparator,
+        area=cfg.comparator_count * AREA_PER_COMPARATOR,
         dynamic_energy=dynamic_energy,
         leakage_energy=leakage_energy,
         total_energy=total_energy,
@@ -124,7 +103,13 @@ def cost_report(cfg: ComparatorBankConfig, unit: UnitCostParams) -> CostReport:
     )
 
 
-SWEEP_AXES = ("comparator_count", "frequency", "image_size")
+# Each sweep axis: the config field it sets and that field's type.
+_AXES = {
+    "comparator_count": ("comparator_count", int),
+    "frequency": ("clock_frequency", float),
+    "image_size": ("pixels_per_image", int),
+}
+SWEEP_AXES = tuple(_AXES)
 
 
 @dataclass(frozen=True)
@@ -136,22 +121,7 @@ class SweepPoint:
     error: Optional[str]
 
 
-def _with_axis(base: ComparatorBankConfig, axis: str, value: float) -> ComparatorBankConfig:
-    if axis == "comparator_count":
-        return ComparatorBankConfig(int(value), base.clock_frequency, base.pixels_per_image)
-    if axis == "frequency":
-        return ComparatorBankConfig(base.comparator_count, float(value), base.pixels_per_image)
-    if axis == "image_size":
-        return ComparatorBankConfig(base.comparator_count, base.clock_frequency, int(value))
-    raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-
-
-def sweep(
-    axis: str,
-    values: Sequence[float],
-    base: ComparatorBankConfig,
-    unit: UnitCostParams,
-) -> list[SweepPoint]:
+def sweep(axis: str, values: Sequence[float], base: ComparatorBankConfig) -> list[SweepPoint]:
     """Evaluate the cost model along one axis, keeping input order.
 
     Every value must be positive and finite, and whole on the count axes
@@ -159,19 +129,20 @@ def sweep(
     before any point is priced. Config or timing errors at a point are
     captured in that row instead of aborting the rest of the sweep.
     """
-    if axis not in SWEEP_AXES:
+    if axis not in _AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    field, cast = _AXES[axis]
     if len(values) == 0:
         raise ValueError("sweep needs at least one value")
     for v in values:
         if not (math.isfinite(v) and v > 0):
             raise ValueError(f"sweep values must be positive and finite, got {v}")
-        if axis != "frequency" and v != int(v):
+        if cast is int and v != int(v):
             raise ValueError(f"{axis} values must be whole numbers, got {v}")
     points = []
     for v in values:
         try:
-            report = cost_report(_with_axis(base, axis, v), unit)
+            report = cost_report(replace(base, **{field: cast(v)}))
             points.append(SweepPoint(value=v, report=report, error=None))
         except ValueError as exc:
             points.append(SweepPoint(value=v, report=None, error=str(exc)))

@@ -21,6 +21,9 @@ from __future__ import annotations
 
 import enum
 import json
+import tokenize
+import zipfile
+import zlib
 from dataclasses import dataclass, fields
 from typing import Mapping, TextIO, Union
 
@@ -346,18 +349,49 @@ def save_summary_npz(summary: RunSummary, path) -> None:
     )
 
 
+# What zipfile, zlib and numpy's ``.npy`` header parser raise on damaged
+# archive bytes: RuntimeError also covers an unsupported compression method
+# or a set encryption flag, TokenError a garbled array header.
+_ARCHIVE_ERRORS = (
+    OSError, EOFError, ValueError, RuntimeError, zipfile.BadZipFile, zlib.error,
+    tokenize.TokenError,
+)
+
+
+def _read_npz(path) -> dict[str, np.ndarray]:
+    """Every member of the ``.npz`` archive at ``path``, each read once.
+
+    A file that is not an intact archive raises ``ValueError`` naming it,
+    whether the fault shows on opening it or on reading a member; a file
+    that cannot be opened at all stays an ``OSError``.
+    """
+    with open(path, "rb") as f:
+        # The zip signatures ``np.load`` itself tells archives apart by.
+        if f.read(4) not in (b"PK\x03\x04", b"PK\x05\x06"):
+            raise ValueError(f"{path} is not an .npz archive")
+        f.seek(0)
+        try:
+            with np.load(f) as data:
+                return {key: data[key] for key in data.files}
+        except _ARCHIVE_ERRORS as exc:
+            raise ValueError(f"{path} is a damaged .npz archive: {exc}") from None
+
+
 def load_summary_npz(path) -> RunSummary:
-    """Rebuild a run record; missing or malformed members raise ``ValueError``."""
-    # Each member is read once: every ``data[key]`` lookup decompresses the
-    # whole member again.
-    with np.load(path) as data:
-        members = ("lengths", "causes", "col_times", "col_neurons", "meta")
-        missing = [k for k in members if k not in data]
-        if missing:
-            raise ValueError(f"summary file missing {', '.join(missing)}")
-        period, _, epochs, images = (int(v) for v in data["meta"])
-        trace = gamma.GammaTrace(period, data["lengths"], data["causes"], data["col_times"])
-        return RunSummary(trace, data["col_neurons"], epochs, images)
+    """Rebuild a run record; a damaged file or missing or malformed members
+    raise ``ValueError``."""
+    data = _read_npz(path)
+    members = ("lengths", "causes", "col_times", "col_neurons", "meta")
+    missing = [k for k in members if k not in data]
+    if missing:
+        raise ValueError(f"summary file {path} missing {', '.join(missing)}")
+    if data["meta"].shape != (4,):
+        raise ValueError(
+            f"{path}: member 'meta' holds shape {data['meta'].shape}, a summary needs 4 values"
+        )
+    period, _, epochs, images = (int(v) for v in data["meta"])
+    trace = gamma.GammaTrace(period, data["lengths"], data["causes"], data["col_times"])
+    return RunSummary(trace, data["col_neurons"], epochs, images)
 
 
 def save_weights_npz(net: TnnNetwork, path) -> None:
@@ -397,16 +431,16 @@ def load_weights_npz(net: TnnNetwork, path) -> None:
     """
     cap = net.config.stdp_params.half_unit_cap
     want = [f"layer{k}" for k in range(len(net.weights))]
-    with np.load(path) as data:
-        if "config" in data.files:
-            _check_trained_config(str(data["config"]), net.config)
-        held = sorted(set(data.files) - {"config"})
-        if held != sorted(want):
-            raise ValueError(
-                f"weight file holds {', '.join(held) or 'no layers'}, a "
-                f"{len(want)}-layer network needs {', '.join(want)}"
-            )
-        layers = [data[key] for key in want]
+    data = _read_npz(path)
+    if "config" in data:
+        _check_trained_config(str(data["config"]), net.config)
+    held = sorted(set(data) - {"config"})
+    if held != sorted(want):
+        raise ValueError(
+            f"weight file {path} holds {', '.join(held) or 'no layers'}, a "
+            f"{len(want)}-layer network needs {', '.join(want)}"
+        )
+    layers = [data[key] for key in want]
     for key, arr, current in zip(want, layers, net.weights):
         if arr.shape != current.shape:
             raise ValueError(f"{key} shape {arr.shape} does not match network {current.shape}")

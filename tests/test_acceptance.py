@@ -103,30 +103,27 @@ def test_criterion_01_posneg_golden_encoding():
 
 def test_criterion_02_pipeline_arithmetic():
     with criterion(2, "comparator pipeline arithmetic"):
-        unit = costmodel.REFERENCE_UNIT
         cfg49 = costmodel.ComparatorBankConfig(
             comparator_count=49, clock_frequency=1e9, pixels_per_image=784
         )
-        rep49 = costmodel.cost_report(cfg49, unit)
+        rep49 = costmodel.cost_report(cfg49)
         assert rep49.cycles == 16
         assert rep49.processing_time == 16e-9
         cfg1 = costmodel.ComparatorBankConfig(
             comparator_count=1, clock_frequency=1e9, pixels_per_image=784
         )
-        rep1 = costmodel.cost_report(cfg1, unit)
+        rep1 = costmodel.cost_report(cfg1)
         assert rep1.cycles == 784
         assert rep1.processing_time == 784e-9
 
 
 def test_criterion_03_divisor_energy_invariance():
     with criterion(3, "divisor energy invariance"):
-        unit = costmodel.REFERENCE_UNIT
-
         def energy(count):
             cfg = costmodel.ComparatorBankConfig(
                 comparator_count=count, clock_frequency=1e9, pixels_per_image=784
             )
-            return costmodel.cost_report(cfg, unit).total_energy
+            return costmodel.cost_report(cfg).total_energy
 
         reference = energy(784)
         for count in (1, 2, 4, 8, 16, 49, 196, 784):

@@ -1,7 +1,9 @@
 """CLI integration: subcommands, config handling, exit codes, artifacts."""
 
+import pathlib
 import struct
 import sys
+import zipfile
 
 import numpy as np
 import pytest
@@ -10,6 +12,16 @@ import tnnsim.gamma
 from tnnsim import dataio
 from tnnsim.cli import ConfigError, main, parse_config
 from tnnsim.encode import INF
+
+DATA = pathlib.Path(__file__).parent / "data"
+
+# The sweeps behind the golden cost-sweep files; tests/data/make_golden.py
+# runs the same ones.
+GOLDEN_SWEEPS = {
+    "comparator_count": "1,2,4,8,16,49,100,196,250,784",
+    "frequency": "1e8,1e9,1.5e9,5e9,2.5e10,3e10",
+    "image_size": "49,784,2160,1000",
+}
 
 
 def run_cli(argv):
@@ -52,6 +64,47 @@ def data_dir(tmp_path):
     )
     make_labels(d / "labs.idx", [0, 1, 2, 0])
     return d
+
+
+def truncate_to(size):
+    def damage(path):
+        path.write_bytes(path.read_bytes()[:size])
+
+    return damage
+
+
+def flip_member_byte(path):
+    """Flip one byte in the middle of the archive's first member's data."""
+    raw = bytearray(path.read_bytes())
+    info = zipfile.ZipFile(path).infolist()[0]
+    name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+    raw[info.header_offset + 30 + name_len + extra_len + info.compress_size // 2] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def replace_with_npy(path):
+    with open(path, "wb") as f:
+        np.save(f, np.arange(3))
+
+
+def short_meta(path):
+    with np.load(path) as data:
+        members = dict(data)
+    members["meta"] = members["meta"][:3]
+    np.savez_compressed(path, **members)
+
+
+# Ways an artifact can be damaged or not be an .npz archive at all; the
+# last applies to summaries only.
+ARCHIVE_DAMAGE = {
+    "cut-200": truncate_to(200),
+    "cut-300": truncate_to(300),
+    "flipped-member-byte": flip_member_byte,
+    "npy": replace_with_npy,
+    "empty": lambda path: path.write_bytes(b""),
+    "text": lambda path: path.write_text("layer0 = 1\n"),
+    "short-meta": short_meta,
+}
 
 
 def write_config(path, **keys):
@@ -248,6 +301,19 @@ class TestCostSweepCommand:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("axis", sorted(GOLDEN_SWEEPS))
+    def test_matches_golden_sweep(self, tmp_path, capsys, axis):
+        # Every float of the cost model, byte for byte, against files that
+        # tests/data/make_golden.py wrote.
+        out = tmp_path / "sweep.csv"
+        rc = run_cli(
+            ["cost-sweep", "--axis", axis, "--values", GOLDEN_SWEEPS[axis], "--out", str(out)]
+        )
+        assert rc == 0
+        golden = DATA / f"cost_sweep_{axis}.csv"
+        assert out.read_bytes() == golden.read_bytes()
+        assert capsys.readouterr().err == golden.with_suffix(".err").read_text()
+
     def test_unknown_axis_exits_one(self, tmp_path, capsys):
         rc = run_cli(
             [
@@ -421,6 +487,36 @@ class TestTrainInferReport:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and member in err
+
+    @pytest.mark.parametrize(
+        "command, damage",
+        [
+            (c, d)
+            for c in ("infer", "report")
+            for d in ARCHIVE_DAMAGE
+            if (c, d) != ("infer", "short-meta")
+        ],
+    )
+    def test_damaged_archive_exits_one(self, cfg_path, tmp_path, capsys, command, damage):
+        train_out = tmp_path / "t"
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(train_out)]) == 0
+        capsys.readouterr()
+        if command == "infer":
+            path = train_out / "weights.npz"
+            flags = ["--config", str(cfg_path), "--weights", str(path)]
+        else:
+            path = train_out / "summary.npz"
+            flags = ["--summary", str(path)]
+        ARCHIVE_DAMAGE[damage](path)
+        rc = run_cli([command, *flags, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and str(path) in line
+        if damage == "short-meta":
+            assert "'meta'" in line
+        assert not (tmp_path / "o").exists()
 
     def test_infer_rejects_out_of_range_weights(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "t"

@@ -1,9 +1,17 @@
-"""The README's config reference agrees with the one copy of the defaults."""
+"""The README agrees with the code it describes: the config reference with
+the one copy of the defaults, and the kernel memory bound with
+``neuron.kernel_bytes``."""
 
+import math
 import pathlib
+import re
+
+import pytest
 
 from tnnsim import cli
 from tnnsim.network import CONFIG_KEYS, NetworkConfig
+from tnnsim.neuron import kernel_bytes
+from tnnsim.stdp import StdpParams
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +38,40 @@ def test_network_defaults_match_readme():
 
 def test_readme_lists_every_config_key():
     assert set(config_reference()) == cli._CONFIG_KEYS
+
+
+def readme_kernel_bound() -> tuple[str, str, str]:
+    """The README's backticked kernel bound and its ``depth`` and ``words``."""
+    text = " ".join(README.read_text().split())
+    found = re.search(
+        r"`neuron\.kernel_bytes`, is `([^`]+)` bytes, "
+        r"with `depth = ([^`]+)` and `words = ([^`]+)`",
+        text,
+    )
+    assert found, "README no longer states the kernel bound"
+    return found.groups()
+
+
+@pytest.mark.parametrize(
+    "neurons, lines, w_max, period",
+    [
+        (640, 1568, 7, 16),
+        (20000, 8, 2, 256),
+        (3, 200000, 7, 4096),
+        (30, 70000, 7, 1024),
+        (4, 3, 7, 4),  # depth capped by the period
+        (1, 1, 1, 2),
+    ],
+)
+def test_readme_kernel_bound_matches_code(neurons, lines, w_max, period):
+    bound, depth_expr, words_expr = readme_kernel_bound()
+    names = {"min": min, "ceil": math.ceil, "neurons": neurons, "lines": lines,
+             "w_max": w_max, "period": period}
+    names["depth"] = eval(depth_expr, {"__builtins__": {}}, names)
+    names["words"] = eval(words_expr, {"__builtins__": {}}, names)
+    config = NetworkConfig(
+        layers=((1, 1),), pixel_count=1, period=period, stdp_params=StdpParams(w_max=w_max)
+    )
+    assert names["depth"] == config.plane_depth
+    expected = kernel_bytes(neurons, lines, names["depth"], period)
+    assert eval(bound, {"__builtins__": {}}, names) == expected

@@ -1,5 +1,6 @@
 """End-to-end network behavior on small controlled datasets."""
 
+import functools
 import io
 import json
 
@@ -428,6 +429,28 @@ class TestSummaryArtifacts:
         write_summary_csv(summary, buf)
         for line in buf.getvalue().splitlines()[1:]:
             assert line.endswith(",,inf")
+
+    @pytest.mark.parametrize("artifact", ["summary", "weights"])
+    def test_every_byte_flip_loads_or_names_the_file(self, tmp_path, artifact):
+        # zipfile, zlib and numpy's header parser raise many exception types
+        # on damaged bytes; the loaders must turn each into a ValueError
+        # that names the file.
+        net = TnnNetwork(tiny_config())
+        path = tmp_path / "artifact.npz"
+        if artifact == "summary":
+            save_summary_npz(net.infer(tiny_dataset()), path)
+            load = load_summary_npz
+        else:
+            save_weights_npz(net, path)
+            load = functools.partial(load_weights_npz, net)
+        raw = path.read_bytes()
+        flipped = tmp_path / "flipped.npz"
+        for i in range(len(raw)):
+            flipped.write_bytes(raw[:i] + bytes([raw[i] ^ 0xFF]) + raw[i + 1 :])
+            try:
+                load(flipped)
+            except ValueError as exc:
+                assert str(flipped) in str(exc)
 
     def test_summary_npz_round_trip(self, tmp_path):
         ds = tiny_dataset()
