@@ -53,7 +53,9 @@ class PosNeg:
 
 
 @dataclass(frozen=True)
-class Linear:
+class _Graded:
+    """A graded code: brighter pixels spike earlier inside the period."""
+
     period: int = 16
 
     def __post_init__(self):
@@ -61,13 +63,12 @@ class Linear:
             raise ValueError(f"period must be >= 2, got {self.period}")
 
 
-@dataclass(frozen=True)
-class Log:
-    period: int = 16
+class Linear(_Graded):
+    """Intensity quantized to ``period`` levels, spike time linear in level."""
 
-    def __post_init__(self):
-        if self.period < 2:
-            raise ValueError(f"period must be >= 2, got {self.period}")
+
+class Log(_Graded):
+    """Each halving of intensity delays the spike by ~1/8 of the period."""
 
 
 EncoderKind = Union[PosNeg, Linear, Log]

@@ -423,17 +423,18 @@ def _check_trained_config(text: str, config: NetworkConfig) -> None:
 def load_weights_npz(net: TnnNetwork, path) -> None:
     """Restore weights into an already-shaped network, all or nothing.
 
-    A file that records its ``config`` must agree with the network on
-    ``_WEIGHT_KEYS``; older files without one skip that check. Besides it
-    the file must hold exactly the network's ``layer{k}`` members, each of
-    the network's shape, integer and in ``0..half_unit_cap``. Anything else
-    raises ``ValueError`` before any weight is replaced.
+    The file must record its ``config``, which must agree with the network
+    on ``_WEIGHT_KEYS``. Besides it the file must hold exactly the network's
+    ``layer{k}`` members, each of the network's shape, integer and in
+    ``0..half_unit_cap``. Anything else raises ``ValueError`` before any
+    weight is replaced.
     """
     cap = net.config.stdp_params.half_unit_cap
     want = [f"layer{k}" for k in range(len(net.weights))]
     data = _read_npz(path)
-    if "config" in data:
-        _check_trained_config(str(data["config"]), net.config)
+    if "config" not in data:
+        raise ValueError(f"weight file {path} records no config")
+    _check_trained_config(str(data["config"]), net.config)
     held = sorted(set(data) - {"config"})
     if held != sorted(want):
         raise ValueError(

@@ -1,15 +1,18 @@
-"""Scalar reference model: one neuron, one column, one synapse at a time.
+"""Scalar reference model: one neuron, one synapse, one rule case at a time.
 
 Tests compare the array kernels (``neuron.layer_spike_times``,
 ``stdp.update_layer``, ``encode.encode_image``), the run metrics
 (``metrics.spike_histogram``, ``purity``, ``cycle_savings``) and the
 closed-form ``gamma.run_cycle`` against these plain per-element
 restatements of the same rules; gamma control is clocked one step at a time.
-The array references are per-neuron spike-time kernels: ``cumsum_spike_times``
-on unpacked weights, and ``plane_spike_times`` on bit-planes, which makes
-every arrival step's pass and never stops early; ``column_argmin`` reduces
-either to the column winners the production kernel returns. Volleys here
-are plain sequences of spike times, ``INF`` for no spike.
+A neuron's spike time has two scalar references: ``neuron_spike_time``
+through the ramp algebra, and ``brute_force_spike_time``, which tabulates
+the potential step by step. The array references are per-neuron spike-time
+kernels: ``cumsum_spike_times`` on unpacked weights, and
+``plane_spike_times`` on bit-planes, which makes every arrival step's pass
+and never stops early; ``column_argmin`` reduces any of them to the column
+winners the production kernel returns. Volleys here are plain sequences of
+spike times, ``INF`` for no spike.
 """
 
 from __future__ import annotations
@@ -43,10 +46,6 @@ def readme_encode(pixels: Sequence[int], kind: EncoderKind) -> list[SpikeTime]:
         neg = [INF if v > kind.threshold else 0 for v in pixels]
         return pos + neg
     return [graded(v) for v in pixels] + [graded(255 - v) for v in pixels]
-
-
-class ColumnStateError(ValueError):
-    """A column operation was called in the wrong phase of a gamma cycle."""
 
 
 def weight_cap(half_units: int) -> int:
@@ -96,6 +95,23 @@ def neuron_spike_time(n: RnlNeuron, times: Sequence[SpikeTime], period: int) -> 
         for w, s in zip(n.weights, times):
             total += rnl_response(w, s, t)
         if total >= n.threshold:
+            return t
+    return INF
+
+
+def brute_force_spike_time(weights_hu, times, period, threshold) -> SpikeTime:
+    """Reference simulator: tabulate the potential at every step.
+
+    Independent of the library's ramp algebra: it literally walks each
+    step and adds one unit per active, unsaturated synapse ramp.
+    """
+    for t in range(period):
+        potential = 0
+        for w, s in zip(weights_hu, times):
+            if s == INF or t < s:
+                continue
+            potential += min(t - int(s) + 1, w // 2)
+        if potential >= threshold:
             return t
     return INF
 
@@ -185,66 +201,6 @@ def column_argmin(spike_times: np.ndarray, cols: int) -> tuple[np.ndarray, np.nd
     return np.where(np.isinf(win), -1, idx), win
 
 
-@dataclass
-class Column:
-    """A bank of neurons competing under 1-winner-take-all inhibition."""
-
-    neurons: list[RnlNeuron]
-    inhibited: bool = False
-    stdp_applied: bool = False
-    last_winner: Optional[int] = None
-
-    def __post_init__(self):
-        if not self.neurons:
-            raise ValueError("a column needs at least one neuron")
-        lines = len(self.neurons[0].weights)
-        for n in self.neurons:
-            if len(n.weights) != lines:
-                raise ValueError("all neurons in a column must share input line count")
-
-    @property
-    def line_count(self) -> int:
-        return len(self.neurons[0].weights)
-
-
-def column_wta(
-    c: Column, times: Sequence[SpikeTime], period: int
-) -> tuple[Optional[int], SpikeTime]:
-    """Run one cycle of winner-take-all over the column.
-
-    Returns the winning neuron index and its spike time, or ``(None, INF)``
-    when nothing spikes. A winner inhibits the column until reset; calling
-    again on the inhibited column raises ``ColumnStateError``.
-    """
-    if c.inhibited:
-        raise ColumnStateError("column already produced its winner this gamma cycle")
-    best_idx: Optional[int] = None
-    best_t: SpikeTime = INF
-    for idx, n in enumerate(c.neurons):
-        t = neuron_spike_time(n, times, period)
-        if t < best_t:
-            best_idx, best_t = idx, t
-    if best_idx is not None:
-        c.inhibited = True
-        c.last_winner = best_idx
-    return best_idx, best_t
-
-
-def column_reset(c: Column) -> None:
-    """Gamma reset: lift inhibition and re-arm the learning guard."""
-    c.inhibited = False
-    c.stdp_applied = False
-    c.last_winner = None
-
-
-def earliest_winner(spike_times: np.ndarray) -> tuple[Optional[int], SpikeTime]:
-    """Lowest-index earliest finite entry, as WTA would pick it."""
-    if spike_times.size == 0 or not np.isfinite(spike_times).any():
-        return None, INF
-    idx = int(np.argmin(spike_times))
-    return idx, int(spike_times[idx])
-
-
 class RuleCase(enum.Enum):
     CAPTURE = "capture"
     BACKOFF_LATE = "backoff_late"
@@ -279,38 +235,6 @@ def apply_update(half_units: int, case: RuleCase, p: StdpParams) -> int:
     """One saturating weight step for the given case."""
     nxt = half_units + _DELTAS[case](p)
     return min(max(nxt, 0), p.half_unit_cap)
-
-
-def update_column(
-    col: Column, times: Sequence[SpikeTime], winner_time: SpikeTime, p: StdpParams
-) -> Column:
-    """Apply one gamma cycle's worth of learning to a column.
-
-    Must run exactly once per cycle, at the reset; a second call before
-    ``column_reset`` raises ``ColumnStateError``. The winner's synapses
-    update against its spike time; with no winner, every neuron updates
-    against ``z = INF``.
-    """
-    if col.stdp_applied:
-        raise ColumnStateError("column weights already updated this gamma cycle")
-    if len(times) != col.line_count:
-        raise ValueError(
-            f"volley has {len(times)} lines but column has {col.line_count}"
-        )
-    if col.last_winner is None:
-        if winner_time != INF:
-            raise ValueError("winner_time must be INF for a column with no winner")
-        targets = range(len(col.neurons))
-    else:
-        targets = [col.last_winner]
-    for idx in targets:
-        n = col.neurons[idx]
-        n.weights = [
-            apply_update(w, classify_case(x, winner_time), p)
-            for w, x in zip(n.weights, times)
-        ]
-    col.stdp_applied = True
-    return col
 
 
 # A network winner: (column, neuron, time), or None for a silent presentation.

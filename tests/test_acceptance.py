@@ -16,6 +16,7 @@ import pytest
 
 from oracle import (
     GeneratorState,
+    brute_force_spike_time,
     clocked_cycle,
     column_argmin,
     controller_observe,
@@ -159,18 +160,6 @@ def test_criterion_04_gamma_functional_suite():
             )
 
 
-def _brute_force_spike_time(weights_hu, times, period, threshold):
-    for t in range(period):
-        total = 0
-        for w, s in zip(weights_hu, times):
-            if s == INF or t < s:
-                continue
-            total += min(t - int(s) + 1, w // 2)
-        if total >= threshold:
-            return t
-    return INF
-
-
 def test_criterion_05_rnl_oracle_equivalence():
     with criterion(5, "ramp-neuron oracle equivalence"):
         # Random layers of 1-3 columns of 1-3 neurons: the column kernel's
@@ -187,7 +176,7 @@ def test_criterion_05_rnl_oracle_equivalence():
             threshold = int(rng.integers(1, 60))
             planes = weight_planes(weights, 7)
             idx, win = layer_spike_times(planes, times, 16, threshold, lines, cols)
-            spikes = [_brute_force_spike_time(row, times, 16, threshold) for row in weights.tolist()]
+            spikes = [brute_force_spike_time(row, times, 16, threshold) for row in weights.tolist()]
             want_idx, want_win = column_argmin(spikes, cols)
             if not (np.array_equal(idx, want_idx) and np.array_equal(win, want_win)):
                 mismatches += 1

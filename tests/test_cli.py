@@ -12,6 +12,7 @@ import tnnsim.gamma
 from tnnsim import dataio
 from tnnsim.cli import ConfigError, main, parse_config
 from tnnsim.encode import INF
+from tnnsim.network import NetworkConfig, TnnNetwork, load_summary_npz, save_weights_npz
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -30,8 +31,6 @@ def run_cli(argv):
         return main(argv)
     except SystemExit as exc:
         return exc.code
-
-from tnnsim.network import load_summary_npz
 
 
 def make_images(path, specs, side=4):
@@ -94,8 +93,15 @@ def short_meta(path):
     np.savez_compressed(path, **members)
 
 
+def drop_config(path):
+    with np.load(path) as data:
+        members = dict(data)
+    del members["config"]
+    np.savez_compressed(path, **members)
+
+
 # Ways an artifact can be damaged or not be an .npz archive at all; the
-# last applies to summaries only.
+# last two apply to summaries and to weights only.
 ARCHIVE_DAMAGE = {
     "cut-200": truncate_to(200),
     "cut-300": truncate_to(300),
@@ -104,6 +110,7 @@ ARCHIVE_DAMAGE = {
     "empty": lambda path: path.write_bytes(b""),
     "text": lambda path: path.write_text("layer0 = 1\n"),
     "short-meta": short_meta,
+    "no-config": drop_config,
 }
 
 
@@ -494,7 +501,7 @@ class TestTrainInferReport:
             (c, d)
             for c in ("infer", "report")
             for d in ARCHIVE_DAMAGE
-            if (c, d) != ("infer", "short-meta")
+            if (c, d) not in {("infer", "short-meta"), ("report", "no-config")}
         ],
     )
     def test_damaged_archive_exits_one(self, cfg_path, tmp_path, capsys, command, damage):
@@ -516,15 +523,17 @@ class TestTrainInferReport:
         assert line.startswith("error: ") and str(path) in line
         if damage == "short-meta":
             assert "'meta'" in line
+        if damage == "no-config":
+            assert line.endswith("records no config")
         assert not (tmp_path / "o").exists()
 
     def test_infer_rejects_out_of_range_weights(self, cfg_path, tmp_path, capsys):
         out = tmp_path / "t"
         assert run_cli(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
         with np.load(out / "weights.npz") as data:
-            layer = data["layer0"]
-        layer[0, 0, 0] = 100
-        np.savez_compressed(out / "weights.npz", layer0=layer)
+            members = dict(data)
+        members["layer0"][0, 0, 0] = 100
+        np.savez_compressed(out / "weights.npz", **members)
         rc = run_cli(
             [
                 "infer",
@@ -631,7 +640,8 @@ class TestTrainInferReport:
         empty.write_bytes(struct.pack(">iiii", 2051, 0, 4, 4))
         cfg = write_config(tmp_path / "run.cfg", images=empty, layers="3x4", threshold=10)
         weights = tmp_path / "weights.npz"
-        np.savez_compressed(weights, layer0=np.zeros((3, 4, 32), dtype=np.int16))
+        net = TnnNetwork(NetworkConfig(layers=((3, 4),), pixel_count=16, threshold=10))
+        save_weights_npz(net, weights)
         extra = ["--weights", str(weights)] if command == "infer" else []
         rc = run_cli([command, "--config", str(cfg), *extra, "--out", str(tmp_path / "o")])
         assert rc == 1

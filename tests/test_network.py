@@ -48,6 +48,12 @@ def tiny_dataset():
     return dataset_of([two_tone_image(), flat_image(250)], labels=[0, 1])
 
 
+def save_layers(path, config, **layers):
+    """Write ``layers`` as a weight file trained under ``config``, whatever
+    their values."""
+    np.savez_compressed(path, config=np.array(json.dumps(config.to_mapping())), **layers)
+
+
 def tiny_config(**over):
     base = dict(
         layers=((3, 4),),
@@ -360,14 +366,17 @@ class TestTwoLayer:
 
 
 class TestPlanesFollowWeights:
-    def test_planes_match_repacked_weights_after_every_cycle(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "encoder", [Linear(period=16), Log(period=16)], ids=["linear", "log"]
+    )
+    def test_planes_match_repacked_weights_after_every_cycle(self, monkeypatch, encoder):
         """The planes repacked row by row after STDP equal a full repack of
         the weights, through winner rows and silent columns in both layers."""
         cfg = NetworkConfig(
             layers=((6, 4), (3, 3)),
             pixel_count=784,
             threshold=(5000, 12),
-            encoder=Linear(period=16),
+            encoder=encoder,
         )
         net = TnnNetwork(cfg)
         banks = [cols * neurons for cols, neurons in cfg.layers]
@@ -588,7 +597,7 @@ class TestSummaryArtifacts:
         layer = net.weights[0].astype(bad.dtype)
         layer[1, 2, 3] = bad
         path = tmp_path / "weights.npz"
-        np.savez_compressed(path, layer0=layer)
+        save_layers(path, net.config, layer0=layer)
         before = net.weights[0].copy()
         with pytest.raises(ValueError, match=message):
             load_weights_npz(net, path)
@@ -642,18 +651,21 @@ class TestSummaryArtifacts:
     def test_weights_missing_layer_rejected(self, tmp_path):
         net = TnnNetwork(tiny_config(layers=((3, 4), (2, 2)), threshold=(8, 2)))
         path = tmp_path / "weights.npz"
-        np.savez_compressed(path, layer1=net.weights[1])
+        save_layers(path, net.config, layer1=net.weights[1])
         want = "holds layer1, a 2-layer network needs layer0, layer1"
         with pytest.raises(ValueError, match=want):
             load_weights_npz(net, path)
 
-    def test_weights_without_config_load(self, tmp_path):
+    def test_weights_without_config_rejected(self, tmp_path):
         trained = TnnNetwork(tiny_config())
         path = tmp_path / "weights.npz"
         np.savez_compressed(path, layer0=trained.weights[0])
-        net = TnnNetwork(tiny_config(seed=9, threshold=9))
-        load_weights_npz(net, path)
-        assert np.array_equal(net.weights[0], trained.weights[0])
+        net = TnnNetwork(tiny_config(seed=9))
+        before = net.weights[0].copy()
+        with pytest.raises(ValueError) as err:
+            load_weights_npz(net, path)
+        assert str(err.value) == f"weight file {path} records no config"
+        assert np.array_equal(net.weights[0], before)
 
     @pytest.mark.parametrize("text", ["not json", "[1, 2]"])
     def test_weights_malformed_config_rejected(self, tmp_path, text):
@@ -670,7 +682,7 @@ class TestSummaryArtifacts:
         bad = donor.weights[1].copy()
         bad[0, 0, 0] = 100
         path = tmp_path / "weights.npz"
-        np.savez_compressed(path, layer0=donor.weights[0], layer1=bad)
+        save_layers(path, cfg, layer0=donor.weights[0], layer1=bad)
         before = [w.copy() for w in net.weights]
         with pytest.raises(ValueError, match="layer1 holds weight 100"):
             load_weights_npz(net, path)
@@ -685,7 +697,7 @@ class TestSummaryArtifacts:
         save_weights_npz(deep, path)
         with pytest.raises(ValueError, match="layers = 3x4,2x2"):
             load_weights_npz(net, path)
-        np.savez_compressed(path, layer0=deep.weights[0], layer1=deep.weights[1])
+        save_layers(path, net.config, layer0=deep.weights[0], layer1=deep.weights[1])
         want = "holds layer0, layer1, a 1-layer network needs layer0$"
         with pytest.raises(ValueError, match=want):
             load_weights_npz(net, path)

@@ -3,8 +3,8 @@
 The production layer kernel returns each column's winner. It is checked
 against the brute-force simulators, the scalar oracle in ``oracle.py`` and
 the oracle's per-neuron kernels (cumsum and bit-plane), each reduced to
-column winners by argmin; the oracle's own neuron and column model is
-checked here too. A bank of one-neuron columns gives per-neuron times.
+column winners by argmin; the oracle's scalar neuron is checked against the
+brute force too. A bank of one-neuron columns gives per-neuron times.
 """
 
 import tracemalloc
@@ -14,14 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import (
-    Column,
-    ColumnStateError,
     RnlNeuron,
+    brute_force_spike_time,
     column_argmin,
-    column_reset,
-    column_wta,
     cumsum_spike_times,
-    earliest_winner,
     neuron_spike_time,
     plane_spike_times,
     rnl_response,
@@ -30,25 +26,6 @@ from oracle import (
 
 from tnnsim.encode import INF
 from tnnsim.neuron import kernel_bytes, layer_spike_times, weight_planes
-
-
-def brute_force_spike_time(weights_hu, times, period, threshold):
-    """Reference simulator: tabulate the potential at every step.
-
-    Independent of the library's ramp algebra: it literally walks each
-    step and adds one unit per active, unsaturated synapse ramp.
-    """
-    for t in range(period):
-        potential = 0
-        for w, s in zip(weights_hu, times):
-            if s == INF or t < s:
-                continue
-            height = t - int(s) + 1
-            cap = w // 2
-            potential += min(height, cap)
-        if potential >= threshold:
-            return t
-    return INF
 
 
 def column_winners(weights_hu, times, period, threshold, cols, w_max=7):
@@ -92,12 +69,8 @@ def oracle_spike_time(weights, times, period, threshold):
     return neuron_spike_time(RnlNeuron(weights=list(weights), threshold=threshold), times, period)
 
 
-def same_winners(got, want):
-    return np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-
-
 def assert_winners(got, want):
-    assert same_winners(got, want), (got, want)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (got, want)
 
 
 class TestRnlResponse:
@@ -180,27 +153,6 @@ class TestNeuronSpikeTime:
             t1 = spike_time(weights, times, 16, threshold)
             t2 = spike_time(bumped, times, 16, threshold)
             assert t2 <= t1
-
-
-class TestOracleEquivalenceAtScale:
-    def test_ten_thousand_random_instances(self):
-        """Random layers of 1-3 columns of 1-3 neurons against the brute
-        force, neuron by neuron, reduced to column winners."""
-        rng = np.random.default_rng(42)
-        mismatches = 0
-        for _ in range(10000):
-            cols, per, lines = (int(v) for v in rng.integers(1, (4, 4, 9)))
-            weights = rng.integers(0, 15, size=(cols * per, lines))
-            times = [
-                INF if rng.random() < 0.3 else int(rng.integers(0, 16))
-                for _ in range(lines)
-            ]
-            threshold = int(rng.integers(1, 60))
-            got = column_winners(weights, times, 16, threshold, cols)
-            spikes = [brute_force_spike_time(row, times, 16, threshold) for row in weights.tolist()]
-            want = column_argmin(spikes, cols)
-            mismatches += not same_winners(got, want)
-        assert mismatches == 0
 
 
 class TestLayerSpikeTimes:
@@ -446,70 +398,3 @@ class TestKernelBytes:
             tracemalloc.stop()
         assert peak + planes.nbytes <= kernel_bytes(neurons, lines, depth, period)
         assert idx.shape == (cols,)
-
-
-class TestColumnWta:
-    def test_earliest_neuron_wins(self):
-        # Rig spike times via thresholds over a shared time-0 volley:
-        # potential is min(t+1, 7) * lines, so threshold picks the time.
-        n_fast = RnlNeuron(weights=[14] * 4, threshold=4 * 4)  # fires t=3
-        n_slow = RnlNeuron(weights=[14] * 4, threshold=6 * 4)  # fires t=5
-        n_dead = RnlNeuron(weights=[14] * 4, threshold=1000)
-        col = Column(neurons=[n_slow, n_fast, n_dead])
-        idx, t = column_wta(col, [0] * 4, 16)
-        assert (idx, t) == (1, 3)
-        assert col.inhibited
-        assert col.last_winner == 1
-
-    def test_tie_breaks_to_lowest_index(self):
-        n_a = RnlNeuron(weights=[14] * 4, threshold=4 * 4)
-        n_b = RnlNeuron(weights=[14] * 4, threshold=4 * 4)
-        col = Column(neurons=[n_a, n_b])
-        idx, t = column_wta(col, [0] * 4, 16)
-        assert (idx, t) == (0, 3)
-
-    def test_silent_column_returns_none(self):
-        col = Column(neurons=[RnlNeuron(weights=[0] * 4, threshold=5)])
-        idx, t = column_wta(col, [0] * 4, 16)
-        assert idx is None
-        assert t == INF
-        assert not col.inhibited
-
-    def test_inhibited_column_rejects_second_call(self):
-        col = Column(neurons=[RnlNeuron(weights=[14] * 4, threshold=1)])
-        column_wta(col, [0] * 4, 16)
-        with pytest.raises(ColumnStateError):
-            column_wta(col, [0] * 4, 16)
-
-    def test_reset_rearms_column(self):
-        col = Column(neurons=[RnlNeuron(weights=[14] * 4, threshold=1)])
-        column_wta(col, [0] * 4, 16)
-        column_reset(col)
-        assert not col.inhibited
-        assert col.last_winner is None
-        idx, _ = column_wta(col, [0] * 4, 16)
-        assert idx == 0
-
-    def test_mismatched_neuron_lines_rejected(self):
-        with pytest.raises(ValueError):
-            Column(
-                neurons=[
-                    RnlNeuron(weights=[2] * 4, threshold=1),
-                    RnlNeuron(weights=[2] * 5, threshold=1),
-                ]
-            )
-
-
-class TestEarliestWinner:
-    def test_picks_minimum(self):
-        idx, t = earliest_winner(np.array([7.0, 3.0, np.inf]))
-        assert (idx, t) == (1, 3)
-
-    def test_tie_lowest_index(self):
-        idx, t = earliest_winner(np.array([4.0, 4.0]))
-        assert (idx, t) == (0, 4)
-
-    def test_all_silent(self):
-        idx, t = earliest_winner(np.array([np.inf, np.inf]))
-        assert idx is None
-        assert t == INF

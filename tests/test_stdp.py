@@ -1,22 +1,13 @@
-"""Weight-update rule: case classification, saturation, column/layer paths."""
+"""Weight-update rule: case classification, saturation, the layer update."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracle import (
-    Column,
-    ColumnStateError,
-    RnlNeuron,
-    RuleCase,
-    apply_update,
-    classify_case,
-    column_reset,
-    column_wta,
-    update_column,
-)
+from oracle import RuleCase, apply_update, classify_case
 
 from tnnsim.encode import INF
+from tnnsim.neuron import layer_spike_times, weight_planes
 from tnnsim.stdp import StdpParams, update_layer
 
 spike_times = st.one_of(st.integers(0, 15), st.just(INF))
@@ -83,72 +74,6 @@ class TestApplyUpdate:
         assert StdpParams(w_max=16383).half_unit_cap == np.iinfo(np.int16).max - 1
         with pytest.raises(ValueError, match="w_max"):
             StdpParams(w_max=16384)
-
-
-class TestUpdateColumn:
-    def make_column(self):
-        return Column(
-            neurons=[
-                RnlNeuron(weights=[6, 6, 6, 6], threshold=2),
-                RnlNeuron(weights=[6, 6, 6, 6], threshold=100),
-            ]
-        )
-
-    def test_winner_only_update(self):
-        col = self.make_column()
-        v = [0, 0, INF, INF]
-        idx, t = column_wta(col, v, 16)
-        assert (idx, t) == (0, 0)
-        update_column(col, v, t, StdpParams())
-        # winner: CAPTURE on live lines (x=0 <= z=0), BACKOFF_NOIN on dead
-        assert col.neurons[0].weights == [8, 8, 4, 4]
-        # loser untouched
-        assert col.neurons[1].weights == [6, 6, 6, 6]
-
-    def test_no_winner_updates_every_neuron(self):
-        col = Column(
-            neurons=[
-                RnlNeuron(weights=[6, 6, 6, 6], threshold=100),
-                RnlNeuron(weights=[6, 6, 6, 6], threshold=100),
-            ]
-        )
-        v = [2, INF, INF, INF]
-        idx, t = column_wta(col, v, 16)
-        assert idx is None
-        update_column(col, v, INF, StdpParams())
-        # SEARCH on the one live line, QUIET on the rest, both neurons
-        for n in col.neurons:
-            assert n.weights == [8, 7, 7, 7]
-
-    def test_double_update_guarded(self):
-        col = self.make_column()
-        v = [0, 0, 0, 0]
-        _, t = column_wta(col, v, 16)
-        update_column(col, v, t, StdpParams())
-        with pytest.raises(ColumnStateError):
-            update_column(col, v, t, StdpParams())
-        column_reset(col)
-        _, t = column_wta(col, v, 16)
-        update_column(col, v, t, StdpParams())
-
-    def test_no_winner_with_finite_time_rejected(self):
-        col = self.make_column()
-        with pytest.raises(ValueError):
-            update_column(col, [INF] * 4, 3, StdpParams())
-
-    def test_line_count_checked(self):
-        col = self.make_column()
-        with pytest.raises(ValueError):
-            update_column(col, [0, 0], INF, StdpParams())
-
-    def test_late_lines_back_off(self):
-        col = Column(neurons=[RnlNeuron(weights=[14, 14], threshold=1)])
-        v = [0, 5]
-        idx, t = column_wta(col, v, 16)
-        assert (idx, t) == (0, 0)
-        update_column(col, v, t, StdpParams())
-        # x=0 <= z=0 captures; x=5 > z=0 backs off
-        assert col.neurons[0].weights == [14, 12]
 
 
 class TestUpdateLayer:
@@ -256,12 +181,13 @@ class TestNoWrap:
 
 class TestLearningDynamics:
     def test_repeated_capture_specializes_a_neuron(self):
-        """Drive one pattern repeatedly: live lines rise to cap, dead ones fall."""
+        """Drive one pattern through the layer kernel and update again and
+        again: live lines rise to cap, dead ones fall."""
         p = StdpParams()
-        col = Column(neurons=[RnlNeuron(weights=[7] * 8, threshold=3)])
+        weights = np.full((1, 1, 8), 7, dtype=np.int16)
         pattern = [0, 0, 0, 0, INF, INF, INF, INF]
         for _ in range(10):
-            idx, t = column_wta(col, pattern, 16)
-            update_column(col, pattern, t if idx is not None else INF, p)
-            column_reset(col)
-        assert col.neurons[0].weights == [14, 14, 14, 14, 0, 0, 0, 0]
+            planes = weight_planes(weights[0], p.w_max)
+            idx, win = layer_spike_times(planes, pattern, 16, 3, 8, 1)
+            update_layer(weights, pattern, idx, win, p)
+        assert weights.ravel().tolist() == [14] * 4 + [0] * 4
