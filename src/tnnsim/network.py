@@ -25,14 +25,14 @@ import tokenize
 import zipfile
 import zlib
 from dataclasses import dataclass, fields
-from typing import Mapping, TextIO, Union
+from typing import Mapping, Optional, TextIO, Union
 
 import numpy as np
 
 from . import gamma, stdp
 from .dataio import LabeledDataset
 from .encode import INF, KINDS, EncoderKind, PosNeg, encode_image
-from .neuron import kernel_bytes, layer_spike_times, weight_planes
+from .neuron import kernel_bytes, layer_spike_times, pack_lines, unpack_weights, weight_planes
 
 # Largest working set one layer's spike-time kernel may need.
 KERNEL_BYTES_LIMIT = 1 << 30
@@ -254,14 +254,19 @@ class TnnNetwork:
             for w in self.weights
         ]
 
-    def run_gamma_cycle(self, volley: np.ndarray, planes: list, learn: bool) -> tuple:
+    def run_gamma_cycle(
+        self, volley: np.ndarray, planes: list, learn: bool, parity: Optional[list] = None
+    ) -> tuple:
         """Present one volley (layer-0 spike times) for one gamma cycle.
 
         ``planes`` is ``pack_planes()`` of the current weights. Returns
         the ``gamma.CycleResult`` and the final layer's per-column winner
-        times (inf when silent) and neurons (-1 when silent); when
-        ``learn`` is set, weights update at the closing reset and the
-        planes of every rewritten row are repacked.
+        times (inf when silent) and neurons (-1 when silent). When
+        ``learn`` is set, STDP updates every layer at the closing reset:
+        with ``parity``, each layer's packed ``weights & 1``, it shifts the
+        planes and parity in place and leaves ``self.weights`` stale; with
+        ``parity`` None it updates ``self.weights`` and repacks the planes
+        of every rewritten row.
         """
         cfg = self.config
         x = np.asarray(volley, dtype=float)
@@ -275,9 +280,13 @@ class TnnNetwork:
         result = gamma.run_cycle(x.tolist(), cfg.period, relaxed=cfg.mode is Mode.RELAXED)
 
         if learn:
-            for w, bank, (inputs, idx, win_t) in zip(self.weights, planes, layers):
-                rows = stdp.update_layer(w, inputs, idx, win_t, cfg.stdp_params)
-                bank[rows] = weight_planes(w.reshape(-1, w.shape[2])[rows], cfg.plane_depth)
+            for k, (w, bank, (inputs, idx, win_t)) in enumerate(zip(self.weights, planes, layers)):
+                if parity is None:
+                    rows = stdp.update_weights(w, inputs, idx, win_t, cfg.stdp_params)
+                    bank[rows] = weight_planes(w.reshape(-1, w.shape[2])[rows], cfg.plane_depth)
+                else:
+                    state = bank.reshape(w.shape[:2] + bank.shape[1:])
+                    stdp.update_layer(state, inputs, idx, win_t, cfg.stdp_params, parity[k])
         return result, x, layers[-1][1]
 
     def _run(self, dataset: LabeledDataset, epochs: int, learn: bool) -> RunSummary:
@@ -294,11 +303,22 @@ class TnnNetwork:
         col_times = np.empty((n, cols))
         col_neurons = np.empty((n, cols), dtype=np.int64)
         planes = self.pack_planes()
-        for i in range(n):
-            volley = encode_image(dataset.pixels[i % len(dataset)], cfg.encoder)
-            result, col_times[i], col_neurons[i] = self.run_gamma_cycle(volley, planes, learn)
-            lengths[i] = result.length
-            control[i] = result.cause is gamma.GrstCause.CONTROL
+        # Layers learn on their planes when these hold every weight.
+        parity = None
+        if learn and cfg.plane_depth == cfg.stdp_params.w_max:
+            parity = [pack_lines(w & 1) for w in self.weights]
+        try:
+            for i in range(n):
+                volley = encode_image(dataset.pixels[i % len(dataset)], cfg.encoder)
+                result, col_times[i], col_neurons[i] = self.run_gamma_cycle(
+                    volley, planes, learn, parity
+                )
+                lengths[i] = result.length
+                control[i] = result.cause is gamma.GrstCause.CONTROL
+        finally:
+            # The weights of every presentation that finished, even if one raised.
+            for w, bank, held in zip(self.weights, planes, parity or ()):
+                unpack_weights(bank, held.reshape(-1, held.shape[2]), w.reshape(-1, w.shape[2]))
         return RunSummary(
             trace=gamma.GammaTrace(cfg.period, lengths, control, col_times),
             col_neurons=col_neurons,

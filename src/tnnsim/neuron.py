@@ -59,8 +59,9 @@ def kernel_bytes(neurons: int, lines: int, depth: int, period: int) -> int:
     return neurons * per_neuron + masks + 32 * lines + 8 * period + (1 << 17)
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Pack the last axis of a bool array into ``uint64`` words."""
+def pack_lines(bits: np.ndarray) -> np.ndarray:
+    """Pack the last axis of an array into ``uint64`` words, one bit per
+    entry, set where the entry is nonzero."""
     lines = bits.shape[-1]
     packed = np.zeros(bits.shape[:-1] + (8 * -(-lines // 64),), dtype=np.uint8)
     packed[..., : -(-lines // 8)] = np.packbits(bits, axis=-1, bitorder="little")
@@ -92,6 +93,30 @@ def weight_planes(weights_hu: np.ndarray, depth: int) -> np.ndarray:
         packed = np.packbits(stack, bitorder="little").view(np.uint64)
         store[:, r : r + block] = packed.reshape(depth, -1, words).transpose(2, 1, 0)
     return store.transpose(1, 2, 0)
+
+
+def unpack_weights(planes: np.ndarray, parity: np.ndarray, out: np.ndarray) -> None:
+    """Half-unit weights back from bit-planes and their parity, in place.
+
+    ``planes`` is a ``(neurons, depth, words)`` bank as ``weight_planes``
+    returns it, ``parity`` the packed ``weights_hu & 1`` as ``(neurons,
+    words)``, and ``out`` the ``(neurons, lines)`` integer bank to write
+    ``2 * sum_k plane_k + parity`` into: the weights themselves when no
+    whole-unit weight exceeds ``depth``. Rows unpack a block at a time, so
+    their unpacked bits stay near ``_PACK_CHUNK`` bytes.
+    """
+    neurons, depth, words = planes.shape
+    lines = out.shape[1]
+    block = max(1, _PACK_CHUNK // (depth * 64 * words))
+    for r in range(0, neurons, block):
+        bits, half = (
+            np.unpackbits(
+                np.ascontiguousarray(a[r : r + block]).view(np.uint8),
+                axis=-1, count=lines, bitorder="little",
+            )
+            for a in (planes, parity)
+        )
+        out[r : r + block] = 2 * bits.sum(axis=1, dtype=out.dtype) + half
 
 
 def layer_spike_times(
@@ -138,7 +163,7 @@ def layer_spike_times(
     potential = np.zeros((period, n_neurons), dtype=np.int64)
     nexts = np.append(steps[1:], period).tolist()
     done = 0
-    for s, nxt, mask in zip(steps.tolist(), nexts, _pack(t_arr == steps[:, None])):
+    for s, nxt, mask in zip(steps.tolist(), nexts, pack_lines(t_arr == steps[:, None])):
         np.bitwise_and(store, mask[:, None], out=anded)
         np.bitwise_count(anded, out=counts)
         onsets = counts.sum(axis=0, dtype=sum_dtype).reshape(n_neurons, depth)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tnnsim import gamma, network, synth
+from tnnsim import gamma, network, stdp, synth
 from tnnsim.dataio import LabeledDataset
 from tnnsim.encode import KINDS, Linear, Log, PosNeg
 from tnnsim.network import (
@@ -25,6 +25,7 @@ from tnnsim.network import (
     save_weights_npz,
     write_summary_csv,
 )
+from tnnsim.neuron import pack_lines, weight_planes
 from tnnsim.stdp import W_MAX_LIMIT, StdpParams
 
 
@@ -366,43 +367,141 @@ class TestTwoLayer:
 
 
 class TestPlanesFollowWeights:
+    """While a network trains, its learning state (bit-planes and parity)
+    follows an int16 shadow of its weights driven by ``update_weights``
+    with the same winners, and the weights it writes back equal the
+    shadow's. With ``w_max > period`` the weights are updated directly and
+    the rewritten rows repacked, so the planes follow the weights."""
+
+    def train_against_shadow(self, monkeypatch, cfg, ds, epochs):
+        """Train a network on ``ds``, checking it against the shadow after
+        every cycle; returns which cycles had a parity state, and per layer
+        how many columns stayed silent and fired."""
+        net = TnnNetwork(cfg)
+        shadow = [w.copy() for w in net.weights]
+        depth = cfg.plane_depth
+        silent, fired = [0] * len(cfg.layers), [0] * len(cfg.layers)
+        seen, checked = [], []
+        kernel, cycle = network.layer_spike_times, TnnNetwork.run_gamma_cycle
+
+        def record(planes, x, period, threshold, lines, cols):
+            idx, win_t = kernel(planes, x, period, threshold, lines, cols)
+            seen.append((x, idx, win_t))
+            return idx, win_t
+
+        def check_state(tnn, volley, planes, learn, parity):
+            seen.clear()
+            out = cycle(tnn, volley, planes, learn, parity)
+            for k, (x, idx, win_t) in enumerate(seen):
+                silent[k] += int((idx == -1).sum())
+                fired[k] += int((idx != -1).sum())
+                stdp.update_weights(shadow[k], x, idx, win_t, cfg.stdp_params)
+                want = weight_planes(shadow[k].reshape(-1, shadow[k].shape[2]), depth)
+                assert np.array_equal(planes[k], want), (len(checked), k)
+                if parity is None:
+                    assert np.array_equal(tnn.weights[k], shadow[k]), (len(checked), k)
+                else:
+                    want = pack_lines((shadow[k] & 1) == 1)
+                    assert np.array_equal(parity[k], want), (len(checked), k)
+            checked.append(parity is not None)
+            return out
+
+        monkeypatch.setattr(network, "layer_spike_times", record)
+        monkeypatch.setattr(TnnNetwork, "run_gamma_cycle", check_state)
+        net.train(ds, epochs=epochs)
+        for k, (w, want) in enumerate(zip(net.weights, shadow)):
+            assert np.array_equal(w, want), k
+        return checked, silent, fired
+
     @pytest.mark.parametrize(
         "encoder", [Linear(period=16), Log(period=16)], ids=["linear", "log"]
     )
     def test_planes_match_repacked_weights_after_every_cycle(self, monkeypatch, encoder):
-        """The planes repacked row by row after STDP equal a full repack of
-        the weights, through winner rows and silent columns in both layers."""
+        """Through winner rows and silent columns in both layers, with 1,568
+        lines in layer 0 and 6 in layer 1, neither a whole word."""
         cfg = NetworkConfig(
             layers=((6, 4), (3, 3)),
             pixel_count=784,
             threshold=(5000, 12),
             encoder=encoder,
         )
-        net = TnnNetwork(cfg)
-        banks = [cols * neurons for cols, neurons in cfg.layers]
-        silent, fired, checked = [0, 0], [0, 0], []
-        kernel, cycle = network.layer_spike_times, TnnNetwork.run_gamma_cycle
-
-        def count_columns(planes, x, period, threshold, lines, cols):
-            idx, win_t = kernel(planes, x, period, threshold, lines, cols)
-            k = banks.index(planes.shape[0])
-            silent[k] += int((idx == -1).sum())
-            fired[k] += int((idx != -1).sum())
-            return idx, win_t
-
-        def check_planes(tnn, volley, planes, learn):
-            out = cycle(tnn, volley, planes, learn)
-            for k, want in enumerate(tnn.pack_planes()):
-                assert np.array_equal(planes[k], want), (len(checked), k)
-            checked.append(learn)
-            return out
-
-        monkeypatch.setattr(network, "layer_spike_times", count_columns)
-        monkeypatch.setattr(TnnNetwork, "run_gamma_cycle", check_planes)
         ds = synth.make_dataset(12, seed=1)
-        net.train(ds, epochs=3)
+        checked, silent, fired = self.train_against_shadow(monkeypatch, cfg, ds, 3)
         assert checked == [True] * 36
         assert min(silent) > 0 and min(fired) > 0, (silent, fired)
+
+    @pytest.mark.parametrize(
+        "period, params, parity",
+        [
+            (16, StdpParams(u_capture=3, u_backoff=5, u_search=1, u_quiet=3), True),
+            (16, StdpParams(u_capture=40, u_backoff=100, u_search=33, u_quiet=17), True),
+            (8, StdpParams(w_max=8), True),
+            (8, StdpParams(u_capture=3, u_backoff=5, w_max=12), False),
+        ],
+        ids=["odd-steps", "steps-above-cap", "w_max-eq-period", "w_max-gt-period"],
+    )
+    def test_state_follows_int16_rule(self, monkeypatch, period, params, parity):
+        cfg = NetworkConfig(
+            layers=((6, 4), (3, 3)),
+            pixel_count=784,
+            period=period,
+            threshold=(5000, 12),
+            encoder=Linear(period=period),
+            stdp_params=params,
+        )
+        ds = synth.make_dataset(12, seed=1)
+        checked, silent, fired = self.train_against_shadow(monkeypatch, cfg, ds, 2)
+        assert checked == [parity] * 24
+        assert min(silent) > 0 and min(fired) > 0, (silent, fired)
+
+    def test_whole_words_of_lines(self, monkeypatch):
+        """64 lines into both layers: the last word has no padding."""
+        cfg = NetworkConfig(
+            layers=((64, 2), (2, 2)),
+            pixel_count=32,
+            threshold=(200, 60),
+            encoder=Linear(period=16),
+        )
+        rng = np.random.default_rng(3)
+        ds = LabeledDataset(rng.integers(0, 256, size=(12, 32)).astype(np.uint8), 8, 4)
+        checked, silent, fired = self.train_against_shadow(monkeypatch, cfg, ds, 2)
+        assert [cfg.fan_in(k) for k in (0, 1)] == [64, 64]
+        assert checked == [True] * 24
+        assert min(silent) > 0 and min(fired) > 0, (silent, fired)
+
+
+class TestWeightsWrittenBack:
+    @pytest.mark.parametrize("w_max", [7, 20], ids=["planes", "int16"])
+    def test_presentations_before_a_failure_are_kept(self, monkeypatch, w_max):
+        """An encoder that raises at presentation 5 leaves the weights of
+        a run over the first 4 presentations."""
+        cfg = NetworkConfig(
+            layers=((6, 4), (3, 3)),
+            pixel_count=784,
+            threshold=(5000, 12),
+            encoder=Linear(period=16),
+            stdp_params=StdpParams(w_max=w_max),
+        )
+        ds = synth.make_dataset(12, seed=1)
+        reference = TnnNetwork(cfg)
+        reference.train(LabeledDataset(ds.pixels[:4], ds.width, ds.height), epochs=1)
+        encode, calls = network.encode_image, []
+
+        def encode_until_fifth(pixels, kind):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("encoder failed")
+            return encode(pixels, kind)
+
+        monkeypatch.setattr(network, "encode_image", encode_until_fifth)
+        net = TnnNetwork(cfg)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            net.train(ds, epochs=1)
+        for k, (w, want, start) in enumerate(
+            zip(net.weights, reference.weights, TnnNetwork(cfg).weights)
+        ):
+            assert np.array_equal(w, want), k
+            assert not np.array_equal(w, start), k
 
 
 class TestWrongVolleySize:

@@ -25,7 +25,7 @@ from oracle import (
 )
 
 from tnnsim.encode import INF
-from tnnsim.neuron import kernel_bytes, layer_spike_times, weight_planes
+from tnnsim.neuron import kernel_bytes, layer_spike_times, pack_lines, unpack_weights, weight_planes
 
 
 def column_winners(weights_hu, times, period, threshold, cols, w_max=7):
@@ -250,6 +250,20 @@ class TestLayerSpikeTimes:
         whole = weight_planes(weights, 7)
         monkeypatch.setattr("tnnsim.neuron._PACK_CHUNK", 7 * 256 * 3)
         assert np.array_equal(weight_planes(weights, 7), whole)
+
+    @pytest.mark.parametrize("chunk", [None, 7 * 256 * 3], ids=["one-pass", "blocks"])
+    def test_unpack_inverts_planes_and_parity(self, monkeypatch, chunk):
+        # Every half-unit weight up to the cap comes back, across padded
+        # words and across row blocks.
+        rng = np.random.default_rng(7)
+        weights = rng.integers(0, 15, size=(50, 200)).astype(np.int16)
+        planes = weight_planes(weights, 7)
+        parity = pack_lines((weights & 1) == 1)
+        if chunk is not None:
+            monkeypatch.setattr("tnnsim.neuron._PACK_CHUNK", chunk)
+        out = np.full_like(weights, -1)
+        unpack_weights(planes, parity, out)
+        assert np.array_equal(out, weights)
 
 
 class TestColumnKernel:

@@ -1,4 +1,10 @@
-"""Weight-update rule: case classification, saturation, the layer update."""
+"""Weight-update rule: case classification, saturation, the layer update.
+
+The int16 update (``update_weights``) is checked against the scalar rule;
+the learning-state update (``update_layer`` on bit-planes and parity) is
+checked against both, through a pack -> update -> unpack round trip, and
+step by step against the int16 update for every weight and step.
+"""
 
 import numpy as np
 import pytest
@@ -7,10 +13,20 @@ from hypothesis import strategies as st
 from oracle import RuleCase, apply_update, classify_case
 
 from tnnsim.encode import INF
-from tnnsim.neuron import layer_spike_times, weight_planes
-from tnnsim.stdp import StdpParams, update_layer
+from tnnsim.neuron import layer_spike_times, pack_lines, unpack_weights, weight_planes
+from tnnsim.stdp import StdpParams, update_layer, update_weights
 
 spike_times = st.one_of(st.integers(0, 15), st.just(INF))
+
+
+def update_on_planes(weights, x, winner_idx, z, p):
+    """``update_weights`` by way of the learning state: pack the weights'
+    planes and parity, ``update_layer`` them, and unpack into ``weights``."""
+    cols, neurons, lines = weights.shape
+    planes = weight_planes(weights.reshape(-1, lines), p.w_max)
+    parity = pack_lines((weights & 1) == 1)
+    update_layer(planes.reshape(cols, neurons, p.w_max, -1), x, winner_idx, z, p, parity)
+    unpack_weights(planes, parity.reshape(cols * neurons, -1), weights.reshape(-1, lines))
 
 
 class TestClassifyCase:
@@ -77,6 +93,11 @@ class TestApplyUpdate:
 
 
 class TestUpdateLayer:
+    """The int16 update; ``TestUpdateLayerOnPlanes`` runs the same cases
+    on the learning state."""
+
+    update = staticmethod(update_weights)
+
     def rand_inputs(self, rng, cols, neurons, lines):
         weights = rng.integers(0, 15, size=(cols, neurons, lines)).astype(np.int16)
         x = np.where(
@@ -107,8 +128,10 @@ class TestUpdateLayer:
                             int(expect[c, n, l]), classify_case(xt, zt), p
                         )
             got = weights.copy()
-            rows = update_layer(got, x, winner_idx, z, p)
+            rows = self.update(got, x, winner_idx, z, p)
             assert np.array_equal(got, expect)
+            if rows is None:  # the learning state names no rows
+                continue
             want_rows = [
                 c * neurons + n
                 for c in range(cols)
@@ -120,13 +143,13 @@ class TestUpdateLayer:
     def test_updates_in_place_and_saturates(self):
         p = StdpParams()
         weights = np.array([[[14, 0]]], dtype=np.int16)
-        update_layer(weights, np.array([0.0, 5.0]), np.array([0]), np.array([0.0]), p)
+        self.update(weights, np.array([0.0, 5.0]), np.array([0]), np.array([0.0]), p)
         assert weights.tolist() == [[[14, 0]]]
 
     def test_silent_layer_explores(self):
         p = StdpParams()
         weights = np.zeros((2, 2, 2), dtype=np.int16)
-        update_layer(
+        self.update(
             weights,
             np.array([3.0, np.inf]),
             np.array([-1, -1]),
@@ -138,7 +161,7 @@ class TestUpdateLayer:
     def test_custom_magnitudes_respected(self):
         p = StdpParams(u_capture=4, u_backoff=6, u_search=3, u_quiet=2, w_max=10)
         weights = np.full((1, 1, 3), 10, dtype=np.int16)
-        update_layer(
+        self.update(
             weights,
             np.array([1.0, 9.0, np.inf]),
             np.array([0]),
@@ -149,13 +172,19 @@ class TestUpdateLayer:
         assert weights.tolist() == [[[14, 4, 4]]]
 
 
+class TestUpdateLayerOnPlanes(TestUpdateLayer):
+    update = staticmethod(update_on_planes)
+
+
 class TestNoWrap:
     """Steps at or above the int16 range saturate like any other step."""
+
+    update = staticmethod(update_weights)
 
     @pytest.mark.parametrize("u", [32767, 40000, 10**12])
     def test_huge_capture_saturates(self, u):
         weights = np.array([[[14, 10]]], dtype=np.int16)
-        update_layer(
+        self.update(
             weights, np.array([0.0, 0.0]), np.array([0]), np.array([0.0]), StdpParams(u_capture=u)
         )
         assert weights.tolist() == [[[14, 14]]]
@@ -169,7 +198,7 @@ class TestNoWrap:
         x = np.array([0.0, 0.0, 9.0, np.inf, 0.0])
         # column 0 wins at step 3 on neuron 1; column 1 is silent
         weights = np.stack([np.stack([start, start])] * 2)
-        update_layer(weights, x, np.array([1, -1]), np.array([3.0, np.inf]), p)
+        self.update(weights, x, np.array([1, -1]), np.array([3.0, np.inf]), p)
         for c, n, z in ((0, 1, 3), (1, 0, INF), (1, 1, INF)):
             want = [
                 apply_update(int(w), classify_case(INF if np.isinf(xt) else int(xt), z), p)
@@ -177,6 +206,52 @@ class TestNoWrap:
             ]
             assert weights[c, n].tolist() == want
         assert weights[0, 0].tolist() == start.tolist()
+
+
+class TestNoWrapOnPlanes(TestNoWrap):
+    update = staticmethod(update_on_planes)
+
+
+class TestBitSlicedSteps:
+    """Every step on every weight: the learning state moves exactly as the
+    int16 update moves the weights."""
+
+    @pytest.mark.parametrize("w_max", range(1, 17))
+    def test_every_step_on_every_weight(self, w_max):
+        cap = 2 * w_max
+        hu = np.arange(cap + 1, dtype=np.int16)
+        # Column 0's winner captures the first half of the lines and backs
+        # off the second; silent column 1 searches the first and is quiet
+        # on the second. Each half holds every weight once.
+        row = np.concatenate([hu, hu])
+        x = np.repeat([0.0, np.inf], cap + 1)
+        winner_idx, z = np.array([1, -1]), np.array([0.0, np.inf])
+        for u in range(cap + 3):
+            # Every step, odd and even, up to two past the cap, on each
+            # case; the paired case walks the steps the other way.
+            v = cap + 2 - u
+            p = StdpParams(u_capture=u, u_backoff=v, u_search=v, u_quiet=u, w_max=w_max)
+            want = np.stack([np.stack([row, row])] * 2)
+            update_weights(want, x, winner_idx, z, p)
+            weights = np.stack([np.stack([row, row])] * 2)
+            planes = weight_planes(weights.reshape(4, -1), w_max)
+            parity = pack_lines((weights & 1) == 1)
+            update_layer(planes.reshape(2, 2, w_max, -1), x, winner_idx, z, p, parity)
+            # Packed words compared whole, so padding bits must stay 0.
+            assert np.array_equal(planes, weight_planes(want.reshape(4, -1), w_max)), u
+            assert np.array_equal(parity, pack_lines((want & 1) == 1)), u
+
+    def test_planes_must_hold_w_max(self):
+        planes = weight_planes(np.zeros((2, 3), dtype=np.int16), 6)
+        parity = np.zeros((1, 2, 1), dtype=np.uint64)
+        with pytest.raises(ValueError, match="w_max"):
+            update_layer(planes.reshape(1, 2, 6, 1), [0, 0, 0], [0], [0.0], StdpParams(), parity)
+
+    def test_lines_must_fit_the_planes(self):
+        planes = weight_planes(np.zeros((2, 64), dtype=np.int16), 7)
+        parity = np.zeros((1, 2, 1), dtype=np.uint64)
+        with pytest.raises(ValueError, match="do not pack"):
+            update_layer(planes.reshape(1, 2, 7, 1), [0] * 65, [0], [0.0], StdpParams(), parity)
 
 
 class TestLearningDynamics:
@@ -189,5 +264,5 @@ class TestLearningDynamics:
         for _ in range(10):
             planes = weight_planes(weights[0], p.w_max)
             idx, win = layer_spike_times(planes, pattern, 16, 3, 8, 1)
-            update_layer(weights, pattern, idx, win, p)
+            update_weights(weights, pattern, idx, win, p)
         assert weights.ravel().tolist() == [14] * 4 + [0] * 4
