@@ -212,6 +212,11 @@ def _cmd_infer(args) -> int:
 
 def _cmd_report(args) -> int:
     summary = network.load_summary_npz(args.summary)
+    # Every input is read and checked before the output directory exists.
+    report = None
+    if args.labels:
+        with open(args.labels, "rb") as f:
+            report = metrics.purity(summary, dataio.read_idx_labels(f))
     out_dir = pathlib.Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     hist = metrics.spike_histogram(summary)
@@ -221,10 +226,7 @@ def _cmd_report(args) -> int:
     realized, potential = metrics.cycle_savings(summary.trace, summary.trace.period)
     with open(out_dir / "savings.csv", "w") as f:
         metrics.write_savings_csv(realized, potential, f)
-    if args.labels:
-        with open(args.labels, "rb") as f:
-            labels = dataio.read_idx_labels(f)
-        report = metrics.purity(summary, labels)
+    if report is not None:
         with open(out_dir / "purity.csv", "w") as f:
             metrics.write_purity_csv(report, f)
         (out_dir / "purity.md").write_text(metrics.purity_markdown(report))

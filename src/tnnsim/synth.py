@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import pathlib
+import sys
 
 import numpy as np
 
@@ -121,6 +122,11 @@ def main(argv=None) -> int:
     parser.add_argument("--test", type=int, default=200)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
+    for name, least in (("train", 1), ("test", 1), ("seed", 0)):
+        value = getattr(args, name)
+        if value < least:
+            print(f"error: --{name} must be >= {least}, got {value}", file=sys.stderr)
+            return 1
     args.out_dir.mkdir(parents=True, exist_ok=True)
     write_idx_pair(
         make_dataset(args.train, args.seed),

@@ -8,10 +8,12 @@ restatements of the same rules; gamma control is clocked one step at a time.
 A neuron's spike time has two scalar references: ``neuron_spike_time``
 through the ramp algebra, and ``brute_force_spike_time``, which tabulates
 the potential step by step. The array references are per-neuron spike-time
-kernels: ``cumsum_spike_times`` on unpacked weights, and
-``plane_spike_times`` on bit-planes, which makes every arrival step's pass
-and never stops early; ``column_argmin`` reduces any of them to the column
-winners the production kernel returns. Volleys here are plain sequences of
+kernels: ``stepwise_spike_times``, the same tabulation for a whole bank,
+``cumsum_spike_times`` on unpacked weights, and ``plane_spike_times`` on
+bit-planes, which makes every arrival step's pass and never stops early;
+``column_argmin`` reduces any of them to the column winners the production
+kernel returns. ``reference_run`` chains the pieces into a whole network
+run, checked against ``TnnNetwork``. Volleys here are plain sequences of
 spike times, ``INF`` for no spike.
 """
 
@@ -27,6 +29,7 @@ import numpy as np
 
 from tnnsim.encode import INF, EncoderKind, Linear, PosNeg, SpikeTime
 from tnnsim.gamma import CycleResult, GrstCause
+from tnnsim.network import Mode, NetworkConfig
 from tnnsim.stdp import StdpParams
 
 
@@ -114,6 +117,24 @@ def brute_force_spike_time(weights_hu, times, period, threshold) -> SpikeTime:
         if potential >= threshold:
             return t
     return INF
+
+
+def stepwise_spike_times(weights_hu, times, period, threshold):
+    """Brute force for a whole bank: tabulate each step's potential until
+    every neuron has fired."""
+    x = np.asarray(times, dtype=float)
+    live = np.isfinite(x)
+    arrival = x[live].astype(np.int64)
+    cap = np.asarray(weights_hu)[:, live].astype(np.int64) // 2
+    threshold = np.broadcast_to(threshold, cap.shape[:1])
+    out = np.full(cap.shape[0], np.inf)
+    for t in range(period):
+        ramp = np.maximum(t - arrival + 1, 0)
+        potential = np.minimum(ramp[None, :], cap).sum(axis=1)
+        out[np.isinf(out) & (potential >= threshold)] = t
+        if np.isfinite(out).all():
+            break
+    return out
 
 
 def cumsum_spike_times(
@@ -372,3 +393,44 @@ def clocked_cycle(
         if grst:
             return CycleResult(k + 1, GrstCause.PERIOD), gen, grst_clear(ctrl)
     raise AssertionError("generator failed to roll over within its period")
+
+
+def reference_run(config: NetworkConfig, pixels, epochs: int, learn: bool, weights):
+    """A whole run of the network from the scalar rules alone.
+
+    Each presentation's ``readme_encode`` volley drives layer 0; each
+    layer's ``stepwise_spike_times``, reduced by ``column_argmin``, gives
+    its column winners, whose times are the next layer's volley. The final
+    layer's times clock one ``clocked_cycle`` from a fresh generator and
+    controller. With ``learn``, every layer then takes ``apply_update`` on
+    each synapse of each winner's row, or of every row of a silent column.
+    Returns the per-cycle rows ``(length, control, column times, column
+    neurons)``, each cycle's per-layer winner neurons, and the final
+    weights; ``weights`` is left as it is.
+    """
+    weights = [np.array(w, dtype=np.int64) for w in weights]
+    relaxed = config.mode is Mode.RELAXED
+    rows, winners = [], []
+    for i in range(epochs * len(pixels)):
+        x = readme_encode(np.asarray(pixels[i % len(pixels)]).tolist(), config.encoder)
+        layers = []
+        for w, threshold in zip(weights, config.thresholds):
+            times = stepwise_spike_times(w.reshape(-1, w.shape[2]), x, config.period, threshold)
+            idx, win = column_argmin(times, w.shape[0])
+            layers.append((x, idx, win))
+            x = win.tolist()
+        gen, ctrl = GeneratorState(0, config.period), make_controller(len(x))
+        result = clocked_cycle(gen, ctrl, x, relaxed)[0]
+        control = result.cause is GrstCause.CONTROL
+        rows.append((result.length, control, x, layers[-1][1].tolist()))
+        winners.append([idx for _, idx, _ in layers])
+        if not learn:
+            continue
+        for w, (inputs, idx, win) in zip(weights, layers):
+            for c, (n, z) in enumerate(zip(idx.tolist(), win.tolist())):
+                for row in [n] if n >= 0 else range(w.shape[1]):
+                    w[c, row] = [
+                        apply_update(h, classify_case(s, z), config.stdp_params)
+                        for h, s in zip(w[c, row].tolist(), inputs)
+                    ]
+    return rows, winners, weights

@@ -14,6 +14,7 @@ import pathlib
 import sys
 
 import numpy as np
+from oracle import readme_encode, reference_run
 
 from tnnsim import gamma, metrics, network, synth
 from tnnsim.encode import Linear
@@ -33,7 +34,7 @@ def load_spans():
     return module
 
 
-def test_spans_cover_a_two_layer_run(tmp_path, monkeypatch):
+def test_spans_cover_a_two_layer_run(tmp_path):
     ds = synth.make_dataset(6, seed=1)
     cfg = network.NetworkConfig(
         layers=((6, 4), (3, 3)),
@@ -42,20 +43,11 @@ def test_spans_cover_a_two_layer_run(tmp_path, monkeypatch):
         encoder=Linear(period=16),
     )
     net = network.TnnNetwork(cfg)
-    # Each kernel call's live input lines and answering columns, by layer,
-    # recorded under the tracer's wrapper; presentations call layer 0 then
-    # layer 1.
-    volleys, answered = ([], []), ([], [])
-    kernel = network.layer_spike_times
-
-    def record(planes, times, period, threshold, lines, cols):
-        idx, win_t = kernel(planes, times, period, threshold, lines, cols)
-        k = sum(map(len, volleys)) % 2
-        volleys[k].append(np.isfinite(times))
-        answered[k].append(idx != -1)
-        return idx, win_t
-
-    monkeypatch.setattr(network, "layer_spike_times", record)
+    # Each presentation's answering columns, by layer, from the reference
+    # run of the same training and inference.
+    train = reference_run(cfg, ds.pixels, 2, True, net.weights)
+    infer = reference_run(cfg, ds.pixels, 1, False, train[2])
+    answered = [np.array([cycle[k] for cycle in train[1] + infer[1]]) >= 0 for k in (0, 1)]
     tracer = load_spans().Tracer()
     with tracer.installed():
         trained = net.train(ds, epochs=2)
@@ -86,17 +78,20 @@ def test_spans_cover_a_two_layer_run(tmp_path, monkeypatch):
         assert out[f"stdp.update_layer.L{k}.calls"] == 2 * len(ds)
     # Work counts: every neuron of a layer against each live input line,
     # and the rows STDP must rewrite, from the layer shapes and outputs
-    # rather than from the kernel's arguments.
+    # rather than from the kernel's arguments. Layer 0's live lines are the
+    # encoded pixels of three presentations per image, layer 1's the
+    # answering layer-0 columns.
+    encoded = sum(np.isfinite(readme_encode(p.tolist(), cfg.encoder)).sum() for p in ds.pixels)
+    live = (3 * encoded, answered[0].sum())
     for k, (cols, neurons) in enumerate(cfg.layers):
-        finite = sum(int(v.sum()) for v in volleys[k])
-        assert out[f"neuron.L{k}.synapse_evals"] == cols * neurons * finite
+        assert out[f"neuron.L{k}.synapse_evals"] == cols * neurons * live[k]
     # Training presentations come first; STDP rewrites a winner's row, or
     # every row of a silent column.
     for k, (cols, neurons) in enumerate(cfg.layers):
-        won = np.array(answered[k][: 2 * len(ds)])
+        won = answered[k][: 2 * len(ds)]
         assert won.shape == (2 * len(ds), cols)
         assert out[f"stdp.L{k}.rows_needed"] == won.sum() + (~won).sum() * neurons
-    assert np.array_equal(np.array(answered[1][: 2 * len(ds)]), trained.col_neurons >= 0)
+    assert np.array_equal(answered[1][: 2 * len(ds)], trained.col_neurons >= 0)
     assert out["gamma.sim_steps"] == (
         trained.total_clock_cycles + inferred.total_clock_cycles
     )

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import tnnsim.gamma
-from tnnsim import dataio
+from tnnsim import dataio, synth
 from tnnsim.cli import ConfigError, main, parse_config
 from tnnsim.encode import INF
 from tnnsim.network import NetworkConfig, TnnNetwork, load_summary_npz, save_weights_npz
@@ -478,6 +478,26 @@ class TestTrainInferReport:
         assert rc == 1
         assert "col_neurons" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("labels", ["too-few", "missing"])
+    def test_report_labels_error_writes_nothing(self, cfg_path, tmp_path, capsys, labels):
+        out = tmp_path / "t"
+        assert run_cli(["train", "--config", str(cfg_path), "--out", str(out)]) == 0
+        path = tmp_path / "labels.idx"
+        if labels == "too-few":
+            make_labels(path, [0, 1])
+        capsys.readouterr()
+        rc = run_cli(
+            ["report", "--summary", str(out / "summary.npz"), "--labels", str(path),
+             "--out", str(tmp_path / "r")]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if labels == "too-few":
+            assert captured.err == "error: 8 presentations but 2 labels (epochs=2)\n"
+        assert not (tmp_path / "r").exists()
+
     @pytest.mark.parametrize(
         "member", ["lengths", "causes", "col_times", "col_neurons", "meta"]
     )
@@ -678,6 +698,28 @@ class TestTrainInferReport:
     def test_infer_requires_weights_flag(self, cfg_path, tmp_path, capsys):
         rc = run_cli(["infer", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 1
+
+
+class TestSynthScript:
+    @pytest.mark.parametrize(
+        "flag, value, least", [("--train", "0", 1), ("--test", "0", 1), ("--seed", "-1", 0)]
+    )
+    def test_bad_flag_exits_one(self, tmp_path, capsys, flag, value, least):
+        out = tmp_path / "digits"
+        assert synth.main([str(out), flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} must be >= {least}, got {value}\n"
+        assert not out.exists()
+
+    def test_writes_train_and_test_pairs(self, tmp_path, capsys):
+        out = tmp_path / "digits"
+        assert synth.main([str(out), "--train", "3", "--test", "2", "--seed", "0"]) == 0
+        with open(out / "test-labels.idx", "rb") as f:
+            assert dataio.read_idx_labels(f).tolist() == [0, 1]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "test-images.idx", "test-labels.idx", "train-images.idx", "train-labels.idx"
+        ]
 
 
 class TestTopLevel:

@@ -21,6 +21,7 @@ from oracle import (
     neuron_spike_time,
     plane_spike_times,
     rnl_response,
+    stepwise_spike_times,
     weight_cap,
 )
 
@@ -41,21 +42,6 @@ def bank_spike_times(weights_hu, times, period, threshold, w_max=7):
     column's winner time is that neuron's spike time."""
     cols = np.shape(weights_hu)[0]
     return column_winners(weights_hu, times, period, threshold, cols, w_max)[1]
-
-
-def stepwise_spike_times(weights_hu, times, period, threshold):
-    """Brute force for a whole bank: tabulate every step's potential."""
-    x = np.asarray(times, dtype=float)
-    live = np.isfinite(x)
-    arrival = x[live].astype(np.int64)
-    cap = np.asarray(weights_hu)[:, live].astype(np.int64) // 2
-    threshold = np.broadcast_to(threshold, cap.shape[:1])
-    out = np.full(cap.shape[0], np.inf)
-    for t in range(period):
-        ramp = np.clip(t - arrival + 1, 0, None)
-        potential = np.minimum(ramp[None, :], cap).sum(axis=1)
-        out[np.isinf(out) & (potential >= threshold)] = t
-    return out
 
 
 def library_spike_time(weights, times, period, threshold):
