@@ -32,9 +32,16 @@ import numpy as np
 from . import gamma, stdp
 from .dataio import LabeledDataset
 from .encode import INF, KINDS, EncoderKind, PosNeg, encode_image
-from .neuron import kernel_bytes, layer_spike_times, pack_lines, unpack_weights, weight_planes
+from .neuron import (
+    KernelWorkspace,
+    kernel_bytes,
+    layer_spike_times,
+    pack_lines,
+    unpack_weights,
+    weight_planes,
+)
 
-# Largest working set one layer's spike-time kernel may need.
+# Largest working set the spike-time kernels of all layers may need together.
 KERNEL_BYTES_LIMIT = 1 << 30
 
 
@@ -157,13 +164,16 @@ class NetworkConfig:
             raise ValueError(
                 f"encoder period {enc_period} differs from network period {self.period}"
             )
+        # A run holds every layer's kernel workspace at once.
+        total = 0
         for k, (cols, neurons) in enumerate(self.layers):
             need = kernel_bytes(cols * neurons, self.fan_in(k), self.plane_depth, self.period)
-            if need > KERNEL_BYTES_LIMIT:
+            total += need
+            if total > KERNEL_BYTES_LIMIT:
                 raise ValueError(
                     f"layer {k} ({cols}x{neurons}, {self.fan_in(k)} lines) needs a "
-                    f"{need / 2**20:.0f} MiB kernel working set, over the "
-                    f"{KERNEL_BYTES_LIMIT // 2**20} MiB limit"
+                    f"{need / 2**20:.0f} MiB kernel working set, {total / 2**20:.0f} MiB "
+                    f"with the layers before it, over the {KERNEL_BYTES_LIMIT // 2**20} MiB limit"
                 )
 
     @property
@@ -255,11 +265,17 @@ class TnnNetwork:
         ]
 
     def run_gamma_cycle(
-        self, volley: np.ndarray, planes: list, learn: bool, parity: Optional[list] = None
+        self,
+        volley: np.ndarray,
+        planes: list,
+        work: list,
+        learn: bool,
+        parity: Optional[list] = None,
     ) -> tuple:
         """Present one volley (layer-0 spike times) for one gamma cycle.
 
-        ``planes`` is ``pack_planes()`` of the current weights. Returns
+        ``planes`` is ``pack_planes()`` of the current weights and ``work``
+        each layer's ``neuron.KernelWorkspace`` over them. Returns
         the ``gamma.CycleResult`` and the final layer's per-column winner
         times (inf when silent) and neurons (-1 when silent). When
         ``learn`` is set, STDP updates every layer at the closing reset:
@@ -273,7 +289,9 @@ class TnnNetwork:
         layers = []  # (input volley, winner neurons, winner times) per layer
         for k, w in enumerate(self.weights):
             cols, _, lines = w.shape
-            idx, win_t = layer_spike_times(planes[k], x, cfg.period, cfg.thresholds[k], lines, cols)
+            idx, win_t = layer_spike_times(
+                planes[k], x, cfg.period, cfg.thresholds[k], lines, cols, work=work[k]
+            )
             layers.append((x, idx, win_t))
             x = win_t
 
@@ -286,7 +304,9 @@ class TnnNetwork:
                     bank[rows] = weight_planes(w.reshape(-1, w.shape[2])[rows], cfg.plane_depth)
                 else:
                     state = bank.reshape(w.shape[:2] + bank.shape[1:])
-                    stdp.update_layer(state, inputs, idx, win_t, cfg.stdp_params, parity[k])
+                    stdp.update_layer(
+                        state, inputs, idx, win_t, cfg.stdp_params, parity[k], work=work[k]
+                    )
         return result, x, layers[-1][1]
 
     def _run(self, dataset: LabeledDataset, epochs: int, learn: bool) -> RunSummary:
@@ -303,6 +323,10 @@ class TnnNetwork:
         col_times = np.empty((n, cols))
         col_neurons = np.empty((n, cols), dtype=np.int64)
         planes = self.pack_planes()
+        work = [
+            KernelWorkspace(bank, cfg.period, th, cfg.fan_in(k), layer[0])
+            for k, (bank, th, layer) in enumerate(zip(planes, cfg.thresholds, cfg.layers))
+        ]
         # Layers learn on their planes when these hold every weight.
         parity = None
         if learn and cfg.plane_depth == cfg.stdp_params.w_max:
@@ -311,7 +335,7 @@ class TnnNetwork:
             for i in range(n):
                 volley = encode_image(dataset.pixels[i % len(dataset)], cfg.encoder)
                 result, col_times[i], col_neurons[i] = self.run_gamma_cycle(
-                    volley, planes, learn, parity
+                    volley, planes, work, learn, parity
                 )
                 lengths[i] = result.length
                 control[i] = result.cause is gamma.GrstCause.CONTROL

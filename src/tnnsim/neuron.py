@@ -20,10 +20,17 @@ Bit-plane ``k`` of a bank marks the synapses with ``c >= k``, packed 64
 lines to a ``uint64`` word. A synapse whose spike arrives at step ``s``
 adds one unit from step ``s + k - 1`` on for every plane ``k`` it is in, so
 popcounting each plane ANDed with the mask of the lines arriving at ``s``
-gives how many units start at each step, and the potential is the running
-sum of those onsets. A ramp never runs longer than the period, so
-``min(w_max, period)`` planes cover every weight. Everything is integer
-arithmetic, so spike times are exact.
+gives how many units each plane starts. The potential at step ``t`` is the
+sum of the onsets of every plane ``k`` and arrival ``s`` with
+``s + k - 1 <= t``. So the product of a 0/1 ramp, ``R[i, k - 1] = [i >=
+k - 1]`` for ``i < depth``, with the ``(depth, neurons)`` onsets of step
+``s`` is that step's contribution to rows ``s`` to ``s + depth - 1`` of
+the ``(period, neurons)`` potential, and its last row, the onsets' total,
+is the contribution to every later row: no running sum over time. A ramp
+never runs longer than the period, so ``min(w_max, period)`` planes cover
+every weight. Every value is a whole number of units no larger than
+``lines * depth``, held exactly in floating point, so spike times are
+exact.
 
 The planes are stored word-major, ``(words, neurons, depth)``, so one
 arrival step is one AND of ``words`` long rows with the step's mask, one
@@ -36,7 +43,7 @@ gamma clock ends a cycle once every column has answered.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,16 +54,19 @@ _PACK_CHUNK = 1 << 20
 
 
 def kernel_bytes(neurons: int, lines: int, depth: int, period: int) -> int:
-    """Working set of one bank's kernel call, an upper bound on what it
-    holds at once: per neuron its packed planes, one ANDed copy of them and
-    their popcounts, one step's onset sums, the int64 potential and its
-    threshold test; per line the volley's arrival test and steps; the
-    packed mask of each distinct arrival step, a count per step, and
-    numpy's casting buffers."""
+    """Working set of one bank's kernel, an upper bound on what its
+    ``KernelWorkspace`` and one call hold at once: per neuron its packed
+    planes, one ANDed copy of them and their popcounts, the onset sums,
+    their float copy and their product with the ramp, the threshold, the
+    float potential and its bool below-mask, and the per-column results;
+    the ramp; per line the volley's arrival test and steps and the
+    ``valid`` plane; the packed mask of each distinct arrival step, a count
+    per step, and numpy's casting buffers."""
     words = -(-lines // 64)
-    per_neuron = 17 * depth * words + 8 * depth + 9 * period + 32
+    per_neuron = 17 * depth * words + 24 * depth + 9 * period + 48
     masks = min(period, lines) * (lines + 16 * words)
-    return neurons * per_neuron + masks + 32 * lines + 8 * period + (1 << 17)
+    ramp = 8 * depth * depth
+    return neurons * per_neuron + masks + ramp + 32 * lines + 8 * period + (1 << 17)
 
 
 def pack_lines(bits: np.ndarray) -> np.ndarray:
@@ -119,6 +129,58 @@ def unpack_weights(planes: np.ndarray, parity: np.ndarray, out: np.ndarray) -> N
         out[r : r + block] = 2 * bits.sum(axis=1, dtype=out.dtype) + half
 
 
+class KernelWorkspace:
+    """What one layer's kernel calls reuse: the word-major view of its
+    planes, the AND, popcount and onset buffers, the potential, the
+    per-neuron thresholds, the ramp and the packed all-lines ``valid``
+    plane that ``stdp.update_layer`` reads.
+
+    Built from the arguments of ``layer_spike_times`` and valid for as long
+    as they are: the store is a view of planes from ``weight_planes``, so
+    it follows in-place writes to them (other layouts are copied once).
+    """
+
+    def __init__(
+        self,
+        planes: np.ndarray,
+        period: int,
+        threshold: Union[int, np.ndarray],
+        lines: int,
+        cols: int,
+    ):
+        n_neurons, depth, words = planes.shape
+        if -(-lines // 64) != words:
+            raise ValueError(f"{lines} lines do not pack into {words} words")
+        if cols < 1 or n_neurons % cols:
+            raise ValueError(f"{n_neurons} neurons do not split into {cols} columns")
+        self.store = planes.transpose(2, 0, 1).reshape(words, n_neurons * depth)
+        self.anded = np.empty_like(self.store)
+        self.counts = np.empty(self.store.shape, dtype=np.uint8)
+        # A popcount is at most 64 and a plane marks at most ``lines`` bits.
+        self.sums = np.empty(n_neurons * depth, dtype=np.uint16 if lines < 1 << 16 else np.int64)
+        # A potential is a whole number of units, at most ``lines * depth``:
+        # a float32 holds it and every partial sum exactly below 2**24, a
+        # float64 below 2**53, past any bank that fits in memory. So does
+        # every threshold taken to its ceiling and clipped to one past the
+        # reach, which a potential never meets either way.
+        reach = lines * depth
+        dtype = np.float32 if reach < 1 << 24 else np.float64
+        self.onsets = np.empty((n_neurons, depth), dtype=dtype)
+        th = np.minimum(np.broadcast_to(np.asarray(threshold), (n_neurons,)), reach + 1)
+        self.threshold = np.ceil(th.astype(np.float64)).astype(dtype)
+        self.potential = np.empty((period, n_neurons), dtype=dtype)
+        self.product = np.empty((depth, n_neurons), dtype=dtype)
+        self.below = np.empty(self.potential.shape, dtype=bool)
+        # A neuron's count of steps below threshold is at most the period.
+        self.count_dtype = np.uint16 if period < 1 << 16 else np.int64
+        # ``ramp[i, k]`` is 1 where plane ``k + 1`` of an arrival at step
+        # ``s`` has started its unit by step ``s + i``; from ``s + depth - 1``
+        # on every plane has.
+        self.ramp = np.empty((depth, depth), dtype=dtype)
+        np.greater_equal(np.arange(depth)[:, None], np.arange(depth), out=self.ramp)
+        self.valid = pack_lines(np.ones(lines, dtype=bool))
+
+
 def layer_spike_times(
     planes: np.ndarray,
     times: Sequence[SpikeTime],
@@ -126,24 +188,25 @@ def layer_spike_times(
     threshold: Union[int, np.ndarray],
     lines: int,
     cols: int,
+    *,
+    work: Optional[KernelWorkspace] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Winner of every column of a layer sharing one input volley.
 
     ``planes`` is the ``weight_planes`` of a bank with ``lines`` input
     lines whose neurons are ``cols`` columns in order; the planes hold the
     line count only to the word, so it is passed with them. ``threshold``
-    is one value or one per neuron, each at least 1. Returns each column's
-    winner neuron (-1 where it stays silent) as int64 and its spike time
-    (``np.inf`` where silent) as float.
+    is one value or one per neuron, each at least 1. ``work`` is a
+    ``KernelWorkspace`` built from the same planes, period, threshold,
+    lines and columns, or None to build one for this call. Returns each
+    column's winner neuron (-1 where it stays silent) as int64 and its
+    spike time (``np.inf`` where silent) as float.
     """
-    n_neurons, depth, words = planes.shape
+    if work is None:
+        work = KernelWorkspace(planes, period, threshold, lines, cols)
     t_arr = np.asarray(times, dtype=float)
-    if -(-lines // 64) != words:
-        raise ValueError(f"{lines} lines do not pack into {words} words")
     if t_arr.shape[0] != lines:
         raise ValueError(f"volley has {t_arr.shape[0]} lines, expected {lines}")
-    if cols < 1 or n_neurons % cols:
-        raise ValueError(f"{n_neurons} neurons do not split into {cols} columns")
     # Arrivals at or past the period never contribute inside the cycle.
     live = t_arr[t_arr < period]
     if live.size == 0:
@@ -151,34 +214,30 @@ def layer_spike_times(
     if live.min() < 0:
         raise ValueError(f"spike time {live.min():g} is negative")
     steps = np.flatnonzero(np.bincount(live.astype(np.int64), minlength=period))
-    th = np.broadcast_to(np.asarray(threshold), (n_neurons,))
-    # A view for planes from ``weight_planes``; other layouts are copied.
-    store = planes.transpose(2, 0, 1).reshape(words, n_neurons * depth)
-    anded = np.empty_like(store)
-    counts = np.empty(store.shape, dtype=np.uint8)
-    # A popcount is at most 64 and a plane marks at most ``lines`` bits.
-    sum_dtype = np.uint16 if lines < 1 << 16 else np.int64
-    # Ramp-unit onsets per step and neuron; rows ``[:done]`` have been
-    # summed in place into the (final) potential.
-    potential = np.zeros((period, n_neurons), dtype=np.int64)
-    nexts = np.append(steps[1:], period).tolist()
-    done = 0
+    store, anded, counts, sums, th = work.store, work.anded, work.counts, work.sums, work.threshold
+    potential, product, onsets, ramp = work.potential, work.product, work.onsets, work.ramp
+    depth = len(ramp)
+    potential.fill(0)
+    nexts = steps[1:].tolist() + [period]
     for s, nxt, mask in zip(steps.tolist(), nexts, pack_lines(t_arr == steps[:, None])):
         np.bitwise_and(store, mask[:, None], out=anded)
         np.bitwise_count(anded, out=counts)
-        onsets = counts.sum(axis=0, dtype=sum_dtype).reshape(n_neurons, depth)
-        # Plane k (index k - 1) starts its units at s + k - 1.
-        end = min(s + depth, period)
-        potential[s:end] += onsets[:, : end - s].T
+        np.sum(counts, axis=0, out=sums)
+        onsets.ravel()[:] = sums
+        # Plane k (index k - 1) adds one unit from step s + k - 1 on: the
+        # ramp's rows give the steps up to s + depth - 1, its last row all
+        # those after.
+        band = min(depth, period - s)
+        np.matmul(ramp[:band], onsets.T, out=product[:band])
+        potential[s : s + band] += product[:band]
+        potential[s + band :] += product[band - 1]
         # Later arrivals start at nxt or after: the potential before nxt is final.
-        lo = max(done - 1, 0)
-        np.cumsum(potential[lo:nxt], axis=0, out=potential[lo:nxt])
-        done = nxt
-        if done < period and (potential[done - 1] >= th).reshape(cols, -1).any(axis=1).all():
+        if nxt < period and (potential[nxt - 1] >= th).reshape(cols, -1).any(axis=1).all():
             break
     # The potential is monotone: a spike time is the count of steps below
-    # threshold, and ``done`` for a neuron still below it.
-    below = (potential[:done] < th).sum(axis=0).reshape(cols, -1)
+    # threshold, and ``nxt`` for a neuron still below it.
+    below = np.less(potential[:nxt], th, out=work.below[:nxt]).view(np.uint8)
+    below = below.sum(axis=0, dtype=work.count_dtype).reshape(cols, -1)
     idx = below.argmin(axis=1)
     win = below[np.arange(cols), idx].astype(float)
     silent = win == period

@@ -39,10 +39,11 @@ rows it returns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .neuron import pack_lines
+from .neuron import KernelWorkspace, pack_lines
 
 # Largest w_max whose half-unit cap still fits the int16 weights.
 W_MAX_LIMIT = np.iinfo(np.int16).max // 2
@@ -70,6 +71,22 @@ class StdpParams:
         return 2 * self.w_max
 
 
+def _distinct_steps(at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct winner times ``at`` holds, in order, and the index of
+    each winner's time among them. Winner times are whole steps below the
+    period, so they are counted by step; anything else raises
+    ``ValueError`` rather than being truncated into the wrong step."""
+    steps = at.astype(np.int64) if np.isfinite(at).all() else None
+    if steps is None or ((steps != at) | (steps < 0)).any():
+        raise ValueError(f"winner times {at.tolist()} are not all whole steps >= 0")
+    counts = np.bincount(steps)
+    times = np.flatnonzero(counts)
+    rank = np.empty(counts.size, dtype=np.intp)
+    rank[times] = np.arange(times.size)
+    # Float times, as the spike times they are compared with.
+    return times.astype(float), rank[steps]
+
+
 def update_weights(
     weights_hu: np.ndarray,
     x: np.ndarray,
@@ -81,9 +98,10 @@ def update_weights(
 
     ``weights_hu`` is ``(columns, neurons, lines)`` half-units; ``x`` the
     input spike times, ``winner_idx`` each column's winner (-1 for none),
-    ``z`` each column's winner time (inf for none). Returns the indices of
-    the rows it rewrote in the ``(columns * neurons, lines)`` view: each
-    winner's row and every row of a silent column.
+    ``z`` each column's winner time (inf for none), a whole step where
+    there is a winner. Returns the indices of the rows it rewrote in the
+    ``(columns * neurons, lines)`` view: each winner's row and every row of
+    a silent column.
     """
     n_neurons = weights_hu.shape[1]
     cap = p.half_unit_cap
@@ -93,6 +111,8 @@ def update_weights(
     has_winner = winner_idx >= 0
     won = np.nonzero(has_winner)[0]
     silent = np.nonzero(~has_winner)[0]
+    if won.size:  # before any row changes
+        times, which = _distinct_steps(z[won])
     if silent.size:
         # Every neuron explores: SEARCH on live lines, QUIET on dead ones.
         explore = np.where(
@@ -107,7 +127,6 @@ def update_weights(
         # values, so one delta row is built per distinct time and gathered:
         # on a 64x10x1568 layer that is ~30% less update time than one
         # compare per winner row (measured, 2-vCPU VM).
-        times, which = np.unique(z[won], return_inverse=True)
         delta = np.where(
             x[None, :] <= times[:, None], min(p.u_capture, cap), -min(p.u_backoff, cap)
         ).astype(np.int32)[which]
@@ -186,6 +205,8 @@ def update_layer(
     z: np.ndarray,
     p: StdpParams,
     parity: np.ndarray,
+    *,
+    work: Optional[KernelWorkspace] = None,
 ) -> None:
     """One gamma cycle's update of a layer's learning state, in place.
 
@@ -193,8 +214,10 @@ def update_layer(
     layer's ``neuron.weight_planes`` with ``depth == p.w_max``, and
     ``parity`` the packed ``hu & 1`` of its weights, a C-ordered
     ``(columns, neurons, words)`` array; ``x``, ``winner_idx`` and ``z``
-    are as for ``update_weights``. Each winner's row and every row of a
-    silent column come to hold the planes and parity of the weights
+    are as for ``update_weights``. ``work`` is the layer's
+    ``neuron.KernelWorkspace``, whose packed ``valid`` plane is read
+    instead of packing one. Each winner's row and every row of a silent
+    column come to hold the planes and parity of the weights
     ``update_weights`` would leave; padding bits stay 0.
     """
     cols, neurons, depth, words = planes.shape
@@ -205,8 +228,11 @@ def update_layer(
         raise ValueError(f"{depth} planes cannot hold weights up to w_max {p.w_max}")
     if -(-x.shape[0] // 64) != words:
         raise ValueError(f"{x.shape[0]} lines do not pack into {words} words")
+    won = np.flatnonzero(winner_idx >= 0)
+    if won.size:  # before any row changes
+        times, which = _distinct_steps(z[won])
     cap = p.half_unit_cap
-    valid = pack_lines(np.ones(x.shape, dtype=bool))
+    valid = pack_lines(np.ones(x.shape, dtype=bool)) if work is None else work.valid
     # Depth-major rows, so each plane operation runs over every row at once.
     by_depth = planes.reshape(cols * neurons, depth, words).transpose(1, 0, 2)
     flat_parity = parity.reshape(cols * neurons, words)
@@ -218,11 +244,9 @@ def update_layer(
             by_depth, flat_parity, rows, valid, pack_lines(np.isfinite(x)),
             min(p.u_search, cap), min(p.u_quiet, cap),
         )
-    won = np.flatnonzero(winner_idx >= 0)
     if won.size:
         # Capture early lines, back off late or dead ones, packing one line
         # mask per distinct winner time.
-        times, which = np.unique(z[won], return_inverse=True)
         _update_rows(
             by_depth, flat_parity, won * neurons + winner_idx[won], valid,
             pack_lines(x <= times[:, None])[which],

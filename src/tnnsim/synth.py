@@ -13,12 +13,12 @@ Run as a script to drop IDX files for the CLI:
 
 from __future__ import annotations
 
-import argparse
 import pathlib
 import sys
 
 import numpy as np
 
+from .cli import _Parser
 from .dataio import LabeledDataset, write_idx_images, write_idx_labels
 
 WIDTH = 28
@@ -114,8 +114,8 @@ def write_idx_pair(dataset: LabeledDataset, images_path, labels_path) -> None:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="generate synthetic digit IDX files"
+    parser = _Parser(
+        prog="python -m tnnsim.synth", description="generate synthetic digit IDX files"
     )
     parser.add_argument("out_dir", type=pathlib.Path)
     parser.add_argument("--train", type=int, default=1000)

@@ -712,6 +712,16 @@ class TestSynthScript:
         assert captured.err == f"error: {flag} must be >= {least}, got {value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--train", "--test", "--seed"])
+    def test_non_integer_flag_exits_one(self, tmp_path, capsys, flag):
+        out = tmp_path / "digits"
+        with pytest.raises(SystemExit) as exc:
+            synth.main([str(out), flag, "x"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: invalid int value: 'x'\n" in err
+        assert not out.exists()
+
     def test_writes_train_and_test_pairs(self, tmp_path, capsys):
         out = tmp_path / "digits"
         assert synth.main([str(out), "--train", "3", "--test", "2", "--seed", "0"]) == 0

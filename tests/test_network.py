@@ -33,6 +33,7 @@ from tnnsim.network import (
     save_weights_npz,
     write_summary_csv,
 )
+from tnnsim.neuron import kernel_bytes
 from tnnsim.stdp import W_MAX_LIMIT, StdpParams
 
 
@@ -106,15 +107,28 @@ class TestConfig:
         assert tiny_config(period=8, encoder=Linear(period=8)).period == 8
 
     def test_kernel_working_set_bounded(self):
-        # Layer 1 has 4 lines (one word), period 16 and depth min(7, 16):
-        # each neuron needs 17 * 7 + 8 * 7 + 9 * 16 + 32 = 351 bytes, on top
-        # of 4 * (4 + 16) + 32 * 4 + 8 * 16 + 2**17 = 131408 for the volley.
-        most = (KERNEL_BYTES_LIMIT - 131408) // 351
+        # Period 16 and depth min(7, 16); both layers fit one word, so each
+        # neuron needs 17 * 7 + 24 * 7 + 9 * 16 + 48 = 479 bytes. Layer 1
+        # has 4 lines: 4 * (4 + 16) + 8 * 7 * 7 + 32 * 4 + 8 * 16 + 2**17
+        # = 131800 bytes on top. Layer 0's 8 neurons over 18 lines hold
+        # 8 * 479 + 16 * (18 + 16) + 8 * 7 * 7 + 32 * 18 + 8 * 16 + 2**17
+        # = 136544 bytes of the limit.
+        most = (KERNEL_BYTES_LIMIT - 136544 - 131800) // 479
         NetworkConfig(layers=((4, 2), (1, most)), pixel_count=9, threshold=5)
         with pytest.raises(ValueError, match="layer 1 .* 1024 MiB"):
             NetworkConfig(layers=((4, 2), (1, most + 1)), pixel_count=9, threshold=5)
         with pytest.raises(ValueError, match="layer 0 "):
             NetworkConfig(layers=((100000, 100),), pixel_count=784, threshold=5)
+
+    def test_kernel_working_sets_add_up(self):
+        # A run holds every layer's workspace at once: each of these layers
+        # fits the limit alone, but not both together.
+        neurons = (KERNEL_BYTES_LIMIT // 2 + 1) // 479
+        needs = [kernel_bytes(neurons, lines, 7, 16) for lines in (18, 1)]
+        assert max(needs) <= KERNEL_BYTES_LIMIT < sum(needs)
+        NetworkConfig(layers=((1, neurons),), pixel_count=9, threshold=5)
+        with pytest.raises(ValueError, match="layer 1 .* with the layers before it, over the 1024 MiB"):
+            NetworkConfig(layers=((1, neurons), (1, neurons)), pixel_count=9, threshold=5)
 
     def test_weights_start_inside_cap(self):
         net = TnnNetwork(tiny_config())

@@ -8,6 +8,7 @@ brute force too. A bank of one-neuron columns gives per-neuron times.
 """
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,7 +27,14 @@ from oracle import (
 )
 
 from tnnsim.encode import INF
-from tnnsim.neuron import kernel_bytes, layer_spike_times, pack_lines, unpack_weights, weight_planes
+from tnnsim.neuron import (
+    KernelWorkspace,
+    kernel_bytes,
+    layer_spike_times,
+    pack_lines,
+    unpack_weights,
+    weight_planes,
+)
 
 
 def column_winners(weights_hu, times, period, threshold, cols, w_max=7):
@@ -360,35 +368,123 @@ class TestWordBoundaries:
         assert fired > 20 and silent > 20, (fired, silent)
 
 
-class TestKernelBytes:
-    """``kernel_bytes`` bounds what a kernel call holds at once: its planes
-    plus the peak it allocates, as ``tracemalloc`` sees it."""
+class TestWorkspaceReuse:
+    """One workspace carries nothing from one call to the next: over
+    posneg, graded, all-silent and early-stopping volleys in turn, and
+    across in-place rewrites of the planes as learning makes them, each
+    call's winners equal those of a call that builds its own."""
 
-    @pytest.mark.parametrize(
-        "neurons, cols, lines, w_max, period, threshold, volley",
-        [
-            (640, 64, 1568, 7, 16, 3000, "graded"),  # deep-linear's first layer
-            (640, 64, 1568, 7, 16, 1, "graded"),  # early stop after one step
-            (80, 8, 1568, 7, 16, 3000, "time0"),  # a posneg volley
-            (20000, 2000, 8, 2, 256, 10**9, "graded"),  # long period, all silent
-            (20000, 2000, 8, 2, 256, 3, "spread"),
-            (3, 1, 64, 7, 4096, 10**9, "graded"),  # period far over the lines
-            (4, 2, 3, 7, 16, 10**9, "graded"),
-            (30, 3, 70000, 7, 1024, "per-neuron", "graded"),
-        ],
-    )
+    @pytest.mark.parametrize("per_neuron", [False, True], ids=["one-threshold", "per-neuron"])
+    def test_matches_fresh_calls(self, monkeypatch, per_neuron):
+        rng = np.random.default_rng(31 + per_neuron)
+        neurons, cols, lines, period = 24, 6, 130, 16
+        planes = weight_planes(rng.integers(0, 15, size=(neurons, lines)), 7)
+        threshold = rng.integers(1, 700, size=neurons) if per_neuron else 300
+        work = KernelWorkspace(planes, period, threshold, lines, cols)
+        popcounts = [0]  # one per arrival step the kernel evaluates
+        popcount = np.bitwise_count
+
+        def counting(*args, **kwargs):
+            popcounts[0] += 1
+            return popcount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bitwise_count", counting)
+        outcomes = Counter()
+        for i in range(220):
+            kind = ("posneg", "linear", "silent", "early")[i % 4]
+            if kind == "posneg":
+                times = np.where(rng.random(lines) < 0.5, 0.0, INF)
+            elif kind == "linear":
+                times = np.where(rng.random(lines) < 0.2, INF, rng.integers(0, period, lines))
+            elif kind == "silent":
+                times = np.full(lines, INF)
+            else:
+                # Most lines at step 0, the rest at 12 or later: columns
+                # often answer before those arrive.
+                times = np.where(rng.random(lines) < 0.9, 0.0, rng.integers(12, period, lines))
+            if i % 7 == 6:
+                row = rng.integers(neurons)
+                planes[row] = weight_planes(rng.integers(0, 15, size=(1, lines)), 7)[0]
+            want = layer_spike_times(planes, times, period, threshold, lines, cols)
+            popcounts[0] = 0
+            got = layer_spike_times(planes, times, period, threshold, lines, cols, work=work)
+            assert_winners(got, want)
+            outcomes["fired"] += int((got[0] >= 0).sum())
+            outcomes["silent"] += int((got[0] < 0).sum())
+            outcomes["stopped early"] += popcounts[0] < np.unique(times[times < period]).size
+        # Columns fire and stay silent on live volleys too (all-silent ones
+        # give 55 * 6), and of the 110 graded and early volleys some stop
+        # before their last arrival step and some do not.
+        assert outcomes["fired"] > 300 and outcomes["silent"] > 400, outcomes
+        assert 30 < outcomes["stopped early"] < 110, outcomes
+
+
+class TestExactPotential:
+    """The potential is held in floating point, exactly: a float32 while
+    the reach, ``lines * depth``, is below 2**24, else a float64."""
+
+    @staticmethod
+    def saturated(w_max, threshold):
+        # 2**20 lines at step 0, each at the cap: the potential is
+        # (t + 1) * 2**20 until it saturates at w_max * 2**20.
+        lines = 1 << 20
+        planes = weight_planes(np.full((len(threshold), lines), 2 * w_max, dtype=np.int16), w_max)
+        work = KernelWorkspace(planes, 16, threshold, lines, len(threshold))
+        got = layer_spike_times(planes, np.zeros(lines), 16, threshold, lines, len(threshold), work=work)
+        return work.potential.dtype, got[0].tolist(), got[1].tolist()
+
+    def test_potential_past_float32(self):
+        # The potential reaches 2**24 at t = 15, past what a float32 holds
+        # exactly, so 2**24 + 1 stays out of reach.
+        top = 1 << 24
+        assert self.saturated(16, [top - (1 << 20), top - (1 << 20) + 1, top, top + 1]) == (
+            np.float64, [0, 0, 0, -1], [14, 15, 15, INF]
+        )
+
+    def test_fractional_threshold_is_its_ceiling(self):
+        # The potential tops out at 2**23, where a float32 steps by whole
+        # units: 2**23 + 0.25 must not round down to a threshold it meets.
+        top = 1 << 23
+        assert self.saturated(8, [top - 0.5, top + 0.25]) == (np.float32, [0, -1], [7, INF])
+
+
+# Bank shapes, volleys and thresholds whose kernel memory is measured.
+KERNEL_CASES = [
+    (640, 64, 1568, 7, 16, 3000, "graded"),  # deep-linear's first layer
+    (640, 64, 1568, 7, 16, 1, "graded"),  # early stop after one step
+    (80, 8, 1568, 7, 16, 3000, "time0"),  # a posneg volley
+    (20000, 2000, 8, 2, 256, 10**9, "graded"),  # long period, all silent
+    (20000, 2000, 8, 2, 256, 3, "spread"),
+    (3, 1, 64, 7, 4096, 10**9, "graded"),  # period far over the lines
+    (4, 2, 3, 7, 16, 10**9, "graded"),
+    (30, 3, 70000, 7, 1024, "per-neuron", "graded"),
+]
+
+
+def kernel_case(neurons, lines, w_max, period, threshold, volley):
+    """Planes, volley, threshold and depth of one ``KERNEL_CASES`` row."""
+    rng = np.random.default_rng(neurons + lines + period)
+    weights = rng.integers(0, 2 * w_max + 1, size=(neurons, lines), dtype=np.int16)
+    depth = min(w_max, period)
+    planes = weight_planes(weights, depth)
+    times = {
+        "graded": rng.integers(0, period, size=lines),
+        "time0": np.where(rng.random(lines) < 0.5, 0.0, INF),
+        "spread": np.arange(lines) * (period // lines),
+    }[volley].astype(float)
+    if threshold == "per-neuron":
+        threshold = list(rng.integers(1, 10**6, size=neurons))
+    return planes, times, threshold, depth
+
+
+class TestKernelBytes:
+    """``kernel_bytes`` bounds what a layer's kernel holds at once: its
+    planes plus the workspace and the peak a call allocates, as
+    ``tracemalloc`` sees it."""
+
+    @pytest.mark.parametrize("neurons, cols, lines, w_max, period, threshold, volley", KERNEL_CASES)
     def test_bounds_measured_peak(self, neurons, cols, lines, w_max, period, threshold, volley):
-        rng = np.random.default_rng(neurons + lines + period)
-        weights = rng.integers(0, 2 * w_max + 1, size=(neurons, lines), dtype=np.int16)
-        depth = min(w_max, period)
-        planes = weight_planes(weights, depth)
-        times = {
-            "graded": rng.integers(0, period, size=lines),
-            "time0": np.where(rng.random(lines) < 0.5, 0.0, INF),
-            "spread": np.arange(lines) * (period // lines),
-        }[volley].astype(float)
-        if threshold == "per-neuron":
-            threshold = list(rng.integers(1, 10**6, size=neurons))
+        planes, times, threshold, depth = kernel_case(neurons, lines, w_max, period, threshold, volley)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -397,4 +493,22 @@ class TestKernelBytes:
         finally:
             tracemalloc.stop()
         assert peak + planes.nbytes <= kernel_bytes(neurons, lines, depth, period)
+        assert idx.shape == (cols,)
+
+    @pytest.mark.parametrize("neurons, cols, lines, w_max, period, threshold, volley", KERNEL_CASES)
+    def test_bounds_workspace_and_call(self, neurons, cols, lines, w_max, period, threshold, volley):
+        # As a run holds it: the workspace built first, then one call on it.
+        planes, times, threshold, depth = kernel_case(neurons, lines, w_max, period, threshold, volley)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            work = KernelWorkspace(planes, period, threshold, lines, cols)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            idx, _ = layer_spike_times(planes, times, period, threshold, lines, cols, work=work)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert held + peak + planes.nbytes <= kernel_bytes(neurons, lines, depth, period)
         assert idx.shape == (cols,)

@@ -253,6 +253,23 @@ class TestBitSlicedSteps:
         with pytest.raises(ValueError, match="do not pack"):
             update_layer(planes.reshape(1, 2, 7, 1), [0] * 65, [0], [0.0], StdpParams(), parity)
 
+    @pytest.mark.parametrize("z", [2.5, -1.0, INF, np.nan])
+    def test_winner_time_must_be_a_whole_step(self, z):
+        # Distinct winner times are counted by step, so a time that is not
+        # one would be truncated into the wrong line mask. Column 1 is
+        # silent: no row changes before the error either, on either path.
+        weights = np.full((2, 2, 3), 5, dtype=np.int16)
+        planes = weight_planes(weights.reshape(4, 3), 7)
+        parity = pack_lines((weights & 1) == 1)
+        held = planes.copy(), parity.copy()
+        args = np.array([0, 3, INF]), np.array([1, -1]), np.array([z, INF]), StdpParams()
+        with pytest.raises(ValueError, match="whole steps"):
+            update_weights(weights, *args)
+        with pytest.raises(ValueError, match="whole steps"):
+            update_layer(planes.reshape(2, 2, 7, 1), *args, parity)
+        assert (weights == 5).all()
+        assert np.array_equal(planes, held[0]) and np.array_equal(parity, held[1])
+
 
 class TestLearningDynamics:
     def test_repeated_capture_specializes_a_neuron(self):
