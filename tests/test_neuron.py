@@ -218,6 +218,22 @@ class TestLayerSpikeTimes:
         with pytest.raises(ValueError, match="negative"):
             bank_spike_times(np.zeros((2, 3), dtype=np.int16), [0, -1, INF], 16, 1)
 
+    def test_fractional_time_rejected(self):
+        # Truncated to step 2, the line at 2.5 lifts neuron 0 to threshold
+        # at t = 7; dropped, it leaves the column silent. Neither is right.
+        weights, times = np.full((2, 3), 14), [0, 2.5, 0]
+        assert_winners(column_argmin(stepwise_spike_times(weights, times, 16, 20), 1), ([0], [7]))
+        planes = weight_planes(weights, 7)
+        with pytest.raises(ValueError, match="spike time 2.5 is not a whole step"):
+            layer_spike_times(planes, times, 16, 20, 3, 1)
+
+    def test_nan_time_rejected(self):
+        # A NaN is neither before nor past the period; it is never dropped.
+        planes = weight_planes(np.full((2, 3), 14), 7)
+        for times in ([0, np.nan, 0], [np.nan] * 3, [INF, np.nan, 40], [np.nan, -1, 0]):
+            with pytest.raises(ValueError, match="spike time nan is not a whole step"):
+                layer_spike_times(planes, times, 16, 20, 3, 1)
+
     def test_planes_mark_whole_units(self):
         # half-units 0..5 are weights 0, 0, 1, 1, 2, 2: plane k marks c >= k.
         planes = weight_planes(np.array([[0, 1, 2, 3, 4, 5]]), 3)
@@ -367,12 +383,63 @@ class TestWordBoundaries:
         # neither check is vacuous.
         assert fired > 20 and silent > 20, (fired, silent)
 
+    @pytest.mark.parametrize("lines", [65, 130, 1568])
+    def test_clustered_volleys_match_references(self, monkeypatch, lines):
+        # Steps that light a few words, so the kernel ANDs only those, in
+        # one call sequence with an all-live posneg volley.
+        rng = np.random.default_rng(2000 + lines)
+        words = -(-lines // 64)
+        word = np.arange(lines) // 64
+        posneg = np.where(rng.random(lines) < 0.5, 0.0, INF)
+        posneg[::64] = 0.0  # a line in every word
+        edges = np.full(lines, INF)
+        edges[word == 0] = 1  # a step that lights only word 0
+        edges[word == words - 1] = 3  # and one that lights only the padded last word
+        sprinkled = rng.random(lines) < 0.3
+        sprinkled[::64] = True
+        anded = []  # per call, the store rows ANDed at each evaluated step
+        popcount = np.bitwise_count
+
+        def counting(a, *args, **kwargs):
+            anded[-1].append(a.shape[0])
+            return popcount(a, *args, **kwargs)
+
+        fired = silent = 0
+        for w_max, period in ((7, 16), (20, 5)):
+            neurons, cols = 8, 4
+            weights = rng.integers(0, 2 * w_max + 1, size=(neurons, lines))
+            planes = weight_planes(weights, min(w_max, period))
+            thresholds = rng.integers(1, lines * min(w_max, period) + 2, size=neurons)
+            work = KernelWorkspace(planes, period, thresholds, lines, cols)
+            clustered = (word % period).astype(float)
+            # Gathered steps around one that lights every word.
+            mixed = np.where(sprinkled, 2.0, clustered)
+            for times in (clustered, posneg, edges, mixed):
+                anded.append([])
+                monkeypatch.setattr(np, "bitwise_count", counting)
+                got = layer_spike_times(planes, times, period, thresholds, lines, cols, work=work)
+                monkeypatch.setattr(np, "bitwise_count", popcount)
+                for ref in (
+                    stepwise_spike_times(weights, times, period, thresholds),
+                    cumsum_spike_times(weights, times, period, thresholds),
+                    plane_spike_times(planes, times, period, thresholds, lines),
+                ):
+                    assert_winners(got, column_argmin(ref, cols))
+                fired += int((got[0] >= 0).sum())
+                silent += int((got[0] < 0).sum())
+        # Posneg steps AND every word; a word-0 or last-word step ANDs one.
+        assert all(rows == [words] for rows in anded[1::4]), anded
+        assert all(rows[0] == 1 for rows in anded[2::4]), anded
+        assert fired > 8 and silent > 8, (fired, silent)
+
 
 class TestWorkspaceReuse:
     """One workspace carries nothing from one call to the next: over
-    posneg, graded, all-silent and early-stopping volleys in turn, and
-    across in-place rewrites of the planes as learning makes them, each
-    call's winners equal those of a call that builds its own."""
+    posneg, graded, all-silent, early-stopping and clustered volleys in
+    turn, and across in-place rewrites of the planes as learning makes
+    them, each call's winners equal those of a call that builds its own.
+    A step that ANDs only its live words leaves the rows past them stale
+    from earlier steps and calls."""
 
     @pytest.mark.parametrize("per_neuron", [False, True], ids=["one-threshold", "per-neuron"])
     def test_matches_fresh_calls(self, monkeypatch, per_neuron):
@@ -381,42 +448,53 @@ class TestWorkspaceReuse:
         planes = weight_planes(rng.integers(0, 15, size=(neurons, lines)), 7)
         threshold = rng.integers(1, 700, size=neurons) if per_neuron else 300
         work = KernelWorkspace(planes, period, threshold, lines, cols)
-        popcounts = [0]  # one per arrival step the kernel evaluates
+        anded = []  # store rows ANDed at each arrival step the kernel evaluates
         popcount = np.bitwise_count
 
-        def counting(*args, **kwargs):
-            popcounts[0] += 1
-            return popcount(*args, **kwargs)
+        def counting(a, *args, **kwargs):
+            anded.append(a.shape[0])
+            return popcount(a, *args, **kwargs)
 
         monkeypatch.setattr(np, "bitwise_count", counting)
         outcomes = Counter()
-        for i in range(220):
-            kind = ("posneg", "linear", "silent", "early")[i % 4]
+        for i in range(275):
+            kind = ("posneg", "linear", "silent", "early", "clustered")[i % 5]
             if kind == "posneg":
                 times = np.where(rng.random(lines) < 0.5, 0.0, INF)
             elif kind == "linear":
                 times = np.where(rng.random(lines) < 0.2, INF, rng.integers(0, period, lines))
             elif kind == "silent":
                 times = np.full(lines, INF)
-            else:
+            elif kind == "early":
                 # Most lines at step 0, the rest at 12 or later: columns
                 # often answer before those arrive.
                 times = np.where(rng.random(lines) < 0.9, 0.0, rng.integers(12, period, lines))
+            else:
+                # Each word's lines at a step of its own, which ANDs that
+                # word alone, and a fifth of them at one step that lights
+                # every word: gathered and full steps alternate.
+                times = np.where(
+                    rng.random(lines) < 0.2, rng.integers(period), np.arange(lines) // 64 * 5
+                ).astype(float)
             if i % 7 == 6:
                 row = rng.integers(neurons)
                 planes[row] = weight_planes(rng.integers(0, 15, size=(1, lines)), 7)[0]
             want = layer_spike_times(planes, times, period, threshold, lines, cols)
-            popcounts[0] = 0
+            anded.clear()
             got = layer_spike_times(planes, times, period, threshold, lines, cols, work=work)
             assert_winners(got, want)
             outcomes["fired"] += int((got[0] >= 0).sum())
             outcomes["silent"] += int((got[0] < 0).sum())
-            outcomes["stopped early"] += popcounts[0] < np.unique(times[times < period]).size
+            outcomes["stopped early"] += len(anded) < np.unique(times[times < period]).size
+            # 130 lines pack into 3 words.
+            outcomes["full and gathered"] += 3 in anded and min(anded) < 3
         # Columns fire and stay silent on live volleys too (all-silent ones
-        # give 55 * 6), and of the 110 graded and early volleys some stop
-        # before their last arrival step and some do not.
+        # give 55 * 6), and of the 165 graded, early and clustered volleys
+        # some stop before their last arrival step and some do not. Some
+        # calls AND every word at one step and fewer at another.
         assert outcomes["fired"] > 300 and outcomes["silent"] > 400, outcomes
-        assert 30 < outcomes["stopped early"] < 110, outcomes
+        assert 30 < outcomes["stopped early"] < 165, outcomes
+        assert outcomes["full and gathered"] > 20, outcomes
 
 
 class TestExactPotential:
@@ -452,6 +530,7 @@ class TestExactPotential:
 KERNEL_CASES = [
     (640, 64, 1568, 7, 16, 3000, "graded"),  # deep-linear's first layer
     (640, 64, 1568, 7, 16, 1, "graded"),  # early stop after one step
+    (640, 64, 1568, 7, 16, 3000, "clustered"),  # steps that AND one or two words
     (80, 8, 1568, 7, 16, 3000, "time0"),  # a posneg volley
     (20000, 2000, 8, 2, 256, 10**9, "graded"),  # long period, all silent
     (20000, 2000, 8, 2, 256, 3, "spread"),
@@ -471,6 +550,7 @@ def kernel_case(neurons, lines, w_max, period, threshold, volley):
         "graded": rng.integers(0, period, size=lines),
         "time0": np.where(rng.random(lines) < 0.5, 0.0, INF),
         "spread": np.arange(lines) * (period // lines),
+        "clustered": np.arange(lines) // 64 % period,
     }[volley].astype(float)
     if threshold == "per-neuron":
         threshold = list(rng.integers(1, 10**6, size=neurons))
