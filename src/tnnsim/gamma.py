@@ -52,13 +52,21 @@ def run_cycle(
     """Length and cause of one gamma cycle from each column's first-spike time.
 
     Times are whole steps ``>= 0`` or ``INF``; a time at or past the period
-    never fires. In relaxed mode the cycle ends one step after the last
+    never fires, and a negative, fractional or NaN one raises
+    ``ValueError``. In relaxed mode the cycle ends one step after the last
     column fires, if that lands before the rollover; otherwise, and always
     in fixed mode, the cycle runs the full period.
     """
     if not len(column_spike_times):
         raise ValueError("gamma control must monitor at least one column")
-    last = max(column_spike_times)
+    # One pass hashes the times; the checks and the max read only the few
+    # distinct ones.
+    distinct = frozenset(column_spike_times)
+    for t in distinct:
+        # A NaN fails every compare, and ``int`` only sees times below the period.
+        if not (t >= period or 0 <= t == int(t)):
+            raise ValueError(f"column spike time {t} is not a whole step >= 0")
+    last = max(distinct)
     if relaxed and last + 1 < period:
         return CycleResult(int(last) + 1, GrstCause.CONTROL)
     return CycleResult(period, GrstCause.PERIOD)

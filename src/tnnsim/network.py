@@ -256,14 +256,6 @@ class TnnNetwork:
                 rng.integers(0, cap + 1, size=shape, dtype=np.int16)
             )
 
-    def pack_planes(self) -> list[np.ndarray]:
-        """Each layer's bit-planes, packed from the current weights, with
-        every column's neurons stacked into one ``(cols * neurons)`` bank."""
-        return [
-            weight_planes(w.reshape(-1, w.shape[2]), self.config.plane_depth)
-            for w in self.weights
-        ]
-
     def run_gamma_cycle(
         self,
         volley: np.ndarray,
@@ -274,8 +266,9 @@ class TnnNetwork:
     ) -> tuple:
         """Present one volley (layer-0 spike times) for one gamma cycle.
 
-        ``planes`` is ``pack_planes()`` of the current weights and ``work``
-        each layer's ``neuron.KernelWorkspace`` over them. Returns
+        ``planes`` holds each layer's bit-planes, every column's neurons
+        stacked into one ``(cols * neurons)`` bank, and ``work`` each
+        layer's ``neuron.KernelWorkspace``. Returns
         the ``gamma.CycleResult`` and the final layer's per-column winner
         times (inf when silent) and neurons (-1 when silent). When
         ``learn`` is set, STDP updates every layer at the closing reset:
@@ -287,11 +280,8 @@ class TnnNetwork:
         cfg = self.config
         x = np.asarray(volley, dtype=float)
         layers = []  # (input volley, winner neurons, winner times) per layer
-        for k, w in enumerate(self.weights):
-            cols, _, lines = w.shape
-            idx, win_t = layer_spike_times(
-                planes[k], x, cfg.period, cfg.thresholds[k], lines, cols, work=work[k]
-            )
+        for bank, ws in zip(planes, work):
+            idx, win_t = layer_spike_times(bank, x, ws)
             layers.append((x, idx, win_t))
             x = win_t
 
@@ -322,7 +312,8 @@ class TnnNetwork:
         control = np.empty(n, dtype=bool)
         col_times = np.empty((n, cols))
         col_neurons = np.empty((n, cols), dtype=np.int64)
-        planes = self.pack_planes()
+        # Every column's neurons stacked into one bank per layer.
+        planes = [weight_planes(w.reshape(-1, w.shape[2]), cfg.plane_depth) for w in self.weights]
         work = [
             KernelWorkspace(bank, cfg.period, th, cfg.fan_in(k), layer[0])
             for k, (bank, th, layer) in enumerate(zip(planes, cfg.thresholds, cfg.layers))

@@ -50,7 +50,7 @@ the full pass, which needs no copy.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -146,14 +146,15 @@ def unpack_weights(planes: np.ndarray, parity: np.ndarray, out: np.ndarray) -> N
 
 
 class KernelWorkspace:
-    """What one layer's kernel calls reuse: the word-major view of its
-    planes, the AND, popcount and onset buffers, the potential, the
-    per-neuron thresholds, the ramp and the packed all-lines ``valid``
-    plane that ``stdp.update_layer`` reads.
+    """One layer's kernel, described once: the ``(neurons, depth, words)``
+    shape of its planes, its period, line and column counts, and what every
+    call reuses: the AND, popcount and onset buffers, the potential, the
+    per-neuron thresholds, the ramp and the packed all-lines ``valid`` plane
+    that ``stdp.update_layer`` reads.
 
-    Built from the arguments of ``layer_spike_times`` and valid for as long
-    as they are: the store is a view of planes from ``weight_planes``, so
-    it follows in-place writes to them (other layouts are copied once).
+    Built from the layer's planes, whose shape it keeps, but no view of
+    them: each call reads the planes it is given, so in-place writes to
+    them, as learning makes, need no new workspace.
     """
 
     def __init__(
@@ -164,14 +165,14 @@ class KernelWorkspace:
         lines: int,
         cols: int,
     ):
-        n_neurons, depth, words = planes.shape
+        n_neurons, depth, words = self.shape = planes.shape
         if -(-lines // 64) != words:
             raise ValueError(f"{lines} lines do not pack into {words} words")
         if cols < 1 or n_neurons % cols:
             raise ValueError(f"{n_neurons} neurons do not split into {cols} columns")
-        self.store = planes.transpose(2, 0, 1).reshape(words, n_neurons * depth)
-        self.anded = np.empty_like(self.store)
-        self.counts = np.empty(self.store.shape, dtype=np.uint8)
+        self.period, self.lines, self.cols = period, lines, cols
+        self.anded = np.empty((words, n_neurons * depth), dtype=np.uint64)
+        self.counts = np.empty(self.anded.shape, dtype=np.uint8)
         # A popcount is at most 64 and a plane marks at most ``lines`` bits.
         self.sums = np.empty(n_neurons * depth, dtype=np.uint16 if lines < 1 << 16 else np.int64)
         # A potential is a whole number of units, at most ``lines * depth``:
@@ -198,30 +199,24 @@ class KernelWorkspace:
 
 
 def layer_spike_times(
-    planes: np.ndarray,
-    times: Sequence[SpikeTime],
-    period: int,
-    threshold: Union[int, np.ndarray],
-    lines: int,
-    cols: int,
-    *,
-    work: Optional[KernelWorkspace] = None,
+    planes: np.ndarray, times: Sequence[SpikeTime], work: KernelWorkspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """Winner of every column of a layer sharing one input volley.
 
-    ``planes`` is the ``weight_planes`` of a bank with ``lines`` input
-    lines whose neurons are ``cols`` columns in order; the planes hold the
-    line count only to the word, so it is passed with them. ``times`` are
-    whole steps, a time at or past the period (``inf``) for no arrival; a
-    negative, fractional or NaN time raises ``ValueError``. ``threshold``
-    is one value or one per neuron, each at least 1. ``work`` is a
-    ``KernelWorkspace`` built from the same planes, period, threshold,
-    lines and columns, or None to build one for this call. Returns each
+    ``planes`` is the ``weight_planes`` of a bank whose neurons are
+    ``work.cols`` columns in order, and ``work`` the layer's
+    ``KernelWorkspace``, which holds its period, thresholds and line count:
+    the planes hold the line count only to the word. Planes of another
+    shape than the workspace's raise ``ValueError``; planes in another
+    layout than ``weight_planes`` gives are copied on each call. ``times``
+    are whole steps, a time at or past the period (``inf``) for no arrival;
+    a negative, fractional or NaN time raises ``ValueError``. Returns each
     column's winner neuron (-1 where it stays silent) as int64 and its
     spike time (``np.inf`` where silent) as float.
     """
-    if work is None:
-        work = KernelWorkspace(planes, period, threshold, lines, cols)
+    if planes.shape != work.shape:
+        raise ValueError(f"planes of shape {planes.shape} for a workspace built for {work.shape}")
+    period, lines, cols = work.period, work.lines, work.cols
     t_arr = np.asarray(times, dtype=float)
     if t_arr.shape[0] != lines:
         raise ValueError(f"volley has {t_arr.shape[0]} lines, expected {lines}")
@@ -240,9 +235,11 @@ def layer_spike_times(
     arrives = t_arr == steps[:, None]
     if np.count_nonzero(arrives) != live.size:
         raise ValueError(f"spike time {live[at != live][0]:g} is not a whole step")
-    store, anded, counts, sums, th = work.store, work.anded, work.counts, work.sums, work.threshold
+    # Word-major rows: a view of planes as ``weight_planes`` stores them.
+    _, depth, words = work.shape
+    store = planes.transpose(2, 0, 1).reshape(words, -1)
+    anded, counts, sums, th = work.anded, work.counts, work.sums, work.threshold
     potential, product, onsets, ramp = work.potential, work.product, work.onsets, work.ramp
-    words, depth = len(store), len(ramp)
     potential.fill(0)
     nexts = steps[1:].tolist() + [period]
     for s, nxt, mask in zip(steps.tolist(), nexts, pack_lines(arrives)):

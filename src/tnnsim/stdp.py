@@ -1,4 +1,7 @@
-"""Spike-time-dependent weight updates applied at each gamma reset.
+"""Spike-time-dependent weight updates applied at each gamma reset: the
+online, reset-time STDP of J. E. Smith's temporal neural network
+(arXiv:2011.13844), stated once in ``_groups`` and applied to either of
+two weight stores.
 
 Every synapse is classified by its input spike time ``x`` against the
 column's output spike time ``z``:
@@ -13,33 +16,33 @@ All magnitudes are integer half-units; the defaults make the quiet drift
 exactly half of the ordinary unit step, which keeps silent synapses slowly
 creeping toward participation without ever outrunning real learning.
 Updates saturate into ``[0, 2 * w_max]`` half-units. A step larger than
-that range saturates the same way, so steps are clamped to it, and sums
-are capped first or taken in int32: no magnitude can wrap the int16
-weights.
+that range saturates the same way, so steps are clamped to it first: no
+magnitude can wrap the int16 weights.
 
 When a column produced a winner, only the winner's row of synapses updates
-(the losers were inhibited before they could spike). When nothing in the
-column fired, every neuron's row updates under the ``z = INF`` cases, which
-is the only way the SEARCH and QUIET cases are ever reached. Only those
-rows are read and written.
+(the losers were inhibited before they could spike), by CAPTURE on the
+lines with ``x <= z`` and a back-off on the rest. When nothing in the
+column fired, every neuron's row updates under the ``z = INF`` cases,
+SEARCH on live lines and QUIET on dead ones, which is the only way those
+two cases are ever reached. Only those rows are read and written.
 
-A training network learns on its bit-planes. Its learning state is the
-thermometer planes ``neuron.weight_planes`` builds (plane ``k`` marks
-``hu // 2 >= k``) plus one packed parity plane, ``hu & 1``, and
-``update_layer`` moves both by word operations: adding ``2a`` half-units
-moves plane ``k - a`` up to plane ``k``, subtracting ``2b`` moves plane
-``k + b`` down to it, and an odd step carries or borrows through the
-parity. The int16 weights are unpacked from the state once, when the run
-ends. The planes hold whole units only up to their depth, so this needs
-``w_max <= period``; with ``w_max > period`` a network learns with
-``update_weights``, the same rule on the int16 weights, and repacks the
-rows it returns.
+The two stores:
+
+- ``update_layer``, the training path: the thermometer planes
+  ``neuron.weight_planes`` builds (plane ``k`` marks ``hu // 2 >= k``)
+  plus one packed parity plane, ``hu & 1``, moved by word operations:
+  adding ``2a`` half-units moves plane ``k - a`` up to plane ``k``,
+  subtracting ``2b`` moves plane ``k + b`` down to it, and an odd step
+  carries or borrows through the parity. The int16 weights are unpacked
+  from them once, when the run ends. The planes hold whole units only up
+  to their depth, so this needs ``w_max <= period``.
+- ``update_weights``, the int16 weights themselves, for ``w_max >
+  period``; the network repacks the rows it returns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -71,20 +74,58 @@ class StdpParams:
         return 2 * self.w_max
 
 
-def _distinct_steps(at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct winner times ``at`` holds, in order, and the index of
-    each winner's time among them. Winner times are whole steps below the
-    period, so they are counted by step; anything else raises
-    ``ValueError`` rather than being truncated into the wrong step."""
-    steps = at.astype(np.int64) if np.isfinite(at).all() else None
-    if steps is None or ((steps != at) | (steps < 0)).any():
-        raise ValueError(f"winner times {at.tolist()} are not all whole steps >= 0")
-    counts = np.bincount(steps)
-    times = np.flatnonzero(counts)
-    rank = np.empty(counts.size, dtype=np.intp)
-    rank[times] = np.arange(times.size)
-    # Float times, as the spike times they are compared with.
-    return times.astype(float), rank[steps]
+def _groups(shape, x, winner_idx, z, p: StdpParams) -> list:
+    """The rule for one cycle's outputs, checked before any row changes.
+
+    ``shape`` is the layer's ``(columns, neurons, lines)``; ``x``,
+    ``winner_idx`` and ``z`` are as for ``update_weights``. Returns one
+    group for the silent columns and one for the winners, leaving out a
+    group with no rows. Each is ``(rows, masks, which, first, second)``:
+    its flat ``(columns * neurons)`` rows step by ``first`` half-units on
+    the lines set in ``masks[which]`` (one mask per row, or one that every
+    row shares) and by ``second`` on the rest. Steps are capped at the
+    weight range, past which they saturate the same way.
+    """
+    cols, neurons, lines = shape
+    x = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    winner_idx = np.asarray(winner_idx)
+    if x.shape[0] != lines:
+        raise ValueError(f"volley has {x.shape[0]} lines, expected {lines}")
+    if winner_idx.shape != (cols,) or z.shape != (cols,):
+        raise ValueError(f"winners {winner_idx.shape} and times {z.shape} for {cols} columns")
+    bad = winner_idx[(winner_idx < -1) | (winner_idx >= neurons)]
+    if bad.size:
+        raise ValueError(f"winner index {bad[0]} outside -1..{neurons - 1}")
+    cap = p.half_unit_cap
+    groups = []
+    silent = np.flatnonzero(winner_idx < 0)
+    if silent.size:
+        # Every neuron explores: SEARCH on live lines, QUIET on dead ones.
+        rows = (silent[:, None] * neurons + np.arange(neurons)).ravel()
+        groups.append((rows, np.isfinite(x)[None], 0, min(p.u_search, cap), min(p.u_quiet, cap)))
+    won = np.flatnonzero(winner_idx >= 0)
+    if won.size:
+        # Winner times are whole steps below the period, counted by step;
+        # anything else would be truncated into the wrong step.
+        at = z[won]
+        steps = at.astype(np.int64) if np.isfinite(at).all() else None
+        if steps is None or ((steps != at) | (steps < 0)).any():
+            raise ValueError(f"winner times {at.tolist()} are not all whole steps >= 0")
+        counts = np.bincount(steps)
+        times = np.flatnonzero(counts)
+        rank = np.empty(counts.size, dtype=np.intp)
+        rank[times] = np.arange(times.size)
+        # The winner's row captures early lines and backs off late or dead
+        # ones: an inf x never compares <= a finite z, so BACKOFF_NOIN falls
+        # out of the same mask as BACKOFF_LATE. Winner times take at most
+        # ``period`` values, so one mask is built per distinct time.
+        masks = x <= times[:, None]
+        groups.append((
+            won * neurons + winner_idx[won], masks, rank[steps],
+            min(p.u_capture, cap), -min(p.u_backoff, cap),
+        ))
+    return groups
 
 
 def update_weights(
@@ -100,39 +141,17 @@ def update_weights(
     input spike times, ``winner_idx`` each column's winner (-1 for none),
     ``z`` each column's winner time (inf for none), a whole step where
     there is a winner. Returns the indices of the rows it rewrote in the
-    ``(columns * neurons, lines)`` view: each winner's row and every row of
-    a silent column.
+    ``(columns * neurons, lines)`` view, in order: each winner's row and
+    every row of a silent column.
     """
-    n_neurons = weights_hu.shape[1]
-    cap = p.half_unit_cap
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    winner_idx = np.asarray(winner_idx)
-    has_winner = winner_idx >= 0
-    won = np.nonzero(has_winner)[0]
-    silent = np.nonzero(~has_winner)[0]
-    if won.size:  # before any row changes
-        times, which = _distinct_steps(z[won])
-    if silent.size:
-        # Every neuron explores: SEARCH on live lines, QUIET on dead ones.
-        explore = np.where(
-            np.isfinite(x), min(p.u_search, cap), min(p.u_quiet, cap)
-        ).astype(weights_hu.dtype)
-        # Both steps are >= 0: capping first keeps the sum inside the dtype.
-        weights_hu[silent] = np.minimum(weights_hu[silent], cap - explore) + explore
-    if won.size:
-        # Capture early lines, back off late or dead ones. An inf x never
-        # compares <= a finite z, so BACKOFF_NOIN falls out of the same
-        # branch as BACKOFF_LATE. Winner times take at most ``period``
-        # values, so one delta row is built per distinct time and gathered:
-        # on a 64x10x1568 layer that is ~30% less update time than one
-        # compare per winner row (measured, 2-vCPU VM).
-        delta = np.where(
-            x[None, :] <= times[:, None], min(p.u_capture, cap), -min(p.u_backoff, cap)
-        ).astype(np.int32)[which]
-        rows = winner_idx[won]
-        weights_hu[won, rows] = np.clip(weights_hu[won, rows] + delta, 0, cap)
-    return np.flatnonzero(~has_winner[:, None] | (np.arange(n_neurons) == winner_idx[:, None]))
+    neurons = weights_hu.shape[1]
+    groups = _groups(weights_hu.shape, x, winner_idx, z, p)
+    for rows, masks, which, first, second in groups:
+        col, row = np.divmod(rows, neurons)
+        # The steps come out as int64, so the sum is taken wide and clipped.
+        delta = np.where(masks, first, second)[which]
+        weights_hu[col, row] = np.clip(weights_hu[col, row] + delta, 0, p.half_unit_cap)
+    return np.sort(np.concatenate([rows for rows, *_ in groups]))
 
 
 def _reach(u: int) -> int:
@@ -205,8 +224,7 @@ def update_layer(
     z: np.ndarray,
     p: StdpParams,
     parity: np.ndarray,
-    *,
-    work: Optional[KernelWorkspace] = None,
+    work: KernelWorkspace,
 ) -> None:
     """One gamma cycle's update of a layer's learning state, in place.
 
@@ -215,40 +233,21 @@ def update_layer(
     ``parity`` the packed ``hu & 1`` of its weights, a C-ordered
     ``(columns, neurons, words)`` array; ``x``, ``winner_idx`` and ``z``
     are as for ``update_weights``. ``work`` is the layer's
-    ``neuron.KernelWorkspace``, whose packed ``valid`` plane is read
-    instead of packing one. Each winner's row and every row of a silent
-    column come to hold the planes and parity of the weights
-    ``update_weights`` would leave; padding bits stay 0.
+    ``neuron.KernelWorkspace``: the volley must have its line count, and
+    its packed ``valid`` plane is read instead of packing one. Each
+    winner's row and every row of a silent column come to hold the planes
+    and parity of the weights ``update_weights`` would leave; padding bits
+    stay 0.
     """
     cols, neurons, depth, words = planes.shape
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
-    winner_idx = np.asarray(winner_idx)
     if depth != p.w_max:
         raise ValueError(f"{depth} planes cannot hold weights up to w_max {p.w_max}")
-    if -(-x.shape[0] // 64) != words:
-        raise ValueError(f"{x.shape[0]} lines do not pack into {words} words")
-    won = np.flatnonzero(winner_idx >= 0)
-    if won.size:  # before any row changes
-        times, which = _distinct_steps(z[won])
-    cap = p.half_unit_cap
-    valid = pack_lines(np.ones(x.shape, dtype=bool)) if work is None else work.valid
+    if (cols * neurons, depth, words) != work.shape:
+        raise ValueError(f"planes of shape {planes.shape} for a workspace built for {work.shape}")
     # Depth-major rows, so each plane operation runs over every row at once.
     by_depth = planes.reshape(cols * neurons, depth, words).transpose(1, 0, 2)
     flat_parity = parity.reshape(cols * neurons, words)
-    silent = np.flatnonzero(winner_idx < 0)
-    if silent.size:
-        # Every neuron explores: SEARCH on live lines, QUIET on dead ones.
-        rows = (silent[:, None] * neurons + np.arange(neurons)).ravel()
-        _update_rows(
-            by_depth, flat_parity, rows, valid, pack_lines(np.isfinite(x)),
-            min(p.u_search, cap), min(p.u_quiet, cap),
-        )
-    if won.size:
-        # Capture early lines, back off late or dead ones, packing one line
-        # mask per distinct winner time.
-        _update_rows(
-            by_depth, flat_parity, won * neurons + winner_idx[won], valid,
-            pack_lines(x <= times[:, None])[which],
-            min(p.u_capture, cap), -min(p.u_backoff, cap),
-        )
+    groups = _groups((cols, neurons, work.lines), x, winner_idx, z, p)
+    for rows, masks, which, first, second in groups:
+        select = pack_lines(masks)[which]
+        _update_rows(by_depth, flat_parity, rows, work.valid, select, first, second)

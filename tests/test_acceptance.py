@@ -28,7 +28,7 @@ from tnnsim.encode import INF, PosNeg, encode_image
 from tnnsim.gamma import GammaTrace, run_cycle, verify_scenarios
 from tnnsim.metrics import purity as purity_metric
 from tnnsim.network import NetworkConfig, RunSummary, TnnNetwork
-from tnnsim.neuron import layer_spike_times, weight_planes
+from tnnsim.neuron import KernelWorkspace, layer_spike_times, weight_planes
 from tnnsim.stdp import StdpParams
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -175,7 +175,8 @@ def test_criterion_05_rnl_oracle_equivalence():
             ]
             threshold = int(rng.integers(1, 60))
             planes = weight_planes(weights, 7)
-            idx, win = layer_spike_times(planes, times, 16, threshold, lines, cols)
+            work = KernelWorkspace(planes, 16, threshold, lines, cols)
+            idx, win = layer_spike_times(planes, times, work)
             spikes = [brute_force_spike_time(row, times, 16, threshold) for row in weights.tolist()]
             want_idx, want_win = column_argmin(spikes, cols)
             if not (np.array_equal(idx, want_idx) and np.array_equal(win, want_win)):

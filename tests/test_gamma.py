@@ -19,6 +19,7 @@ from oracle import (
 )
 from tnnsim.encode import INF
 from tnnsim.gamma import (
+    CycleResult,
     GammaTrace,
     GrstCause,
     run_cycle,
@@ -162,6 +163,24 @@ class TestRunCycle:
             run_cycle([], 16, True)
         with pytest.raises(ValueError):
             run_cycle(np.array([]), 16, True)
+
+    @pytest.mark.parametrize(
+        "times, bad",
+        [([-3], "-3"), ([2.5], "2.5"), ([3, np.nan], "nan"), ([np.nan, INF], "nan"),
+         ([0, -0.5, 4], "-0.5"), ([15.5, 2], "15.5")],
+    )
+    def test_times_that_are_not_steps_rejected(self, times, bad):
+        # Once they gave length -2, 3 and 4: a time that is not a step
+        # has no cycle length, in either mode.
+        for relaxed in (True, False):
+            with pytest.raises(ValueError, match=f"column spike time {bad} is not a whole step"):
+                run_cycle(times, 16, relaxed)
+
+    def test_times_at_or_past_the_period_roll_over(self):
+        # Past the period a time need not be a step: it never fires.
+        for times in ([INF], [3, 16], [16.5, 2], [np.float64(40.0)]):
+            assert run_cycle(times, 16, True) == CycleResult(16, GrstCause.PERIOD)
+        assert run_cycle([3.0, np.int64(5)], 16, True) == CycleResult(6, GrstCause.CONTROL)
 
     def test_chained_cycles_account_every_clock_step(self):
         gen, ctrl = GeneratorState(), make_controller(2)

@@ -37,12 +37,17 @@ from tnnsim.neuron import (
 )
 
 
+def kernel_call(planes, times, period, threshold, lines, cols):
+    """One kernel call on a workspace built for it alone."""
+    return layer_spike_times(planes, times, KernelWorkspace(planes, period, threshold, lines, cols))
+
+
 def column_winners(weights_hu, times, period, threshold, cols, w_max=7):
     """Each column's (winner neuron, winner time) of a ``(neurons, lines)``
     bank, through its bit-planes and the production kernel."""
     weights_hu = np.asarray(weights_hu)
     planes = weight_planes(weights_hu, min(w_max, period))
-    return layer_spike_times(planes, times, period, threshold, weights_hu.shape[1], cols)
+    return kernel_call(planes, times, period, threshold, weights_hu.shape[1], cols)
 
 
 def bank_spike_times(weights_hu, times, period, threshold, w_max=7):
@@ -206,13 +211,22 @@ class TestLayerSpikeTimes:
     def test_lines_must_fit_the_planes(self):
         planes = weight_planes(np.zeros((2, 64), dtype=np.int16), 7)
         with pytest.raises(ValueError, match="do not pack"):
-            layer_spike_times(planes, [0] * 65, 16, 1, 65, 1)
+            kernel_call(planes, [0] * 65, 16, 1, 65, 1)
 
     def test_neurons_must_split_into_columns(self):
         planes = weight_planes(np.zeros((6, 3), dtype=np.int16), 7)
         for cols in (0, 4, 7):
             with pytest.raises(ValueError, match="do not split"):
-                layer_spike_times(planes, [0] * 3, 16, 1, 3, cols)
+                kernel_call(planes, [0] * 3, 16, 1, 3, cols)
+
+    def test_workspace_must_fit_the_planes(self):
+        # A workspace holds its layer's shape: planes of another number of
+        # neurons, words or depth are not read under its line count.
+        work = KernelWorkspace(weight_planes(np.zeros((6, 3), dtype=np.int16), 7), 16, 1, 3, 2)
+        for neurons, lines, depth in ((4, 3, 7), (6, 70, 7), (6, 3, 6)):
+            planes = weight_planes(np.zeros((neurons, lines), dtype=np.int16), depth)
+            with pytest.raises(ValueError, match=r"planes of shape .* built for \(6, 7, 1\)"):
+                layer_spike_times(planes, [0] * 3, work)
 
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -225,14 +239,14 @@ class TestLayerSpikeTimes:
         assert_winners(column_argmin(stepwise_spike_times(weights, times, 16, 20), 1), ([0], [7]))
         planes = weight_planes(weights, 7)
         with pytest.raises(ValueError, match="spike time 2.5 is not a whole step"):
-            layer_spike_times(planes, times, 16, 20, 3, 1)
+            kernel_call(planes, times, 16, 20, 3, 1)
 
     def test_nan_time_rejected(self):
         # A NaN is neither before nor past the period; it is never dropped.
         planes = weight_planes(np.full((2, 3), 14), 7)
         for times in ([0, np.nan, 0], [np.nan] * 3, [INF, np.nan, 40], [np.nan, -1, 0]):
             with pytest.raises(ValueError, match="spike time nan is not a whole step"):
-                layer_spike_times(planes, times, 16, 20, 3, 1)
+                kernel_call(planes, times, 16, 20, 3, 1)
 
     def test_planes_mark_whole_units(self):
         # half-units 0..5 are weights 0, 0, 1, 1, 2, 2: plane k marks c >= k.
@@ -370,7 +384,7 @@ class TestWordBoundaries:
                 for times in volleys:
                     reach = lines * min(w_max, period)
                     thresholds = rng.integers(1, reach + 2, size=neurons)
-                    got = layer_spike_times(planes, times, period, thresholds, lines, cols)
+                    got = kernel_call(planes, times, period, thresholds, lines, cols)
                     for ref in (
                         stepwise_spike_times(weights, times, period, thresholds),
                         cumsum_spike_times(weights, times, period, thresholds),
@@ -417,7 +431,7 @@ class TestWordBoundaries:
             for times in (clustered, posneg, edges, mixed):
                 anded.append([])
                 monkeypatch.setattr(np, "bitwise_count", counting)
-                got = layer_spike_times(planes, times, period, thresholds, lines, cols, work=work)
+                got = layer_spike_times(planes, times, work)
                 monkeypatch.setattr(np, "bitwise_count", popcount)
                 for ref in (
                     stepwise_spike_times(weights, times, period, thresholds),
@@ -479,9 +493,9 @@ class TestWorkspaceReuse:
             if i % 7 == 6:
                 row = rng.integers(neurons)
                 planes[row] = weight_planes(rng.integers(0, 15, size=(1, lines)), 7)[0]
-            want = layer_spike_times(planes, times, period, threshold, lines, cols)
+            want = kernel_call(planes, times, period, threshold, lines, cols)
             anded.clear()
-            got = layer_spike_times(planes, times, period, threshold, lines, cols, work=work)
+            got = layer_spike_times(planes, times, work)
             assert_winners(got, want)
             outcomes["fired"] += int((got[0] >= 0).sum())
             outcomes["silent"] += int((got[0] < 0).sum())
@@ -508,7 +522,7 @@ class TestExactPotential:
         lines = 1 << 20
         planes = weight_planes(np.full((len(threshold), lines), 2 * w_max, dtype=np.int16), w_max)
         work = KernelWorkspace(planes, 16, threshold, lines, len(threshold))
-        got = layer_spike_times(planes, np.zeros(lines), 16, threshold, lines, len(threshold), work=work)
+        got = layer_spike_times(planes, np.zeros(lines), work)
         return work.potential.dtype, got[0].tolist(), got[1].tolist()
 
     def test_potential_past_float32(self):
@@ -568,7 +582,7 @@ class TestKernelBytes:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            idx, _ = layer_spike_times(planes, times, period, threshold, lines, cols)
+            idx, _ = kernel_call(planes, times, period, threshold, lines, cols)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -586,7 +600,7 @@ class TestKernelBytes:
             held = tracemalloc.get_traced_memory()[0] - before
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            idx, _ = layer_spike_times(planes, times, period, threshold, lines, cols, work=work)
+            idx, _ = layer_spike_times(planes, times, work)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

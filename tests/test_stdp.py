@@ -13,10 +13,22 @@ from hypothesis import strategies as st
 from oracle import RuleCase, apply_update, classify_case
 
 from tnnsim.encode import INF
-from tnnsim.neuron import layer_spike_times, pack_lines, unpack_weights, weight_planes
+from tnnsim.neuron import (
+    KernelWorkspace,
+    layer_spike_times,
+    pack_lines,
+    unpack_weights,
+    weight_planes,
+)
 from tnnsim.stdp import StdpParams, update_layer, update_weights
 
 spike_times = st.one_of(st.integers(0, 15), st.just(INF))
+
+
+def workspace(planes, lines):
+    """The kernel workspace ``update_layer`` reads, for a bank of
+    ``(neurons, depth, words)`` planes over ``lines`` input lines."""
+    return KernelWorkspace(planes, 16, 1, lines, 1)
 
 
 def update_on_planes(weights, x, winner_idx, z, p):
@@ -25,8 +37,14 @@ def update_on_planes(weights, x, winner_idx, z, p):
     cols, neurons, lines = weights.shape
     planes = weight_planes(weights.reshape(-1, lines), p.w_max)
     parity = pack_lines((weights & 1) == 1)
-    update_layer(planes.reshape(cols, neurons, p.w_max, -1), x, winner_idx, z, p, parity)
-    unpack_weights(planes, parity.reshape(cols * neurons, -1), weights.reshape(-1, lines))
+    try:
+        update_layer(
+            planes.reshape(cols, neurons, p.w_max, -1), x, winner_idx, z, p, parity,
+            workspace(planes, lines),
+        )
+    finally:
+        # As a run does, even when the update raises.
+        unpack_weights(planes, parity.reshape(cols * neurons, -1), weights.reshape(-1, lines))
 
 
 class TestClassifyCase:
@@ -171,6 +189,33 @@ class TestUpdateLayer:
         # capture +4, late backoff -6, no-input backoff -6
         assert weights.tolist() == [[[14, 4, 4]]]
 
+    @pytest.mark.parametrize("bad", [5, 2, -2])
+    def test_winner_index_must_name_a_neuron(self, bad):
+        # 3 columns of 2 neurons: index 5 once rewrote row 5, column 2's
+        # neuron 1, in place of column 0's winner, and -2 passed as silent.
+        weights = np.full((3, 2, 4), 5, dtype=np.int16)
+        with pytest.raises(ValueError, match=f"winner index {bad} outside -1..1"):
+            self.update(weights, np.zeros(4), np.array([bad, 0, 0]), np.zeros(3), StdpParams())
+        assert (weights == 5).all()
+
+    def test_volley_must_have_the_bank_lines(self):
+        # A 60-line volley once left lines 60-63 of the planes at 6 where a
+        # silent column's QUIET step takes them to 7.
+        p, silent = StdpParams(), (np.array([-1]), np.array([INF]))
+        weights = np.full((1, 2, 64), 6, dtype=np.int16)
+        with pytest.raises(ValueError, match="volley has 60 lines, expected 64"):
+            self.update(weights, np.full(60, INF), *silent, p)
+        assert (weights == 6).all()
+        self.update(weights, np.full(64, INF), *silent, p)
+        assert (weights == 7).all()
+
+    def test_one_winner_and_time_per_column(self):
+        weights = np.full((3, 2, 4), 5, dtype=np.int16)
+        for idx, z in (([0, 0], [0.0, 0.0]), ([0, 0, 0], [0.0, 0.0]), ([-1] * 4, [INF] * 4)):
+            with pytest.raises(ValueError, match="for 3 columns"):
+                self.update(weights, np.zeros(4), np.array(idx), np.array(z), StdpParams())
+        assert (weights == 5).all()
+
 
 class TestUpdateLayerOnPlanes(TestUpdateLayer):
     update = staticmethod(update_on_planes)
@@ -236,7 +281,10 @@ class TestBitSlicedSteps:
             weights = np.stack([np.stack([row, row])] * 2)
             planes = weight_planes(weights.reshape(4, -1), w_max)
             parity = pack_lines((weights & 1) == 1)
-            update_layer(planes.reshape(2, 2, w_max, -1), x, winner_idx, z, p, parity)
+            update_layer(
+                planes.reshape(2, 2, w_max, -1), x, winner_idx, z, p, parity,
+                workspace(planes, row.size),
+            )
             # Packed words compared whole, so padding bits must stay 0.
             assert np.array_equal(planes, weight_planes(want.reshape(4, -1), w_max)), u
             assert np.array_equal(parity, pack_lines((want & 1) == 1)), u
@@ -245,13 +293,30 @@ class TestBitSlicedSteps:
         planes = weight_planes(np.zeros((2, 3), dtype=np.int16), 6)
         parity = np.zeros((1, 2, 1), dtype=np.uint64)
         with pytest.raises(ValueError, match="w_max"):
-            update_layer(planes.reshape(1, 2, 6, 1), [0, 0, 0], [0], [0.0], StdpParams(), parity)
+            update_layer(
+                planes.reshape(1, 2, 6, 1), [0, 0, 0], [0], [0.0], StdpParams(), parity,
+                workspace(planes, 3),
+            )
 
     def test_lines_must_fit_the_planes(self):
         planes = weight_planes(np.zeros((2, 64), dtype=np.int16), 7)
         parity = np.zeros((1, 2, 1), dtype=np.uint64)
-        with pytest.raises(ValueError, match="do not pack"):
-            update_layer(planes.reshape(1, 2, 7, 1), [0] * 65, [0], [0.0], StdpParams(), parity)
+        # The workspace holds the line count the planes hold only to the word.
+        with pytest.raises(ValueError, match="volley has 65 lines, expected 64"):
+            update_layer(
+                planes.reshape(1, 2, 7, 1), [0] * 65, [0], [0.0], StdpParams(), parity,
+                workspace(planes, 64),
+            )
+
+    def test_workspace_must_fit_the_planes(self):
+        planes = weight_planes(np.zeros((4, 3), dtype=np.int16), 7)
+        parity = np.zeros((2, 2, 1), dtype=np.uint64)
+        other = weight_planes(np.zeros((2, 3), dtype=np.int16), 7)
+        with pytest.raises(ValueError, match=r"built for \(2, 7, 1\)"):
+            update_layer(
+                planes.reshape(2, 2, 7, 1), [0, 0, 0], [0, 0], [0.0, 0.0], StdpParams(), parity,
+                workspace(other, 3),
+            )
 
     @pytest.mark.parametrize("z", [2.5, -1.0, INF, np.nan])
     def test_winner_time_must_be_a_whole_step(self, z):
@@ -266,7 +331,7 @@ class TestBitSlicedSteps:
         with pytest.raises(ValueError, match="whole steps"):
             update_weights(weights, *args)
         with pytest.raises(ValueError, match="whole steps"):
-            update_layer(planes.reshape(2, 2, 7, 1), *args, parity)
+            update_layer(planes.reshape(2, 2, 7, 1), *args, parity, workspace(planes, 3))
         assert (weights == 5).all()
         assert np.array_equal(planes, held[0]) and np.array_equal(parity, held[1])
 
@@ -280,6 +345,6 @@ class TestLearningDynamics:
         pattern = [0, 0, 0, 0, INF, INF, INF, INF]
         for _ in range(10):
             planes = weight_planes(weights[0], p.w_max)
-            idx, win = layer_spike_times(planes, pattern, 16, 3, 8, 1)
+            idx, win = layer_spike_times(planes, pattern, KernelWorkspace(planes, 16, 3, 8, 1))
             update_weights(weights, pattern, idx, win, p)
         assert weights.ravel().tolist() == [14] * 4 + [0] * 4
