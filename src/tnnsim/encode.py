@@ -38,7 +38,34 @@ import numpy as np
 INF = float("inf")
 
 SpikeTime = Union[int, float]
-"""A spike time is a finite cycle index, or ``INF`` when no spike occurs."""
+"""A spike time is a step of the gamma cycle, or ``INF`` when no spike
+occurs; ``spike_steps`` holds every reader to that rule."""
+
+
+def spike_steps(times, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one spike-time rule: a time is ``inf`` or a whole step in
+    ``0..period - 1``. Any other time (negative, fractional, NaN, ``-inf``,
+    or finite at or past the period) raises ``ValueError`` naming it.
+
+    Returns the distinct steps of the 1-D ``times``, increasing, as int64,
+    and the ``(steps, len(times))`` mask of the times at each step.
+    """
+    t = np.asarray(times, dtype=float)
+    live = t[t != INF]
+    if not live.size:
+        return np.empty(0, dtype=np.int64), np.empty((0, t.size), dtype=bool)
+    # Bounded first, so a time far past the period never sizes the count.
+    lo, hi = np.minimum.reduce(live), np.maximum.reduce(live)  # NaN if any time is
+    if 0 <= lo <= hi < period:
+        at = live.astype(np.int64)
+        steps = np.bincount(at).nonzero()[0]
+        # A whole step matches the one step it truncates to, any other time none.
+        arrives = t == steps[:, None]
+        if np.count_nonzero(arrives) == live.size:
+            return steps, arrives
+        hi = live[at != live][0]
+    bad = lo if not lo >= 0 else hi
+    raise ValueError(f"spike time {bad:g} is not inf or a whole step in 0..{period - 1}")
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Sequence, TextIO
 
 import numpy as np
 
-from .encode import INF, SpikeTime
+from .encode import INF, SpikeTime, spike_steps
 
 
 class GrstCause(enum.Enum):
@@ -51,24 +51,18 @@ def run_cycle(
 ) -> CycleResult:
     """Length and cause of one gamma cycle from each column's first-spike time.
 
-    Times are whole steps ``>= 0`` or ``INF``; a time at or past the period
-    never fires, and a negative, fractional or NaN one raises
-    ``ValueError``. In relaxed mode the cycle ends one step after the last
-    column fires, if that lands before the rollover; otherwise, and always
-    in fixed mode, the cycle runs the full period.
+    Times follow ``encode.spike_steps``, which raises ``ValueError`` on any
+    other. In relaxed mode the cycle ends one step after the last column
+    fires, if that lands before the rollover; otherwise, and always in
+    fixed mode, the cycle runs the full period.
     """
     if not len(column_spike_times):
         raise ValueError("gamma control must monitor at least one column")
-    # One pass hashes the times; the checks and the max read only the few
-    # distinct ones.
-    distinct = frozenset(column_spike_times)
-    for t in distinct:
-        # A NaN fails every compare, and ``int`` only sees times below the period.
-        if not (t >= period or 0 <= t == int(t)):
-            raise ValueError(f"column spike time {t} is not a whole step >= 0")
-    last = max(distinct)
-    if relaxed and last + 1 < period:
-        return CycleResult(int(last) + 1, GrstCause.CONTROL)
+    steps, arrives = spike_steps(column_spike_times, period)
+    # Control rises once every column has fired, one step after the last.
+    all_fired = np.count_nonzero(arrives) == len(column_spike_times)
+    if relaxed and all_fired and steps[-1] + 1 < period:
+        return CycleResult(int(steps[-1]) + 1, GrstCause.CONTROL)
     return CycleResult(period, GrstCause.PERIOD)
 
 
@@ -83,7 +77,8 @@ class GammaTrace:
     ``lengths[i]`` is cycle ``i``'s length in clock steps, ``control[i]`` is
     true when the controller ended it and false when the period rolled over,
     and ``col_times[i, c]`` is monitored column ``c``'s first spike time,
-    ``inf`` when the column stayed silent.
+    ``inf`` when the column stayed silent: a time under
+    ``encode.spike_steps``.
     """
 
     period: int
@@ -103,10 +98,8 @@ class GammaTrace:
         bad = self.lengths[(self.lengths < 1) | (self.lengths > self.period)]
         if bad.size:
             raise ValueError(f"cycle length {bad[0]} outside 1..{self.period}")
-        t = self.col_times[self.col_times != INF]
-        bad = t[~((t >= 0) & (t < self.period) & (np.floor(t) == t))]
-        if bad.size:
-            raise ValueError(f"column spike time {bad[0]} not a step in 0..{self.period - 1}")
+        # The distinct times alone, so a long run builds no mask per cycle.
+        spike_steps(np.unique(self.col_times), self.period)
 
     @property
     def column_count(self) -> int:

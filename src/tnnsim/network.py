@@ -285,12 +285,12 @@ class TnnNetwork:
             layers.append((x, idx, win_t))
             x = win_t
 
-        result = gamma.run_cycle(x.tolist(), cfg.period, relaxed=cfg.mode is Mode.RELAXED)
+        result = gamma.run_cycle(x, cfg.period, relaxed=cfg.mode is Mode.RELAXED)
 
         if learn:
             for k, (w, bank, (inputs, idx, win_t)) in enumerate(zip(self.weights, planes, layers)):
                 if parity is None:
-                    rows = stdp.update_weights(w, inputs, idx, win_t, cfg.stdp_params)
+                    rows = stdp.update_weights(w, inputs, idx, win_t, cfg.stdp_params, work[k])
                     bank[rows] = weight_planes(w.reshape(-1, w.shape[2])[rows], cfg.plane_depth)
                 else:
                     state = bank.reshape(w.shape[:2] + bank.shape[1:])

@@ -42,10 +42,11 @@ gamma clock ends a cycle once every column has answered.
 
 A mask word with no line arriving adds nothing, and a graded volley
 spreads its lines over the cycle, so many of its steps touch only a few
-words. A step whose lines touch fewer than ``_GATHER_BELOW`` of the words
-copies just those words' rows into the AND buffer and ANDs, popcounts and
-sums them alone. A step that touches more, as a posneg volley does, takes
-the full pass, which needs no copy.
+words. Each step copies just the rows of the words its lines touch into
+the AND buffer and ANDs, popcounts and sums them alone.
+
+Volley times are checked against the one spike-time rule,
+``encode.spike_steps``, which also gives their arrival steps and masks.
 """
 
 from __future__ import annotations
@@ -54,19 +55,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .encode import SpikeTime
+from .encode import SpikeTime, spike_steps
 
 # Bytes of the bool plane stack ``weight_planes`` builds at a time.
 _PACK_CHUNK = 1 << 20
-
-# Live-word fraction below which an arrival step ANDs only the store rows
-# of the words its lines arrive in, gathered first, instead of every row.
-# On a 640-neuron, depth-7, 25-word store (2-vCPU VM, medians of 30
-# interleaved timings) the gather, AND, popcount and sum of 10, 15, 18, 20
-# and 25 live words took 0.46, 0.64, 0.76, 0.88 and 1.17 of the full pass:
-# even near 0.87. The cut sits below that, where a gather clearly wins, so
-# posneg volleys, with 20-25 of 25 words live, keep the full pass.
-_GATHER_BELOW = 0.8
 
 
 def kernel_bytes(neurons: int, lines: int, depth: int, period: int) -> int:
@@ -209,32 +201,19 @@ def layer_spike_times(
     the planes hold the line count only to the word. Planes of another
     shape than the workspace's raise ``ValueError``; planes in another
     layout than ``weight_planes`` gives are copied on each call. ``times``
-    are whole steps, a time at or past the period (``inf``) for no arrival;
-    a negative, fractional or NaN time raises ``ValueError``. Returns each
-    column's winner neuron (-1 where it stays silent) as int64 and its
-    spike time (``np.inf`` where silent) as float.
+    are spike times under ``encode.spike_steps``, which raises
+    ``ValueError`` on any other. Returns each column's winner neuron (-1
+    where it stays silent) as int64 and its spike time (``np.inf`` where
+    silent) as float.
     """
     if planes.shape != work.shape:
         raise ValueError(f"planes of shape {planes.shape} for a workspace built for {work.shape}")
     period, lines, cols = work.period, work.lines, work.cols
-    t_arr = np.asarray(times, dtype=float)
-    if t_arr.shape[0] != lines:
-        raise ValueError(f"volley has {t_arr.shape[0]} lines, expected {lines}")
-    # Arrivals at or past the period never contribute inside the cycle. A
-    # NaN is kept, to be rejected with the other times that are not steps.
-    live = t_arr[~(t_arr >= period)]
-    if live.size == 0:
+    steps, arrives = spike_steps(times, period)
+    if arrives.shape[1] != lines:
+        raise ValueError(f"volley has {arrives.shape[1]} lines, expected {lines}")
+    if not steps.size:
         return np.full(cols, -1, dtype=np.int64), np.full(cols, np.inf)
-    lo = live.min()  # NaN if any live time is
-    if not lo >= 0:
-        raise ValueError(f"spike time {lo:g} is {'negative' if lo < 0 else 'not a whole step'}")
-    at = live.astype(np.int64)
-    steps = np.flatnonzero(np.bincount(at, minlength=period))
-    # A whole-step time arrives at the one step it truncates to, any other
-    # time at none.
-    arrives = t_arr == steps[:, None]
-    if np.count_nonzero(arrives) != live.size:
-        raise ValueError(f"spike time {live[at != live][0]:g} is not a whole step")
     # Word-major rows: a view of planes as ``weight_planes`` stores them.
     _, depth, words = work.shape
     store = planes.transpose(2, 0, 1).reshape(words, -1)
@@ -243,18 +222,14 @@ def layer_spike_times(
     potential.fill(0)
     nexts = steps[1:].tolist() + [period]
     for s, nxt, mask in zip(steps.tolist(), nexts, pack_lines(arrives)):
-        # Only the words some line arrives in can add: when few enough are
-        # live, gather their store rows into ``anded`` and AND those alone.
+        # Only the words some line arrives in can add: gather their store
+        # rows into ``anded`` and AND those alone. Indices from nonzero are
+        # in range; "clip" only spares the buffered copy of ``out`` that
+        # the default "raise" makes.
         touched = mask.nonzero()[0]
         m = touched.size
-        if m < _GATHER_BELOW * words:
-            # Indices from nonzero are in range; "clip" only spares the
-            # buffered copy of ``out`` that the default "raise" makes.
-            rows = np.take(store, touched, axis=0, out=anded[:m], mode="clip")
-            mask = mask[touched]
-        else:
-            m, rows = words, store
-        np.bitwise_and(rows, mask[:, None], out=anded[:m])
+        np.take(store, touched, axis=0, out=anded[:m], mode="clip")
+        np.bitwise_and(anded[:m], mask[touched, None], out=anded[:m])
         np.bitwise_count(anded[:m], out=counts[:m])
         np.sum(counts[:m], axis=0, out=sums)
         onsets.ravel()[:] = sums

@@ -46,6 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .encode import spike_steps
 from .neuron import KernelWorkspace, pack_lines
 
 # Largest w_max whose half-unit cap still fits the int16 weights.
@@ -74,17 +75,17 @@ class StdpParams:
         return 2 * self.w_max
 
 
-def _groups(shape, x, winner_idx, z, p: StdpParams) -> list:
+def _groups(shape, x, winner_idx, z, p: StdpParams, period: int) -> list:
     """The rule for one cycle's outputs, checked before any row changes.
 
     ``shape`` is the layer's ``(columns, neurons, lines)``; ``x``,
-    ``winner_idx`` and ``z`` are as for ``update_weights``. Returns one
-    group for the silent columns and one for the winners, leaving out a
-    group with no rows. Each is ``(rows, masks, which, first, second)``:
-    its flat ``(columns * neurons)`` rows step by ``first`` half-units on
-    the lines set in ``masks[which]`` (one mask per row, or one that every
-    row shares) and by ``second`` on the rest. Steps are capped at the
-    weight range, past which they saturate the same way.
+    ``winner_idx`` and ``z`` are as for ``update_weights``, and ``period``
+    the layer's. Returns one group for the silent columns and one for the
+    winners, leaving out a group with no rows. Each is ``(rows, masks,
+    which, first, second)``: its flat ``(columns * neurons)`` rows step by
+    ``first`` half-units on the lines set in ``masks[which]`` (one mask per
+    row, or one that every row shares) and by ``second`` on the rest. Steps
+    are capped at the weight range, past which they saturate the same way.
     """
     cols, neurons, lines = shape
     x = np.asarray(x, dtype=float)
@@ -106,23 +107,16 @@ def _groups(shape, x, winner_idx, z, p: StdpParams) -> list:
         groups.append((rows, np.isfinite(x)[None], 0, min(p.u_search, cap), min(p.u_quiet, cap)))
     won = np.flatnonzero(winner_idx >= 0)
     if won.size:
-        # Winner times are whole steps below the period, counted by step;
-        # anything else would be truncated into the wrong step.
-        at = z[won]
-        steps = at.astype(np.int64) if np.isfinite(at).all() else None
-        if steps is None or ((steps != at) | (steps < 0)).any():
-            raise ValueError(f"winner times {at.tolist()} are not all whole steps >= 0")
-        counts = np.bincount(steps)
-        times = np.flatnonzero(counts)
-        rank = np.empty(counts.size, dtype=np.intp)
-        rank[times] = np.arange(times.size)
+        # Winner times are counted by step, one line mask per distinct step;
+        # a winner at inf would have none.
+        times, at = spike_steps(z[won], period)
+        if np.count_nonzero(at) != won.size:
+            raise ValueError("a winner's time must be a step, not inf")
         # The winner's row captures early lines and backs off late or dead
         # ones: an inf x never compares <= a finite z, so BACKOFF_NOIN falls
-        # out of the same mask as BACKOFF_LATE. Winner times take at most
-        # ``period`` values, so one mask is built per distinct time.
-        masks = x <= times[:, None]
+        # out of the same mask as BACKOFF_LATE.
         groups.append((
-            won * neurons + winner_idx[won], masks, rank[steps],
+            won * neurons + winner_idx[won], x <= times[:, None], at.argmax(axis=0),
             min(p.u_capture, cap), -min(p.u_backoff, cap),
         ))
     return groups
@@ -134,18 +128,22 @@ def update_weights(
     winner_idx: np.ndarray,
     z: np.ndarray,
     p: StdpParams,
+    work: KernelWorkspace,
 ) -> np.ndarray:
     """One gamma cycle's update of a layer's int16 weights, in place.
 
     ``weights_hu`` is ``(columns, neurons, lines)`` half-units; ``x`` the
     input spike times, ``winner_idx`` each column's winner (-1 for none),
-    ``z`` each column's winner time (inf for none), a whole step where
-    there is a winner. Returns the indices of the rows it rewrote in the
-    ``(columns * neurons, lines)`` view, in order: each winner's row and
-    every row of a silent column.
+    ``z`` each column's winner time, read only where there is a winner.
+    ``work`` is the layer's ``neuron.KernelWorkspace``: winner times are
+    checked against its period by ``encode.spike_steps``. ``x`` is the
+    volley the layer's kernel has just checked, so it is not checked
+    again. Returns the indices of the rows it rewrote in the ``(columns *
+    neurons, lines)`` view, in order: each winner's row and every row of a
+    silent column.
     """
     neurons = weights_hu.shape[1]
-    groups = _groups(weights_hu.shape, x, winner_idx, z, p)
+    groups = _groups(weights_hu.shape, x, winner_idx, z, p, work.period)
     for rows, masks, which, first, second in groups:
         col, row = np.divmod(rows, neurons)
         # The steps come out as int64, so the sum is taken wide and clipped.
@@ -233,11 +231,11 @@ def update_layer(
     ``parity`` the packed ``hu & 1`` of its weights, a C-ordered
     ``(columns, neurons, words)`` array; ``x``, ``winner_idx`` and ``z``
     are as for ``update_weights``. ``work`` is the layer's
-    ``neuron.KernelWorkspace``: the volley must have its line count, and
-    its packed ``valid`` plane is read instead of packing one. Each
-    winner's row and every row of a silent column come to hold the planes
-    and parity of the weights ``update_weights`` would leave; padding bits
-    stay 0.
+    ``neuron.KernelWorkspace``: the volley must have its line count, the
+    winner times are checked against its period, and its packed ``valid``
+    plane is read instead of packing one. Each winner's row and every row
+    of a silent column come to hold the planes and parity of the weights
+    ``update_weights`` would leave; padding bits stay 0.
     """
     cols, neurons, depth, words = planes.shape
     if depth != p.w_max:
@@ -247,7 +245,7 @@ def update_layer(
     # Depth-major rows, so each plane operation runs over every row at once.
     by_depth = planes.reshape(cols * neurons, depth, words).transpose(1, 0, 2)
     flat_parity = parity.reshape(cols * neurons, words)
-    groups = _groups((cols, neurons, work.lines), x, winner_idx, z, p)
+    groups = _groups((cols, neurons, work.lines), x, winner_idx, z, p, work.period)
     for rows, masks, which, first, second in groups:
         select = pack_lines(masks)[which]
         _update_rows(by_depth, flat_parity, rows, work.valid, select, first, second)

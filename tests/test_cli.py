@@ -1,5 +1,7 @@
 """CLI integration: subcommands, config handling, exit codes, artifacts."""
 
+import importlib.util
+import json
 import pathlib
 import struct
 import sys
@@ -16,13 +18,21 @@ from tnnsim.network import NetworkConfig, TnnNetwork, load_summary_npz, save_wei
 
 DATA = pathlib.Path(__file__).parent / "data"
 
-# The sweeps behind the golden cost-sweep files; tests/data/make_golden.py
-# runs the same ones.
-GOLDEN_SWEEPS = {
-    "comparator_count": "1,2,4,8,16,49,100,196,250,784",
-    "frequency": "1e8,1e9,1.5e9,5e9,2.5e10,3e10",
-    "image_size": "49,784,2160,1000",
-}
+
+def load_make_golden():
+    """Import ``data/make_golden.py`` by path, writing no bytecode next to it."""
+    spec = importlib.util.spec_from_file_location("make_golden", DATA / "make_golden.py")
+    module = importlib.util.module_from_spec(spec)
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = saved
+    return module
+
+
+# The runs behind the golden files in tests/data.
+GOLDEN = load_make_golden()
 
 
 def run_cli(argv):
@@ -308,13 +318,13 @@ class TestCostSweepCommand:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("axis", sorted(GOLDEN_SWEEPS))
+    @pytest.mark.parametrize("axis", sorted(GOLDEN.COST_SWEEPS))
     def test_matches_golden_sweep(self, tmp_path, capsys, axis):
         # Every float of the cost model, byte for byte, against files that
         # tests/data/make_golden.py wrote.
         out = tmp_path / "sweep.csv"
         rc = run_cli(
-            ["cost-sweep", "--axis", axis, "--values", GOLDEN_SWEEPS[axis], "--out", str(out)]
+            ["cost-sweep", "--axis", axis, "--values", GOLDEN.COST_SWEEPS[axis], "--out", str(out)]
         )
         assert rc == 0
         golden = DATA / f"cost_sweep_{axis}.csv"
@@ -395,6 +405,12 @@ class TestVerifyGammaCommand:
 
 
 class TestTrainInferReport:
+    def test_golden_run_keeps_its_bytes(self, tmp_path):
+        # A seeded train -> infer -> report writes the CSVs, markdown and
+        # weight values whose digests tests/data/make_golden.py recorded.
+        recorded = json.loads((DATA / "golden_run.json").read_text())
+        assert GOLDEN.golden_run_digests(tmp_path) == recorded
+
     @pytest.fixture
     def cfg_path(self, data_dir, tmp_path):
         return write_config(

@@ -228,26 +228,6 @@ class TestLayerSpikeTimes:
             with pytest.raises(ValueError, match=r"planes of shape .* built for \(6, 7, 1\)"):
                 layer_spike_times(planes, [0] * 3, work)
 
-    def test_negative_time_rejected(self):
-        with pytest.raises(ValueError, match="negative"):
-            bank_spike_times(np.zeros((2, 3), dtype=np.int16), [0, -1, INF], 16, 1)
-
-    def test_fractional_time_rejected(self):
-        # Truncated to step 2, the line at 2.5 lifts neuron 0 to threshold
-        # at t = 7; dropped, it leaves the column silent. Neither is right.
-        weights, times = np.full((2, 3), 14), [0, 2.5, 0]
-        assert_winners(column_argmin(stepwise_spike_times(weights, times, 16, 20), 1), ([0], [7]))
-        planes = weight_planes(weights, 7)
-        with pytest.raises(ValueError, match="spike time 2.5 is not a whole step"):
-            kernel_call(planes, times, 16, 20, 3, 1)
-
-    def test_nan_time_rejected(self):
-        # A NaN is neither before nor past the period; it is never dropped.
-        planes = weight_planes(np.full((2, 3), 14), 7)
-        for times in ([0, np.nan, 0], [np.nan] * 3, [INF, np.nan, 40], [np.nan, -1, 0]):
-            with pytest.raises(ValueError, match="spike time nan is not a whole step"):
-                kernel_call(planes, times, 16, 20, 3, 1)
-
     def test_planes_mark_whole_units(self):
         # half-units 0..5 are weights 0, 0, 1, 1, 2, 2: plane k marks c >= k.
         planes = weight_planes(np.array([[0, 1, 2, 3, 4, 5]]), 3)

@@ -1,0 +1,161 @@
+"""One table of spike times through every reader.
+
+``encode.spike_steps`` states the rule: a spike time is ``inf`` or a whole
+step in ``0..period - 1``. Each row goes through every module that reads
+spike times: the layer kernel (a volley line), both STDP stores (a winner
+time), gamma control and the gamma trace (a column time). A rejected row
+raises ``ValueError`` naming the value in each of them, before anything
+changes; an accepted row reads as the step it is, as the oracles read it.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+from oracle import (
+    GeneratorState,
+    apply_update,
+    classify_case,
+    clocked_cycle,
+    column_argmin,
+    make_controller,
+    stepwise_spike_times,
+)
+
+from tnnsim.encode import INF, spike_steps
+from tnnsim.gamma import GammaTrace, run_cycle
+from tnnsim.neuron import KernelWorkspace, layer_spike_times, pack_lines, weight_planes
+from tnnsim.stdp import StdpParams, update_layer, update_weights
+
+PERIOD = 16
+
+# Each rejected time and how the error names it.
+REJECTED = [
+    (-1, "-1"),
+    (-0.5, "-0.5"),
+    (2.5, "2.5"),
+    (15.5, "15.5"),
+    (math.nan, "nan"),
+    (-INF, "-inf"),
+    (16, "16"),
+    (16.5, "16.5"),
+    (40, "40"),
+]
+ACCEPTED = [0, 15, INF, np.int64(5), np.float64(3.0)]
+
+
+def rejects(text):
+    return pytest.raises(
+        ValueError, match=re.escape(f"spike time {text} is not inf or a whole step in 0..15")
+    )
+
+
+def kernel(t):
+    """A three-line volley with ``t`` on line 1, through the layer kernel;
+    with the oracle's answer for the same volley."""
+    weights, times = np.full((2, 3), 14), [0, t, 0]
+    planes = weight_planes(weights, 7)
+    got = layer_spike_times(planes, times, KernelWorkspace(planes, PERIOD, 20, 3, 1))
+    return got, column_argmin(stepwise_spike_times(weights, times, PERIOD, 20), 1)
+
+
+def stdp_stores(t):
+    """Column 0 wins on neuron 1 at ``t`` (silent where ``t`` is inf) and
+    column 1 is silent, through both weight stores: the int16 weights and
+    the planes and parity of the same start, each updated in place."""
+    x, winners, z = np.array([0.0, 3.0, INF]), [-1 if t == INF else 1, -1], [t, INF]
+    weights = np.full((2, 2, 3), 5, dtype=np.int16)
+    planes = weight_planes(weights.reshape(4, 3), 7)
+    parity = pack_lines((weights & 1) == 1)
+    work = KernelWorkspace(planes, PERIOD, 1, 3, 1)
+    stores = (
+        lambda: update_weights(weights, x, winners, z, StdpParams(), work),
+        lambda: update_layer(
+            planes.reshape(2, 2, 7, 1), x, winners, z, StdpParams(), parity, work
+        ),
+    )
+    return weights, planes, parity, stores
+
+
+def clocked(times, relaxed):
+    res, _, _ = clocked_cycle(
+        GeneratorState(period=PERIOD), make_controller(len(times)), times, relaxed
+    )
+    return res
+
+
+@pytest.mark.parametrize("t, text", REJECTED, ids=[text for _, text in REJECTED])
+class TestRejected:
+    def test_rule(self, t, text):
+        with rejects(text):
+            spike_steps([0, t, INF], PERIOD)
+
+    def test_kernel(self, t, text):
+        with rejects(text):
+            kernel(t)
+
+    def test_stdp_stores_change_no_row(self, t, text):
+        weights, planes, parity, stores = stdp_stores(t)
+        held = weights.copy(), planes.copy(), parity.copy()
+        for update in stores:
+            with rejects(text):
+                update()
+        for state, start in zip((weights, planes, parity), held):
+            assert np.array_equal(state, start)
+
+    @pytest.mark.parametrize("relaxed", [True, False])
+    def test_run_cycle(self, t, text, relaxed):
+        with rejects(text):
+            run_cycle([t, 3], PERIOD, relaxed)
+
+    def test_trace(self, t, text):
+        with rejects(text):
+            GammaTrace(PERIOD, [PERIOD], [False], [[t, INF]])
+
+
+@pytest.mark.parametrize("t", ACCEPTED, ids=repr)
+class TestAccepted:
+    def test_rule(self, t):
+        steps, arrives = spike_steps([t, 0, INF], PERIOD)
+        want = sorted({0} | ({int(t)} if t != INF else set()))
+        assert steps.tolist() == want
+        assert arrives.tolist() == [[t == s, s == 0, False] for s in want]
+
+    def test_kernel(self, t):
+        got, want = kernel(t)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_stdp_stores(self, t):
+        # Every synapse of each updated row takes the scalar rule's step.
+        weights, planes, parity, stores = stdp_stores(t)
+        p, x, z = StdpParams(), [0, 3, INF], [INF if t == INF else int(t), INF]
+        want = weights.copy()
+        for c, n in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            if z[c] == INF or n == 1:
+                want[c, n] = [apply_update(5, classify_case(xt, z[c]), p) for xt in x]
+        for update in stores:
+            update()
+        assert np.array_equal(weights, want)
+        assert np.array_equal(planes, weight_planes(want.reshape(4, 3), 7))
+        assert np.array_equal(parity, pack_lines((want & 1) == 1))
+
+    @pytest.mark.parametrize("relaxed", [True, False])
+    def test_run_cycle(self, t, relaxed):
+        assert run_cycle([t, 3], PERIOD, relaxed) == clocked([t, 3], relaxed)
+
+    def test_trace(self, t):
+        trace = GammaTrace(PERIOD, [PERIOD], [False], [[t, INF]])
+        assert trace.col_times.tolist() == [[float(t), INF]]
+
+
+def test_a_winner_at_inf_is_rejected():
+    # A winner at inf would take the line mask of another step. A silent
+    # column's time is read nowhere.
+    p, x = StdpParams(), np.zeros(3)
+    weights = np.full((2, 1, 3), 5, dtype=np.int16)
+    work = KernelWorkspace(weight_planes(weights.reshape(2, 3), 7), PERIOD, 1, 3, 1)
+    for winners, z in (([0, -1], [INF, INF]), ([0, 0], [2.0, INF])):
+        with pytest.raises(ValueError, match="a winner's time must be a step, not inf"):
+            update_weights(weights, x, winners, z, p, work)
+    assert (weights == 5).all()

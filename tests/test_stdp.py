@@ -31,6 +31,14 @@ def workspace(planes, lines):
     return KernelWorkspace(planes, 16, 1, lines, 1)
 
 
+def int16_update(weights, x, winner_idx, z, p):
+    """``update_weights`` with the workspace of a period-16 layer of the
+    weights' shape."""
+    lines = weights.shape[2]
+    planes = weight_planes(weights.reshape(-1, lines), min(p.w_max, 16))
+    return update_weights(weights, x, winner_idx, z, p, workspace(planes, lines))
+
+
 def update_on_planes(weights, x, winner_idx, z, p):
     """``update_weights`` by way of the learning state: pack the weights'
     planes and parity, ``update_layer`` them, and unpack into ``weights``."""
@@ -114,7 +122,7 @@ class TestUpdateLayer:
     """The int16 update; ``TestUpdateLayerOnPlanes`` runs the same cases
     on the learning state."""
 
-    update = staticmethod(update_weights)
+    update = staticmethod(int16_update)
 
     def rand_inputs(self, rng, cols, neurons, lines):
         weights = rng.integers(0, 15, size=(cols, neurons, lines)).astype(np.int16)
@@ -224,7 +232,7 @@ class TestUpdateLayerOnPlanes(TestUpdateLayer):
 class TestNoWrap:
     """Steps at or above the int16 range saturate like any other step."""
 
-    update = staticmethod(update_weights)
+    update = staticmethod(int16_update)
 
     @pytest.mark.parametrize("u", [32767, 40000, 10**12])
     def test_huge_capture_saturates(self, u):
@@ -277,7 +285,7 @@ class TestBitSlicedSteps:
             v = cap + 2 - u
             p = StdpParams(u_capture=u, u_backoff=v, u_search=v, u_quiet=u, w_max=w_max)
             want = np.stack([np.stack([row, row])] * 2)
-            update_weights(want, x, winner_idx, z, p)
+            int16_update(want, x, winner_idx, z, p)
             weights = np.stack([np.stack([row, row])] * 2)
             planes = weight_planes(weights.reshape(4, -1), w_max)
             parity = pack_lines((weights & 1) == 1)
@@ -328,9 +336,11 @@ class TestBitSlicedSteps:
         parity = pack_lines((weights & 1) == 1)
         held = planes.copy(), parity.copy()
         args = np.array([0, 3, INF]), np.array([1, -1]), np.array([z, INF]), StdpParams()
-        with pytest.raises(ValueError, match="whole steps"):
-            update_weights(weights, *args)
-        with pytest.raises(ValueError, match="whole steps"):
+        # A winner at inf is no step either: it names no line mask.
+        message = "must be a step, not inf" if z == INF else "not inf or a whole step"
+        with pytest.raises(ValueError, match=message):
+            update_weights(weights, *args, workspace(planes, 3))
+        with pytest.raises(ValueError, match=message):
             update_layer(planes.reshape(2, 2, 7, 1), *args, parity, workspace(planes, 3))
         assert (weights == 5).all()
         assert np.array_equal(planes, held[0]) and np.array_equal(parity, held[1])
@@ -345,6 +355,7 @@ class TestLearningDynamics:
         pattern = [0, 0, 0, 0, INF, INF, INF, INF]
         for _ in range(10):
             planes = weight_planes(weights[0], p.w_max)
-            idx, win = layer_spike_times(planes, pattern, KernelWorkspace(planes, 16, 3, 8, 1))
-            update_weights(weights, pattern, idx, win, p)
+            work = KernelWorkspace(planes, 16, 3, 8, 1)
+            idx, win = layer_spike_times(planes, pattern, work)
+            update_weights(weights, pattern, idx, win, p, work)
         assert weights.ravel().tolist() == [14] * 4 + [0] * 4
