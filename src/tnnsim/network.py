@@ -413,8 +413,8 @@ def _read_npz(path) -> dict[str, np.ndarray]:
 
 
 def load_summary_npz(path) -> RunSummary:
-    """Rebuild a run record; a damaged file or missing or malformed members
-    raise ``ValueError``."""
+    """Rebuild a run record. A damaged file, missing or malformed members,
+    or a record that no run writes raise ``ValueError`` naming the file."""
     data = _read_npz(path)
     members = ("lengths", "causes", "col_times", "col_neurons", "meta")
     missing = [k for k in members if k not in data]
@@ -424,9 +424,52 @@ def load_summary_npz(path) -> RunSummary:
         raise ValueError(
             f"{path}: member 'meta' holds shape {data['meta'].shape}, a summary needs 4 values"
         )
-    period, _, epochs, images = (int(v) for v in data["meta"])
-    trace = gamma.GammaTrace(period, data["lengths"], data["causes"], data["col_times"])
-    return RunSummary(trace, data["col_neurons"], epochs, images)
+    # Counts and indices must be integers and times real: a cast would
+    # truncate a fraction or drop an imaginary part silently.
+    for key, kinds, noun in (
+        ("lengths", "iu", "integers"), ("col_neurons", "iu", "integers"),
+        ("meta", "iu", "integers"), ("col_times", "iuf", "real numbers"),
+    ):
+        if data[key].dtype.kind not in kinds:
+            raise ValueError(
+                f"{path}: member '{key}' holds {data[key].dtype} values, a summary needs {noun}"
+            )
+    causes = data["causes"]
+    if causes.dtype.kind not in "biu" or not np.isin(causes, (0, 1)).all():
+        raise ValueError(f"{path}: member 'causes' must hold bools or integers 0 and 1")
+    period, columns, epochs, images = (int(v) for v in data["meta"])
+    try:
+        trace = gamma.GammaTrace(period, data["lengths"], causes, data["col_times"])
+        summary = RunSummary(trace, data["col_neurons"], epochs, images)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if columns != trace.column_count:
+        raise ValueError(
+            f"{path}: meta records {columns} columns, col_times holds {trace.column_count}"
+        )
+    if epochs < 1 or images < 1 or epochs * images != len(trace):
+        raise ValueError(
+            f"{path}: meta records {epochs} epochs of {images} images "
+            f"for a trace of {len(trace)} cycles"
+        )
+    # As run_cycle ends them: a control cycle one step after its last
+    # column time and before the period, any other cycle on the period.
+    lengths, control = trace.lengths, trace.control
+    last = trace.col_times.max(axis=1)  # inf where a column stayed silent
+    bad = np.flatnonzero(
+        np.where(control, (lengths != last + 1) | (lengths == period), lengths != period)
+    )
+    if bad.size:
+        i = int(bad[0])
+        if control[i]:
+            raise ValueError(
+                f"{path}: control cycle {i} has length {lengths[i]}; control ends a cycle one "
+                f"step after its last column time ({last[i]:g}), before the period {period}"
+            )
+        raise ValueError(
+            f"{path}: period cycle {i} has length {lengths[i]}, not the period {period}"
+        )
+    return summary
 
 
 def save_weights_npz(net: TnnNetwork, path) -> None:

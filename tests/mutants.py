@@ -1,0 +1,508 @@
+"""Mutation check of the test suite: each row of ``MUTANTS`` breaks one
+behaviour of ``src/`` and names tests that must catch it.
+
+Run it from any directory, with a Python that has numpy, pytest and
+hypothesis:
+
+    python tests/mutants.py
+
+First every listed test runs on an unmutated copy of the checkout, and
+must pass. Then, one mutant at a time, the runner copies ``src/``,
+``tests/``, ``perfbench/``, ``pyproject.toml`` and ``README.md`` into a
+fresh temporary directory (``pyproject.toml`` puts that copy's ``src``
+first on pytest's path; ``test_docs.py`` and ``test_bench_contract.py``
+read the README and ``perfbench/spans.py``), replaces the row's snippet
+with its replacement, and runs the row's tests with ``pytest -x``. A
+mutant is killed when that run reports a failing test; it survives when
+every test passes. The exit status is 1 if the unmutated copy fails, or if
+any mutant survives or its run ends in anything but a test failure (an id
+that names no test, say).
+
+The file is not collected by the suite, since its name does not start with
+``test_``; ``tests/test_mutants.py`` checks only that every row still
+matches the code and names existing tests, so a refactor keeps the table
+current without running it.
+
+Left out because no test can tell it from the original:
+``stdp._update_rows`` with ``lo = max([0] + ...)``. The copies of plane 0
+(every line) below the stack's planes are read only by a step that adds
+half-units, and such a step reaches at least one plane, so ``lo`` is at
+least 1 whenever they are read.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "perfbench", "pyproject.toml", "README.md")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the checkout
+    snippet: str  # occurs exactly once in ``path``
+    replacement: str
+    tests: tuple[str, ...]  # pytest ids, any of which failing kills it
+
+
+NEURON = "src/tnnsim/neuron.py"
+STDP = "src/tnnsim/stdp.py"
+GAMMA = "src/tnnsim/gamma.py"
+ENCODE = "src/tnnsim/encode.py"
+NETWORK = "src/tnnsim/network.py"
+METRICS = "src/tnnsim/metrics.py"
+DATAIO = "src/tnnsim/dataio.py"
+
+A = "tests/test_acceptance.py::"
+E = "tests/test_encode.py::"
+G = "tests/test_gamma.py::"
+M = "tests/test_metrics.py::"
+N = "tests/test_neuron.py::"
+S = "tests/test_stdp.py::"
+T = "tests/test_spike_times.py::"
+W = "tests/test_network.py::"
+GOLDEN = "tests/test_cli.py::TestTrainInferReport::test_golden_run_keeps_its_bytes"
+
+MUTANTS = (
+    # The spike-time kernel, neuron.py.
+    Mutant(
+        "kernel-below-count-less-equal", NEURON,
+        "below = np.less(potential[:nxt], th,", "below = np.less_equal(potential[:nxt], th,",
+        (
+            N + "TestColumnKernel::test_fires_only_at_last_arrival_step",
+            N + "TestNeuronSpikeTime::test_matches_brute_force",
+            A + "test_criterion_05_rnl_oracle_equivalence",
+        ),
+    ),
+    Mutant(
+        "kernel-ties-to-highest-index", NEURON,
+        "idx = below.argmin(axis=1)", "idx = below.shape[1] - 1 - below[:, ::-1].argmin(axis=1)",
+        (
+            N + "TestColumnKernel::test_tie_breaks_to_lowest_index",
+            N + "TestWordBoundaries::test_matches_references[63]",
+        ),
+    ),
+    Mutant(
+        "kernel-mask-not-gathered", NEURON,
+        "mask[touched, None]", "mask[:m, None]",
+        (
+            N + "TestWordBoundaries::test_clustered_volleys_match_references[65]",
+            N + "TestWordBoundaries::test_matches_references[127]",
+        ),
+    ),
+    Mutant(
+        "kernel-gather-off-by-one-word", NEURON,
+        "np.take(store, touched, axis=0", "np.take(store, touched + 1, axis=0",
+        (
+            N + "TestWordBoundaries::test_clustered_volleys_match_references[130]",
+            N + "TestWorkspaceReuse::test_matches_fresh_calls[one-threshold]",
+        ),
+    ),
+    Mutant(
+        "kernel-sums-every-row", NEURON,
+        "np.sum(counts[:m], axis=0, out=sums)", "np.sum(counts, axis=0, out=sums)",
+        (
+            N + "TestWorkspaceReuse::test_matches_fresh_calls[one-threshold]",
+            N + "TestWordBoundaries::test_clustered_volleys_match_references[130]",
+        ),
+    ),
+    Mutant(
+        "kernel-no-tail-add", NEURON,
+        "potential[s + band :] += product[band - 1]", "pass",
+        (
+            N + "TestNeuronSpikeTime::test_saturated_inputs_cross_high_threshold_at_five",
+            N + "TestColumnKernel::test_silent_column_between_fired_ones",
+        ),
+    ),
+    Mutant(
+        "kernel-band-one-row-short", NEURON,
+        "band = min(depth, period - s)", "band = min(depth - 1, period - s)",
+        (
+            N + "TestLayerSpikeTimes::test_matches_scalar_path",
+            N + "TestLayerSpikeTimes::test_matches_brute_force_random",
+        ),
+    ),
+    Mutant(
+        "kernel-no-potential-reset", NEURON,
+        "potential.fill(0)", "pass",
+        (
+            N + "TestWorkspaceReuse::test_matches_fresh_calls[one-threshold]",
+            N + "TestColumnKernel::test_stops_once_every_column_answered",
+        ),
+    ),
+    Mutant(
+        "kernel-strict-ramp", NEURON,
+        "np.greater_equal(np.arange(depth)[:, None]", "np.greater(np.arange(depth)[:, None]",
+        (
+            N + "TestNeuronSpikeTime::test_time_zero_spike_with_low_threshold",
+            N + "TestColumnKernel::test_threshold_one_step_before_next_arrival",
+        ),
+    ),
+    Mutant(
+        "kernel-float32-always", NEURON,
+        "dtype = np.float32 if reach < 1 << 24 else np.float64", "dtype = np.float32",
+        (N + "TestExactPotential::test_potential_past_float32",),
+    ),
+    Mutant(
+        "kernel-no-threshold-ceiling", NEURON,
+        "np.ceil(th.astype(np.float64)).astype(dtype)", "th.astype(dtype)",
+        (N + "TestExactPotential::test_fractional_threshold_is_its_ceiling",),
+    ),
+    Mutant(
+        "kernel-threshold-clipped-to-reach", NEURON,
+        "(n_neurons,)), reach + 1)", "(n_neurons,)), reach)",
+        (
+            N + "TestExactPotential::test_potential_past_float32",
+            N + "TestLayerSpikeTimes::test_matches_brute_force_random",
+        ),
+    ),
+    Mutant(
+        "kernel-count-uint16-always", NEURON,
+        "self.count_dtype = np.uint16 if period < 1 << 16 else np.int64",
+        "self.count_dtype = np.uint16",
+        (N + "TestLayerSpikeTimes::test_silent_past_a_uint16_count",),
+    ),
+    Mutant(
+        "kernel-copied-store", NEURON,
+        "store = planes.transpose(2, 0, 1).reshape(words, -1)",
+        "store = planes.transpose(2, 0, 1).reshape(words, -1).copy()",
+        (
+            N + "TestKernelBytes::test_bounds_measured_peak[640-64-1568-7-16-1-graded]",
+            N + "TestKernelBytes::test_bounds_workspace_and_call[640-64-1568-7-16-1-graded]",
+        ),
+    ),
+    Mutant(
+        "kernel-bytes-8-period", NEURON,
+        "9 * period + 48", "8 * period + 48",
+        (
+            "tests/test_docs.py::test_readme_kernel_bound_matches_code[4-3-7-4]",
+            W + "TestConfig::test_kernel_working_set_bounded",
+        ),
+    ),
+    Mutant(
+        "planes-greater-equal", NEURON,
+        "np.greater(padded, k, out=stack[k])", "np.greater_equal(padded, k, out=stack[k])",
+        (
+            N + "TestLayerSpikeTimes::test_planes_mark_whole_units",
+            N + "TestNeuronSpikeTime::test_matches_brute_force",
+        ),
+    ),
+    Mutant(
+        "config-per-layer-kernel-bound", NETWORK,
+        "total += need", "total = need",
+        (W + "TestConfig::test_kernel_working_sets_add_up",),
+    ),
+    Mutant(
+        "kernel-early-stop-strict", NEURON,
+        "(potential[nxt - 1] >= th)", "(potential[nxt - 1] > th)",
+        (N + "TestColumnKernel::test_stops_once_every_column_answered",),
+    ),
+    # The one spike-time rule, encode.spike_steps.
+    Mutant(
+        "spike-steps-no-upper-bound", ENCODE,
+        "if 0 <= lo <= hi < period:", "if 0 <= lo <= hi:",
+        (T + "TestRejected::test_rule[16]", G + "TestRunCycle::test_matches_oracle"),
+    ),
+    Mutant(
+        "spike-steps-no-whole-step-check", ENCODE,
+        "if np.count_nonzero(arrives) == live.size:", "if True:",
+        (
+            T + "TestRejected::test_rule[2.5]",
+            S + "TestBitSlicedSteps::test_winner_time_must_be_a_whole_step[2.5]",
+        ),
+    ),
+    Mutant(
+        "spike-steps-names-wrong-value", ENCODE,
+        "bad = lo if not lo >= 0 else hi", "bad = hi",
+        (T + "TestRejected::test_rule[-1]", T + "TestRejected::test_rule[-inf]"),
+    ),
+    # The STDP rule, stdp._groups, which both weight stores share.
+    Mutant(
+        "stdp-capture-strict", STDP,
+        "x <= times[:, None]", "x < times[:, None]",
+        (
+            S + "TestUpdateLayer::test_matches_scalar_column_updates",
+            S + "TestUpdateLayerOnPlanes::test_matches_scalar_column_updates",
+        ),
+    ),
+    Mutant(
+        "stdp-search-quiet-swapped", STDP,
+        "min(p.u_search, cap), min(p.u_quiet, cap)", "min(p.u_quiet, cap), min(p.u_search, cap)",
+        (
+            S + "TestUpdateLayer::test_silent_layer_explores",
+            S + "TestUpdateLayerOnPlanes::test_silent_layer_explores",
+        ),
+    ),
+    Mutant(
+        "stdp-quiet-plus-one", STDP,
+        "min(p.u_quiet, cap)", "min(p.u_quiet + 1, cap)",
+        (
+            S + "TestUpdateLayer::test_silent_layer_explores",
+            S + "TestUpdateLayerOnPlanes::test_silent_layer_explores",
+        ),
+    ),
+    Mutant(
+        "stdp-no-silent-column-update", STDP,
+        "if silent.size:", "if False:",
+        (
+            S + "TestUpdateLayer::test_silent_layer_explores",
+            S + "TestUpdateLayerOnPlanes::test_silent_layer_explores",
+        ),
+    ),
+    Mutant(
+        "stdp-silent-search-on-every-line", STDP,
+        "np.isfinite(x)[None]", "np.ones_like(x, dtype=bool)[None]",
+        (
+            S + "TestUpdateLayer::test_silent_layer_explores",
+            S + "TestUpdateLayerOnPlanes::test_silent_layer_explores",
+        ),
+    ),
+    Mutant(
+        "stdp-winner-mask-argmin", STDP,
+        "at.argmax(axis=0)", "at.argmin(axis=0)",
+        (
+            S + "TestUpdateLayer::test_matches_scalar_column_updates",
+            S + "TestUpdateLayerOnPlanes::test_matches_scalar_column_updates",
+        ),
+    ),
+    Mutant(
+        "stdp-winner-at-inf-accepted", STDP,
+        "if np.count_nonzero(at) != won.size:", "if False:",
+        (
+            T + "test_a_winner_at_inf_is_rejected",
+            S + "TestBitSlicedSteps::test_winner_time_must_be_a_whole_step[inf]",
+        ),
+    ),
+    Mutant(
+        "stdp-winner-index-unbounded-above", STDP,
+        "(winner_idx < -1) | (winner_idx >= neurons)", "winner_idx < -1",
+        (
+            S + "TestUpdateLayer::test_winner_index_must_name_a_neuron[5]",
+            S + "TestUpdateLayerOnPlanes::test_winner_index_must_name_a_neuron[2]",
+        ),
+    ),
+    Mutant(
+        "stdp-volley-lines-unchecked", STDP,
+        "if x.shape[0] != lines:", "if False:",
+        (
+            S + "TestUpdateLayer::test_volley_must_have_the_bank_lines",
+            S + "TestUpdateLayerOnPlanes::test_volley_must_have_the_bank_lines",
+        ),
+    ),
+    # Each weight store on its own.
+    Mutant(
+        "int16-capture-backoff-swapped", STDP,
+        "np.where(masks, first, second)", "np.where(masks, second, first)",
+        (
+            S + "TestUpdateLayer::test_matches_scalar_column_updates",
+            S + "TestNoWrap::test_huge_capture_saturates[40000]",
+        ),
+    ),
+    Mutant(
+        "int16-clip-below-cap", STDP,
+        "0, p.half_unit_cap)", "0, p.half_unit_cap - 1)",
+        (
+            S + "TestUpdateLayer::test_updates_in_place_and_saturates",
+            S + "TestLearningDynamics::test_repeated_capture_specializes_a_neuron",
+        ),
+    ),
+    Mutant(
+        "planes-odd-add-parity-dropped", STDP,
+        "shifted(-whole) ^ ((shifted(-whole - 1) ^ shifted(-whole)) & parity)",
+        "shifted(-whole)",
+        (
+            S + "TestUpdateLayerOnPlanes::test_matches_scalar_column_updates",
+            S + "TestBitSlicedSteps::test_every_step_on_every_weight[1]",
+        ),
+    ),
+    Mutant(
+        "planes-first-mask-for-every-winner", STDP,
+        "select = pack_lines(masks)[which]", "select = pack_lines(masks)[which * 0]",
+        (
+            S + "TestUpdateLayerOnPlanes::test_matches_scalar_column_updates",
+            W + "TestReferenceRun::test_network_equals_reference[linear]",
+        ),
+    ),
+    Mutant(
+        "planes-parity-select-dropped", STDP,
+        "held_other ^ ((held_first ^ held_other) & select)", "held_first",
+        (
+            S + "TestUpdateLayerOnPlanes::test_silent_layer_explores",
+            S + "TestBitSlicedSteps::test_every_step_on_every_weight[3]",
+        ),
+    ),
+    # Gamma control, gamma.py.
+    Mutant(
+        "gamma-control-at-rollover", GAMMA,
+        "steps[-1] + 1 < period", "steps[-1] + 1 <= period",
+        (
+            G + "TestRunCycle::test_spike_on_last_step_cannot_beat_rollover",
+            A + "test_criterion_04_gamma_functional_suite",
+        ),
+    ),
+    Mutant(
+        "gamma-control-without-all-fired", GAMMA,
+        "if relaxed and all_fired and", "if relaxed and",
+        (
+            G + "TestRunCycle::test_silent_column_leaves_periodic_rollover",
+            G + "TestRunCycle::test_matches_oracle",
+        ),
+    ),
+    Mutant(
+        "gamma-fixed-mode-ends-early", GAMMA,
+        "if relaxed and all_fired and", "if all_fired and",
+        (
+            G + "TestRunCycle::test_fixed_mode_always_runs_full_period",
+            G + "TestRunCycle::test_matches_oracle",
+        ),
+    ),
+    Mutant(
+        "gamma-control-length-short", GAMMA,
+        "CycleResult(int(steps[-1]) + 1, GrstCause.CONTROL)",
+        "CycleResult(int(steps[-1]), GrstCause.CONTROL)",
+        (
+            G + "TestRunCycle::test_simultaneous_spikes_end_one_step_later",
+            G + "TestRunCycle::test_matches_oracle",
+        ),
+    ),
+    Mutant(
+        "trace-times-unchecked", GAMMA,
+        "spike_steps(np.unique(self.col_times), self.period)", "pass",
+        (T + "TestRejected::test_trace[2.5]", T + "TestRejected::test_trace[16]"),
+    ),
+    # The CSV writers.
+    Mutant(
+        "trace-csv-comma-separated", GAMMA,
+        '";".join(', '",".join(',
+        (G + "TestTrace::test_lengths_and_csv", GOLDEN),
+    ),
+    Mutant(
+        "summary-csv-silent-tail", NETWORK,
+        'tail = ",,inf"', 'tail = ",,"',
+        (W + "TestSummaryArtifacts::test_silent_rows_marked_inf", GOLDEN),
+    ),
+    Mutant(
+        "histogram-csv-no-total", METRICS,
+        'stream.write(f"total,{hist.total}\\n")', "pass",
+        (M + "TestSpikeHistogram::test_csv_and_markdown", GOLDEN),
+    ),
+    Mutant(
+        "purity-csv-rounded", METRICS,
+        'f"purity,,,,{report.purity!r}\\n"', 'f"purity,,,,{report.purity:.4f}\\n"',
+        (M + "TestPurity::test_csv_and_markdown", GOLDEN),
+    ),
+    Mutant(
+        "savings-csv-rounded", METRICS,
+        'f"realized_savings,{realized!r}\\n"', 'f"realized_savings,{realized:.4f}\\n"',
+        (M + "TestCycleSavings::test_savings_csv", GOLDEN),
+    ),
+    # Encoders, run records and input files.
+    Mutant(
+        "posneg-equal-joins-positive", ENCODE,
+        "on = v > kind.threshold", "on = v >= kind.threshold",
+        (
+            E + "TestPosNegBits::test_equal_joins_negative_side",
+            A + "test_criterion_01_posneg_golden_encoding",
+        ),
+    ),
+    Mutant(
+        "linear-level-rounds-up", ENCODE,
+        "(v * kind.period + 255) // 256", "(v * kind.period + 256) // 256",
+        (
+            E + "TestLinear::test_quantization_points",
+            E + "TestReadmeFormulas::test_every_intensity_period_and_encoder",
+        ),
+    ),
+    Mutant(
+        "savings-any-column-fired", METRICS,
+        "(times != INF).all(axis=1)", "(times != INF).any(axis=1)",
+        (
+            M + "TestCycleSavings::test_silent_column_charges_full_period",
+            M + "TestAgainstPerRowReference::test_random_records",
+        ),
+    ),
+    Mutant(
+        "run-summary-neuron-below-minus-one", NETWORK,
+        " or (self.col_neurons < -1).any()", "",
+        (W + "TestSummaryArtifacts::test_column_neurons_below_minus_one_rejected",),
+    ),
+    Mutant(
+        "idx-payload-bound-doubled", DATAIO,
+        "if need > _MAX_DECLARED:", "if need > 2 * _MAX_DECLARED:",
+        ("tests/test_dataio.py::TestReadIdxImages::test_dimension_overflow",),
+    ),
+)
+
+
+def apply(mutant: Mutant, root: Path) -> None:
+    path = root / mutant.path
+    text = path.read_text()
+    if text.count(mutant.snippet) != 1:
+        raise ValueError(f"{mutant.name}: snippet occurs {text.count(mutant.snippet)} times")
+    path.write_text(text.replace(mutant.snippet, mutant.replacement))
+
+
+def run_on_copy(ids, mutant=None) -> subprocess.CompletedProcess:
+    """``pytest -x`` on ``ids`` in a fresh copy of the checkout, with
+    ``mutant`` applied to it; the copy finds ``tnnsim`` in its own ``src``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for name in COPIED:
+            if (ROOT / name).is_dir():
+                ignore = shutil.ignore_patterns("__pycache__", ".*")
+                shutil.copytree(ROOT / name, root / name, ignore=ignore)
+            else:
+                shutil.copy2(ROOT / name, root / name)
+        if mutant is not None:
+            apply(mutant, root)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        env["PYTHONDONTWRITEBYTECODE"] = "1"
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *ids],
+            cwd=root, env=env, capture_output=True, text=True,
+        )
+
+
+def tail(proc: subprocess.CompletedProcess, lines: int = 15) -> str:
+    return "\n".join((proc.stdout + proc.stderr).strip().splitlines()[-lines:])
+
+
+def main() -> int:
+    sys.stdout.reconfigure(line_buffering=True)
+    ids = sorted({i for m in MUTANTS for i in m.tests})
+    proc = run_on_copy(ids)
+    ok = proc.returncode == 0
+    if ok:
+        print(f"unmutated copy passes all {len(ids)} tests")
+    else:
+        print(f"unmutated copy fails its tests (exit {proc.returncode}):\n{tail(proc)}")
+    killed = 0
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        proc = run_on_copy(mutant.tests, mutant)
+        took = time.perf_counter() - start
+        # pytest exits 1 when a test failed, 0 when all passed, and with
+        # another code when it could not run them.
+        if proc.returncode == 1:
+            killed += 1
+            print(f"killed    {mutant.name} ({took:.1f} s)")
+        elif proc.returncode == 0:
+            ok = False
+            print(f"SURVIVED  {mutant.name} ({took:.1f} s)")
+        else:
+            ok = False
+            print(f"ERROR     {mutant.name} (pytest exit {proc.returncode}):\n{tail(proc)}")
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

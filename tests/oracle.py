@@ -5,16 +5,14 @@ Tests compare the array kernels (``neuron.layer_spike_times``,
 (``metrics.spike_histogram``, ``purity``, ``cycle_savings``) and the
 closed-form ``gamma.run_cycle`` against these plain per-element
 restatements of the same rules; gamma control is clocked one step at a time.
-A neuron's spike time has two scalar references: ``neuron_spike_time``
-through the ramp algebra, and ``brute_force_spike_time``, which tabulates
-the potential step by step. The array references are per-neuron spike-time
-kernels: ``stepwise_spike_times``, the same tabulation for a whole bank,
-``cumsum_spike_times`` on unpacked weights, and ``plane_spike_times`` on
-bit-planes, which makes every arrival step's pass and never stops early;
-``column_argmin`` reduces any of them to the column winners the production
-kernel returns. ``reference_run`` chains the pieces into a whole network
-run, checked against ``TnnNetwork``. Volleys here are plain sequences of
-spike times, ``INF`` for no spike.
+A spike time has one reference per form, both read from the raw half-unit
+weights and neither from the bit-planes the kernel packs:
+``brute_force_spike_time`` walks one neuron's potential step by step in
+plain Python, and ``stepwise_spike_times`` tabulates the same steps for a
+whole bank at once. ``column_argmin`` reduces a bank's spike times to the
+column winners the production kernel returns. ``reference_run`` chains the
+pieces into a whole network run, checked against ``TnnNetwork``. Volleys
+here are plain sequences of spike times, ``INF`` for no spike.
 """
 
 from __future__ import annotations
@@ -51,57 +49,6 @@ def readme_encode(pixels: Sequence[int], kind: EncoderKind) -> list[SpikeTime]:
     return [graded(v) for v in pixels] + [graded(255 - v) for v in pixels]
 
 
-def weight_cap(half_units: int) -> int:
-    """Ramp saturation height: the weight value rounded down to whole units."""
-    return half_units // 2
-
-
-def rnl_response(half_units: int, s: SpikeTime, t: int) -> int:
-    """Response of one synapse at step ``t`` to a spike arriving at ``s``.
-
-    Zero before the spike (or when there is none); afterwards a unit ramp
-    capped at the whole-unit weight value.
-    """
-    if half_units < 0:
-        raise ValueError(f"weight half-units must be >= 0, got {half_units}")
-    if s == INF or t < s:
-        return 0
-    return min(t - int(s) + 1, weight_cap(half_units))
-
-
-@dataclass
-class RnlNeuron:
-    """One neuron: a weight per input line plus a firing threshold."""
-
-    weights: list[int]
-    threshold: int
-
-    def __post_init__(self):
-        if self.threshold < 1:
-            raise ValueError(f"threshold must be >= 1, got {self.threshold}")
-        for w in self.weights:
-            if w < 0:
-                raise ValueError(f"weight half-units must be >= 0, got {w}")
-
-
-def neuron_spike_time(n: RnlNeuron, times: Sequence[SpikeTime], period: int) -> SpikeTime:
-    """First step in ``0..period-1`` where the potential reaches threshold.
-
-    Returns ``INF`` when the threshold is never reached inside the cycle.
-    """
-    if len(times) != len(n.weights):
-        raise ValueError(
-            f"volley has {len(times)} lines but neuron has {len(n.weights)} weights"
-        )
-    for t in range(period):
-        total = 0
-        for w, s in zip(n.weights, times):
-            total += rnl_response(w, s, t)
-        if total >= n.threshold:
-            return t
-    return INF
-
-
 def brute_force_spike_time(weights_hu, times, period, threshold) -> SpikeTime:
     """Reference simulator: tabulate the potential at every step.
 
@@ -134,81 +81,6 @@ def stepwise_spike_times(weights_hu, times, period, threshold):
         out[np.isinf(out) & (potential >= threshold)] = t
         if np.isfinite(out).all():
             break
-    return out
-
-
-def cumsum_spike_times(
-    weights_hu: np.ndarray, times: Sequence[SpikeTime], period: int, threshold
-) -> np.ndarray:
-    """Spike times of a ``(neurons, lines)`` bank from unpacked weights.
-
-    A second reference for the bit-plane kernel: each synapse adds +1 slope
-    at its arrival step and -1 where its ramp saturates, and the potential
-    is the double cumsum of those histograms. Steps at or past the period
-    fold into a discard bucket.
-    """
-    weights_hu = np.asarray(weights_hu)
-    n_neurons = weights_hu.shape[0]
-    t_arr = np.asarray(times, dtype=float)
-    if weights_hu.shape[1] != t_arr.shape[0]:
-        raise ValueError(
-            f"volley has {t_arr.shape[0]} lines but weights have {weights_hu.shape[1]}"
-        )
-    finite = np.isfinite(t_arr)
-    out = np.full(n_neurons, np.inf)
-    if not finite.any():
-        return out
-    s = t_arr[finite].astype(np.int64)
-    caps = (weights_hu[:, finite] // 2).astype(np.int64)
-    width = period + 1
-    starts = np.minimum(s, period)
-    ends = np.minimum(s + caps, period)
-    row = np.arange(n_neurons, dtype=np.int64)[:, None] * width
-    hist = np.bincount(
-        (row + starts[None, :]).ravel(), minlength=n_neurons * width
-    ) - np.bincount((row + ends).ravel(), minlength=n_neurons * width)
-    hist = hist.reshape(n_neurons, width)[:, :period]
-    potential = np.cumsum(np.cumsum(hist, axis=1), axis=1)
-    reached = potential >= np.asarray(threshold).reshape(-1, 1)
-    fired = reached.any(axis=1)
-    out[fired] = np.argmax(reached[fired], axis=1)
-    return out
-
-
-def _pack_words(bits: np.ndarray) -> np.ndarray:
-    """Pack the last axis of a bool array into ``uint64`` words, line ``i``
-    at bit ``i % 64`` of word ``i // 64``."""
-    lines = bits.shape[-1]
-    padded = np.zeros(bits.shape[:-1] + (64 * -(-lines // 64),), dtype=bool)
-    padded[..., :lines] = bits
-    return np.packbits(padded, axis=-1, bitorder="little").view(np.uint64)
-
-
-def plane_spike_times(
-    planes: np.ndarray, times: Sequence[SpikeTime], period: int, threshold, lines: int
-) -> np.ndarray:
-    """Spike times of a bank from its ``(neurons, depth, words)`` bit-planes.
-
-    The per-neuron bit-plane kernel: for every distinct arrival step, one
-    popcount of each plane ANDed with the mask of the lines arriving then
-    gives the ramp units that start at each step, and the potential is
-    their running sum.
-    """
-    n_neurons, depth, words = planes.shape
-    t_arr = np.asarray(times, dtype=float)
-    if -(-lines // 64) != words or t_arr.shape[0] != lines:
-        raise ValueError(f"volley of {t_arr.shape[0]} lines does not fit {words} words")
-    out = np.full(n_neurons, np.inf)
-    steps = np.unique(t_arr[t_arr < period]).astype(np.int64)
-    if steps.size == 0:
-        return out
-    onsets = np.zeros((n_neurons, period + depth), dtype=np.int64)
-    for s, mask in zip(steps.tolist(), _pack_words(t_arr[None, :] == steps[:, None])):
-        onsets[:, s : s + depth] += np.bitwise_count(planes & mask).sum(axis=2, dtype=np.int64)
-    potential = np.cumsum(onsets[:, :period], axis=1)
-    reached = potential >= np.asarray(threshold).reshape(-1, 1)
-    fired = reached.any(axis=1)
-    out[fired] = np.argmax(reached[fired], axis=1)
     return out
 
 

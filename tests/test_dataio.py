@@ -82,9 +82,11 @@ class TestReadIdxImages:
             read_idx_images(blob)
 
     def test_dimension_overflow(self):
-        blob = struct.pack(">iiii", 2051, 2**20, 2**10, 2**10) + bytes(64)
-        with pytest.raises(DimensionOverflowError):
-            read_idx_images(blob)
+        # Far past the payload bound of 2**31 bytes, and just past it.
+        for count, rows, cols in ((2**20, 2**10, 2**10), (2**16 + 1, 2**15, 1)):
+            blob = struct.pack(">iiii", 2051, count, rows, cols) + bytes(64)
+            with pytest.raises(DimensionOverflowError):
+                read_idx_images(blob)
 
     def test_negative_dimension(self):
         blob = struct.pack(">iiii", 2051, -1, 2, 2)

@@ -10,6 +10,7 @@ and the weight files.
 import functools
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from oracle import reference_run
 
 from tnnsim import gamma, network, synth
 from tnnsim.dataio import LabeledDataset
-from tnnsim.encode import KINDS, Linear, Log, PosNeg
+from tnnsim.encode import INF, KINDS, Linear, Log, PosNeg
 from tnnsim.network import (
     CONFIG_KEYS,
     KERNEL_BYTES_LIMIT,
@@ -664,6 +665,76 @@ class TestSummaryArtifacts:
         for field in ("lengths", "control", "col_times"):
             assert np.array_equal(getattr(loaded.trace, field), getattr(summary.trace, field))
         assert np.array_equal(loaded.col_neurons, summary.col_neurons)
+
+    @staticmethod
+    def two_cycles(lengths=(16, 4), col_times=((2, INF), (3, 1))):
+        """A period cycle and a control cycle of 2 columns, by default as a
+        relaxed run writes them."""
+        trace = gamma.GammaTrace(16, lengths, (False, True), col_times)
+        neurons = np.where(np.isinf(trace.col_times), -1, 0)
+        return RunSummary(trace, neurons, epochs=1, images=2)
+
+    @pytest.mark.parametrize(
+        "member, value, message",
+        [
+            ("lengths", [15.7, 6.2], "member 'lengths' holds float64 values"),
+            ("col_neurons", [[0.9, -1], [1.5, 0]], "member 'col_neurons' holds float64 values"),
+            ("meta", [16.0, 2, 1, 2], "member 'meta' holds float64 values"),
+            ("col_times", [[2 + 0.5j, INF], [3, 1]], "member 'col_times' holds complex128 values"),
+            ("causes", [0.4, 3.0], "member 'causes' must hold bools or integers 0 and 1"),
+            ("causes", np.array([0, 2], dtype=np.int8), "member 'causes' must hold"),
+            ("meta", [16, 7, 1, 2], "meta records 7 columns, col_times holds 2"),
+            ("meta", [16, 2, 5, -3], "meta records 5 epochs of -3 images"),
+            ("meta", [16, 2, 0, 2], "meta records 0 epochs of 2 images"),
+            ("meta", [16, 2, 1, 1], "1 epochs of 1 images for a trace of 2 cycles"),
+        ],
+        ids=[
+            "fractional-lengths", "fractional-neurons", "fractional-meta", "complex-times",
+            "fractional-causes", "cause-2", "meta-columns", "negative-images", "zero-epochs",
+            "cycle-count",
+        ],
+    )
+    def test_summary_npz_malformed_member_rejected(self, tmp_path, member, value, message):
+        path = tmp_path / "summary.npz"
+        self._write_summary_members(self.two_cycles(), path, **{member: np.asarray(value)})
+        with pytest.raises(ValueError, match=re.escape(message)) as exc:
+            load_summary_npz(path)
+        assert str(path) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "lengths, col_times",
+        [
+            ((16, 5), ((2, INF), (10, 2))),
+            ((16, 4), ((2, INF), (3, INF))),
+            ((16, 16), ((2, INF), (15, 1))),
+        ],
+        ids=["before-last-time", "silent-column", "at-the-period"],
+    )
+    def test_summary_npz_control_cycle_ends_after_its_last_time(
+        self, tmp_path, lengths, col_times
+    ):
+        # run_cycle ends a cycle by control only once every column fired,
+        # one step after the last, and only before the period.
+        path = tmp_path / "summary.npz"
+        save_summary_npz(self.two_cycles(lengths, col_times=col_times), path)
+        message = (
+            f"{path}: control cycle 1 has length {lengths[1]}; control ends a cycle "
+            f"one step after its last column time ({max(col_times[1]):g})"
+        )
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_summary_npz(path)
+
+    def test_summary_npz_period_cycle_runs_the_period(self, tmp_path):
+        path = tmp_path / "summary.npz"
+        save_summary_npz(self.two_cycles(lengths=(9, 4)), path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: period cycle 0 has length 9")):
+            load_summary_npz(path)
+
+    def test_column_neurons_below_minus_one_rejected(self):
+        # -2 in a column that fired: -1 marks exactly the silent columns, so
+        # only the lower bound rejects it.
+        with pytest.raises(ValueError, match="col_neurons must hold a neuron index"):
+            RunSummary(gamma.GammaTrace(16, [4], [True], [[3, 1]]), [[-2, 0]], epochs=1, images=1)
 
     def test_weights_npz_round_trip(self, tmp_path):
         ds = tiny_dataset()

@@ -1,10 +1,10 @@
 """Neuron and column behavior, checked against brute-force simulators.
 
 The production layer kernel returns each column's winner. It is checked
-against the brute-force simulators, the scalar oracle in ``oracle.py`` and
-the oracle's per-neuron kernels (cumsum and bit-plane), each reduced to
-column winners by argmin; the oracle's scalar neuron is checked against the
-brute force too. A bank of one-neuron columns gives per-neuron times.
+against the two spike-time references in ``oracle.py``, both read from the
+raw weights: the scalar ``brute_force_spike_time``, neuron by neuron, and
+the bank-wide ``stepwise_spike_times``, reduced to column winners by
+``column_argmin``. A bank of one-neuron columns gives per-neuron times.
 """
 
 import tracemalloc
@@ -14,17 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import (
-    RnlNeuron,
-    brute_force_spike_time,
-    column_argmin,
-    cumsum_spike_times,
-    neuron_spike_time,
-    plane_spike_times,
-    rnl_response,
-    stepwise_spike_times,
-    weight_cap,
-)
+from oracle import brute_force_spike_time, column_argmin, stepwise_spike_times
 
 from tnnsim.encode import INF
 from tnnsim.neuron import (
@@ -63,62 +53,26 @@ def library_spike_time(weights, times, period, threshold):
     return INF if np.isinf(t) else int(t)
 
 
-def oracle_spike_time(weights, times, period, threshold):
-    """Evaluate one neuron through the scalar oracle."""
-    return neuron_spike_time(RnlNeuron(weights=list(weights), threshold=threshold), times, period)
-
-
 def assert_winners(got, want):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1]), (got, want)
 
 
-class TestRnlResponse:
-    def test_unit_ramp_saturates_at_weight(self):
-        # weight value 3 (6 half-units), arrival at step 0
-        assert [rnl_response(6, 0, t) for t in range(5)] == [1, 2, 3, 3, 3]
-
-    def test_no_spike_no_response(self):
-        assert all(rnl_response(6, INF, t) == 0 for t in range(16))
-
-    def test_zero_weight_no_response(self):
-        assert all(rnl_response(0, 0, t) == 0 for t in range(16))
-
-    def test_before_arrival_no_response(self):
-        assert rnl_response(6, 5, 4) == 0
-        assert rnl_response(6, 5, 5) == 1
-
-    def test_half_unit_rounds_down(self):
-        # 5 half-units is weight 2.5; the ramp tops out at 2.
-        assert [rnl_response(5, 0, t) for t in range(4)] == [1, 2, 2, 2]
-        assert weight_cap(1) == 0
-        assert weight_cap(14) == 7
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            rnl_response(-1, 0, 0)
-
-
 class TestNeuronSpikeTime:
-    """Each case runs through both the layer kernel and the scalar oracle."""
+    """Single neurons through the layer kernel, each as a one-neuron column."""
 
     def test_time_zero_spike_with_low_threshold(self):
         args = ([2] * 700, [0] * 700, 16, 400)
-        assert library_spike_time(*args) == oracle_spike_time(*args) == 0
+        assert library_spike_time(*args) == 0
 
     def test_saturated_inputs_cross_high_threshold_at_five(self):
         # 700 saturated lines at time 0: potential 700 * min(t+1, 7)
         # first reaches 4000 at t = 5.
         args = ([14] * 700, [0] * 700, 16, 4000)
-        assert library_spike_time(*args) == oracle_spike_time(*args) == 5
+        assert library_spike_time(*args) == 5
 
     def test_unreachable_threshold_never_spikes(self):
         args = ([2] * 4, [0] * 4, 16, 1000)
-        assert library_spike_time(*args) == oracle_spike_time(*args) == INF
-
-    def test_length_mismatch_rejected(self):
-        n = RnlNeuron(weights=[2] * 4, threshold=1)
-        with pytest.raises(ValueError):
-            neuron_spike_time(n, [0] * 6, 16)
+        assert library_spike_time(*args) == INF
 
     @settings(max_examples=200)
     @given(
@@ -136,7 +90,6 @@ class TestNeuronSpikeTime:
         )
         want = brute_force_spike_time(weights, times, 16, threshold)
         assert library_spike_time(weights, times, 16, threshold) == want
-        assert oracle_spike_time(weights, times, 16, threshold) == want
 
     @given(
         st.lists(st.integers(0, 14), min_size=2, max_size=6),
@@ -148,10 +101,9 @@ class TestNeuronSpikeTime:
         times = [0] * len(weights)
         bumped = list(weights)
         bumped[idx] = min(14, bumped[idx] + 2)
-        for spike_time in (library_spike_time, oracle_spike_time):
-            t1 = spike_time(weights, times, 16, threshold)
-            t2 = spike_time(bumped, times, 16, threshold)
-            assert t2 <= t1
+        t1 = library_spike_time(weights, times, 16, threshold)
+        t2 = library_spike_time(bumped, times, 16, threshold)
+        assert t2 <= t1
 
 
 class TestLayerSpikeTimes:
@@ -165,7 +117,7 @@ class TestLayerSpikeTimes:
         ]
         vec = bank_spike_times(weights, times, 16, 25)
         for i in range(neurons):
-            want = oracle_spike_time(weights[i].tolist(), times, 16, 25)
+            want = brute_force_spike_time(weights[i].tolist(), times, 16, 25)
             got = INF if np.isinf(vec[i]) else int(vec[i])
             assert got == want
 
@@ -194,6 +146,13 @@ class TestLayerSpikeTimes:
         idx, win = column_winners(weights, [INF] * 4, 16, 1, 3)
         assert idx.tolist() == [-1] * 3 and np.isinf(win).all()
         assert idx.dtype == np.int64 and win.dtype == float
+
+    def test_silent_past_a_uint16_count(self):
+        # A silent neuron's count of steps below threshold is the period,
+        # here past what a uint16 holds: it must not wrap into a spike time.
+        period = 2**16 + 2
+        idx, win = column_winners(np.array([[2], [2]]), [period - 1], period, [1, 2], 2)
+        assert idx.tolist() == [0, -1] and win.tolist() == [period - 1, INF]
 
     def test_per_neuron_thresholds(self):
         weights = np.full((2, 700), 14, dtype=np.int16)
@@ -273,14 +232,14 @@ class TestLayerSpikeTimes:
 class TestColumnKernel:
     """Column winners at the edges of the early stop: the kernel adds
     arrival steps in order and stops once every column has a neuron at
-    threshold before the next one. Each case is also checked against the
-    oracle's per-neuron kernels reduced by argmin."""
+    threshold before the next one. Each case is also checked against
+    ``stepwise_spike_times`` reduced by ``column_argmin``."""
 
     @staticmethod
     def check(weights, times, threshold, cols, period=16):
         got = column_winners(weights, times, period, threshold, cols)
-        for ref in (stepwise_spike_times, cumsum_spike_times):
-            assert_winners(got, column_argmin(ref(weights, times, period, threshold), cols))
+        want = stepwise_spike_times(weights, times, period, threshold)
+        assert_winners(got, column_argmin(want, cols))
         return got[0].tolist(), got[1].tolist()
 
     def test_fires_only_at_last_arrival_step(self):
@@ -343,10 +302,9 @@ class TestColumnKernel:
 
 
 class TestWordBoundaries:
-    """The column kernel vs the brute force and the oracle's cumsum and
-    bit-plane kernels, reduced to column winners, at line counts around the
-    64-bit word, weight caps above the period, per-neuron thresholds and
-    all-silent and all-live volleys."""
+    """The column kernel vs ``stepwise_spike_times`` reduced to column
+    winners, at line counts around the 64-bit word, weight caps above the
+    period, per-neuron thresholds and all-silent and all-live volleys."""
 
     @pytest.mark.parametrize("lines", [1, 63, 64, 65, 127, 1568])
     def test_matches_references(self, lines):
@@ -365,12 +323,8 @@ class TestWordBoundaries:
                     reach = lines * min(w_max, period)
                     thresholds = rng.integers(1, reach + 2, size=neurons)
                     got = kernel_call(planes, times, period, thresholds, lines, cols)
-                    for ref in (
-                        stepwise_spike_times(weights, times, period, thresholds),
-                        cumsum_spike_times(weights, times, period, thresholds),
-                        plane_spike_times(planes, times, period, thresholds, lines),
-                    ):
-                        assert_winners(got, column_argmin(ref, cols))
+                    want = stepwise_spike_times(weights, times, period, thresholds)
+                    assert_winners(got, column_argmin(want, cols))
                     fired += int((got[0] >= 0).sum())
                     silent += int((got[0] < 0).sum())
         # Every shape sees both outcomes in over 20 of its 144 columns, so
@@ -413,12 +367,8 @@ class TestWordBoundaries:
                 monkeypatch.setattr(np, "bitwise_count", counting)
                 got = layer_spike_times(planes, times, work)
                 monkeypatch.setattr(np, "bitwise_count", popcount)
-                for ref in (
-                    stepwise_spike_times(weights, times, period, thresholds),
-                    cumsum_spike_times(weights, times, period, thresholds),
-                    plane_spike_times(planes, times, period, thresholds, lines),
-                ):
-                    assert_winners(got, column_argmin(ref, cols))
+                want = stepwise_spike_times(weights, times, period, thresholds)
+                assert_winners(got, column_argmin(want, cols))
                 fired += int((got[0] >= 0).sum())
                 silent += int((got[0] < 0).sum())
         # Posneg steps AND every word; a word-0 or last-word step ANDs one.
