@@ -126,7 +126,7 @@ def _cmd_encode(args) -> int:
     pixel_count = dataset.width * dataset.height
     with open(f"{out}_pos.txt", "w") as pos_f, open(f"{out}_neg.txt", "w") as neg_f:
         for pixels in dataset.pixels:
-            times = encode_image(pixels, kind).tolist()
+            times = encode_image(pixels, kind).times.tolist()
             pos_f.write(render(times[:pixel_count]) + "\n")
             neg_f.write(render(times[pixel_count:]) + "\n")
     if dataset.labels is not None:

@@ -5,7 +5,8 @@ gamma cycle of ``period`` clock steps. Every family produces a positive and
 a negative channel per pixel, the negative channel encoding the reflected
 intensity ``255 - v``, so an encoded volley always carries
 ``2 * pixel_count`` lines (the positive block first, then the negative
-block). A volley is a float array of spike times with ``inf`` for no spike.
+block). A volley is a ``Volley``: each line's spike time as a step of the
+cycle, ``inf`` for no spike.
 
 Reference formulas
 ------------------
@@ -26,6 +27,10 @@ log
 
 Both graded codes are monotone: a brighter pixel never spikes later than a
 dimmer one.
+
+Every encoder computes each line's step code, an integer, and hands a
+``Volley`` built from those codes to the network; its float times are made
+only when something asks for them.
 """
 
 from __future__ import annotations
@@ -68,6 +73,121 @@ def spike_steps(times, period: int) -> tuple[np.ndarray, np.ndarray]:
     raise ValueError(f"spike time {bad:g} is not inf or a whole step in 0..{period - 1}")
 
 
+def pack_lines(bits: np.ndarray) -> np.ndarray:
+    """Pack the last axis of an array into ``uint64`` words, one bit per
+    entry, set where the entry is nonzero."""
+    lines = bits.shape[-1]
+    if not lines % 64:
+        return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
+    packed = np.zeros(bits.shape[:-1] + (8 * -(-lines // 64),), dtype=np.uint8)
+    packed[..., : -(-lines // 8)] = np.packbits(bits, axis=-1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+class Volley:
+    """One volley, checked once, where it is made.
+
+    - ``period``: the length of the cycle its codes count in;
+    - ``codes``: each line's spike step, a 1-D integer array, equal to
+      ``period`` where the line never spikes;
+    - ``steps``: the distinct arrival steps, increasing, as int64;
+    - ``masks``: one packed ``uint64`` mask of the lines arriving at each
+      step, ``(len(steps), ceil(lines / 64))``, as ``pack_lines`` packs them.
+
+    Its arrays are read-only, and a volley takes no new attributes.
+    ``steps`` and ``masks`` are derived from ``codes`` on first use unless
+    the maker gave them, and so is ``times``, the float times with ``inf``
+    for no spike; ``np.asarray(volley)`` gives the same array.
+
+    The encoders and the layer kernel build their volleys from step codes
+    they computed, whole steps by construction, and no reader checks those
+    again. Raw times from anywhere else come in through ``from_times``,
+    which holds them to ``spike_steps``.
+    """
+
+    __slots__ = ("codes", "period", "_steps", "_masks", "_times")
+
+    def __init__(self, codes: np.ndarray, period: int, steps=None, masks=None):
+        """A volley from the 1-D step codes its maker computed, in
+        ``0..period``, which are not checked. ``steps`` and ``masks``, when
+        the maker has them, must be those of ``codes``."""
+        codes.setflags(write=False)
+        if steps is not None:
+            steps.setflags(write=False)
+        if masks is not None:
+            masks.setflags(write=False)
+        init = object.__setattr__
+        init(self, "codes", codes)
+        init(self, "period", period)
+        init(self, "_steps", steps)
+        init(self, "_masks", masks)
+        init(self, "_times", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Volley is immutable; cannot set {name!r}")
+
+    @classmethod
+    def from_times(cls, times, period: int) -> "Volley":
+        """The volley of raw 1-D spike times, held to ``spike_steps`` (which
+        raises ``ValueError`` naming a bad time). A ``Volley`` made for a
+        cycle of at most ``period`` steps is returned as it is."""
+        if isinstance(times, Volley):
+            if times.period > period:
+                raise ValueError(
+                    f"a volley made for a {times.period}-step cycle cannot arrive "
+                    f"in a {period}-step one"
+                )
+            return times
+        t = np.asarray(times, dtype=float)
+        steps, arrives = spike_steps(t, period)
+        codes = np.where(t == INF, period, t).astype(np.int64)
+        return cls(codes, period, steps, pack_lines(arrives))
+
+    def _derive(self, name: str, value: np.ndarray) -> np.ndarray:
+        value.setflags(write=False)
+        object.__setattr__(self, name, value)
+        return value
+
+    @property
+    def steps(self) -> np.ndarray:
+        if self._steps is None:
+            counts = np.bincount(self.codes, minlength=self.period + 1)[: self.period]
+            return self._derive("_steps", counts.nonzero()[0])
+        return self._steps
+
+    @property
+    def masks(self) -> np.ndarray:
+        if self._masks is None:
+            return self._derive("_masks", pack_lines(self.codes == self.steps[:, None]))
+        return self._masks
+
+    @property
+    def times(self) -> np.ndarray:
+        if self._times is None:
+            return self._derive("_times", np.where(self.codes < self.period, self.codes, INF))
+        return self._times
+
+    @property
+    def shape(self) -> tuple:
+        return self.codes.shape
+
+    def __len__(self) -> int:
+        return self.codes.size
+
+    def __array__(self, dtype=None, copy=None):
+        times = self.times if dtype is None else self.times.astype(dtype, copy=False)
+        return times.copy() if copy else times
+
+    def __repr__(self) -> str:
+        return f"Volley({self.times.tolist()!r}, period={self.period})"
+
+
+# A posneg line spikes at step 0 or never: its volley counts in a one-step
+# cycle, which fits every period, and an image's only arrival step is 0.
+_POSNEG_STEPS = np.zeros(1, dtype=np.int64)
+_POSNEG_STEPS.setflags(write=False)
+
+
 @dataclass(frozen=True)
 class PosNeg:
     """Threshold binarizer; both channels spike at time 0 or never."""
@@ -105,30 +225,42 @@ KINDS = {"posneg": PosNeg, "linear": Linear, "log": Log}
 
 
 def _graded(v: np.ndarray, kind: Union[Linear, Log]) -> np.ndarray:
-    """Spike times of int64 intensities under a graded code."""
+    """Step codes of int64 intensities under a graded code, ``kind.period``
+    for no spike."""
     if isinstance(kind, Linear):
-        level = (v * kind.period + 255) // 256  # ceil(v * period / 256)
-        return np.where(v > 0, kind.period - level, INF)
+        # ceil(v * period / 256), which is 0 for intensity 0: no spike.
+        return kind.period - (v * kind.period + 255) // 256
     if isinstance(kind, Log):
         steps = np.floor(np.log2(255 / np.maximum(v, 1)) * (kind.period - 1) / 8)
-        return np.where(v > 0, np.minimum(kind.period - 1, steps), INF)
+        return np.where(v > 0, np.minimum(kind.period - 1, steps), kind.period).astype(np.int64)
     raise TypeError(f"unknown encoder {kind!r}")
 
 
-def encode_image(pixels, kind: EncoderKind) -> np.ndarray:
-    """Encode intensities 0..255 into dual-channel spike times.
-
-    ``pixels`` holds one image along its last axis (one row, or a stack of
-    rows). The result doubles that axis into float64 times, ``inf`` for no
-    spike: the positive block first, then the negative block, so synapse
-    line indices are stable across modules.
+def encode_image(pixels, kind: EncoderKind) -> Volley:
+    """Encode one image's intensities 0..255, a 1-D row, into the volley
+    of its dual-channel spikes: the positive block first, then the negative
+    block, so synapse line indices are stable across modules.
     """
-    # Widened first: in uint8, ``v * period`` wraps.
-    v = np.asarray(pixels).astype(np.int64)
+    v = np.asarray(pixels)
+    if v.ndim != 1:
+        raise ValueError(f"encode_image takes one image row, got pixels of shape {v.shape}")
     if isinstance(kind, PosNeg):
-        on = v > kind.threshold
-        return np.concatenate([np.where(on, 0.0, INF), np.where(on, INF, 0.0)], axis=-1)
-    return np.concatenate([_graded(v, kind), _graded(255 - v, kind)], axis=-1)
+        # uint8 compares as it is, any other type as the int64 it widens to.
+        if v.dtype != np.uint8:
+            v = v.astype(np.int64)
+        n = v.size
+        if not n:
+            return Volley(np.zeros(0, dtype=np.uint8), 1)
+        # Spike bits padded with clear ones to whole words, so they pack as
+        # they are; the line count is twice the pixels.
+        on = np.zeros(-(-2 * n // 64) * 64, dtype=bool)
+        np.greater(v, kind.threshold, out=on[:n])
+        np.logical_not(on[:n], out=on[n : 2 * n])
+        codes = np.logical_not(on[: 2 * n]).view(np.uint8)
+        return Volley(codes, 1, _POSNEG_STEPS, pack_lines(on[None]))
+    # Widened first: in uint8, ``v * period`` wraps.
+    v = v.astype(np.int64)
+    return Volley(np.concatenate([_graded(v, kind), _graded(255 - v, kind)]), kind.period)
 
 
 def format_spike_time(t: SpikeTime) -> str:

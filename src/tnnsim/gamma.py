@@ -26,11 +26,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Sequence, TextIO
+from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from .encode import INF, SpikeTime, spike_steps
+from .encode import INF, SpikeTime, Volley, spike_steps
 
 
 class GrstCause(enum.Enum):
@@ -47,22 +47,24 @@ class CycleResult:
 
 
 def run_cycle(
-    column_spike_times: Sequence[SpikeTime], period: int, relaxed: bool
+    column_spike_times: Union[Volley, Sequence[SpikeTime]], period: int, relaxed: bool
 ) -> CycleResult:
     """Length and cause of one gamma cycle from each column's first-spike time.
 
-    Times follow ``encode.spike_steps``, which raises ``ValueError`` on any
-    other. In relaxed mode the cycle ends one step after the last column
-    fires, if that lands before the rollover; otherwise, and always in
-    fixed mode, the cycle runs the full period.
+    The times are the final layer's ``encode.Volley``, or raw times, which
+    ``Volley.from_times`` checks. In relaxed mode the cycle ends one step
+    after the last column fires, if that lands before the rollover;
+    otherwise, and always in fixed mode, the cycle runs the full period.
     """
     if not len(column_spike_times):
         raise ValueError("gamma control must monitor at least one column")
-    steps, arrives = spike_steps(column_spike_times, period)
-    # Control rises once every column has fired, one step after the last.
-    all_fired = np.count_nonzero(arrives) == len(column_spike_times)
-    if relaxed and all_fired and steps[-1] + 1 < period:
-        return CycleResult(int(steps[-1]) + 1, GrstCause.CONTROL)
+    volley = Volley.from_times(column_spike_times, period)
+    # A silent column's code is the volley's period, so the largest code is
+    # below it exactly when every column has fired, and is then the last
+    # step. Control rises on it, and the cycle ends one step later.
+    last = int(np.maximum.reduce(volley.codes))
+    if relaxed and last < volley.period and last + 1 < period:
+        return CycleResult(last + 1, GrstCause.CONTROL)
     return CycleResult(period, GrstCause.PERIOD)
 
 

@@ -31,15 +31,8 @@ import numpy as np
 
 from . import gamma, stdp
 from .dataio import LabeledDataset
-from .encode import INF, KINDS, EncoderKind, PosNeg, encode_image
-from .neuron import (
-    KernelWorkspace,
-    kernel_bytes,
-    layer_spike_times,
-    pack_lines,
-    unpack_weights,
-    weight_planes,
-)
+from .encode import INF, KINDS, EncoderKind, PosNeg, Volley, encode_image, pack_lines
+from .neuron import KernelWorkspace, kernel_bytes, layer_spike_times, unpack_weights, weight_planes
 
 # Largest working set the spike-time kernels of all layers may need together.
 KERNEL_BYTES_LIMIT = 1 << 30
@@ -258,44 +251,47 @@ class TnnNetwork:
 
     def run_gamma_cycle(
         self,
-        volley: np.ndarray,
+        volley: Volley,
         planes: list,
         work: list,
         learn: bool,
         parity: Optional[list] = None,
     ) -> tuple:
-        """Present one volley (layer-0 spike times) for one gamma cycle.
+        """Present one volley to layer 0 for one gamma cycle.
 
-        ``planes`` holds each layer's bit-planes, every column's neurons
-        stacked into one ``(cols * neurons)`` bank, and ``work`` each
-        layer's ``neuron.KernelWorkspace``. Returns
-        the ``gamma.CycleResult`` and the final layer's per-column winner
-        times (inf when silent) and neurons (-1 when silent). When
-        ``learn`` is set, STDP updates every layer at the closing reset:
-        with ``parity``, each layer's packed ``weights & 1``, it shifts the
-        planes and parity in place and leaves ``self.weights`` stale; with
-        ``parity`` None it updates ``self.weights`` and repacks the planes
-        of every rewritten row.
+        ``volley`` is an ``encode.Volley``, or raw spike times, which the
+        layer kernel checks. ``planes`` holds each layer's bit-planes, every
+        column's neurons stacked into one ``(cols * neurons)`` bank, and
+        ``work`` each layer's ``neuron.KernelWorkspace``. Returns the
+        ``gamma.CycleResult``, the final layer's output ``Volley`` (one line
+        per column) and its per-column winner neurons (-1 when silent). Each
+        layer hands its output volley to the next layer, to gamma control and
+        to its own STDP update, and none checks it again. When ``learn`` is
+        set, STDP updates every layer at the closing reset: with ``parity``,
+        each layer's packed ``weights & 1``, it shifts the planes and parity
+        in place and leaves ``self.weights`` stale; with ``parity`` None it
+        updates ``self.weights`` and repacks the planes of every rewritten
+        row.
         """
         cfg = self.config
-        x = np.asarray(volley, dtype=float)
-        layers = []  # (input volley, winner neurons, winner times) per layer
+        x = volley
+        layers = []  # (input volley, winner neurons, output volley) per layer
         for bank, ws in zip(planes, work):
-            idx, win_t = layer_spike_times(bank, x, ws)
-            layers.append((x, idx, win_t))
-            x = win_t
+            idx, out = layer_spike_times(bank, x, ws)
+            layers.append((x, idx, out))
+            x = out
 
         result = gamma.run_cycle(x, cfg.period, relaxed=cfg.mode is Mode.RELAXED)
 
         if learn:
-            for k, (w, bank, (inputs, idx, win_t)) in enumerate(zip(self.weights, planes, layers)):
+            for k, (w, bank, (inputs, idx, out)) in enumerate(zip(self.weights, planes, layers)):
                 if parity is None:
-                    rows = stdp.update_weights(w, inputs, idx, win_t, cfg.stdp_params, work[k])
+                    rows = stdp.update_weights(w, inputs, idx, out, cfg.stdp_params, work[k])
                     bank[rows] = weight_planes(w.reshape(-1, w.shape[2])[rows], cfg.plane_depth)
                 else:
                     state = bank.reshape(w.shape[:2] + bank.shape[1:])
                     stdp.update_layer(
-                        state, inputs, idx, win_t, cfg.stdp_params, parity[k], work=work[k]
+                        state, inputs, idx, out, cfg.stdp_params, parity[k], work=work[k]
                     )
         return result, x, layers[-1][1]
 
@@ -310,7 +306,7 @@ class TnnNetwork:
         n, cols = epochs * len(dataset), cfg.layers[-1][0]
         lengths = np.empty(n, dtype=np.int64)
         control = np.empty(n, dtype=bool)
-        col_times = np.empty((n, cols))
+        col_codes = np.empty((n, cols), dtype=np.int64)
         col_neurons = np.empty((n, cols), dtype=np.int64)
         # Every column's neurons stacked into one bank per layer.
         planes = [weight_planes(w.reshape(-1, w.shape[2]), cfg.plane_depth) for w in self.weights]
@@ -318,22 +314,31 @@ class TnnNetwork:
             KernelWorkspace(bank, cfg.period, th, cfg.fan_in(k), layer[0])
             for k, (bank, th, layer) in enumerate(zip(planes, cfg.thresholds, cfg.layers))
         ]
-        # Layers learn on their planes when these hold every weight.
+        # Layers learn on their planes when these hold every weight. The
+        # parity is packed from bools, which packbits takes on its fast path:
+        # the low byte of a weight keeps its low bit.
         parity = None
         if learn and cfg.plane_depth == cfg.stdp_params.w_max:
-            parity = [pack_lines(w & 1) for w in self.weights]
+            parity = [
+                pack_lines(np.bitwise_and(w, 1, dtype=np.uint8, casting="unsafe").view(bool))
+                for w in self.weights
+            ]
+        pixels = dataset.pixels
         try:
             for i in range(n):
-                volley = encode_image(dataset.pixels[i % len(dataset)], cfg.encoder)
-                result, col_times[i], col_neurons[i] = self.run_gamma_cycle(
+                volley = encode_image(pixels[i % len(pixels)], cfg.encoder)
+                result, out, col_neurons[i] = self.run_gamma_cycle(
                     volley, planes, work, learn, parity
                 )
+                col_codes[i] = out.codes
                 lengths[i] = result.length
                 control[i] = result.cause is gamma.GrstCause.CONTROL
         finally:
             # The weights of every presentation that finished, even if one raised.
             for w, bank, held in zip(self.weights, planes, parity or ()):
                 unpack_weights(bank, held.reshape(-1, held.shape[2]), w.reshape(-1, w.shape[2]))
+        # A column's step code is the period where it stayed silent.
+        col_times = np.where(col_codes < cfg.period, col_codes, INF)
         return RunSummary(
             trace=gamma.GammaTrace(cfg.period, lengths, control, col_times),
             col_neurons=col_neurons,

@@ -45,8 +45,9 @@ spreads its lines over the cycle, so many of its steps touch only a few
 words. Each step copies just the rows of the words its lines touch into
 the AND buffer and ANDs, popcounts and sums them alone.
 
-Volley times are checked against the one spike-time rule,
-``encode.spike_steps``, which also gives their arrival steps and masks.
+The kernel reads its input's arrival steps and their packed masks from an
+``encode.Volley``, and hands its answer on as one: each column's step
+code is its count of steps below threshold, so no reader checks it again.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .encode import SpikeTime, spike_steps
+from .encode import SpikeTime, Volley, pack_lines
 
 # Bytes of the bool plane stack ``weight_planes`` builds at a time.
 _PACK_CHUNK = 1 << 20
@@ -75,15 +76,6 @@ def kernel_bytes(neurons: int, lines: int, depth: int, period: int) -> int:
     masks = min(period, lines) * (lines + 16 * words)
     ramp = 8 * depth * depth
     return neurons * per_neuron + masks + ramp + 32 * lines + 8 * period + (1 << 17)
-
-
-def pack_lines(bits: np.ndarray) -> np.ndarray:
-    """Pack the last axis of an array into ``uint64`` words, one bit per
-    entry, set where the entry is nonzero."""
-    lines = bits.shape[-1]
-    packed = np.zeros(bits.shape[:-1] + (8 * -(-lines // 64),), dtype=np.uint8)
-    packed[..., : -(-lines // 8)] = np.packbits(bits, axis=-1, bitorder="little")
-    return packed.view(np.uint64)
 
 
 def weight_planes(weights_hu: np.ndarray, depth: int) -> np.ndarray:
@@ -191,8 +183,8 @@ class KernelWorkspace:
 
 
 def layer_spike_times(
-    planes: np.ndarray, times: Sequence[SpikeTime], work: KernelWorkspace
-) -> tuple[np.ndarray, np.ndarray]:
+    planes: np.ndarray, volley: Union[Volley, Sequence[SpikeTime]], work: KernelWorkspace
+) -> tuple[np.ndarray, Volley]:
     """Winner of every column of a layer sharing one input volley.
 
     ``planes`` is the ``weight_planes`` of a bank whose neurons are
@@ -200,20 +192,21 @@ def layer_spike_times(
     ``KernelWorkspace``, which holds its period, thresholds and line count:
     the planes hold the line count only to the word. Planes of another
     shape than the workspace's raise ``ValueError``; planes in another
-    layout than ``weight_planes`` gives are copied on each call. ``times``
-    are spike times under ``encode.spike_steps``, which raises
-    ``ValueError`` on any other. Returns each column's winner neuron (-1
-    where it stays silent) as int64 and its spike time (``np.inf`` where
-    silent) as float.
+    layout than ``weight_planes`` gives are copied on each call.
+    ``volley`` is an ``encode.Volley``, or raw spike times, which
+    ``Volley.from_times`` checks. Returns each column's winner neuron (-1
+    where it stays silent) as int64, and the ``Volley`` of the columns'
+    spikes, one line per column: the next layer's input.
     """
     if planes.shape != work.shape:
         raise ValueError(f"planes of shape {planes.shape} for a workspace built for {work.shape}")
     period, lines, cols = work.period, work.lines, work.cols
-    steps, arrives = spike_steps(times, period)
-    if arrives.shape[1] != lines:
-        raise ValueError(f"volley has {arrives.shape[1]} lines, expected {lines}")
+    volley = Volley.from_times(volley, period)
+    if len(volley) != lines:
+        raise ValueError(f"volley has {len(volley)} lines, expected {lines}")
+    steps = volley.steps
     if not steps.size:
-        return np.full(cols, -1, dtype=np.int64), np.full(cols, np.inf)
+        return np.full(cols, -1, dtype=np.int64), Volley(np.full(cols, period), period)
     # Word-major rows: a view of planes as ``weight_planes`` stores them.
     _, depth, words = work.shape
     store = planes.transpose(2, 0, 1).reshape(words, -1)
@@ -221,17 +214,17 @@ def layer_spike_times(
     potential, product, onsets, ramp = work.potential, work.product, work.onsets, work.ramp
     potential.fill(0)
     nexts = steps[1:].tolist() + [period]
-    for s, nxt, mask in zip(steps.tolist(), nexts, pack_lines(arrives)):
+    for s, nxt, mask in zip(steps.tolist(), nexts, volley.masks):
         # Only the words some line arrives in can add: gather their store
         # rows into ``anded`` and AND those alone. Indices from nonzero are
         # in range; "clip" only spares the buffered copy of ``out`` that
         # the default "raise" makes.
         touched = mask.nonzero()[0]
         m = touched.size
-        np.take(store, touched, axis=0, out=anded[:m], mode="clip")
+        store.take(touched, axis=0, out=anded[:m], mode="clip")
         np.bitwise_and(anded[:m], mask[touched, None], out=anded[:m])
         np.bitwise_count(anded[:m], out=counts[:m])
-        np.sum(counts[:m], axis=0, out=sums)
+        np.add.reduce(counts[:m], axis=0, out=sums)
         onsets.ravel()[:] = sums
         # Plane k (index k - 1) adds one unit from step s + k - 1 on: the
         # ramp's rows give the steps up to s + depth - 1, its last row all
@@ -244,12 +237,11 @@ def layer_spike_times(
         if nxt < period and (potential[nxt - 1] >= th).reshape(cols, -1).any(axis=1).all():
             break
     # The potential is monotone: a spike time is the count of steps below
-    # threshold, and ``nxt`` for a neuron still below it.
+    # threshold, and ``nxt`` for a neuron still below it. A column's count
+    # is its step code, the period where it stays silent.
     below = np.less(potential[:nxt], th, out=work.below[:nxt]).view(np.uint8)
-    below = below.sum(axis=0, dtype=work.count_dtype).reshape(cols, -1)
+    below = np.add.reduce(below, axis=0, dtype=work.count_dtype).reshape(cols, -1)
     idx = below.argmin(axis=1)
-    win = below[np.arange(cols), idx].astype(float)
-    silent = win == period
-    idx[silent] = -1
-    win[silent] = np.inf
-    return idx, win
+    win = np.minimum.reduce(below, axis=1)
+    idx[win == period] = -1
+    return idx, Volley(win, period)

@@ -46,8 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encode import spike_steps
-from .neuron import KernelWorkspace, pack_lines
+from .encode import INF, Volley
+from .neuron import KernelWorkspace
 
 # Largest w_max whose half-unit cap still fits the int16 weights.
 W_MAX_LIMIT = np.iinfo(np.int16).max // 2
@@ -81,42 +81,54 @@ def _groups(shape, x, winner_idx, z, p: StdpParams, period: int) -> list:
     ``shape`` is the layer's ``(columns, neurons, lines)``; ``x``,
     ``winner_idx`` and ``z`` are as for ``update_weights``, and ``period``
     the layer's. Returns one group for the silent columns and one for the
-    winners, leaving out a group with no rows. Each is ``(rows, masks,
-    which, first, second)``: its flat ``(columns * neurons)`` rows step by
-    ``first`` half-units on the lines set in ``masks[which]`` (one mask per
-    row, or one that every row shares) and by ``second`` on the rest. Steps
-    are capped at the weight range, past which they saturate the same way.
+    winners, leaving out a group with no rows. Each is ``(rows, select,
+    first, second)``: its flat ``(columns * neurons)`` rows step by
+    ``first`` half-units on the lines set in the packed ``select`` (one
+    mask per row, or one that every row shares) and by ``second`` on the
+    rest. Steps are capped at the weight range, past which they saturate
+    the same way.
     """
     cols, neurons, lines = shape
-    x = np.asarray(x, dtype=float)
-    z = np.asarray(z, dtype=float)
+    x = Volley.from_times(x, period)
     winner_idx = np.asarray(winner_idx)
-    if x.shape[0] != lines:
-        raise ValueError(f"volley has {x.shape[0]} lines, expected {lines}")
+    if not isinstance(z, Volley):
+        z = np.asarray(z, dtype=float)
+    if len(x) != lines:
+        raise ValueError(f"volley has {len(x)} lines, expected {lines}")
     if winner_idx.shape != (cols,) or z.shape != (cols,):
         raise ValueError(f"winners {winner_idx.shape} and times {z.shape} for {cols} columns")
-    bad = winner_idx[(winner_idx < -1) | (winner_idx >= neurons)]
-    if bad.size:
+    if (
+        np.minimum.reduce(winner_idx, initial=-1) < -1
+        or np.maximum.reduce(winner_idx, initial=-1) >= neurons
+    ):
+        bad = winner_idx[(winner_idx < -1) | (winner_idx >= neurons)]
         raise ValueError(f"winner index {bad[0]} outside -1..{neurons - 1}")
+    if not isinstance(z, Volley):
+        # A silent column's time is read nowhere.
+        z = Volley.from_times(np.where(winner_idx < 0, INF, z), period)
+    fired = winner_idx >= 0
+    won = fired.nonzero()[0]
+    at = z.codes[won]
+    if np.maximum.reduce(at, initial=0) >= z.period:
+        raise ValueError("a winner's time must be a step, not inf")
+    # ``captured[j]`` marks the lines arriving at the first ``j`` steps, so
+    # the last marks every live line.
+    captured = np.zeros((x.steps.size + 1, x.masks.shape[1]), dtype=np.uint64)
+    np.bitwise_or.accumulate(x.masks, axis=0, out=captured[1:])
     cap = p.half_unit_cap
     groups = []
-    silent = np.flatnonzero(winner_idx < 0)
-    if silent.size:
+    if won.size < cols:
+        silent = np.logical_not(fired).nonzero()[0]
         # Every neuron explores: SEARCH on live lines, QUIET on dead ones.
         rows = (silent[:, None] * neurons + np.arange(neurons)).ravel()
-        groups.append((rows, np.isfinite(x)[None], 0, min(p.u_search, cap), min(p.u_quiet, cap)))
-    won = np.flatnonzero(winner_idx >= 0)
+        groups.append((rows, captured[-1], min(p.u_search, cap), min(p.u_quiet, cap)))
     if won.size:
-        # Winner times are counted by step, one line mask per distinct step;
-        # a winner at inf would have none.
-        times, at = spike_steps(z[won], period)
-        if np.count_nonzero(at) != won.size:
-            raise ValueError("a winner's time must be a step, not inf")
-        # The winner's row captures early lines and backs off late or dead
-        # ones: an inf x never compares <= a finite z, so BACKOFF_NOIN falls
-        # out of the same mask as BACKOFF_LATE.
+        # The winner's row captures the lines at or before its step and
+        # backs off late or dead ones: a dead line is in no step's mask, so
+        # BACKOFF_NOIN falls out of the same mask as BACKOFF_LATE.
+        select = captured[x.steps.searchsorted(at, side="right")]
         groups.append((
-            won * neurons + winner_idx[won], x <= times[:, None], at.argmax(axis=0),
+            won * neurons + winner_idx[won], select,
             min(p.u_capture, cap), -min(p.u_backoff, cap),
         ))
     return groups
@@ -133,21 +145,22 @@ def update_weights(
     """One gamma cycle's update of a layer's int16 weights, in place.
 
     ``weights_hu`` is ``(columns, neurons, lines)`` half-units; ``x`` the
-    input spike times, ``winner_idx`` each column's winner (-1 for none),
-    ``z`` each column's winner time, read only where there is a winner.
-    ``work`` is the layer's ``neuron.KernelWorkspace``: winner times are
-    checked against its period by ``encode.spike_steps``. ``x`` is the
-    volley the layer's kernel has just checked, so it is not checked
-    again. Returns the indices of the rows it rewrote in the ``(columns *
-    neurons, lines)`` view, in order: each winner's row and every row of a
-    silent column.
+    input volley, ``winner_idx`` each column's winner (-1 for none), ``z``
+    each column's winner time, read only where there is a winner. ``x``
+    and ``z`` are ``encode.Volley`` objects, as the layer kernel takes and
+    gives them, or raw spike times, which ``Volley.from_times`` checks
+    against the period of ``work``, the layer's
+    ``neuron.KernelWorkspace``. Returns the indices of the rows it rewrote
+    in the ``(columns * neurons, lines)`` view, in order: each winner's row
+    and every row of a silent column.
     """
-    neurons = weights_hu.shape[1]
+    neurons, lines = weights_hu.shape[1:]
     groups = _groups(weights_hu.shape, x, winner_idx, z, p, work.period)
-    for rows, masks, which, first, second in groups:
+    for rows, select, first, second in groups:
         col, row = np.divmod(rows, neurons)
+        mask = np.unpackbits(select.view(np.uint8), axis=-1, count=lines, bitorder="little")
         # The steps come out as int64, so the sum is taken wide and clipped.
-        delta = np.where(masks, first, second)[which]
+        delta = np.where(mask == 1, first, second)
         weights_hu[col, row] = np.clip(weights_hu[col, row] + delta, 0, p.half_unit_cap)
     return np.sort(np.concatenate([rows for rows, *_ in groups]))
 
@@ -231,9 +244,9 @@ def update_layer(
     ``parity`` the packed ``hu & 1`` of its weights, a C-ordered
     ``(columns, neurons, words)`` array; ``x``, ``winner_idx`` and ``z``
     are as for ``update_weights``. ``work`` is the layer's
-    ``neuron.KernelWorkspace``: the volley must have its line count, the
-    winner times are checked against its period, and its packed ``valid``
-    plane is read instead of packing one. Each winner's row and every row
+    ``neuron.KernelWorkspace``: the volley must have its line count, raw
+    times are checked against its period, and its packed ``valid`` plane is
+    read instead of packing one. Each winner's row and every row
     of a silent column come to hold the planes and parity of the weights
     ``update_weights`` would leave; padding bits stay 0.
     """
@@ -246,6 +259,5 @@ def update_layer(
     by_depth = planes.reshape(cols * neurons, depth, words).transpose(1, 0, 2)
     flat_parity = parity.reshape(cols * neurons, words)
     groups = _groups((cols, neurons, work.lines), x, winner_idx, z, p, work.period)
-    for rows, masks, which, first, second in groups:
-        select = pack_lines(masks)[which]
+    for rows, select, first, second in groups:
         _update_rows(by_depth, flat_parity, rows, work.valid, select, first, second)

@@ -68,6 +68,7 @@ M = "tests/test_metrics.py::"
 N = "tests/test_neuron.py::"
 S = "tests/test_stdp.py::"
 T = "tests/test_spike_times.py::"
+V = "tests/test_volley.py::"
 W = "tests/test_network.py::"
 GOLDEN = "tests/test_cli.py::TestTrainInferReport::test_golden_run_keeps_its_bytes"
 
@@ -100,7 +101,7 @@ MUTANTS = (
     ),
     Mutant(
         "kernel-gather-off-by-one-word", NEURON,
-        "np.take(store, touched, axis=0", "np.take(store, touched + 1, axis=0",
+        "store.take(touched, axis=0", "store.take(touched + 1, axis=0",
         (
             N + "TestWordBoundaries::test_clustered_volleys_match_references[130]",
             N + "TestWorkspaceReuse::test_matches_fresh_calls[one-threshold]",
@@ -108,7 +109,7 @@ MUTANTS = (
     ),
     Mutant(
         "kernel-sums-every-row", NEURON,
-        "np.sum(counts[:m], axis=0, out=sums)", "np.sum(counts, axis=0, out=sums)",
+        "np.add.reduce(counts[:m], axis=0, out=sums)", "np.add.reduce(counts, axis=0, out=sums)",
         (
             N + "TestWorkspaceReuse::test_matches_fresh_calls[one-threshold]",
             N + "TestWordBoundaries::test_clustered_volleys_match_references[130]",
@@ -205,6 +206,39 @@ MUTANTS = (
         "(potential[nxt - 1] >= th)", "(potential[nxt - 1] > th)",
         (N + "TestColumnKernel::test_stops_once_every_column_answered",),
     ),
+    Mutant(
+        "kernel-rechecks-made-volley", NEURON,
+        "volley = Volley.from_times(volley, period)",
+        "volley = Volley.from_times(np.asarray(volley, dtype=float), period)",
+        (V + "test_a_run_checks_no_volley_it_made",),
+    ),
+    # Made volleys, encode.Volley and the encoders.
+    Mutant(
+        "volley-drops-last-step", ENCODE,
+        "counts.nonzero()[0])", "counts.nonzero()[0][:-1])",
+        (
+            V + "TestEncodedVolley::test_equals_checked_times[16]",
+            W + "TestReferenceRun::test_network_equals_reference[linear]",
+        ),
+    ),
+    Mutant(
+        "posneg-encoder-drops-its-step", ENCODE,
+        "Volley(codes, 1, _POSNEG_STEPS,", "Volley(codes, 1, _POSNEG_STEPS[:0],",
+        (
+            V + "TestEncodedVolley::test_equals_checked_times[16]",
+            A + "test_criterion_06_low_threshold_time_zero",
+        ),
+    ),
+    Mutant(
+        "volley-codes-writable", ENCODE,
+        "codes.setflags(write=False)", "pass",
+        (V + "TestVolley::test_arrays_are_read_only",),
+    ),
+    Mutant(
+        "volley-from-a-longer-cycle-accepted", ENCODE,
+        "if times.period > period:", "if False:",
+        (V + "TestVolley::test_made_volley_passes_through_a_longer_cycle",),
+    ),
     # The one spike-time rule, encode.spike_steps.
     Mutant(
         "spike-steps-no-upper-bound", ENCODE,
@@ -227,7 +261,7 @@ MUTANTS = (
     # The STDP rule, stdp._groups, which both weight stores share.
     Mutant(
         "stdp-capture-strict", STDP,
-        "x <= times[:, None]", "x < times[:, None]",
+        'side="right"', 'side="left"',
         (
             S + "TestUpdateLayer::test_matches_scalar_column_updates",
             S + "TestUpdateLayerOnPlanes::test_matches_scalar_column_updates",
@@ -251,7 +285,7 @@ MUTANTS = (
     ),
     Mutant(
         "stdp-no-silent-column-update", STDP,
-        "if silent.size:", "if False:",
+        "if won.size < cols:", "if False:",
         (
             S + "TestUpdateLayer::test_silent_layer_explores",
             S + "TestUpdateLayerOnPlanes::test_silent_layer_explores",
@@ -259,7 +293,7 @@ MUTANTS = (
     ),
     Mutant(
         "stdp-silent-search-on-every-line", STDP,
-        "np.isfinite(x)[None]", "np.ones_like(x, dtype=bool)[None]",
+        "(rows, captured[-1],", "(rows, ~captured[0],",
         (
             S + "TestUpdateLayer::test_silent_layer_explores",
             S + "TestUpdateLayerOnPlanes::test_silent_layer_explores",
@@ -267,7 +301,7 @@ MUTANTS = (
     ),
     Mutant(
         "stdp-winner-mask-argmin", STDP,
-        "at.argmax(axis=0)", "at.argmin(axis=0)",
+        "searchsorted(at, side", "searchsorted(np.minimum.reduce(at), side",
         (
             S + "TestUpdateLayer::test_matches_scalar_column_updates",
             S + "TestUpdateLayerOnPlanes::test_matches_scalar_column_updates",
@@ -275,7 +309,7 @@ MUTANTS = (
     ),
     Mutant(
         "stdp-winner-at-inf-accepted", STDP,
-        "if np.count_nonzero(at) != won.size:", "if False:",
+        "if np.maximum.reduce(at, initial=0) >= z.period:", "if False:",
         (
             T + "test_a_winner_at_inf_is_rejected",
             S + "TestBitSlicedSteps::test_winner_time_must_be_a_whole_step[inf]",
@@ -291,16 +325,24 @@ MUTANTS = (
     ),
     Mutant(
         "stdp-volley-lines-unchecked", STDP,
-        "if x.shape[0] != lines:", "if False:",
+        "if len(x) != lines:", "if False:",
         (
             S + "TestUpdateLayer::test_volley_must_have_the_bank_lines",
             S + "TestUpdateLayerOnPlanes::test_volley_must_have_the_bank_lines",
         ),
     ),
+    Mutant(
+        "stdp-accumulate-off-by-one", STDP,
+        "out=captured[1:]", "out=captured[:-1]",
+        (
+            S + "TestUpdateLayer::test_silent_layer_explores",
+            S + "TestUpdateLayerOnPlanes::test_matches_scalar_column_updates",
+        ),
+    ),
     # Each weight store on its own.
     Mutant(
         "int16-capture-backoff-swapped", STDP,
-        "np.where(masks, first, second)", "np.where(masks, second, first)",
+        "np.where(mask == 1, first, second)", "np.where(mask == 1, second, first)",
         (
             S + "TestUpdateLayer::test_matches_scalar_column_updates",
             S + "TestNoWrap::test_huge_capture_saturates[40000]",
@@ -325,7 +367,7 @@ MUTANTS = (
     ),
     Mutant(
         "planes-first-mask-for-every-winner", STDP,
-        "select = pack_lines(masks)[which]", "select = pack_lines(masks)[which * 0]",
+        "searchsorted(at, side", "searchsorted(at[:1], side",
         (
             S + "TestUpdateLayerOnPlanes::test_matches_scalar_column_updates",
             W + "TestReferenceRun::test_network_equals_reference[linear]",
@@ -342,7 +384,7 @@ MUTANTS = (
     # Gamma control, gamma.py.
     Mutant(
         "gamma-control-at-rollover", GAMMA,
-        "steps[-1] + 1 < period", "steps[-1] + 1 <= period",
+        "last + 1 < period", "last + 1 <= period",
         (
             G + "TestRunCycle::test_spike_on_last_step_cannot_beat_rollover",
             A + "test_criterion_04_gamma_functional_suite",
@@ -350,15 +392,15 @@ MUTANTS = (
     ),
     Mutant(
         "gamma-control-without-all-fired", GAMMA,
-        "if relaxed and all_fired and", "if relaxed and",
+        "if relaxed and last < volley.period and", "if relaxed and",
         (
             G + "TestRunCycle::test_silent_column_leaves_periodic_rollover",
-            G + "TestRunCycle::test_matches_oracle",
+            V + "TestVolley::test_silence_counts_in_the_volley_cycle",
         ),
     ),
     Mutant(
         "gamma-fixed-mode-ends-early", GAMMA,
-        "if relaxed and all_fired and", "if all_fired and",
+        "if relaxed and last < volley.period and", "if last < volley.period and",
         (
             G + "TestRunCycle::test_fixed_mode_always_runs_full_period",
             G + "TestRunCycle::test_matches_oracle",
@@ -366,10 +408,17 @@ MUTANTS = (
     ),
     Mutant(
         "gamma-control-length-short", GAMMA,
-        "CycleResult(int(steps[-1]) + 1, GrstCause.CONTROL)",
-        "CycleResult(int(steps[-1]), GrstCause.CONTROL)",
+        "CycleResult(last + 1, GrstCause.CONTROL)", "CycleResult(last, GrstCause.CONTROL)",
         (
             G + "TestRunCycle::test_simultaneous_spikes_end_one_step_later",
+            G + "TestRunCycle::test_matches_oracle",
+        ),
+    ),
+    Mutant(
+        "gamma-reads-first-step", GAMMA,
+        "last = int(np.maximum.reduce(volley.codes))", "last = int(np.minimum.reduce(volley.codes))",
+        (
+            G + "TestRunCycle::test_last_column_gates_the_reset",
             G + "TestRunCycle::test_matches_oracle",
         ),
     ),
@@ -407,7 +456,7 @@ MUTANTS = (
     # Encoders, run records and input files.
     Mutant(
         "posneg-equal-joins-positive", ENCODE,
-        "on = v > kind.threshold", "on = v >= kind.threshold",
+        "np.greater(v, kind.threshold,", "np.greater_equal(v, kind.threshold,",
         (
             E + "TestPosNegBits::test_equal_joins_negative_side",
             A + "test_criterion_01_posneg_golden_encoding",

@@ -83,7 +83,7 @@ def test_criterion_01_posneg_golden_encoding():
         t0 = time.perf_counter()
         images = synth.make_dataset(50, seed=7)
         for px in images.pixels:
-            volley = encode_image(px, PosNeg())
+            volley = encode_image(px, PosNeg()).times
             pos, neg = volley[: len(px)], volley[len(px) :]
             for p, pos_t, neg_t in zip(px.tolist(), pos.tolist(), neg.tolist()):
                 if p > 127:
@@ -93,7 +93,7 @@ def test_criterion_01_posneg_golden_encoding():
         # bit-exact channel files for the digit-4 sample
         sample = images[4]
         assert sample.label == 4
-        volley = encode_image(sample.pixels, PosNeg()).tolist()
+        volley = encode_image(sample.pixels, PosNeg()).times.tolist()
         half = len(volley) // 2
         pos_line = " ".join("1" if t == 0 else "0" for t in volley[:half]) + "\n"
         neg_line = " ".join("1" if t == 0 else "0" for t in volley[half:]) + "\n"

@@ -63,9 +63,7 @@ def test_spans_cover_a_two_layer_run(tmp_path):
     out = tracer.summary()
 
     assert tracer.unmeasured == []
-    # The encoder hook still reads a ``.times`` attribute that the array
-    # encoder no longer has.
-    assert tracer.uncounted <= {"encode.encode_image"}
+    assert tracer.uncounted == set()
     assert out["network.run_gamma_cycle.calls"] == 3 * len(ds)
     layered = {
         label.rsplit(".", 1)[1]
@@ -82,6 +80,10 @@ def test_spans_cover_a_two_layer_run(tmp_path):
     # encoded pixels of three presentations per image, layer 1's the
     # answering layer-0 columns.
     encoded = sum(np.isfinite(readme_encode(p.tolist(), cfg.encoder)).sum() for p in ds.pixels)
+    # Three presentations per image, two lines per pixel.
+    assert out["encode.finite_lines"] == 3 * encoded
+    assert out["encode.lines"] == 3 * 2 * ds.pixels.size
+    assert 0 < out["encode.finite_line_frac"] < 1
     live = (3 * encoded, answered[0].sum())
     for k, (cols, neurons) in enumerate(cfg.layers):
         assert out[f"neuron.L{k}.synapse_evals"] == cols * neurons * live[k]

@@ -12,7 +12,7 @@ from tnnsim.encode import INF, Linear, Log, PosNeg, encode_image
 
 def channels(pixels, kind):
     """(positive, negative) spike-time lists of one image."""
-    times = encode_image(np.asarray(pixels, dtype=np.uint8), kind).tolist()
+    times = encode_image(np.asarray(pixels, dtype=np.uint8), kind).times.tolist()
     half = len(times) // 2
     return times[:half], times[half:]
 
@@ -147,9 +147,10 @@ class TestEncodeImage:
     def test_length_is_twice_pixels(self):
         pixels = np.arange(30, dtype=np.uint8)
         for kind in (PosNeg(127), Linear(16), Log(16)):
-            times = encode_image(pixels, kind)
-            assert times.shape == (60,)
-            assert times.dtype == np.float64
+            volley = encode_image(pixels, kind)
+            assert len(volley) == 60
+            assert volley.times.shape == (60,)
+            assert volley.times.dtype == np.float64
 
     @given(st.lists(st.integers(0, 255), min_size=1, max_size=40))
     def test_posneg_one_finite_spike_per_pixel_at_zero(self, pixels):
@@ -158,15 +159,14 @@ class TestEncodeImage:
             assert (p, n) in ((0, INF), (INF, 0))
 
     def test_accepts_object_with_pixels(self):
-        # A dataset row, or the whole stack of rows at once.
+        # A dataset row is one volley; a stack of rows is not.
         dataset = LabeledDataset(
             np.array([[0, 255, 3, 200], [255, 0, 0, 0]], dtype=np.uint8), width=2, height=2
         )
         volley = encode_image(dataset[0].pixels, PosNeg(127))
-        assert volley.tolist() == [INF, 0, INF, 0, 0, INF, 0, INF]
-        stacked = encode_image(dataset.pixels, PosNeg(127))
-        assert stacked.shape == (2, 8)
-        assert np.array_equal(stacked[0], volley)
+        assert volley.times.tolist() == [INF, 0, INF, 0, 0, INF, 0, INF]
+        with pytest.raises(ValueError, match="one image row"):
+            encode_image(dataset.pixels, PosNeg(127))
 
     def test_deterministic(self):
         pixels = np.arange(0, 256, 5, dtype=np.uint8)
@@ -183,7 +183,7 @@ class TestReadmeFormulas:
         kinds += [k(p) for p in range(2, 65) for k in (Linear, Log)]
         for kind in kinds:
             want = readme_encode(range(256), kind)
-            assert encode_image(pixels, kind).tolist() == want, kind
+            assert encode_image(pixels, kind).times.tolist() == want, kind
 
 
 class TestEncoderValidation:

@@ -28,8 +28,10 @@ from tnnsim.neuron import (
 
 
 def kernel_call(planes, times, period, threshold, lines, cols):
-    """One kernel call on a workspace built for it alone."""
-    return layer_spike_times(planes, times, KernelWorkspace(planes, period, threshold, lines, cols))
+    """One kernel call on a workspace built for it alone: each column's
+    winner neuron and the times of the volley it hands on."""
+    idx, out = layer_spike_times(planes, times, KernelWorkspace(planes, period, threshold, lines, cols))
+    return idx, out.times
 
 
 def column_winners(weights_hu, times, period, threshold, cols, w_max=7):
@@ -452,8 +454,8 @@ class TestExactPotential:
         lines = 1 << 20
         planes = weight_planes(np.full((len(threshold), lines), 2 * w_max, dtype=np.int16), w_max)
         work = KernelWorkspace(planes, 16, threshold, lines, len(threshold))
-        got = layer_spike_times(planes, np.zeros(lines), work)
-        return work.potential.dtype, got[0].tolist(), got[1].tolist()
+        idx, out = layer_spike_times(planes, np.zeros(lines), work)
+        return work.potential.dtype, idx.tolist(), out.times.tolist()
 
     def test_potential_past_float32(self):
         # The potential reaches 2**24 at t = 15, past what a float32 holds
