@@ -77,8 +77,6 @@ def pack_lines(bits: np.ndarray) -> np.ndarray:
     """Pack the last axis of an array into ``uint64`` words, one bit per
     entry, set where the entry is nonzero."""
     lines = bits.shape[-1]
-    if not lines % 64:
-        return np.packbits(bits, axis=-1, bitorder="little").view(np.uint64)
     packed = np.zeros(bits.shape[:-1] + (8 * -(-lines // 64),), dtype=np.uint8)
     packed[..., : -(-lines // 8)] = np.packbits(bits, axis=-1, bitorder="little")
     return packed.view(np.uint64)
@@ -236,31 +234,35 @@ def _graded(v: np.ndarray, kind: Union[Linear, Log]) -> np.ndarray:
     raise TypeError(f"unknown encoder {kind!r}")
 
 
-def encode_image(pixels, kind: EncoderKind) -> Volley:
-    """Encode one image's intensities 0..255, a 1-D row, into the volley
-    of its dual-channel spikes: the positive block first, then the negative
-    block, so synapse line indices are stable across modules.
+def encode_image(pixels, kind: EncoderKind) -> Union[Volley, np.ndarray]:
+    """Encode intensities 0..255 into dual-channel spikes: the positive
+    block first, then the negative block, so synapse line indices are
+    stable across modules.
+
+    ``pixels`` holds one image along its last axis. One row gives its
+    ``Volley``; a stack of rows gives the float64 times of each row's
+    volley, ``inf`` for no spike, along a last axis twice as long.
     """
     v = np.asarray(pixels)
-    if v.ndim != 1:
-        raise ValueError(f"encode_image takes one image row, got pixels of shape {v.shape}")
     if isinstance(kind, PosNeg):
         # uint8 compares as it is, any other type as the int64 it widens to.
         if v.dtype != np.uint8:
             v = v.astype(np.int64)
-        n = v.size
-        if not n:
-            return Volley(np.zeros(0, dtype=np.uint8), 1)
-        # Spike bits padded with clear ones to whole words, so they pack as
-        # they are; the line count is twice the pixels.
-        on = np.zeros(-(-2 * n // 64) * 64, dtype=bool)
-        np.greater(v, kind.threshold, out=on[:n])
-        np.logical_not(on[:n], out=on[n : 2 * n])
-        codes = np.logical_not(on[: 2 * n]).view(np.uint8)
-        return Volley(codes, 1, _POSNEG_STEPS, pack_lines(on[None]))
+        on = v > kind.threshold
+        spikes = np.concatenate([on, np.logical_not(on)], axis=-1)
+        if v.ndim != 1:
+            return np.where(spikes, 0.0, INF)
+        codes = np.logical_not(spikes).view(np.uint8)
+        # An empty row has no arrival step, not step 0.
+        if not v.size:
+            return Volley(codes, 1)
+        return Volley(codes, 1, _POSNEG_STEPS, pack_lines(spikes[None]))
     # Widened first: in uint8, ``v * period`` wraps.
     v = v.astype(np.int64)
-    return Volley(np.concatenate([_graded(v, kind), _graded(255 - v, kind)]), kind.period)
+    codes = np.concatenate([_graded(v, kind), _graded(255 - v, kind)], axis=-1)
+    if v.ndim != 1:
+        return np.where(codes < kind.period, codes, INF)
+    return Volley(codes, kind.period)
 
 
 def format_spike_time(t: SpikeTime) -> str:

@@ -62,7 +62,7 @@ def run_cycle(
     # A silent column's code is the volley's period, so the largest code is
     # below it exactly when every column has fired, and is then the last
     # step. Control rises on it, and the cycle ends one step later.
-    last = int(np.maximum.reduce(volley.codes))
+    last = int(volley.codes.max())
     if relaxed and last < volley.period and last + 1 < period:
         return CycleResult(last + 1, GrstCause.CONTROL)
     return CycleResult(period, GrstCause.PERIOD)

@@ -221,10 +221,10 @@ def layer_spike_times(
         # the default "raise" makes.
         touched = mask.nonzero()[0]
         m = touched.size
-        store.take(touched, axis=0, out=anded[:m], mode="clip")
+        np.take(store, touched, axis=0, out=anded[:m], mode="clip")
         np.bitwise_and(anded[:m], mask[touched, None], out=anded[:m])
         np.bitwise_count(anded[:m], out=counts[:m])
-        np.add.reduce(counts[:m], axis=0, out=sums)
+        np.sum(counts[:m], axis=0, out=sums)
         onsets.ravel()[:] = sums
         # Plane k (index k - 1) adds one unit from step s + k - 1 on: the
         # ramp's rows give the steps up to s + depth - 1, its last row all
@@ -240,8 +240,8 @@ def layer_spike_times(
     # threshold, and ``nxt`` for a neuron still below it. A column's count
     # is its step code, the period where it stays silent.
     below = np.less(potential[:nxt], th, out=work.below[:nxt]).view(np.uint8)
-    below = np.add.reduce(below, axis=0, dtype=work.count_dtype).reshape(cols, -1)
+    below = below.sum(axis=0, dtype=work.count_dtype).reshape(cols, -1)
     idx = below.argmin(axis=1)
-    win = np.minimum.reduce(below, axis=1)
+    win = below[np.arange(cols), idx]
     idx[win == period] = -1
     return idx, Volley(win, period)

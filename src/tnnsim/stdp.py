@@ -97,19 +97,16 @@ def _groups(shape, x, winner_idx, z, p: StdpParams, period: int) -> list:
         raise ValueError(f"volley has {len(x)} lines, expected {lines}")
     if winner_idx.shape != (cols,) or z.shape != (cols,):
         raise ValueError(f"winners {winner_idx.shape} and times {z.shape} for {cols} columns")
-    if (
-        np.minimum.reduce(winner_idx, initial=-1) < -1
-        or np.maximum.reduce(winner_idx, initial=-1) >= neurons
-    ):
-        bad = winner_idx[(winner_idx < -1) | (winner_idx >= neurons)]
+    bad = winner_idx[(winner_idx < -1) | (winner_idx >= neurons)]
+    if bad.size:
         raise ValueError(f"winner index {bad[0]} outside -1..{neurons - 1}")
     if not isinstance(z, Volley):
         # A silent column's time is read nowhere.
-        z = Volley.from_times(np.where(winner_idx < 0, INF, z), period)
-    fired = winner_idx >= 0
-    won = fired.nonzero()[0]
+        z = np.where(winner_idx < 0, INF, z)
+    z = Volley.from_times(z, period)
+    won = np.flatnonzero(winner_idx >= 0)
     at = z.codes[won]
-    if np.maximum.reduce(at, initial=0) >= z.period:
+    if (at >= z.period).any():
         raise ValueError("a winner's time must be a step, not inf")
     # ``captured[j]`` marks the lines arriving at the first ``j`` steps, so
     # the last marks every live line.
@@ -117,8 +114,8 @@ def _groups(shape, x, winner_idx, z, p: StdpParams, period: int) -> list:
     np.bitwise_or.accumulate(x.masks, axis=0, out=captured[1:])
     cap = p.half_unit_cap
     groups = []
-    if won.size < cols:
-        silent = np.logical_not(fired).nonzero()[0]
+    silent = np.flatnonzero(winner_idx < 0)
+    if silent.size:
         # Every neuron explores: SEARCH on live lines, QUIET on dead ones.
         rows = (silent[:, None] * neurons + np.arange(neurons)).ravel()
         groups.append((rows, captured[-1], min(p.u_search, cap), min(p.u_quiet, cap)))

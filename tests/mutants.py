@@ -101,7 +101,7 @@ MUTANTS = (
     ),
     Mutant(
         "kernel-gather-off-by-one-word", NEURON,
-        "store.take(touched, axis=0", "store.take(touched + 1, axis=0",
+        "np.take(store, touched, axis=0", "np.take(store, touched + 1, axis=0",
         (
             N + "TestWordBoundaries::test_clustered_volleys_match_references[130]",
             N + "TestWorkspaceReuse::test_matches_fresh_calls[one-threshold]",
@@ -109,7 +109,7 @@ MUTANTS = (
     ),
     Mutant(
         "kernel-sums-every-row", NEURON,
-        "np.add.reduce(counts[:m], axis=0, out=sums)", "np.add.reduce(counts, axis=0, out=sums)",
+        "np.sum(counts[:m], axis=0, out=sums)", "np.sum(counts, axis=0, out=sums)",
         (
             N + "TestWorkspaceReuse::test_matches_fresh_calls[one-threshold]",
             N + "TestWordBoundaries::test_clustered_volleys_match_references[130]",
@@ -285,7 +285,7 @@ MUTANTS = (
     ),
     Mutant(
         "stdp-no-silent-column-update", STDP,
-        "if won.size < cols:", "if False:",
+        "if silent.size:", "if False:",
         (
             S + "TestUpdateLayer::test_silent_layer_explores",
             S + "TestUpdateLayerOnPlanes::test_silent_layer_explores",
@@ -301,7 +301,7 @@ MUTANTS = (
     ),
     Mutant(
         "stdp-winner-mask-argmin", STDP,
-        "searchsorted(at, side", "searchsorted(np.minimum.reduce(at), side",
+        "searchsorted(at, side", "searchsorted(at.min(), side",
         (
             S + "TestUpdateLayer::test_matches_scalar_column_updates",
             S + "TestUpdateLayerOnPlanes::test_matches_scalar_column_updates",
@@ -309,7 +309,7 @@ MUTANTS = (
     ),
     Mutant(
         "stdp-winner-at-inf-accepted", STDP,
-        "if np.maximum.reduce(at, initial=0) >= z.period:", "if False:",
+        "if (at >= z.period).any():", "if False:",
         (
             T + "test_a_winner_at_inf_is_rejected",
             S + "TestBitSlicedSteps::test_winner_time_must_be_a_whole_step[inf]",
@@ -330,6 +330,12 @@ MUTANTS = (
             S + "TestUpdateLayer::test_volley_must_have_the_bank_lines",
             S + "TestUpdateLayerOnPlanes::test_volley_must_have_the_bank_lines",
         ),
+    ),
+    Mutant(
+        "stdp-winner-volley-unchecked", STDP,
+        "z = Volley.from_times(z, period)",
+        "z = z if isinstance(z, Volley) else Volley.from_times(z, period)",
+        (S + "TestBitSlicedSteps::test_winner_volley_is_held_to_the_layer_period",),
     ),
     Mutant(
         "stdp-accumulate-off-by-one", STDP,
@@ -416,7 +422,7 @@ MUTANTS = (
     ),
     Mutant(
         "gamma-reads-first-step", GAMMA,
-        "last = int(np.maximum.reduce(volley.codes))", "last = int(np.minimum.reduce(volley.codes))",
+        "last = int(volley.codes.max())", "last = int(volley.codes.min())",
         (
             G + "TestRunCycle::test_last_column_gates_the_reset",
             G + "TestRunCycle::test_matches_oracle",
@@ -456,7 +462,7 @@ MUTANTS = (
     # Encoders, run records and input files.
     Mutant(
         "posneg-equal-joins-positive", ENCODE,
-        "np.greater(v, kind.threshold,", "np.greater_equal(v, kind.threshold,",
+        "on = v > kind.threshold", "on = v >= kind.threshold",
         (
             E + "TestPosNegBits::test_equal_joins_negative_side",
             A + "test_criterion_01_posneg_golden_encoding",

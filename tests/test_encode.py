@@ -159,14 +159,20 @@ class TestEncodeImage:
             assert (p, n) in ((0, INF), (INF, 0))
 
     def test_accepts_object_with_pixels(self):
-        # A dataset row is one volley; a stack of rows is not.
+        # A dataset row, or the whole stack of rows at once.
         dataset = LabeledDataset(
             np.array([[0, 255, 3, 200], [255, 0, 0, 0]], dtype=np.uint8), width=2, height=2
         )
         volley = encode_image(dataset[0].pixels, PosNeg(127))
         assert volley.times.tolist() == [INF, 0, INF, 0, 0, INF, 0, INF]
-        with pytest.raises(ValueError, match="one image row"):
-            encode_image(dataset.pixels, PosNeg(127))
+        stacked = encode_image(dataset.pixels, PosNeg(127))
+        assert stacked.shape == (2, 8)
+        assert np.array_equal(stacked[0], volley)
+        for kind in (PosNeg(127), Linear(16), Log(16)):
+            stacked = encode_image(dataset.pixels, kind)
+            assert stacked.dtype == np.float64
+            for row, pixels in zip(stacked, dataset.pixels):
+                assert np.array_equal(row, encode_image(pixels, kind).times)
 
     def test_deterministic(self):
         pixels = np.arange(0, 256, 5, dtype=np.uint8)

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracle import RuleCase, apply_update, classify_case
 
-from tnnsim.encode import INF
+from tnnsim.encode import INF, Volley
 from tnnsim.neuron import (
     KernelWorkspace,
     layer_spike_times,
@@ -338,6 +338,24 @@ class TestBitSlicedSteps:
         args = np.array([0, 3, INF]), np.array([1, -1]), np.array([z, INF]), StdpParams()
         # A winner at inf is no step either: it names no line mask.
         message = "must be a step, not inf" if z == INF else "not inf or a whole step"
+        with pytest.raises(ValueError, match=message):
+            update_weights(weights, *args, workspace(planes, 3))
+        with pytest.raises(ValueError, match=message):
+            update_layer(planes.reshape(2, 2, 7, 1), *args, parity, workspace(planes, 3))
+        assert (weights == 5).all()
+        assert np.array_equal(planes, held[0]) and np.array_equal(parity, held[1])
+
+    def test_winner_volley_is_held_to_the_layer_period(self):
+        # Winner times given as a volley meet the same rule as raw ones: a
+        # step of 20 made in a 32-step cycle is no step of a 16-step layer,
+        # and no row changes before the error.
+        weights = np.full((2, 2, 3), 5, dtype=np.int16)
+        planes = weight_planes(weights.reshape(4, 3), 7)
+        parity = pack_lines((weights & 1) == 1)
+        held = planes.copy(), parity.copy()
+        z = Volley.from_times([20, INF], 32)
+        args = np.array([0, 3, INF]), np.array([1, -1]), z, StdpParams()
+        message = "32-step cycle cannot arrive in a 16-step one"
         with pytest.raises(ValueError, match=message):
             update_weights(weights, *args, workspace(planes, 3))
         with pytest.raises(ValueError, match=message):
