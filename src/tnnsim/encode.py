@@ -29,8 +29,13 @@ Both graded codes are monotone: a brighter pixel never spikes later than a
 dimmer one.
 
 Every encoder computes each line's step code, an integer, and hands a
-``Volley`` built from those codes to the network; its float times are made
-only when something asks for them.
+``Volley`` built from those codes to the network; its arrival steps, their
+line masks and its float times are made only when something asks for them,
+except the posneg encoder's one arrival step and mask, which it gives.
+Intensities come as ``uint8``, or as other numbers that must be whole and
+in 0..255. Raw spike times from anywhere else come in through
+``Volley.from_times``, the one door that states the spike-time rule and
+keeps only step codes.
 """
 
 from __future__ import annotations
@@ -44,33 +49,7 @@ INF = float("inf")
 
 SpikeTime = Union[int, float]
 """A spike time is a step of the gamma cycle, or ``INF`` when no spike
-occurs; ``spike_steps`` holds every reader to that rule."""
-
-
-def spike_steps(times, period: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one spike-time rule: a time is ``inf`` or a whole step in
-    ``0..period - 1``. Any other time (negative, fractional, NaN, ``-inf``,
-    or finite at or past the period) raises ``ValueError`` naming it.
-
-    Returns the distinct steps of the 1-D ``times``, increasing, as int64,
-    and the ``(steps, len(times))`` mask of the times at each step.
-    """
-    t = np.asarray(times, dtype=float)
-    live = t[t != INF]
-    if not live.size:
-        return np.empty(0, dtype=np.int64), np.empty((0, t.size), dtype=bool)
-    # Bounded first, so a time far past the period never sizes the count.
-    lo, hi = np.minimum.reduce(live), np.maximum.reduce(live)  # NaN if any time is
-    if 0 <= lo <= hi < period:
-        at = live.astype(np.int64)
-        steps = np.bincount(at).nonzero()[0]
-        # A whole step matches the one step it truncates to, any other time none.
-        arrives = t == steps[:, None]
-        if np.count_nonzero(arrives) == live.size:
-            return steps, arrives
-        hi = live[at != live][0]
-    bad = lo if not lo >= 0 else hi
-    raise ValueError(f"spike time {bad:g} is not inf or a whole step in 0..{period - 1}")
+occurs; ``Volley.from_times`` holds every reader to that rule."""
 
 
 def pack_lines(bits: np.ndarray) -> np.ndarray:
@@ -100,7 +79,7 @@ class Volley:
     The encoders and the layer kernel build their volleys from step codes
     they computed, whole steps by construction, and no reader checks those
     again. Raw times from anywhere else come in through ``from_times``,
-    which holds them to ``spike_steps``.
+    which states the one spike-time rule.
     """
 
     __slots__ = ("codes", "period", "_steps", "_masks", "_times")
@@ -126,9 +105,12 @@ class Volley:
 
     @classmethod
     def from_times(cls, times, period: int) -> "Volley":
-        """The volley of raw 1-D spike times, held to ``spike_steps`` (which
-        raises ``ValueError`` naming a bad time). A ``Volley`` made for a
-        cycle of at most ``period`` steps is returned as it is."""
+        """The volley of raw spike times, under the one spike-time rule: a
+        time is ``inf`` or a whole step in ``0..period - 1``. Any other time
+        (negative, fractional, NaN, ``-inf``, or finite at or past the
+        period) raises ``ValueError`` naming it, and so do times that are
+        not 1-D. A ``Volley`` made for a cycle of at most ``period`` steps
+        is returned as it is."""
         if isinstance(times, Volley):
             if times.period > period:
                 raise ValueError(
@@ -137,9 +119,21 @@ class Volley:
                 )
             return times
         t = np.asarray(times, dtype=float)
-        steps, arrives = spike_steps(t, period)
-        codes = np.where(t == INF, period, t).astype(np.int64)
-        return cls(codes, period, steps, pack_lines(arrives))
+        if t.ndim != 1:
+            raise ValueError(f"spike times must be 1-D, got shape {t.shape}")
+        live = t[t != INF]
+        if live.size:
+            # A time out of range is named before a fractional one.
+            lo, hi = np.minimum.reduce(live), np.maximum.reduce(live)  # NaN if any time is
+            if 0 <= lo <= hi < period:
+                bad = live[np.floor(live) != live]
+            else:
+                bad = [lo if not lo >= 0 else hi]
+            if len(bad):
+                raise ValueError(
+                    f"spike time {bad[0]:g} is not inf or a whole step in 0..{period - 1}"
+                )
+        return cls(np.where(t == INF, period, t).astype(np.int64), period)
 
     def _derive(self, name: str, value: np.ndarray) -> np.ndarray:
         value.setflags(write=False)
@@ -164,10 +158,6 @@ class Volley:
         if self._times is None:
             return self._derive("_times", np.where(self.codes < self.period, self.codes, INF))
         return self._times
-
-    @property
-    def shape(self) -> tuple:
-        return self.codes.shape
 
     def __len__(self) -> int:
         return self.codes.size
@@ -241,13 +231,17 @@ def encode_image(pixels, kind: EncoderKind) -> Union[Volley, np.ndarray]:
 
     ``pixels`` holds one image along its last axis. One row gives its
     ``Volley``; a stack of rows gives the float64 times of each row's
-    volley, ``inf`` for no spike, along a last axis twice as long.
+    volley, ``inf`` for no spike, along a last axis twice as long. Pixels
+    of any type but ``uint8`` must be whole numbers in 0..255, or
+    ``ValueError`` names the first that is not.
     """
     v = np.asarray(pixels)
+    if v.dtype != np.uint8:
+        bad = v[~((v >= 0) & (v <= 255) & (np.floor(v) == v))]
+        if bad.size:
+            raise ValueError(f"intensity {bad[0].item()} is not a whole number in 0..255")
+        v = v.astype(np.int64)
     if isinstance(kind, PosNeg):
-        # uint8 compares as it is, any other type as the int64 it widens to.
-        if v.dtype != np.uint8:
-            v = v.astype(np.int64)
         on = v > kind.threshold
         spikes = np.concatenate([on, np.logical_not(on)], axis=-1)
         if v.ndim != 1:

@@ -19,7 +19,9 @@ step 0 of the next cycle. A never-satisfied controller leaves the periodic
 rollover in charge and the cycle runs the full period.
 
 A run's ``GammaTrace`` is columnar: arrays of cycle lengths, end causes
-and per-column first-spike times, one row per cycle, validated once.
+and per-column first-spike times, one row per cycle, validated once; its
+distinct column times go through ``encode.Volley.from_times``, as raw
+times given to ``run_cycle`` do.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence, TextIO, Union
 
 import numpy as np
 
-from .encode import INF, SpikeTime, Volley, spike_steps
+from .encode import INF, SpikeTime, Volley
 
 
 class GrstCause(enum.Enum):
@@ -79,8 +81,8 @@ class GammaTrace:
     ``lengths[i]`` is cycle ``i``'s length in clock steps, ``control[i]`` is
     true when the controller ended it and false when the period rolled over,
     and ``col_times[i, c]`` is monitored column ``c``'s first spike time,
-    ``inf`` when the column stayed silent: a time under
-    ``encode.spike_steps``.
+    ``inf`` when the column stayed silent: a time that
+    ``encode.Volley.from_times`` takes.
     """
 
     period: int
@@ -100,8 +102,8 @@ class GammaTrace:
         bad = self.lengths[(self.lengths < 1) | (self.lengths > self.period)]
         if bad.size:
             raise ValueError(f"cycle length {bad[0]} outside 1..{self.period}")
-        # The distinct times alone, so a long run builds no mask per cycle.
-        spike_steps(np.unique(self.col_times), self.period)
+        # The distinct times alone, so a long run checks each time once.
+        Volley.from_times(np.unique(self.col_times), self.period)
 
     @property
     def column_count(self) -> int:

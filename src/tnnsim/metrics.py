@@ -111,11 +111,14 @@ def purity(summary: RunSummary, labels: Sequence[int]) -> PurityReport:
 
 
 def cycle_savings(trace: GammaTrace, period: int) -> tuple[float, float]:
-    """(realized, potential) fractional savings against the fixed period.
+    """(realized, potential) fractional savings against the fixed period,
+    which must be the trace's.
 
     Realized uses delivered cycle lengths; potential uses last-spike times,
     charging cycles with silent columns the whole period.
     """
+    if period != trace.period:
+        raise ValueError(f"savings against period {period} of a trace with period {trace.period}")
     n = len(trace)
     if n == 0:
         raise ValueError("trace is empty")

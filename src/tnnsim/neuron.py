@@ -48,6 +48,8 @@ the AND buffer and ANDs, popcounts and sums them alone.
 The kernel reads its input's arrival steps and their packed masks from an
 ``encode.Volley``, and hands its answer on as one: each column's step
 code is its count of steps below threshold, so no reader checks it again.
+Raw times come in through ``Volley.from_times``, which rejects a time that
+breaks the spike-time rule and times that are not 1-D.
 """
 
 from __future__ import annotations

@@ -26,6 +26,11 @@ column fired, every neuron's row updates under the ``z = INF`` cases,
 SEARCH on live lines and QUIET on dead ones, which is the only way those
 two cases are ever reached. Only those rows are read and written.
 
+The input volley ``x`` and the winner times ``z`` are ``encode.Volley``
+objects, as the layer kernel takes and gives them, or raw times, each
+checked by one ``Volley.from_times`` call; a silent column's raw time is
+set to ``inf`` first, since it is read nowhere.
+
 The two stores:
 
 - ``update_layer``, the training path: the thermometer planes
@@ -91,19 +96,17 @@ def _groups(shape, x, winner_idx, z, p: StdpParams, period: int) -> list:
     cols, neurons, lines = shape
     x = Volley.from_times(x, period)
     winner_idx = np.asarray(winner_idx)
-    if not isinstance(z, Volley):
-        z = np.asarray(z, dtype=float)
     if len(x) != lines:
         raise ValueError(f"volley has {len(x)} lines, expected {lines}")
-    if winner_idx.shape != (cols,) or z.shape != (cols,):
-        raise ValueError(f"winners {winner_idx.shape} and times {z.shape} for {cols} columns")
-    bad = winner_idx[(winner_idx < -1) | (winner_idx >= neurons)]
-    if bad.size:
-        raise ValueError(f"winner index {bad[0]} outside -1..{neurons - 1}")
-    if not isinstance(z, Volley):
+    if not isinstance(z, Volley) and np.shape(z) == winner_idx.shape:
         # A silent column's time is read nowhere.
         z = np.where(winner_idx < 0, INF, z)
     z = Volley.from_times(z, period)
+    if winner_idx.shape != (cols,) or len(z) != cols:
+        raise ValueError(f"winners {winner_idx.shape} and {len(z)} times for {cols} columns")
+    bad = winner_idx[(winner_idx < -1) | (winner_idx >= neurons)]
+    if bad.size:
+        raise ValueError(f"winner index {bad[0]} outside -1..{neurons - 1}")
     won = np.flatnonzero(winner_idx >= 0)
     at = z.codes[won]
     if (at >= z.period).any():

@@ -239,24 +239,32 @@ MUTANTS = (
         "if times.period > period:", "if False:",
         (V + "TestVolley::test_made_volley_passes_through_a_longer_cycle",),
     ),
-    # The one spike-time rule, encode.spike_steps.
+    # The one spike-time rule, encode.Volley.from_times.
     Mutant(
-        "spike-steps-no-upper-bound", ENCODE,
+        "spike-rule-no-upper-bound", ENCODE,
         "if 0 <= lo <= hi < period:", "if 0 <= lo <= hi:",
         (T + "TestRejected::test_rule[16]", G + "TestRunCycle::test_matches_oracle"),
     ),
     Mutant(
-        "spike-steps-no-whole-step-check", ENCODE,
-        "if np.count_nonzero(arrives) == live.size:", "if True:",
+        "spike-rule-no-whole-step-check", ENCODE,
+        "bad = live[np.floor(live) != live]", "bad = live[:0]",
         (
             T + "TestRejected::test_rule[2.5]",
             S + "TestBitSlicedSteps::test_winner_time_must_be_a_whole_step[2.5]",
         ),
     ),
     Mutant(
-        "spike-steps-names-wrong-value", ENCODE,
-        "bad = lo if not lo >= 0 else hi", "bad = hi",
+        "spike-rule-names-wrong-value", ENCODE,
+        "bad = [lo if not lo >= 0 else hi]", "bad = [hi]",
         (T + "TestRejected::test_rule[-1]", T + "TestRejected::test_rule[-inf]"),
+    ),
+    Mutant(
+        "spike-rule-takes-2d-times", ENCODE,
+        "if t.ndim != 1:", "if False:",
+        (
+            T + "TestNotOneDimensional::test_kernel",
+            T + "TestNotOneDimensional::test_run_cycle[True]",
+        ),
     ),
     # The STDP rule, stdp._groups, which both weight stores share.
     Mutant(
@@ -336,6 +344,22 @@ MUTANTS = (
         "z = Volley.from_times(z, period)",
         "z = z if isinstance(z, Volley) else Volley.from_times(z, period)",
         (S + "TestBitSlicedSteps::test_winner_volley_is_held_to_the_layer_period",),
+    ),
+    Mutant(
+        "stdp-silent-column-time-read", STDP,
+        "z = np.where(winner_idx < 0, INF, z)", "pass",
+        (
+            S + "TestUpdateLayer::test_silent_column_time_is_read_nowhere",
+            S + "TestUpdateLayerOnPlanes::test_silent_column_time_is_read_nowhere",
+        ),
+    ),
+    Mutant(
+        "stdp-one-time-for-every-column", STDP,
+        "np.shape(z) == winner_idx.shape:", "True:",
+        (
+            S + "TestUpdateLayer::test_one_winner_and_time_per_column",
+            S + "TestUpdateLayerOnPlanes::test_one_winner_and_time_per_column",
+        ),
     ),
     Mutant(
         "stdp-accumulate-off-by-one", STDP,
@@ -430,7 +454,7 @@ MUTANTS = (
     ),
     Mutant(
         "trace-times-unchecked", GAMMA,
-        "spike_steps(np.unique(self.col_times), self.period)", "pass",
+        "Volley.from_times(np.unique(self.col_times), self.period)", "pass",
         (T + "TestRejected::test_trace[2.5]", T + "TestRejected::test_trace[16]"),
     ),
     # The CSV writers.
@@ -475,6 +499,16 @@ MUTANTS = (
             E + "TestLinear::test_quantization_points",
             E + "TestReadmeFormulas::test_every_intensity_period_and_encoder",
         ),
+    ),
+    Mutant(
+        "encoder-takes-any-intensity", ENCODE,
+        "bad = v[~((v >= 0) & (v <= 255) & (np.floor(v) == v))]", "bad = v[:0]",
+        (E + "TestEncoderValidation::test_intensities_must_be_whole_numbers_in_range",),
+    ),
+    Mutant(
+        "savings-any-period", METRICS,
+        "if period != trace.period:", "if False:",
+        (M + "TestCycleSavings::test_period_must_be_the_traces",),
     ),
     Mutant(
         "savings-any-column-fired", METRICS,

@@ -1,14 +1,19 @@
 """The README agrees with the code it describes: the config reference with
-the one copy of the defaults, and the kernel memory bound with
-``neuron.kernel_bytes``."""
+the one copy of the defaults, the kernel memory bound with
+``neuron.kernel_bytes``, and every ``tnnsim`` name it cites with a name
+that exists."""
 
+import importlib
 import math
 import pathlib
+import pkgutil
 import re
 
 import pytest
 
+import tnnsim
 from tnnsim import cli
+from tnnsim.encode import Volley
 from tnnsim.network import CONFIG_KEYS, NetworkConfig
 from tnnsim.neuron import kernel_bytes
 from tnnsim.stdp import StdpParams
@@ -75,3 +80,26 @@ def test_readme_kernel_bound_matches_code(neurons, lines, w_max, period):
     assert names["depth"] == config.plane_depth
     expected = kernel_bytes(neurons, lines, names["depth"], period)
     assert eval(bound, {"__builtins__": {}}, names) == expected
+
+
+def cited_names() -> dict[str, object]:
+    """Each backticked dotted name the README cites from ``tnnsim``, alone
+    or called, mapped to the object its first part names: a module such as
+    ``stdp``, ``Volley``, or a name the package exports."""
+    modules = [m.name for m in pkgutil.iter_modules(tnnsim.__path__)]
+    roots = {name: importlib.import_module(f"tnnsim.{name}") for name in modules}
+    roots.update({name: getattr(tnnsim, name) for name in tnnsim.__all__}, Volley=Volley)
+    cited = re.findall(r"`(\w+(?:\.\w+)+)[`(]", README.read_text())
+    return {name: roots[name.split(".")[0]] for name in cited if name.split(".")[0] in roots}
+
+
+def test_readme_names_exist():
+    cited = cited_names()
+    assert {"stdp._groups", "neuron.KernelWorkspace", "Volley.from_times"} <= set(cited)
+    missing = []
+    for name, obj in cited.items():
+        for attr in name.split(".")[1:]:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(name)
+    assert not missing, f"README cites names tnnsim does not have: {missing}"

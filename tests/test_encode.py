@@ -206,3 +206,31 @@ class TestEncoderValidation:
     def test_unknown_kind_rejected(self):
         with pytest.raises(TypeError):
             encode_image(np.zeros(4, dtype=np.uint8), "linear")
+
+    @pytest.mark.parametrize(
+        "pixels, text",
+        [
+            ([300, 10], "300"),
+            ([10, -1], "-1"),
+            ([np.nan], "nan"),
+            ([127.9], "127.9"),
+            ([3.0, 255.5], "255.5"),
+            ([INF], "inf"),
+            ([[0, 1], [2, 256]], "256"),
+        ],
+        ids=["300", "-1", "nan", "127.9", "255.5", "inf", "stack-256"],
+    )
+    def test_intensities_must_be_whole_numbers_in_range(self, pixels, text):
+        # Before, 300 encoded to a negative code, NaN to a warning and 127.9
+        # to the negative side of a 127 threshold.
+        for kind in (PosNeg(127), Linear(16), Log(16)):
+            with pytest.raises(
+                ValueError, match=f"intensity {text} is not a whole number in 0..255"
+            ):
+                encode_image(pixels, kind)
+
+    def test_whole_floats_encode_as_bytes(self):
+        pixels = np.arange(256)
+        for kind in (PosNeg(127), Linear(16), Log(16)):
+            want = encode_image(pixels.astype(np.uint8), kind).times
+            assert np.array_equal(encode_image(pixels.astype(float), kind).times, want)

@@ -188,6 +188,14 @@ class TestCycleSavings:
         with pytest.raises(ValueError):
             cycle_savings(GammaTrace(16, [], [], np.empty((0, 1))), 16)
 
+    def test_period_must_be_the_traces(self):
+        # Against period 8, a 16-step trace once read realized savings -0.25.
+        trace = GammaTrace(16, [16, 4], [False, True], [[INF, 3], [3, 3]])
+        assert cycle_savings(trace, 16) == (1.0 - 10 / 16, 1.0 - 9.5 / 16)
+        for period in (8, 32):
+            with pytest.raises(ValueError, match=f"against period {period} of a trace with"):
+                cycle_savings(trace, period)
+
     def test_savings_csv(self):
         out = io.StringIO()
         write_savings_csv(0.625, 0.6875, out)

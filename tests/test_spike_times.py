@@ -1,11 +1,12 @@
 """One table of spike times through every reader.
 
-``encode.spike_steps`` states the rule: a spike time is ``inf`` or a whole
-step in ``0..period - 1``. Each row goes through every module that reads
-spike times: the layer kernel (a volley line), both STDP stores (a winner
-time), gamma control and the gamma trace (a column time). A rejected row
-raises ``ValueError`` naming the value in each of them, before anything
+``encode.Volley.from_times`` states the rule: a spike time is ``inf`` or a
+whole step in ``0..period - 1``. Each row goes through every module that
+reads spike times: the layer kernel (a volley line), both STDP stores (a
+winner time), gamma control and the gamma trace (a column time). A rejected
+row raises ``ValueError`` naming the value in each of them, before anything
 changes; an accepted row reads as the step it is, as the oracles read it.
+Times that are not 1-D are rejected by every reader too.
 """
 
 import math
@@ -23,7 +24,7 @@ from oracle import (
     stepwise_spike_times,
 )
 
-from tnnsim.encode import INF, spike_steps
+from tnnsim.encode import INF, Volley
 from tnnsim.gamma import GammaTrace, run_cycle
 from tnnsim.neuron import KernelWorkspace, layer_spike_times, pack_lines, weight_planes
 from tnnsim.stdp import StdpParams, update_layer, update_weights
@@ -51,20 +52,21 @@ def rejects(text):
     )
 
 
-def kernel(t):
-    """A three-line volley with ``t`` on line 1, through the layer kernel;
-    with the oracle's answer for the same volley."""
-    weights, times = np.full((2, 3), 14), [0, t, 0]
+def kernel(t, times=None):
+    """A three-line volley with ``t`` on line 1, or the given ``times``,
+    through the layer kernel; with the oracle's answer for the same volley."""
+    weights, times = np.full((2, 3), 14), [0, t, 0] if times is None else times
     planes = weight_planes(weights, 7)
     got = layer_spike_times(planes, times, KernelWorkspace(planes, PERIOD, 20, 3, 1))
     return got, column_argmin(stepwise_spike_times(weights, times, PERIOD, 20), 1)
 
 
-def stdp_stores(t):
+def stdp_stores(t, x=(0.0, 3.0, INF)):
     """Column 0 wins on neuron 1 at ``t`` (silent where ``t`` is inf) and
-    column 1 is silent, through both weight stores: the int16 weights and
-    the planes and parity of the same start, each updated in place."""
-    x, winners, z = np.array([0.0, 3.0, INF]), [-1 if t == INF else 1, -1], [t, INF]
+    column 1 is silent, on input volley ``x``, through both weight stores:
+    the int16 weights and the planes and parity of the same start, each
+    updated in place."""
+    winners, z = [-1 if t == INF else 1, -1], [t, INF]
     weights = np.full((2, 2, 3), 5, dtype=np.int16)
     planes = weight_planes(weights.reshape(4, 3), 7)
     parity = pack_lines((weights & 1) == 1)
@@ -89,7 +91,7 @@ def clocked(times, relaxed):
 class TestRejected:
     def test_rule(self, t, text):
         with rejects(text):
-            spike_steps([0, t, INF], PERIOD)
+            Volley.from_times([0, t, INF], PERIOD)
 
     def test_kernel(self, t, text):
         with rejects(text):
@@ -117,10 +119,11 @@ class TestRejected:
 @pytest.mark.parametrize("t", ACCEPTED, ids=repr)
 class TestAccepted:
     def test_rule(self, t):
-        steps, arrives = spike_steps([t, 0, INF], PERIOD)
+        volley = Volley.from_times([t, 0, INF], PERIOD)
         want = sorted({0} | ({int(t)} if t != INF else set()))
-        assert steps.tolist() == want
-        assert arrives.tolist() == [[t == s, s == 0, False] for s in want]
+        assert volley.steps.tolist() == want
+        arrives = np.array([[t == s, s == 0, False] for s in want]).reshape(-1, 3)
+        assert np.array_equal(volley.masks, pack_lines(arrives))
 
     def test_kernel(self, t):
         got, want = kernel(t)
@@ -147,6 +150,40 @@ class TestAccepted:
     def test_trace(self, t):
         trace = GammaTrace(PERIOD, [PERIOD], [False], [[t, INF]])
         assert trace.col_times.tolist() == [[float(t), INF]]
+
+
+class TestNotOneDimensional:
+    """Three lines given as one column of times, ``(3, 1)``, are not a
+    volley: every reader rejects them, before anything changes. The times
+    are distinct steps, so a reader that compared them with their own
+    steps elementwise would read them as three lines."""
+
+    times = [[0], [3], [5]]
+
+    def rejects(self):
+        return pytest.raises(ValueError, match=re.escape("must be 1-D, got shape (3, 1)"))
+
+    def test_rule(self):
+        with self.rejects():
+            Volley.from_times(self.times, PERIOD)
+
+    def test_kernel(self):
+        with self.rejects():
+            kernel(None, self.times)
+
+    def test_stdp_stores_change_no_row(self):
+        weights, planes, parity, stores = stdp_stores(2, self.times)
+        held = weights.copy(), planes.copy(), parity.copy()
+        for update in stores:
+            with self.rejects():
+                update()
+        for state, start in zip((weights, planes, parity), held):
+            assert np.array_equal(state, start)
+
+    @pytest.mark.parametrize("relaxed", [True, False])
+    def test_run_cycle(self, relaxed):
+        with self.rejects():
+            run_cycle(self.times, PERIOD, relaxed)
 
 
 def test_a_winner_at_inf_is_rejected():

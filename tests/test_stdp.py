@@ -217,9 +217,23 @@ class TestUpdateLayer:
         self.update(weights, np.full(64, INF), *silent, p)
         assert (weights == 7).all()
 
+    def test_silent_column_time_is_read_nowhere(self):
+        # Column 0 is silent, so its raw time, not a step, is never checked.
+        x, winners, p = np.array([0.0, 5.0, INF, 2.0]), np.array([-1, 1]), StdpParams()
+        want = np.full((2, 2, 4), 5, dtype=np.int16)
+        self.update(want, x, winners, np.array([INF, 2.0]), p)
+        for t in (np.nan, 2.5, 99.0):
+            weights = np.full((2, 2, 4), 5, dtype=np.int16)
+            self.update(weights, x, winners, np.array([t, 2.0]), p)
+            assert np.array_equal(weights, want)
+
     def test_one_winner_and_time_per_column(self):
         weights = np.full((3, 2, 4), 5, dtype=np.int16)
-        for idx, z in (([0, 0], [0.0, 0.0]), ([0, 0, 0], [0.0, 0.0]), ([-1] * 4, [INF] * 4)):
+        # One time is not a time for each column either.
+        for idx, z in (
+            ([0, 0], [0.0, 0.0]), ([0, 0, 0], [0.0, 0.0]), ([-1] * 4, [INF] * 4),
+            ([0, 0, 0], [0.0]),
+        ):
             with pytest.raises(ValueError, match="for 3 columns"):
                 self.update(weights, np.zeros(4), np.array(idx), np.array(z), StdpParams())
         assert (weights == 5).all()

@@ -4,7 +4,7 @@ The encoders and the layer kernel build an ``encode.Volley`` from step
 codes they computed, and no reader checks it again. Each made volley must
 equal the one ``Volley.from_times`` builds from its times under the one
 spike-time rule: the same arrival steps, packed masks and times. A run
-must not call ``spike_steps`` on a volley it made.
+must not hand ``Volley.from_times`` the times of a volley it made.
 """
 
 import sys
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from oracle import readme_encode
 
-from tnnsim import encode, gamma, network, neuron, stdp, synth
+from tnnsim import gamma, network, synth
 from tnnsim.dataio import LabeledDataset
 from tnnsim.encode import INF, Linear, Log, PosNeg, Volley, encode_image
 from tnnsim.neuron import KernelWorkspace, layer_spike_times, weight_planes
@@ -128,22 +128,22 @@ class TestVolley:
 
 
 def test_a_run_checks_no_volley_it_made(monkeypatch):
-    """Every ``spike_steps`` call a seeded ``train`` and ``infer`` make is
-    the gamma trace's one check of its column times: none is on a volley
-    the encoder or a kernel made. Both weight stores and both codes run."""
+    """Every ``Volley.from_times`` call a seeded ``train`` and ``infer`` make
+    on raw times is the gamma trace's one check of its column times: none
+    is on the times of a volley the encoder or a kernel made, which pass
+    through as they are. Both weight stores and both codes run."""
     callers = []
-    rule = encode.spike_steps
+    door = Volley.from_times.__func__
 
-    def counting(times, period):
-        callers.append(sys._getframe(1).f_code.co_name)
-        return rule(times, period)
+    def counting(cls, times, period):
+        if not isinstance(times, Volley):
+            callers.append(sys._getframe(1).f_code.co_name)
+        return door(cls, times, period)
 
-    for module in (encode, neuron, stdp, gamma, network):
-        if hasattr(module, "spike_steps"):
-            monkeypatch.setattr(module, "spike_steps", counting)
-    # The counter sees a raw volley come in.
-    Volley.from_times([0, INF], 16)
-    assert callers == ["from_times"]
+    monkeypatch.setattr(Volley, "from_times", classmethod(counting))
+    # The counter sees a raw volley come in, and a made one go through.
+    Volley.from_times(Volley.from_times([0, INF], 16), 16)
+    assert callers == ["test_a_run_checks_no_volley_it_made"]
     callers.clear()
     ds = synth.make_dataset(12, seed=5)
     ds = LabeledDataset(ds.pixels[:, ::4].copy(), 196, 1, ds.labels)
