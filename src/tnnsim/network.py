@@ -160,7 +160,7 @@ class NetworkConfig:
         # A run holds every layer's kernel workspace at once.
         total = 0
         for k, (cols, neurons) in enumerate(self.layers):
-            need = kernel_bytes(cols * neurons, self.fan_in(k), self.plane_depth, self.period)
+            need = kernel_bytes(cols * neurons, self.fan_in(k), self.stdp_params.w_max, self.period)
             total += need
             if total > KERNEL_BYTES_LIMIT:
                 raise ValueError(
@@ -174,11 +174,6 @@ class NetworkConfig:
         if isinstance(self.threshold, tuple):
             return self.threshold
         return (self.threshold,) * len(self.layers)
-
-    @property
-    def plane_depth(self) -> int:
-        """Bit-planes per bank: a ramp never runs past the period."""
-        return min(self.stdp_params.w_max, self.period)
 
     def fan_in(self, layer: int) -> int:
         """Input line count of one layer: dual-channel pixels, then one
@@ -254,7 +249,6 @@ class TnnNetwork:
         volley: Volley,
         planes: list,
         work: list,
-        learn: bool,
         parity: Optional[list] = None,
     ) -> tuple:
         """Present one volley to layer 0 for one gamma cycle.
@@ -266,12 +260,10 @@ class TnnNetwork:
         ``gamma.CycleResult``, the final layer's output ``Volley`` (one line
         per column) and its per-column winner neurons (-1 when silent). Each
         layer hands its output volley to the next layer, to gamma control and
-        to its own STDP update, and none checks it again. When ``learn`` is
-        set, STDP updates every layer at the closing reset: with ``parity``,
-        each layer's packed ``weights & 1``, it shifts the planes and parity
-        in place and leaves ``self.weights`` stale; with ``parity`` None it
-        updates ``self.weights`` and repacks the planes of every rewritten
-        row.
+        to its own STDP update, and none checks it again. Given ``parity``,
+        each layer's packed ``weights & 1``, STDP updates every layer at the
+        closing reset: it shifts the planes and parity in place and leaves
+        ``self.weights`` stale until the run unpacks them.
         """
         cfg = self.config
         x = volley
@@ -283,16 +275,10 @@ class TnnNetwork:
 
         result = gamma.run_cycle(x, cfg.period, relaxed=cfg.mode is Mode.RELAXED)
 
-        if learn:
+        if parity is not None:
             for k, (w, bank, (inputs, idx, out)) in enumerate(zip(self.weights, planes, layers)):
-                if parity is None:
-                    rows = stdp.update_weights(w, inputs, idx, out, cfg.stdp_params, work[k])
-                    bank[rows] = weight_planes(w.reshape(-1, w.shape[2])[rows], cfg.plane_depth)
-                else:
-                    state = bank.reshape(w.shape[:2] + bank.shape[1:])
-                    stdp.update_layer(
-                        state, inputs, idx, out, cfg.stdp_params, parity[k], work=work[k]
-                    )
+                state = bank.reshape(w.shape[:2] + bank.shape[1:])
+                stdp.update_layer(state, inputs, idx, out, cfg.stdp_params, parity[k], work[k])
         return result, x, layers[-1][1]
 
     def _run(self, dataset: LabeledDataset, epochs: int, learn: bool) -> RunSummary:
@@ -308,17 +294,18 @@ class TnnNetwork:
         control = np.empty(n, dtype=bool)
         col_codes = np.empty((n, cols), dtype=np.int64)
         col_neurons = np.empty((n, cols), dtype=np.int64)
-        # Every column's neurons stacked into one bank per layer.
-        planes = [weight_planes(w.reshape(-1, w.shape[2]), cfg.plane_depth) for w in self.weights]
+        # Every column's neurons stacked into one bank per layer, deep
+        # enough to hold every weight, so a layer learns on its planes.
+        depth = cfg.stdp_params.w_max
+        planes = [weight_planes(w.reshape(-1, w.shape[2]), depth) for w in self.weights]
         work = [
             KernelWorkspace(bank, cfg.period, th, cfg.fan_in(k), layer[0])
             for k, (bank, th, layer) in enumerate(zip(planes, cfg.thresholds, cfg.layers))
         ]
-        # Layers learn on their planes when these hold every weight. The
-        # parity is packed from bools, which packbits takes on its fast path:
-        # the low byte of a weight keeps its low bit.
+        # The parity is packed from bools, which packbits takes on its fast
+        # path: the low byte of a weight keeps its low bit.
         parity = None
-        if learn and cfg.plane_depth == cfg.stdp_params.w_max:
+        if learn:
             parity = [
                 pack_lines(np.bitwise_and(w, 1, dtype=np.uint8, casting="unsafe").view(bool))
                 for w in self.weights
@@ -327,9 +314,7 @@ class TnnNetwork:
         try:
             for i in range(n):
                 volley = encode_image(pixels[i % len(pixels)], cfg.encoder)
-                result, out, col_neurons[i] = self.run_gamma_cycle(
-                    volley, planes, work, learn, parity
-                )
+                result, out, col_neurons[i] = self.run_gamma_cycle(volley, planes, work, parity)
                 col_codes[i] = out.codes
                 lengths[i] = result.length
                 control[i] = result.cause is gamma.GrstCause.CONTROL

@@ -27,10 +27,11 @@ k - 1]`` for ``i < depth``, with the ``(depth, neurons)`` onsets of step
 ``s`` is that step's contribution to rows ``s`` to ``s + depth - 1`` of
 the ``(period, neurons)`` potential, and its last row, the onsets' total,
 is the contribution to every later row: no running sum over time. A ramp
-never runs longer than the period, so ``min(w_max, period)`` planes cover
-every weight. Every value is a whole number of units no larger than
-``lines * depth``, held exactly in floating point, so spike times are
-exact.
+never runs longer than the period, so the ramp keeps only its first
+``min(depth, period)`` rows, the ones a cycle reaches, and planes past the
+period add nothing. Every value is a whole number of units no larger than
+``lines * min(depth, period)``, held exactly in floating point, so spike
+times are exact.
 
 The planes are stored word-major, ``(words, neurons, depth)``, so one
 arrival step is one AND of ``words`` long rows with the step's mask, one
@@ -76,7 +77,7 @@ def kernel_bytes(neurons: int, lines: int, depth: int, period: int) -> int:
     words = -(-lines // 64)
     per_neuron = 17 * depth * words + 24 * depth + 9 * period + 48
     masks = min(period, lines) * (lines + 16 * words)
-    ramp = 8 * depth * depth
+    ramp = 8 * min(depth, period) * depth
     return neurons * per_neuron + masks + ramp + 32 * lines + 8 * period + (1 << 17)
 
 
@@ -161,26 +162,29 @@ class KernelWorkspace:
         self.counts = np.empty(self.anded.shape, dtype=np.uint8)
         # A popcount is at most 64 and a plane marks at most ``lines`` bits.
         self.sums = np.empty(n_neurons * depth, dtype=np.uint16 if lines < 1 << 16 else np.int64)
-        # A potential is a whole number of units, at most ``lines * depth``:
+        # A ramp runs at most ``period`` steps of a cycle: only its first
+        # ``rows`` rows are read, and no synapse adds more than ``rows`` units.
+        rows = min(depth, period)
+        # A potential is a whole number of units, at most ``lines * rows``:
         # a float32 holds it and every partial sum exactly below 2**24, a
         # float64 below 2**53, past any bank that fits in memory. So does
         # every threshold taken to its ceiling and clipped to one past the
         # reach, which a potential never meets either way.
-        reach = lines * depth
+        reach = lines * rows
         dtype = np.float32 if reach < 1 << 24 else np.float64
         self.onsets = np.empty((n_neurons, depth), dtype=dtype)
         th = np.minimum(np.broadcast_to(np.asarray(threshold), (n_neurons,)), reach + 1)
         self.threshold = np.ceil(th.astype(np.float64)).astype(dtype)
         self.potential = np.empty((period, n_neurons), dtype=dtype)
-        self.product = np.empty((depth, n_neurons), dtype=dtype)
+        self.product = np.empty((rows, n_neurons), dtype=dtype)
         self.below = np.empty(self.potential.shape, dtype=bool)
         # A neuron's count of steps below threshold is at most the period.
         self.count_dtype = np.uint16 if period < 1 << 16 else np.int64
         # ``ramp[i, k]`` is 1 where plane ``k + 1`` of an arrival at step
         # ``s`` has started its unit by step ``s + i``; from ``s + depth - 1``
         # on every plane has.
-        self.ramp = np.empty((depth, depth), dtype=dtype)
-        np.greater_equal(np.arange(depth)[:, None], np.arange(depth), out=self.ramp)
+        self.ramp = np.empty((rows, depth), dtype=dtype)
+        np.greater_equal(np.arange(rows)[:, None], np.arange(depth), out=self.ramp)
         self.valid = pack_lines(np.ones(lines, dtype=bool))
 
 

@@ -1,7 +1,7 @@
 """Spike-time-dependent weight updates applied at each gamma reset: the
 online, reset-time STDP of J. E. Smith's temporal neural network
-(arXiv:2011.13844), stated once in ``_groups`` and applied to either of
-two weight stores.
+(arXiv:2011.13844), stated once in ``_groups`` and applied by
+``update_layer`` to a layer's bit-planes.
 
 Every synapse is classified by its input spike time ``x`` against the
 column's output spike time ``z``:
@@ -17,7 +17,7 @@ exactly half of the ordinary unit step, which keeps silent synapses slowly
 creeping toward participation without ever outrunning real learning.
 Updates saturate into ``[0, 2 * w_max]`` half-units. A step larger than
 that range saturates the same way, so steps are clamped to it first: no
-magnitude can wrap the int16 weights.
+magnitude can wrap the int16 weights the planes unpack to.
 
 When a column produced a winner, only the winner's row of synapses updates
 (the losers were inhibited before they could spike), by CAPTURE on the
@@ -31,18 +31,13 @@ objects, as the layer kernel takes and gives them, or raw times, each
 checked by one ``Volley.from_times`` call; a silent column's raw time is
 set to ``inf`` first, since it is read nowhere.
 
-The two stores:
-
-- ``update_layer``, the training path: the thermometer planes
-  ``neuron.weight_planes`` builds (plane ``k`` marks ``hu // 2 >= k``)
-  plus one packed parity plane, ``hu & 1``, moved by word operations:
-  adding ``2a`` half-units moves plane ``k - a`` up to plane ``k``,
-  subtracting ``2b`` moves plane ``k + b`` down to it, and an odd step
-  carries or borrows through the parity. The int16 weights are unpacked
-  from them once, when the run ends. The planes hold whole units only up
-  to their depth, so this needs ``w_max <= period``.
-- ``update_weights``, the int16 weights themselves, for ``w_max >
-  period``; the network repacks the rows it returns.
+A layer learns on its learning state: the thermometer planes
+``neuron.weight_planes`` builds (plane ``k`` marks ``hu // 2 >= k``), of
+depth ``w_max`` whatever the period, plus one packed parity plane, ``hu &
+1``, moved by word operations: adding ``2a`` half-units moves plane ``k -
+a`` up to plane ``k``, subtracting ``2b`` moves plane ``k + b`` down to it,
+and an odd step carries or borrows through the parity. The int16 weights
+are unpacked from them once, when the run ends.
 """
 
 from __future__ import annotations
@@ -84,7 +79,7 @@ def _groups(shape, x, winner_idx, z, p: StdpParams, period: int) -> list:
     """The rule for one cycle's outputs, checked before any row changes.
 
     ``shape`` is the layer's ``(columns, neurons, lines)``; ``x``,
-    ``winner_idx`` and ``z`` are as for ``update_weights``, and ``period``
+    ``winner_idx`` and ``z`` are as for ``update_layer``, and ``period``
     the layer's. Returns one group for the silent columns and one for the
     winners, leaving out a group with no rows. Each is ``(rows, select,
     first, second)``: its flat ``(columns * neurons)`` rows step by
@@ -132,37 +127,6 @@ def _groups(shape, x, winner_idx, z, p: StdpParams, period: int) -> list:
             min(p.u_capture, cap), -min(p.u_backoff, cap),
         ))
     return groups
-
-
-def update_weights(
-    weights_hu: np.ndarray,
-    x: np.ndarray,
-    winner_idx: np.ndarray,
-    z: np.ndarray,
-    p: StdpParams,
-    work: KernelWorkspace,
-) -> np.ndarray:
-    """One gamma cycle's update of a layer's int16 weights, in place.
-
-    ``weights_hu`` is ``(columns, neurons, lines)`` half-units; ``x`` the
-    input volley, ``winner_idx`` each column's winner (-1 for none), ``z``
-    each column's winner time, read only where there is a winner. ``x``
-    and ``z`` are ``encode.Volley`` objects, as the layer kernel takes and
-    gives them, or raw spike times, which ``Volley.from_times`` checks
-    against the period of ``work``, the layer's
-    ``neuron.KernelWorkspace``. Returns the indices of the rows it rewrote
-    in the ``(columns * neurons, lines)`` view, in order: each winner's row
-    and every row of a silent column.
-    """
-    neurons, lines = weights_hu.shape[1:]
-    groups = _groups(weights_hu.shape, x, winner_idx, z, p, work.period)
-    for rows, select, first, second in groups:
-        col, row = np.divmod(rows, neurons)
-        mask = np.unpackbits(select.view(np.uint8), axis=-1, count=lines, bitorder="little")
-        # The steps come out as int64, so the sum is taken wide and clipped.
-        delta = np.where(mask == 1, first, second)
-        weights_hu[col, row] = np.clip(weights_hu[col, row] + delta, 0, p.half_unit_cap)
-    return np.sort(np.concatenate([rows for rows, *_ in groups]))
 
 
 def _reach(u: int) -> int:
@@ -242,13 +206,16 @@ def update_layer(
     ``planes`` is a ``(columns, neurons, depth, words)`` view of the
     layer's ``neuron.weight_planes`` with ``depth == p.w_max``, and
     ``parity`` the packed ``hu & 1`` of its weights, a C-ordered
-    ``(columns, neurons, words)`` array; ``x``, ``winner_idx`` and ``z``
-    are as for ``update_weights``. ``work`` is the layer's
+    ``(columns, neurons, words)`` array; ``x`` is the input volley,
+    ``winner_idx`` each column's winner (-1 for none) and ``z`` each
+    column's winner time, read only where there is a winner. ``x`` and
+    ``z`` are ``encode.Volley`` objects, as the layer kernel takes and
+    gives them, or raw spike times. ``work`` is the layer's
     ``neuron.KernelWorkspace``: the volley must have its line count, raw
     times are checked against its period, and its packed ``valid`` plane is
-    read instead of packing one. Each winner's row and every row
-    of a silent column come to hold the planes and parity of the weights
-    ``update_weights`` would leave; padding bits stay 0.
+    read instead of packing one. Each winner's row and every row of a
+    silent column come to hold the planes and parity of its weights after
+    the rule's step; padding bits stay 0.
     """
     cols, neurons, depth, words = planes.shape
     if depth != p.w_max:

@@ -141,10 +141,26 @@ MUTANTS = (
     ),
     Mutant(
         "kernel-strict-ramp", NEURON,
-        "np.greater_equal(np.arange(depth)[:, None]", "np.greater(np.arange(depth)[:, None]",
+        "np.greater_equal(np.arange(rows)[:, None]", "np.greater(np.arange(rows)[:, None]",
         (
             N + "TestNeuronSpikeTime::test_time_zero_spike_with_low_threshold",
             N + "TestColumnKernel::test_threshold_one_step_before_next_arrival",
+        ),
+    ),
+    Mutant(
+        "kernel-ramp-rows-uncapped", NEURON,
+        "rows = min(depth, period)", "rows = depth",
+        (
+            N + "TestExactPotential::test_planes_past_the_period_keep_float32",
+            N + "TestKernelBytes::test_bounds_measured_peak[4-2-3-2000-16-1000000000-graded]",
+        ),
+    ),
+    Mutant(
+        "kernel-bytes-ramp-uncapped", NEURON,
+        "8 * min(depth, period) * depth", "8 * depth * depth",
+        (
+            "tests/test_docs.py::test_readme_kernel_bound_matches_code[4-3-7-4]",
+            W + "TestConfig::test_planes_deeper_than_the_period_count_in_full",
         ),
     ),
     Mutant(
@@ -200,6 +216,15 @@ MUTANTS = (
         "config-per-layer-kernel-bound", NETWORK,
         "total += need", "total = need",
         (W + "TestConfig::test_kernel_working_sets_add_up",),
+    ),
+    Mutant(
+        "parity-packed-only-when-planes-fit-the-period", NETWORK,
+        "if learn:", "if learn and cfg.stdp_params.w_max <= cfg.period:",
+        (
+            W + "TestReferenceRun::test_network_equals_reference[w_max-gt-period]",
+            W + "TestWeightsWrittenBack::test_presentations_before_a_failure_are_kept"
+            "[w_max-gt-period]",
+        ),
     ),
     Mutant(
         "kernel-early-stop-strict", NEURON,
@@ -266,7 +291,7 @@ MUTANTS = (
             T + "TestNotOneDimensional::test_run_cycle[True]",
         ),
     ),
-    # The STDP rule, stdp._groups, which both weight stores share.
+    # The STDP rule, stdp._groups.
     Mutant(
         "stdp-capture-strict", STDP,
         'side="right"', 'side="left"',
@@ -369,21 +394,21 @@ MUTANTS = (
             S + "TestUpdateLayerOnPlanes::test_matches_scalar_column_updates",
         ),
     ),
-    # Each weight store on its own.
+    # Its steps on the planes and parity, stdp._step and stdp._update_rows.
     Mutant(
-        "int16-capture-backoff-swapped", STDP,
-        "np.where(mask == 1, first, second)", "np.where(mask == 1, second, first)",
+        "planes-capture-backoff-swapped", STDP,
+        "_step(stack, lo, depth, held, first)", "_step(stack, lo, depth, held, second)",
         (
             S + "TestUpdateLayer::test_matches_scalar_column_updates",
             S + "TestNoWrap::test_huge_capture_saturates[40000]",
         ),
     ),
     Mutant(
-        "int16-clip-below-cap", STDP,
-        "0, p.half_unit_cap)", "0, p.half_unit_cap - 1)",
+        "planes-half-unit-past-cap", STDP,
+        "return shifted(-whole), parity & ~top", "return shifted(-whole), parity",
         (
-            S + "TestUpdateLayer::test_updates_in_place_and_saturates",
-            S + "TestLearningDynamics::test_repeated_capture_specializes_a_neuron",
+            S + "TestNoWrap::test_every_case_matches_scalar_rule[32767-7]",
+            S + "TestBitSlicedSteps::test_every_step_on_every_weight[2]",
         ),
     ),
     Mutant(

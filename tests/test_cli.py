@@ -670,6 +670,19 @@ class TestTrainInferReport:
         assert err.startswith("error:") and message in err
         assert not (tmp_path / "o").exists()
 
+    def test_planes_over_the_kernel_bound_exit_one(self, tmp_path, capsys):
+        # Planes of depth w_max = 4000 put the paper's 64x10 layer over
+        # 784 pixels past the kernel bound, though its period is 16.
+        make_images(tmp_path / "imgs.idx", [(flat(0, 28), 0)], side=28)
+        keys = {"images": tmp_path / "imgs.idx", "layers": "64x10", "threshold": 10, "w_max": 4000}
+        cfg = write_config(tmp_path / "deep.cfg", **keys)
+        rc = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: layer 0 (64x10, 1568 lines) needs a")
+        assert "kernel working set" in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("command", ["train", "infer"])
     def test_empty_dataset_exits_one(self, tmp_path, capsys, command):
         empty = tmp_path / "empty.idx"

@@ -12,7 +12,7 @@ import re
 import pytest
 
 import tnnsim
-from tnnsim import cli
+from tnnsim import cli, network
 from tnnsim.encode import Volley
 from tnnsim.network import CONFIG_KEYS, NetworkConfig
 from tnnsim.neuron import kernel_bytes
@@ -64,20 +64,23 @@ def readme_kernel_bound() -> tuple[str, str, str]:
         (20000, 8, 2, 256),
         (3, 200000, 7, 4096),
         (30, 70000, 7, 1024),
-        (4, 3, 7, 4),  # depth capped by the period
+        (4, 3, 7, 4),  # planes deeper than the period
         (1, 1, 1, 2),
     ],
 )
-def test_readme_kernel_bound_matches_code(neurons, lines, w_max, period):
+def test_readme_kernel_bound_matches_code(monkeypatch, neurons, lines, w_max, period):
     bound, depth_expr, words_expr = readme_kernel_bound()
     names = {"min": min, "ceil": math.ceil, "neurons": neurons, "lines": lines,
              "w_max": w_max, "period": period}
     names["depth"] = eval(depth_expr, {"__builtins__": {}}, names)
     names["words"] = eval(words_expr, {"__builtins__": {}}, names)
-    config = NetworkConfig(
+    # The depth a config bounds its layers' kernels at.
+    depths = []
+    monkeypatch.setattr(network, "kernel_bytes", lambda *args: depths.append(args[2]) or 0)
+    NetworkConfig(
         layers=((1, 1),), pixel_count=1, period=period, stdp_params=StdpParams(w_max=w_max)
     )
-    assert names["depth"] == config.plane_depth
+    assert depths == [names["depth"]]
     expected = kernel_bytes(neurons, lines, names["depth"], period)
     assert eval(bound, {"__builtins__": {}}, names) == expected
 

@@ -108,7 +108,7 @@ class TestConfig:
         assert tiny_config(period=8, encoder=Linear(period=8)).period == 8
 
     def test_kernel_working_set_bounded(self):
-        # Period 16 and depth min(7, 16); both layers fit one word, so each
+        # Period 16 and depth w_max = 7; both layers fit one word, so each
         # neuron needs 17 * 7 + 24 * 7 + 9 * 16 + 48 = 479 bytes. Layer 1
         # has 4 lines: 4 * (4 + 16) + 8 * 7 * 7 + 32 * 4 + 8 * 16 + 2**17
         # = 131800 bytes on top. Layer 0's 8 neurons over 18 lines hold
@@ -120,6 +120,15 @@ class TestConfig:
             NetworkConfig(layers=((4, 2), (1, most + 1)), pixel_count=9, threshold=5)
         with pytest.raises(ValueError, match="layer 0 "):
             NetworkConfig(layers=((100000, 100),), pixel_count=784, threshold=5)
+
+    def test_planes_deeper_than_the_period_count_in_full(self):
+        # A layer learns on planes of depth w_max, whatever the period, so
+        # the paper's 64x10 layer over 784 pixels fits up to w_max 3733.
+        shape = dict(layers=((64, 10),), pixel_count=784, threshold=5)
+        NetworkConfig(**shape, stdp_params=StdpParams(w_max=3733))
+        for w_max in (3734, 4000):
+            with pytest.raises(ValueError, match=r"layer 0 \(64x10, 1568 lines\) needs a"):
+                NetworkConfig(**shape, stdp_params=StdpParams(w_max=w_max))
 
     def test_kernel_working_sets_add_up(self):
         # A run holds every layer's workspace at once: each of these layers
@@ -416,7 +425,8 @@ class TestReferenceRun:
     """Train and then infer equal ``oracle.reference_run`` bit for bit:
     cycle lengths and causes, column times and neurons, and the final
     weights. This checks encode, each layer's kernel and winners, gamma
-    control and STDP together, on the bit-planes and on the int16 weights."""
+    control and STDP together, on bit-planes of depth ``w_max`` both at
+    most the period and deeper than it."""
 
     CASES = {
         "linear": (two_layer(), 3),
@@ -446,7 +456,7 @@ class TestReferenceRun:
 
     def test_seeded_random_configs(self):
         failed = {}
-        fired = silent = control = period = changed = fallback = 0
+        fired = silent = control = period = changed = deep = 0
         for seed in range(self.FUZZ_CONFIGS):
             cfg, ds, epochs = random_case(seed)
             differ, (rows, winners, weights), _ = reference_mismatches(cfg, ds, epochs)
@@ -459,18 +469,19 @@ class TestReferenceRun:
             period += sum(not row[1] for row in rows)
             start = TnnNetwork(cfg).weights
             changed += any(not np.array_equal(a, b) for a, b in zip(start, weights))
-            fallback += cfg.stdp_params.w_max > cfg.period
+            deep += cfg.stdp_params.w_max > cfg.period
         assert failed == {}
         # In training, seeds 0..149 give 4,744 fired and 1,205 silent
         # columns and 281 CONTROL and 826 PERIOD resets; it changes the
-        # weights of all 150 configs, and 74 learn on the int16 weights.
+        # weights of all 150 configs, and 74 learn on planes deeper than
+        # the period.
         assert min(fired, silent, control, period) > 200, (fired, silent, control, period)
         assert changed > 0.9 * self.FUZZ_CONFIGS, changed
-        assert fallback > 0.3 * self.FUZZ_CONFIGS, fallback
+        assert deep > 0.3 * self.FUZZ_CONFIGS, deep
 
 
 class TestWeightsWrittenBack:
-    @pytest.mark.parametrize("w_max", [7, 20], ids=["planes", "int16"])
+    @pytest.mark.parametrize("w_max", [7, 20], ids=["w_max-le-period", "w_max-gt-period"])
     def test_presentations_before_a_failure_are_kept(self, monkeypatch, w_max):
         """An encoder that raises at presentation 5 leaves the weights of
         a run over the first 4 presentations."""

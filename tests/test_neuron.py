@@ -36,9 +36,10 @@ def kernel_call(planes, times, period, threshold, lines, cols):
 
 def column_winners(weights_hu, times, period, threshold, cols, w_max=7):
     """Each column's (winner neuron, winner time) of a ``(neurons, lines)``
-    bank, through its bit-planes and the production kernel."""
+    bank, through its bit-planes of depth ``w_max``, as a run packs them,
+    and the production kernel."""
     weights_hu = np.asarray(weights_hu)
-    planes = weight_planes(weights_hu, min(w_max, period))
+    planes = weight_planes(weights_hu, w_max)
     return kernel_call(planes, times, period, threshold, weights_hu.shape[1], cols)
 
 
@@ -306,7 +307,9 @@ class TestColumnKernel:
 class TestWordBoundaries:
     """The column kernel vs ``stepwise_spike_times`` reduced to column
     winners, at line counts around the 64-bit word, weight caps above the
-    period, per-neuron thresholds and all-silent and all-live volleys."""
+    period, per-neuron thresholds and all-silent and all-live volleys.
+    Banks are packed at depth ``w_max``, as a run packs them, and where
+    that is deeper than the period also at the period's depth."""
 
     @pytest.mark.parametrize("lines", [1, 63, 64, 65, 127, 1568])
     def test_matches_references(self, lines):
@@ -316,7 +319,8 @@ class TestWordBoundaries:
             for period, cols in zip((2, 16, 17, 33), (1, 2, 3, 6)):
                 neurons = 6
                 weights = rng.integers(0, 2 * w_max + 1, size=(neurons, lines))
-                planes = weight_planes(weights, min(w_max, period))
+                depths = sorted({min(w_max, period), w_max})
+                banks = [weight_planes(weights, depth) for depth in depths]
                 random = np.where(
                     rng.random(lines) < 0.3, INF, rng.integers(0, period, size=lines)
                 ).astype(float)
@@ -324,9 +328,10 @@ class TestWordBoundaries:
                 for times in volleys:
                     reach = lines * min(w_max, period)
                     thresholds = rng.integers(1, reach + 2, size=neurons)
-                    got = kernel_call(planes, times, period, thresholds, lines, cols)
                     want = stepwise_spike_times(weights, times, period, thresholds)
-                    assert_winners(got, column_argmin(want, cols))
+                    for planes in banks:
+                        got = kernel_call(planes, times, period, thresholds, lines, cols)
+                        assert_winners(got, column_argmin(want, cols))
                     fired += int((got[0] >= 0).sum())
                     silent += int((got[0] < 0).sum())
         # Every shape sees both outcomes in over 20 of its 144 columns, so
@@ -358,7 +363,7 @@ class TestWordBoundaries:
         for w_max, period in ((7, 16), (20, 5)):
             neurons, cols = 8, 4
             weights = rng.integers(0, 2 * w_max + 1, size=(neurons, lines))
-            planes = weight_planes(weights, min(w_max, period))
+            planes = weight_planes(weights, w_max)
             thresholds = rng.integers(1, lines * min(w_max, period) + 2, size=neurons)
             work = KernelWorkspace(planes, period, thresholds, lines, cols)
             clustered = (word % period).astype(float)
@@ -445,13 +450,13 @@ class TestWorkspaceReuse:
 
 class TestExactPotential:
     """The potential is held in floating point, exactly: a float32 while
-    the reach, ``lines * depth``, is below 2**24, else a float64."""
+    the reach, ``lines * min(depth, period)``, is below 2**24, else a
+    float64."""
 
     @staticmethod
-    def saturated(w_max, threshold):
-        # 2**20 lines at step 0, each at the cap: the potential is
-        # (t + 1) * 2**20 until it saturates at w_max * 2**20.
-        lines = 1 << 20
+    def saturated(w_max, threshold, lines=1 << 20):
+        # ``lines`` lines at step 0, each at the cap: the potential is
+        # (t + 1) * lines until it saturates at w_max * lines.
         planes = weight_planes(np.full((len(threshold), lines), 2 * w_max, dtype=np.int16), w_max)
         work = KernelWorkspace(planes, 16, threshold, lines, len(threshold))
         idx, out = layer_spike_times(planes, np.zeros(lines), work)
@@ -463,6 +468,15 @@ class TestExactPotential:
         top = 1 << 24
         assert self.saturated(16, [top - (1 << 20), top - (1 << 20) + 1, top, top + 1]) == (
             np.float64, [0, 0, 0, -1], [14, 15, 15, INF]
+        )
+
+    def test_planes_past_the_period_keep_float32(self):
+        # 40 planes over a 16-step cycle: the potential tops out at
+        # 16 * 2**19 = 2**23, so a float32 holds it, and 2**23 + 1 stays
+        # out of reach.
+        top = 1 << 23
+        assert self.saturated(40, [top, top + 1], lines=1 << 19) == (
+            np.float32, [0, -1], [15, INF]
         )
 
     def test_fractional_threshold_is_its_ceiling(self):
@@ -483,14 +497,17 @@ KERNEL_CASES = [
     (3, 1, 64, 7, 4096, 10**9, "graded"),  # period far over the lines
     (4, 2, 3, 7, 16, 10**9, "graded"),
     (30, 3, 70000, 7, 1024, "per-neuron", "graded"),
+    (640, 64, 1568, 40, 16, 3000, "graded"),  # planes deeper than the period
+    (4, 2, 3, 2000, 16, 10**9, "graded"),  # far deeper: the ramp keeps 16 rows
 ]
 
 
 def kernel_case(neurons, lines, w_max, period, threshold, volley):
-    """Planes, volley, threshold and depth of one ``KERNEL_CASES`` row."""
+    """Planes, volley, threshold and depth of one ``KERNEL_CASES`` row,
+    packed at depth ``w_max`` as a run packs them."""
     rng = np.random.default_rng(neurons + lines + period)
     weights = rng.integers(0, 2 * w_max + 1, size=(neurons, lines), dtype=np.int16)
-    depth = min(w_max, period)
+    depth = w_max
     planes = weight_planes(weights, depth)
     times = {
         "graded": rng.integers(0, period, size=lines),

@@ -2,7 +2,7 @@
 
 ``encode.Volley.from_times`` states the rule: a spike time is ``inf`` or a
 whole step in ``0..period - 1``. Each row goes through every module that
-reads spike times: the layer kernel (a volley line), both STDP stores (a
+reads spike times: the layer kernel (a volley line), the STDP update (a
 winner time), gamma control and the gamma trace (a column time). A rejected
 row raises ``ValueError`` naming the value in each of them, before anything
 changes; an accepted row reads as the step it is, as the oracles read it.
@@ -27,7 +27,7 @@ from oracle import (
 from tnnsim.encode import INF, Volley
 from tnnsim.gamma import GammaTrace, run_cycle
 from tnnsim.neuron import KernelWorkspace, layer_spike_times, pack_lines, weight_planes
-from tnnsim.stdp import StdpParams, update_layer, update_weights
+from tnnsim.stdp import StdpParams, update_layer
 
 PERIOD = 16
 
@@ -61,23 +61,18 @@ def kernel(t, times=None):
     return got, column_argmin(stepwise_spike_times(weights, times, PERIOD, 20), 1)
 
 
-def stdp_stores(t, x=(0.0, 3.0, INF)):
+def stdp_update(t, x=(0.0, 3.0, INF)):
     """Column 0 wins on neuron 1 at ``t`` (silent where ``t`` is inf) and
-    column 1 is silent, on input volley ``x``, through both weight stores:
-    the int16 weights and the planes and parity of the same start, each
-    updated in place."""
+    column 1 is silent, on input volley ``x``: the planes and parity of
+    weights all at 5 half-units, and the STDP update of them in place."""
     winners, z = [-1 if t == INF else 1, -1], [t, INF]
     weights = np.full((2, 2, 3), 5, dtype=np.int16)
     planes = weight_planes(weights.reshape(4, 3), 7)
     parity = pack_lines((weights & 1) == 1)
     work = KernelWorkspace(planes, PERIOD, 1, 3, 1)
-    stores = (
-        lambda: update_weights(weights, x, winners, z, StdpParams(), work),
-        lambda: update_layer(
-            planes.reshape(2, 2, 7, 1), x, winners, z, StdpParams(), parity, work
-        ),
+    return planes, parity, lambda: update_layer(
+        planes.reshape(2, 2, 7, 1), x, winners, z, StdpParams(), parity, work
     )
-    return weights, planes, parity, stores
 
 
 def clocked(times, relaxed):
@@ -98,13 +93,11 @@ class TestRejected:
             kernel(t)
 
     def test_stdp_stores_change_no_row(self, t, text):
-        weights, planes, parity, stores = stdp_stores(t)
-        held = weights.copy(), planes.copy(), parity.copy()
-        for update in stores:
-            with rejects(text):
-                update()
-        for state, start in zip((weights, planes, parity), held):
-            assert np.array_equal(state, start)
+        planes, parity, update = stdp_update(t)
+        held = planes.copy(), parity.copy()
+        with rejects(text):
+            update()
+        assert np.array_equal(planes, held[0]) and np.array_equal(parity, held[1])
 
     @pytest.mark.parametrize("relaxed", [True, False])
     def test_run_cycle(self, t, text, relaxed):
@@ -131,15 +124,13 @@ class TestAccepted:
 
     def test_stdp_stores(self, t):
         # Every synapse of each updated row takes the scalar rule's step.
-        weights, planes, parity, stores = stdp_stores(t)
+        planes, parity, update = stdp_update(t)
         p, x, z = StdpParams(), [0, 3, INF], [INF if t == INF else int(t), INF]
-        want = weights.copy()
+        want = np.full((2, 2, 3), 5, dtype=np.int16)
         for c, n in ((0, 0), (0, 1), (1, 0), (1, 1)):
             if z[c] == INF or n == 1:
                 want[c, n] = [apply_update(5, classify_case(xt, z[c]), p) for xt in x]
-        for update in stores:
-            update()
-        assert np.array_equal(weights, want)
+        update()
         assert np.array_equal(planes, weight_planes(want.reshape(4, 3), 7))
         assert np.array_equal(parity, pack_lines((want & 1) == 1))
 
@@ -172,13 +163,11 @@ class TestNotOneDimensional:
             kernel(None, self.times)
 
     def test_stdp_stores_change_no_row(self):
-        weights, planes, parity, stores = stdp_stores(2, self.times)
-        held = weights.copy(), planes.copy(), parity.copy()
-        for update in stores:
-            with self.rejects():
-                update()
-        for state, start in zip((weights, planes, parity), held):
-            assert np.array_equal(state, start)
+        planes, parity, update = stdp_update(2, self.times)
+        held = planes.copy(), parity.copy()
+        with self.rejects():
+            update()
+        assert np.array_equal(planes, held[0]) and np.array_equal(parity, held[1])
 
     @pytest.mark.parametrize("relaxed", [True, False])
     def test_run_cycle(self, relaxed):
@@ -191,8 +180,11 @@ def test_a_winner_at_inf_is_rejected():
     # column's time is read nowhere.
     p, x = StdpParams(), np.zeros(3)
     weights = np.full((2, 1, 3), 5, dtype=np.int16)
-    work = KernelWorkspace(weight_planes(weights.reshape(2, 3), 7), PERIOD, 1, 3, 1)
+    planes = weight_planes(weights.reshape(2, 3), 7)
+    parity = pack_lines((weights & 1) == 1)
+    held = planes.copy(), parity.copy()
+    work = KernelWorkspace(planes, PERIOD, 1, 3, 1)
     for winners, z in (([0, -1], [INF, INF]), ([0, 0], [2.0, INF])):
         with pytest.raises(ValueError, match="a winner's time must be a step, not inf"):
-            update_weights(weights, x, winners, z, p, work)
-    assert (weights == 5).all()
+            update_layer(planes.reshape(2, 1, 7, 1), x, winners, z, p, parity, work)
+    assert np.array_equal(planes, held[0]) and np.array_equal(parity, held[1])

@@ -1,9 +1,9 @@
 """Weight-update rule: case classification, saturation, the layer update.
 
-The int16 update (``update_weights``) is checked against the scalar rule;
-the learning-state update (``update_layer`` on bit-planes and parity) is
-checked against both, through a pack -> update -> unpack round trip, and
-step by step against the int16 update for every weight and step.
+The layer update (``update_layer`` on bit-planes and parity) is checked
+against the scalar rule through a pack -> update -> unpack round trip, on
+planes of depth ``w_max`` up to 16383 over a 16-step layer, and for every
+weight and step on the packed planes and parity themselves.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from tnnsim.neuron import (
     unpack_weights,
     weight_planes,
 )
-from tnnsim.stdp import StdpParams, update_layer, update_weights
+from tnnsim.stdp import StdpParams, update_layer
 
 spike_times = st.one_of(st.integers(0, 15), st.just(INF))
 
@@ -31,17 +31,24 @@ def workspace(planes, lines):
     return KernelWorkspace(planes, 16, 1, lines, 1)
 
 
-def int16_update(weights, x, winner_idx, z, p):
-    """``update_weights`` with the workspace of a period-16 layer of the
-    weights' shape."""
-    lines = weights.shape[2]
-    planes = weight_planes(weights.reshape(-1, lines), min(p.w_max, 16))
-    return update_weights(weights, x, winner_idx, z, p, workspace(planes, lines))
+def scalar_update(weights, x, winner_idx, z, p):
+    """The scalar rule's step on every synapse of each winner's row and
+    every row of a silent column, in place."""
+    cols, neurons, lines = weights.shape
+    for c in range(cols):
+        zt = INF if winner_idx[c] < 0 else int(z[c])
+        rows = range(neurons) if winner_idx[c] < 0 else [int(winner_idx[c])]
+        for n in rows:
+            for l in range(lines):
+                xt = INF if np.isinf(x[l]) else int(x[l])
+                weights[c, n, l] = apply_update(int(weights[c, n, l]), classify_case(xt, zt), p)
 
 
 def update_on_planes(weights, x, winner_idx, z, p):
-    """``update_weights`` by way of the learning state: pack the weights'
-    planes and parity, ``update_layer`` them, and unpack into ``weights``."""
+    """One cycle's ``update_layer`` by way of the learning state of a
+    period-16 layer: pack the weights' planes, of depth ``w_max``, and
+    parity, update them, and unpack into ``weights``. Returns the planes
+    and parity."""
     cols, neurons, lines = weights.shape
     planes = weight_planes(weights.reshape(-1, lines), p.w_max)
     parity = pack_lines((weights & 1) == 1)
@@ -53,6 +60,18 @@ def update_on_planes(weights, x, winner_idx, z, p):
     finally:
         # As a run does, even when the update raises.
         unpack_weights(planes, parity.reshape(cols * neurons, -1), weights.reshape(-1, lines))
+    return planes, parity
+
+
+def update_packed_whole(weights, x, winner_idx, z, p):
+    """``update_on_planes``, with the updated planes and parity held whole
+    to the packing of the weights they unpack to: the planes stay a
+    thermometer code and padding bits stay 0, which the unpacked weights
+    cannot show."""
+    planes, parity = update_on_planes(weights, x, winner_idx, z, p)
+    lines = weights.shape[2]
+    assert np.array_equal(planes, weight_planes(weights.reshape(-1, lines), p.w_max))
+    assert np.array_equal(parity, pack_lines((weights & 1) == 1))
 
 
 class TestClassifyCase:
@@ -119,10 +138,11 @@ class TestApplyUpdate:
 
 
 class TestUpdateLayer:
-    """The int16 update; ``TestUpdateLayerOnPlanes`` runs the same cases
-    on the learning state."""
+    """The layer update read back through the weights it unpacks to;
+    ``TestUpdateLayerOnPlanes`` runs the same cases and also holds the
+    packed planes and parity to the packing of those weights."""
 
-    update = staticmethod(int16_update)
+    update = staticmethod(update_on_planes)
 
     def rand_inputs(self, rng, cols, neurons, lines):
         weights = rng.integers(0, 15, size=(cols, neurons, lines)).astype(np.int16)
@@ -142,29 +162,10 @@ class TestUpdateLayer:
             cols, neurons, lines = 3, 4, 6
             weights, x, winner_idx, z = self.rand_inputs(rng, cols, neurons, lines)
             expect = weights.copy()
-            for c in range(cols):
-                zt = INF if winner_idx[c] < 0 else int(z[c])
-                rows = (
-                    range(neurons) if winner_idx[c] < 0 else [int(winner_idx[c])]
-                )
-                for n in rows:
-                    for l in range(lines):
-                        xt = INF if np.isinf(x[l]) else int(x[l])
-                        expect[c, n, l] = apply_update(
-                            int(expect[c, n, l]), classify_case(xt, zt), p
-                        )
+            scalar_update(expect, x, winner_idx, z, p)
             got = weights.copy()
-            rows = self.update(got, x, winner_idx, z, p)
+            self.update(got, x, winner_idx, z, p)
             assert np.array_equal(got, expect)
-            if rows is None:  # the learning state names no rows
-                continue
-            want_rows = [
-                c * neurons + n
-                for c in range(cols)
-                for n in range(neurons)
-                if winner_idx[c] in (-1, n)
-            ]
-            assert rows.tolist() == want_rows
 
     def test_updates_in_place_and_saturates(self):
         p = StdpParams()
@@ -240,13 +241,14 @@ class TestUpdateLayer:
 
 
 class TestUpdateLayerOnPlanes(TestUpdateLayer):
-    update = staticmethod(update_on_planes)
+    update = staticmethod(update_packed_whole)
 
 
 class TestNoWrap:
-    """Steps at or above the int16 range saturate like any other step."""
+    """Steps at or above the int16 range saturate like any other step, on
+    planes up to 16383 deep over a 16-step layer."""
 
-    update = staticmethod(int16_update)
+    update = staticmethod(update_on_planes)
 
     @pytest.mark.parametrize("u", [32767, 40000, 10**12])
     def test_huge_capture_saturates(self, u):
@@ -276,12 +278,12 @@ class TestNoWrap:
 
 
 class TestNoWrapOnPlanes(TestNoWrap):
-    update = staticmethod(update_on_planes)
+    update = staticmethod(update_packed_whole)
 
 
 class TestBitSlicedSteps:
     """Every step on every weight: the learning state moves exactly as the
-    int16 update moves the weights."""
+    scalar rule moves the weights."""
 
     @pytest.mark.parametrize("w_max", range(1, 17))
     def test_every_step_on_every_weight(self, w_max):
@@ -299,7 +301,7 @@ class TestBitSlicedSteps:
             v = cap + 2 - u
             p = StdpParams(u_capture=u, u_backoff=v, u_search=v, u_quiet=u, w_max=w_max)
             want = np.stack([np.stack([row, row])] * 2)
-            int16_update(want, x, winner_idx, z, p)
+            scalar_update(want, x, winner_idx, z, p)
             weights = np.stack([np.stack([row, row])] * 2)
             planes = weight_planes(weights.reshape(4, -1), w_max)
             parity = pack_lines((weights & 1) == 1)
@@ -344,7 +346,7 @@ class TestBitSlicedSteps:
     def test_winner_time_must_be_a_whole_step(self, z):
         # Distinct winner times are counted by step, so a time that is not
         # one would be truncated into the wrong line mask. Column 1 is
-        # silent: no row changes before the error either, on either path.
+        # silent: no row changes before the error either.
         weights = np.full((2, 2, 3), 5, dtype=np.int16)
         planes = weight_planes(weights.reshape(4, 3), 7)
         parity = pack_lines((weights & 1) == 1)
@@ -353,10 +355,7 @@ class TestBitSlicedSteps:
         # A winner at inf is no step either: it names no line mask.
         message = "must be a step, not inf" if z == INF else "not inf or a whole step"
         with pytest.raises(ValueError, match=message):
-            update_weights(weights, *args, workspace(planes, 3))
-        with pytest.raises(ValueError, match=message):
             update_layer(planes.reshape(2, 2, 7, 1), *args, parity, workspace(planes, 3))
-        assert (weights == 5).all()
         assert np.array_equal(planes, held[0]) and np.array_equal(parity, held[1])
 
     def test_winner_volley_is_held_to_the_layer_period(self):
@@ -371,10 +370,7 @@ class TestBitSlicedSteps:
         args = np.array([0, 3, INF]), np.array([1, -1]), z, StdpParams()
         message = "32-step cycle cannot arrive in a 16-step one"
         with pytest.raises(ValueError, match=message):
-            update_weights(weights, *args, workspace(planes, 3))
-        with pytest.raises(ValueError, match=message):
             update_layer(planes.reshape(2, 2, 7, 1), *args, parity, workspace(planes, 3))
-        assert (weights == 5).all()
         assert np.array_equal(planes, held[0]) and np.array_equal(parity, held[1])
 
 
@@ -385,9 +381,11 @@ class TestLearningDynamics:
         p = StdpParams()
         weights = np.full((1, 1, 8), 7, dtype=np.int16)
         pattern = [0, 0, 0, 0, INF, INF, INF, INF]
+        planes = weight_planes(weights[0], p.w_max)
+        parity = pack_lines((weights & 1) == 1)
+        work = KernelWorkspace(planes, 16, 3, 8, 1)
         for _ in range(10):
-            planes = weight_planes(weights[0], p.w_max)
-            work = KernelWorkspace(planes, 16, 3, 8, 1)
             idx, win = layer_spike_times(planes, pattern, work)
-            update_weights(weights, pattern, idx, win, p, work)
+            update_layer(planes.reshape(1, 1, p.w_max, 1), pattern, idx, win, p, parity, work)
+        unpack_weights(planes, parity[0], weights[0])
         assert weights.ravel().tolist() == [14] * 4 + [0] * 4
