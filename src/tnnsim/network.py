@@ -6,7 +6,10 @@ becomes one input line of the next layer. Gamma control watches the
 final layer only, so in relaxed mode a cycle ends one step after the last
 final-layer column has fired and inner layers simply free-run. Every cycle
 ends on a reset that clears the control state, so the network carries none
-from one presentation to the next: only the weights persist.
+from one presentation to the next: only the weights persist. A run packs
+each layer's weights once, into the planes of its ``neuron.KernelWorkspace``;
+while training, the layer's ``stdp.LearningState`` moves those planes in
+place, and the weights are unpacked from it when the run ends.
 
 A run leaves one columnar ``RunSummary``, one row per presentation: the
 gamma trace plus each final-layer column's winning neuron. Network
@@ -31,8 +34,8 @@ import numpy as np
 
 from . import gamma, stdp
 from .dataio import LabeledDataset
-from .encode import INF, KINDS, EncoderKind, PosNeg, Volley, encode_image, pack_lines
-from .neuron import KernelWorkspace, kernel_bytes, layer_spike_times, unpack_weights, weight_planes
+from .encode import INF, KINDS, EncoderKind, PosNeg, Volley, encode_image
+from .neuron import KernelWorkspace, kernel_bytes, layer_spike_times, weight_planes
 
 # Largest working set the spike-time kernels of all layers may need together.
 KERNEL_BYTES_LIMIT = 1 << 30
@@ -150,8 +153,10 @@ class NetworkConfig:
                 f"{len(th)} thresholds for {len(self.layers)} layers"
             )
         for t in th:
-            if t < 1:
-                raise ValueError(f"threshold must be >= 1, got {t}")
+            # Only an integer is written out as ``from_mapping`` reads it
+            # back, and ``nan < 1`` is false.
+            if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
+                raise ValueError(f"threshold must be an integer >= 1, got {t!r}")
         enc_period = getattr(self.encoder, "period", self.period)
         if enc_period != self.period:
             raise ValueError(
@@ -245,40 +250,35 @@ class TnnNetwork:
             )
 
     def run_gamma_cycle(
-        self,
-        volley: Volley,
-        planes: list,
-        work: list,
-        parity: Optional[list] = None,
+        self, volley: Volley, work: list, learning: Optional[list] = None
     ) -> tuple:
         """Present one volley to layer 0 for one gamma cycle.
 
         ``volley`` is an ``encode.Volley``, or raw spike times, which the
-        layer kernel checks. ``planes`` holds each layer's bit-planes, every
-        column's neurons stacked into one ``(cols * neurons)`` bank, and
-        ``work`` each layer's ``neuron.KernelWorkspace``. Returns the
-        ``gamma.CycleResult``, the final layer's output ``Volley`` (one line
-        per column) and its per-column winner neurons (-1 when silent). Each
-        layer hands its output volley to the next layer, to gamma control and
-        to its own STDP update, and none checks it again. Given ``parity``,
-        each layer's packed ``weights & 1``, STDP updates every layer at the
-        closing reset: it shifts the planes and parity in place and leaves
-        ``self.weights`` stale until the run unpacks them.
+        layer kernel checks. ``work`` holds each layer's
+        ``neuron.KernelWorkspace``, every column's neurons stacked into one
+        bank of planes. Returns the ``gamma.CycleResult``, the final layer's
+        output ``Volley`` (one line per column) and its per-column winner
+        neurons (-1 when silent). Each layer hands its output volley to the
+        next layer, to gamma control and to its own STDP update, and none
+        checks it again. Given ``learning``, each layer's
+        ``stdp.LearningState``, STDP updates every layer at the closing
+        reset: it moves the planes the kernel reads and the parity in place
+        and leaves ``self.weights`` stale until the run unpacks them.
         """
         cfg = self.config
         x = volley
         layers = []  # (input volley, winner neurons, output volley) per layer
-        for bank, ws in zip(planes, work):
-            idx, out = layer_spike_times(bank, x, ws)
+        for ws in work:
+            idx, out = layer_spike_times(ws, x)
             layers.append((x, idx, out))
             x = out
 
         result = gamma.run_cycle(x, cfg.period, relaxed=cfg.mode is Mode.RELAXED)
 
-        if parity is not None:
-            for k, (w, bank, (inputs, idx, out)) in enumerate(zip(self.weights, planes, layers)):
-                state = bank.reshape(w.shape[:2] + bank.shape[1:])
-                stdp.update_layer(state, inputs, idx, out, cfg.stdp_params, parity[k], work[k])
+        if learning is not None:
+            for state, (inputs, idx, out) in zip(learning, layers):
+                stdp.update_layer(state, inputs, idx, out)
         return result, x, layers[-1][1]
 
     def _run(self, dataset: LabeledDataset, epochs: int, learn: bool) -> RunSummary:
@@ -297,31 +297,27 @@ class TnnNetwork:
         # Every column's neurons stacked into one bank per layer, deep
         # enough to hold every weight, so a layer learns on its planes.
         depth = cfg.stdp_params.w_max
-        planes = [weight_planes(w.reshape(-1, w.shape[2]), depth) for w in self.weights]
-        work = [
-            KernelWorkspace(bank, cfg.period, th, cfg.fan_in(k), layer[0])
-            for k, (bank, th, layer) in enumerate(zip(planes, cfg.thresholds, cfg.layers))
-        ]
-        # The parity is packed from bools, which packbits takes on its fast
-        # path: the low byte of a weight keeps its low bit.
-        parity = None
+        work = []
+        for w, th in zip(self.weights, cfg.thresholds):
+            planes = weight_planes(w.reshape(-1, w.shape[2]), depth)
+            work.append(KernelWorkspace(planes, cfg.period, th, w.shape[2], w.shape[0]))
+        learning = None
         if learn:
-            parity = [
-                pack_lines(np.bitwise_and(w, 1, dtype=np.uint8, casting="unsafe").view(bool))
-                for w in self.weights
+            learning = [
+                stdp.LearningState(w, ws, cfg.stdp_params) for w, ws in zip(self.weights, work)
             ]
         pixels = dataset.pixels
         try:
             for i in range(n):
                 volley = encode_image(pixels[i % len(pixels)], cfg.encoder)
-                result, out, col_neurons[i] = self.run_gamma_cycle(volley, planes, work, parity)
+                result, out, col_neurons[i] = self.run_gamma_cycle(volley, work, learning)
                 col_codes[i] = out.codes
                 lengths[i] = result.length
                 control[i] = result.cause is gamma.GrstCause.CONTROL
         finally:
             # The weights of every presentation that finished, even if one raised.
-            for w, bank, held in zip(self.weights, planes, parity or ()):
-                unpack_weights(bank, held.reshape(-1, held.shape[2]), w.reshape(-1, w.shape[2]))
+            for w, state in zip(self.weights, learning or ()):
+                state.unpack(w)
         # A column's step code is the period where it stayed silent.
         col_times = np.where(col_codes < cfg.period, col_codes, INF)
         return RunSummary(

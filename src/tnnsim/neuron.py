@@ -46,6 +46,11 @@ spreads its lines over the cycle, so many of its steps touch only a few
 words. Each step copies just the rows of the words its lines touch into
 the AND buffer and ANDs, popcounts and sums them alone.
 
+A layer's ``KernelWorkspace`` holds its planes, in that word-major
+storage, with everything else a call reuses, so a call is
+``layer_spike_times(work, volley)`` and checks no shape; STDP moves the
+same planes in place, so the next call reads each update.
+
 The kernel reads its input's arrival steps and their packed masks from an
 ``encode.Volley``, and hands its answer on as one: each column's step
 code is its count of steps below threshold, so no reader checks it again.
@@ -59,9 +64,10 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .encode import SpikeTime, Volley, pack_lines
+from .encode import SpikeTime, Volley
 
-# Bytes of the bool plane stack ``weight_planes`` builds at a time.
+# Bytes of the bool plane stack ``weight_planes`` builds at a time, and of
+# the stack of planes ``stdp.update_layer`` steps at a time.
 _PACK_CHUNK = 1 << 20
 
 
@@ -72,8 +78,9 @@ def kernel_bytes(neurons: int, lines: int, depth: int, period: int) -> int:
     their float copy and their product with the ramp, the threshold, the
     float potential and its bool below-mask, and the per-column results;
     the ramp; per line the volley's arrival test and steps and the
-    ``valid`` plane; the packed mask of each distinct arrival step, a count
-    per step, and numpy's casting buffers."""
+    ``valid`` plane of the layer's ``stdp.LearningState``; the packed mask
+    of each distinct arrival step, a count per step, and numpy's casting
+    buffers."""
     words = -(-lines // 64)
     per_neuron = 17 * depth * words + 24 * depth + 9 * period + 48
     masks = min(period, lines) * (lines + 16 * words)
@@ -133,15 +140,15 @@ def unpack_weights(planes: np.ndarray, parity: np.ndarray, out: np.ndarray) -> N
 
 
 class KernelWorkspace:
-    """One layer's kernel, described once: the ``(neurons, depth, words)``
-    shape of its planes, its period, line and column counts, and what every
-    call reuses: the AND, popcount and onset buffers, the potential, the
-    per-neuron thresholds, the ramp and the packed all-lines ``valid`` plane
-    that ``stdp.update_layer`` reads.
+    """One layer's kernel: its planes, period, line and column counts, and
+    what every call reuses: the AND, popcount and onset buffers, the
+    potential, the per-neuron thresholds and the ramp.
 
-    Built from the layer's planes, whose shape it keeps, but no view of
-    them: each call reads the planes it is given, so in-place writes to
-    them, as learning makes, need no new workspace.
+    The planes are held in word-major storage, as ``weight_planes`` gives
+    it, so a bank from ``weight_planes`` is held as it is and a bank in
+    another layout is copied once, here. ``planes`` is its ``(neurons,
+    depth, words)`` view, which ``stdp.LearningState`` writes in place, and
+    ``store`` the ``(words, neurons * depth)`` view the kernel reads.
     """
 
     def __init__(
@@ -158,6 +165,8 @@ class KernelWorkspace:
         if cols < 1 or n_neurons % cols:
             raise ValueError(f"{n_neurons} neurons do not split into {cols} columns")
         self.period, self.lines, self.cols = period, lines, cols
+        self.planes = np.ascontiguousarray(planes.transpose(2, 0, 1)).transpose(1, 2, 0)
+        self.store = self.planes.transpose(2, 0, 1).reshape(words, -1)
         self.anded = np.empty((words, n_neurons * depth), dtype=np.uint64)
         self.counts = np.empty(self.anded.shape, dtype=np.uint8)
         # A popcount is at most 64 and a plane marks at most ``lines`` bits.
@@ -185,27 +194,21 @@ class KernelWorkspace:
         # on every plane has.
         self.ramp = np.empty((rows, depth), dtype=dtype)
         np.greater_equal(np.arange(rows)[:, None], np.arange(depth), out=self.ramp)
-        self.valid = pack_lines(np.ones(lines, dtype=bool))
 
 
 def layer_spike_times(
-    planes: np.ndarray, volley: Union[Volley, Sequence[SpikeTime]], work: KernelWorkspace
+    work: KernelWorkspace, volley: Union[Volley, Sequence[SpikeTime]]
 ) -> tuple[np.ndarray, Volley]:
     """Winner of every column of a layer sharing one input volley.
 
-    ``planes`` is the ``weight_planes`` of a bank whose neurons are
-    ``work.cols`` columns in order, and ``work`` the layer's
-    ``KernelWorkspace``, which holds its period, thresholds and line count:
-    the planes hold the line count only to the word. Planes of another
-    shape than the workspace's raise ``ValueError``; planes in another
-    layout than ``weight_planes`` gives are copied on each call.
-    ``volley`` is an ``encode.Volley``, or raw spike times, which
-    ``Volley.from_times`` checks. Returns each column's winner neuron (-1
-    where it stays silent) as int64, and the ``Volley`` of the columns'
-    spikes, one line per column: the next layer's input.
+    ``work`` is the layer's ``KernelWorkspace``: its planes, whose neurons
+    are ``work.cols`` columns in order, its period, thresholds and line
+    count, which the planes hold only to the word. ``volley`` is an
+    ``encode.Volley``, or raw spike times, which ``Volley.from_times``
+    checks. Returns each column's winner neuron (-1 where it stays silent)
+    as int64, and the ``Volley`` of the columns' spikes, one line per
+    column: the next layer's input.
     """
-    if planes.shape != work.shape:
-        raise ValueError(f"planes of shape {planes.shape} for a workspace built for {work.shape}")
     period, lines, cols = work.period, work.lines, work.cols
     volley = Volley.from_times(volley, period)
     if len(volley) != lines:
@@ -213,10 +216,8 @@ def layer_spike_times(
     steps = volley.steps
     if not steps.size:
         return np.full(cols, -1, dtype=np.int64), Volley(np.full(cols, period), period)
-    # Word-major rows: a view of planes as ``weight_planes`` stores them.
-    _, depth, words = work.shape
-    store = planes.transpose(2, 0, 1).reshape(words, -1)
-    anded, counts, sums, th = work.anded, work.counts, work.sums, work.threshold
+    depth, store, th = work.shape[1], work.store, work.threshold
+    anded, counts, sums = work.anded, work.counts, work.sums
     potential, product, onsets, ramp = work.potential, work.product, work.onsets, work.ramp
     potential.fill(0)
     nexts = steps[1:].tolist() + [period]

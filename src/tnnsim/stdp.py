@@ -31,13 +31,16 @@ objects, as the layer kernel takes and gives them, or raw times, each
 checked by one ``Volley.from_times`` call; a silent column's raw time is
 set to ``inf`` first, since it is read nowhere.
 
-A layer learns on its learning state: the thermometer planes
-``neuron.weight_planes`` builds (plane ``k`` marks ``hu // 2 >= k``), of
-depth ``w_max`` whatever the period, plus one packed parity plane, ``hu &
-1``, moved by word operations: adding ``2a`` half-units moves plane ``k -
-a`` up to plane ``k``, subtracting ``2b`` moves plane ``k + b`` down to it,
-and an odd step carries or borrows through the parity. The int16 weights
-are unpacked from them once, when the run ends.
+A layer learns on its ``LearningState``, built once per run: the
+thermometer planes ``neuron.weight_planes`` builds (plane ``k`` marks ``hu
+// 2 >= k``), of depth ``w_max`` whatever the period, which the layer's
+``neuron.KernelWorkspace`` holds and its kernel reads, plus one packed
+parity plane, ``hu & 1``. They move by word operations: adding ``2a``
+half-units moves plane ``k - a`` up to plane ``k``, subtracting ``2b``
+moves plane ``k + b`` down to it, and an odd step carries or borrows
+through the parity. The rows a cycle changes step a block at a time, so
+their stack stays within ``neuron._PACK_CHUNK`` bytes. The int16 weights
+are unpacked from the state once, when the run ends.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encode import INF, Volley
-from .neuron import KernelWorkspace
+from .encode import INF, Volley, pack_lines
+from .neuron import _PACK_CHUNK, KernelWorkspace, unpack_weights
 
 # Largest w_max whose half-unit cap still fits the int16 weights.
 W_MAX_LIMIT = np.iinfo(np.int16).max // 2
@@ -75,20 +78,55 @@ class StdpParams:
         return 2 * self.w_max
 
 
-def _groups(shape, x, winner_idx, z, p: StdpParams, period: int) -> list:
+class LearningState:
+    """One layer's learning state, built once per run and updated in place
+    by ``update_layer``:
+
+    - ``by_depth``: a depth-major ``(depth, columns * neurons, words)``
+      view of the planes of the layer's ``neuron.KernelWorkspace``,
+      ``work``, so the kernel reads every update without a rebuild;
+    - ``parity``: the packed ``weights & 1``, one ``(words,)`` row per
+      neuron, in the planes' row order;
+    - ``valid``: the packed plane of every line;
+    - ``params``: the rule's ``StdpParams``, whose ``w_max`` is the depth.
+
+    ``shape`` is the planes' ``(columns, neurons, depth, words)``.
+    """
+
+    def __init__(self, weights: np.ndarray, work: KernelWorkspace, params: StdpParams):
+        neurons, depth, words = work.shape
+        if depth != params.w_max:
+            raise ValueError(f"{depth} planes cannot hold weights up to w_max {params.w_max}")
+        self.work, self.params = work, params
+        self.shape = (work.cols, neurons // work.cols, depth, words)
+        # Depth-major rows, so each plane operation runs over every row at once.
+        self.by_depth = work.planes.transpose(1, 0, 2)
+        # The parity is packed from bools, which packbits takes on its fast
+        # path: the low byte of a weight keeps its low bit.
+        low = np.bitwise_and(weights, 1, dtype=np.uint8, casting="unsafe").view(bool)
+        self.parity = pack_lines(low).reshape(neurons, words)
+        self.valid = pack_lines(np.ones(work.lines, dtype=bool))
+
+    def unpack(self, weights: np.ndarray) -> None:
+        """The half-unit weights the planes and parity hold, written into
+        ``weights``, the ``(columns, neurons, lines)`` bank they came from."""
+        unpack_weights(self.work.planes, self.parity, weights.reshape(len(self.parity), -1))
+
+
+def _groups(state, x, winner_idx, z) -> list:
     """The rule for one cycle's outputs, checked before any row changes.
 
-    ``shape`` is the layer's ``(columns, neurons, lines)``; ``x``,
-    ``winner_idx`` and ``z`` are as for ``update_layer``, and ``period``
-    the layer's. Returns one group for the silent columns and one for the
-    winners, leaving out a group with no rows. Each is ``(rows, select,
-    first, second)``: its flat ``(columns * neurons)`` rows step by
-    ``first`` half-units on the lines set in the packed ``select`` (one
-    mask per row, or one that every row shares) and by ``second`` on the
-    rest. Steps are capped at the weight range, past which they saturate
-    the same way.
+    ``state`` is the layer's ``LearningState``, and ``x``, ``winner_idx``
+    and ``z`` are as for ``update_layer``. Returns one group for the silent
+    columns and one for the winners, leaving out a group with no rows. Each
+    is ``(rows, select, first, second)``: its flat ``(columns * neurons)``
+    rows step by ``first`` half-units on the lines set in the packed
+    ``select`` (one mask per row, or one that every row shares) and by
+    ``second`` on the rest. Steps are capped at the weight range, past
+    which they saturate the same way.
     """
-    cols, neurons, lines = shape
+    (cols, neurons), p = state.shape[:2], state.params
+    lines, period = state.work.lines, state.work.period
     x = Volley.from_times(x, period)
     winner_idx = np.asarray(winner_idx)
     if len(x) != lines:
@@ -170,61 +208,49 @@ def _step(stack: np.ndarray, lo: int, depth: int, parity: np.ndarray, u: int) ->
     )
 
 
-def _update_rows(by_depth, parity, rows, valid, select, first, second) -> None:
-    """Step the flat ``rows`` of a ``(depth, rows, words)`` layer view and
-    their ``(rows, words)`` parity by ``first`` half-units on the lines set
-    in ``select`` and by ``second`` on the rest."""
-    depth = by_depth.shape[0]
+def _update_rows(state, rows, select, first, second) -> None:
+    """Step the flat ``rows`` of a layer's learning state by ``first``
+    half-units on the lines set in ``select`` and by ``second`` on the
+    rest, a block of rows at a time, so the stack of their planes stays
+    within ``_PACK_CHUNK`` bytes."""
+    by_depth, parity = state.by_depth, state.parity
+    depth, _, words = by_depth.shape
     lo = max([1] + [_reach(u) for u in (first, second) if u >= 0])
     hi = max([0] + [_reach(u) for u in (first, second) if u < 0])
-    stack = np.empty((lo + depth + hi, rows.size, by_depth.shape[2]), dtype=np.uint64)
-    stack[:lo] = valid
-    stack[lo : lo + depth] = by_depth[:, rows]
+    block = max(1, _PACK_CHUNK // (8 * (lo + depth + hi) * words))
+    # The ``lo`` copies of plane 0 (every line) and the zero planes past the
+    # depth are the same for every block.
+    stack = np.empty((lo + depth + hi, min(block, rows.size), words), dtype=np.uint64)
+    stack[:lo] = state.valid
     stack[lo + depth :] = 0
-    held = parity[rows]
-    planes, held_first = _step(stack, lo, depth, held, first)
-    other, held_other = _step(stack, lo, depth, held, second)
-    # ``other`` where ``select`` is clear, else ``planes``, in one buffer.
-    planes = planes ^ other
-    planes &= select
-    planes ^= other
-    by_depth[:, rows] = planes
-    parity[rows] = held_other ^ ((held_first ^ held_other) & select)
+    for r in range(0, rows.size, block):
+        part = rows[r : r + block]
+        sel = select if select.ndim == 1 else select[r : r + block]
+        held, at = parity[part], stack[:, : part.size]
+        at[lo : lo + depth] = by_depth[:, part]
+        planes, held_first = _step(at, lo, depth, held, first)
+        other, held_other = _step(at, lo, depth, held, second)
+        # ``other`` where ``sel`` is clear, else ``planes``, in one buffer.
+        planes = planes ^ other
+        planes &= sel
+        planes ^= other
+        by_depth[:, part] = planes
+        parity[part] = held_other ^ ((held_first ^ held_other) & sel)
+        del planes, other  # before the next block makes its own
 
 
 def update_layer(
-    planes: np.ndarray,
-    x: np.ndarray,
-    winner_idx: np.ndarray,
-    z: np.ndarray,
-    p: StdpParams,
-    parity: np.ndarray,
-    work: KernelWorkspace,
+    state: LearningState, x: np.ndarray, winner_idx: np.ndarray, z: np.ndarray
 ) -> None:
-    """One gamma cycle's update of a layer's learning state, in place.
+    """One gamma cycle's update of a layer's ``LearningState``, in place.
 
-    ``planes`` is a ``(columns, neurons, depth, words)`` view of the
-    layer's ``neuron.weight_planes`` with ``depth == p.w_max``, and
-    ``parity`` the packed ``hu & 1`` of its weights, a C-ordered
-    ``(columns, neurons, words)`` array; ``x`` is the input volley,
-    ``winner_idx`` each column's winner (-1 for none) and ``z`` each
-    column's winner time, read only where there is a winner. ``x`` and
-    ``z`` are ``encode.Volley`` objects, as the layer kernel takes and
-    gives them, or raw spike times. ``work`` is the layer's
-    ``neuron.KernelWorkspace``: the volley must have its line count, raw
-    times are checked against its period, and its packed ``valid`` plane is
-    read instead of packing one. Each winner's row and every row of a
-    silent column come to hold the planes and parity of its weights after
-    the rule's step; padding bits stay 0.
+    ``x`` is the input volley, ``winner_idx`` each column's winner (-1 for
+    none) and ``z`` each column's winner time, read only where there is a
+    winner. ``x`` and ``z`` are ``encode.Volley`` objects, as the layer
+    kernel takes and gives them, or raw spike times, checked against the
+    layer's period; the volley must have the layer's line count. Each
+    winner's row and every row of a silent column come to hold the planes
+    and parity of its weights after the rule's step; padding bits stay 0.
     """
-    cols, neurons, depth, words = planes.shape
-    if depth != p.w_max:
-        raise ValueError(f"{depth} planes cannot hold weights up to w_max {p.w_max}")
-    if (cols * neurons, depth, words) != work.shape:
-        raise ValueError(f"planes of shape {planes.shape} for a workspace built for {work.shape}")
-    # Depth-major rows, so each plane operation runs over every row at once.
-    by_depth = planes.reshape(cols * neurons, depth, words).transpose(1, 0, 2)
-    flat_parity = parity.reshape(cols * neurons, words)
-    groups = _groups((cols, neurons, work.lines), x, winner_idx, z, p, work.period)
-    for rows, select, first, second in groups:
-        _update_rows(by_depth, flat_parity, rows, work.valid, select, first, second)
+    for rows, select, first, second in _groups(state, x, winner_idx, z):
+        _update_rows(state, rows, select, first, second)

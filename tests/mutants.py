@@ -189,11 +189,11 @@ MUTANTS = (
     ),
     Mutant(
         "kernel-copied-store", NEURON,
-        "store = planes.transpose(2, 0, 1).reshape(words, -1)",
-        "store = planes.transpose(2, 0, 1).reshape(words, -1).copy()",
+        "self.store = self.planes.transpose(2, 0, 1).reshape(words, -1)",
+        "self.store = self.planes.transpose(2, 0, 1).reshape(words, -1).copy()",
         (
-            N + "TestKernelBytes::test_bounds_measured_peak[640-64-1568-7-16-1-graded]",
-            N + "TestKernelBytes::test_bounds_workspace_and_call[640-64-1568-7-16-1-graded]",
+            S + "TestLearningState::test_kernel_reads_every_update",
+            N + "TestWorkspaceReuse::test_matches_fresh_calls[one-threshold]",
         ),
     ),
     Mutant(
@@ -218,8 +218,17 @@ MUTANTS = (
         (W + "TestConfig::test_kernel_working_sets_add_up",),
     ),
     Mutant(
-        "parity-packed-only-when-planes-fit-the-period", NETWORK,
-        "if learn:", "if learn and cfg.stdp_params.w_max <= cfg.period:",
+        "config-threshold-any-number", NETWORK,
+        "if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:", "if t < 1:",
+        (
+            W + "TestConfig::test_threshold_must_be_an_integer_at_least_one[nan]",
+            W + "TestConfig::test_threshold_must_be_an_integer_at_least_one[2.5]",
+        ),
+    ),
+    Mutant(
+        "parity-packed-only-when-planes-fit-the-period", STDP,
+        "self.parity = pack_lines(low)",
+        "self.parity = pack_lines(low if params.w_max <= work.period else 0 * low)",
         (
             W + "TestReferenceRun::test_network_equals_reference[w_max-gt-period]",
             W + "TestWeightsWrittenBack::test_presentations_before_a_failure_are_kept"
@@ -397,7 +406,7 @@ MUTANTS = (
     # Its steps on the planes and parity, stdp._step and stdp._update_rows.
     Mutant(
         "planes-capture-backoff-swapped", STDP,
-        "_step(stack, lo, depth, held, first)", "_step(stack, lo, depth, held, second)",
+        "_step(at, lo, depth, held, first)", "_step(at, lo, depth, held, second)",
         (
             S + "TestUpdateLayer::test_matches_scalar_column_updates",
             S + "TestNoWrap::test_huge_capture_saturates[40000]",
@@ -430,10 +439,38 @@ MUTANTS = (
     ),
     Mutant(
         "planes-parity-select-dropped", STDP,
-        "held_other ^ ((held_first ^ held_other) & select)", "held_first",
+        "held_other ^ ((held_first ^ held_other) & sel)", "held_first",
         (
             S + "TestUpdateLayerOnPlanes::test_silent_layer_explores",
             S + "TestBitSlicedSteps::test_every_step_on_every_weight[3]",
+        ),
+    ),
+    Mutant(
+        "stdp-row-block-drops-last-row", STDP,
+        "part = rows[r : r + block]", "part = rows[r : r + block - 1]",
+        (
+            S + "TestUpdateLayerInBlocks::test_silent_layer_explores",
+            S + "TestLearningState::test_silent_layer_steps_in_blocks[400]",
+        ),
+    ),
+    Mutant(
+        "stdp-rows-in-one-block", STDP,
+        "block = max(1, _PACK_CHUNK // (8 * (lo + depth + hi) * words))", "block = rows.size",
+        (S + "TestLearningState::test_silent_layer_steps_in_blocks[100]",),
+    ),
+    # The learning state, stdp.LearningState.
+    Mutant(
+        "learning-state-w-max-unchecked", STDP,
+        "if depth != params.w_max:", "if False:",
+        (S + "TestBitSlicedSteps::test_planes_must_hold_w_max",),
+    ),
+    Mutant(
+        "learning-state-parity-unpacked", STDP,
+        'low = np.bitwise_and(weights, 1, dtype=np.uint8, casting="unsafe").view(bool)',
+        "low = np.zeros(weights.shape, dtype=bool)",
+        (
+            S + "TestUpdateLayer::test_matches_scalar_column_updates",
+            T + "TestAccepted::test_stdp_stores[0]",
         ),
     ),
     # Gamma control, gamma.py.

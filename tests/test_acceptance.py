@@ -182,7 +182,7 @@ def test_criterion_05_rnl_oracle_equivalence():
             threshold = int(rng.integers(1, 60))
             planes = weight_planes(weights, 7)
             work = KernelWorkspace(planes, 16, threshold, lines, cols)
-            idx, win = layer_spike_times(planes, times, work)
+            idx, win = layer_spike_times(work, times)
             spikes = [brute_force_spike_time(row, times, 16, threshold) for row in weights.tolist()]
             want_idx, want_win = column_argmin(spikes, cols)
             if not (np.array_equal(idx, want_idx) and np.array_equal(win, want_win)):

@@ -101,6 +101,17 @@ class TestConfig:
         with pytest.raises(ValueError):
             NetworkConfig(layers=((2, 2),), pixel_count=9, threshold=(5, 5))
 
+    @pytest.mark.parametrize("bad", [float("nan"), 2.5, True, 0], ids=repr)
+    def test_threshold_must_be_an_integer_at_least_one(self, bad):
+        # A NaN threshold once passed, since ``nan < 1`` is false, and fired
+        # every column at step 0; NaN, a fraction and a bool would each be
+        # written as a config ``from_mapping`` refuses.
+        for threshold in (bad, (5, bad)):
+            with pytest.raises(ValueError, match=f"threshold must be an integer >= 1, got {bad!r}"):
+                NetworkConfig(layers=((8, 10), (2, 2)), pixel_count=784, threshold=threshold)
+        cfg = NetworkConfig(layers=((8, 10),), pixel_count=784, threshold=np.int64(5))
+        assert NetworkConfig.from_mapping(cfg.to_mapping(), 784).thresholds == (5,)
+
     def test_encoder_period_must_match(self):
         for period, enc in ((8, Linear(period=16)), (16, Linear(period=4)), (8, Log(period=16))):
             with pytest.raises(ValueError, match=f"encoder period {enc.period} .* {period}"):

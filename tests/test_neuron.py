@@ -16,12 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle import brute_force_spike_time, column_argmin, stepwise_spike_times
 
-from tnnsim.encode import INF
+from tnnsim.encode import INF, pack_lines
 from tnnsim.neuron import (
     KernelWorkspace,
     kernel_bytes,
     layer_spike_times,
-    pack_lines,
     unpack_weights,
     weight_planes,
 )
@@ -30,7 +29,7 @@ from tnnsim.neuron import (
 def kernel_call(planes, times, period, threshold, lines, cols):
     """One kernel call on a workspace built for it alone: each column's
     winner neuron and the times of the volley it hands on."""
-    idx, out = layer_spike_times(planes, times, KernelWorkspace(planes, period, threshold, lines, cols))
+    idx, out = layer_spike_times(KernelWorkspace(planes, period, threshold, lines, cols), times)
     return idx, out.times
 
 
@@ -180,15 +179,6 @@ class TestLayerSpikeTimes:
         for cols in (0, 4, 7):
             with pytest.raises(ValueError, match="do not split"):
                 kernel_call(planes, [0] * 3, 16, 1, 3, cols)
-
-    def test_workspace_must_fit_the_planes(self):
-        # A workspace holds its layer's shape: planes of another number of
-        # neurons, words or depth are not read under its line count.
-        work = KernelWorkspace(weight_planes(np.zeros((6, 3), dtype=np.int16), 7), 16, 1, 3, 2)
-        for neurons, lines, depth in ((4, 3, 7), (6, 70, 7), (6, 3, 6)):
-            planes = weight_planes(np.zeros((neurons, lines), dtype=np.int16), depth)
-            with pytest.raises(ValueError, match=r"planes of shape .* built for \(6, 7, 1\)"):
-                layer_spike_times(planes, [0] * 3, work)
 
     def test_planes_mark_whole_units(self):
         # half-units 0..5 are weights 0, 0, 1, 1, 2, 2: plane k marks c >= k.
@@ -372,7 +362,7 @@ class TestWordBoundaries:
             for times in (clustered, posneg, edges, mixed):
                 anded.append([])
                 monkeypatch.setattr(np, "bitwise_count", counting)
-                got = layer_spike_times(planes, times, work)
+                got = layer_spike_times(work, times)
                 monkeypatch.setattr(np, "bitwise_count", popcount)
                 want = stepwise_spike_times(weights, times, period, thresholds)
                 assert_winners(got, column_argmin(want, cols))
@@ -429,10 +419,10 @@ class TestWorkspaceReuse:
                 ).astype(float)
             if i % 7 == 6:
                 row = rng.integers(neurons)
-                planes[row] = weight_planes(rng.integers(0, 15, size=(1, lines)), 7)[0]
-            want = kernel_call(planes, times, period, threshold, lines, cols)
+                work.planes[row] = weight_planes(rng.integers(0, 15, size=(1, lines)), 7)[0]
+            want = kernel_call(work.planes, times, period, threshold, lines, cols)
             anded.clear()
-            got = layer_spike_times(planes, times, work)
+            got = layer_spike_times(work, times)
             assert_winners(got, want)
             outcomes["fired"] += int((got[0] >= 0).sum())
             outcomes["silent"] += int((got[0] < 0).sum())
@@ -448,6 +438,27 @@ class TestWorkspaceReuse:
         assert outcomes["full and gathered"] > 20, outcomes
 
 
+    @pytest.mark.parametrize("layout", ["neuron-major", "fortran"])
+    def test_planes_in_another_layout_give_the_same_answers(self, layout):
+        # A bank ``weight_planes`` packs is held as it is; one in another
+        # layout is copied once, into word-major storage, and read the same.
+        rng = np.random.default_rng(41)
+        neurons, cols, lines, period = 12, 4, 130, 16
+        planes = weight_planes(rng.integers(0, 15, size=(neurons, lines)), 7)
+        other = np.ascontiguousarray(planes) if layout == "neuron-major" else np.asfortranarray(planes)
+        work = KernelWorkspace(planes, period, 280, lines, cols)
+        moved = KernelWorkspace(other, period, 280, lines, cols)
+        assert np.shares_memory(work.planes, planes) and not np.shares_memory(moved.planes, other)
+        assert np.array_equal(moved.planes, planes)
+        fired = 0
+        for _ in range(20):
+            times = np.where(rng.random(lines) < 0.3, INF, rng.integers(0, period, lines))
+            (idx, out), (want, made) = layer_spike_times(moved, times), layer_spike_times(work, times)
+            assert np.array_equal(idx, want) and np.array_equal(out.times, made.times)
+            fired += int((idx >= 0).sum())
+        assert 10 < fired < 70, fired
+
+
 class TestExactPotential:
     """The potential is held in floating point, exactly: a float32 while
     the reach, ``lines * min(depth, period)``, is below 2**24, else a
@@ -459,7 +470,7 @@ class TestExactPotential:
         # (t + 1) * lines until it saturates at w_max * lines.
         planes = weight_planes(np.full((len(threshold), lines), 2 * w_max, dtype=np.int16), w_max)
         work = KernelWorkspace(planes, 16, threshold, lines, len(threshold))
-        idx, out = layer_spike_times(planes, np.zeros(lines), work)
+        idx, out = layer_spike_times(work, np.zeros(lines))
         return work.potential.dtype, idx.tolist(), out.times.tolist()
 
     def test_potential_past_float32(self):
@@ -549,7 +560,7 @@ class TestKernelBytes:
             held = tracemalloc.get_traced_memory()[0] - before
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            idx, _ = layer_spike_times(planes, times, work)
+            idx, _ = layer_spike_times(work, times)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()

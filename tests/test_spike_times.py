@@ -24,10 +24,10 @@ from oracle import (
     stepwise_spike_times,
 )
 
-from tnnsim.encode import INF, Volley
+from tnnsim.encode import INF, Volley, pack_lines
 from tnnsim.gamma import GammaTrace, run_cycle
-from tnnsim.neuron import KernelWorkspace, layer_spike_times, pack_lines, weight_planes
-from tnnsim.stdp import StdpParams, update_layer
+from tnnsim.neuron import KernelWorkspace, layer_spike_times, weight_planes
+from tnnsim.stdp import LearningState, StdpParams, update_layer
 
 PERIOD = 16
 
@@ -57,8 +57,16 @@ def kernel(t, times=None):
     through the layer kernel; with the oracle's answer for the same volley."""
     weights, times = np.full((2, 3), 14), [0, t, 0] if times is None else times
     planes = weight_planes(weights, 7)
-    got = layer_spike_times(planes, times, KernelWorkspace(planes, PERIOD, 20, 3, 1))
+    got = layer_spike_times(KernelWorkspace(planes, PERIOD, 20, 3, 1), times)
     return got, column_argmin(stepwise_spike_times(weights, times, PERIOD, 20), 1)
+
+
+def learning_state(weights):
+    """The ``LearningState`` of a ``(cols, neurons, 3)`` bank, on the
+    kernel workspace of its planes."""
+    cols, neurons, lines = weights.shape
+    work = KernelWorkspace(weight_planes(weights.reshape(-1, lines), 7), PERIOD, 1, lines, cols)
+    return LearningState(weights, work, StdpParams())
 
 
 def stdp_update(t, x=(0.0, 3.0, INF)):
@@ -66,13 +74,8 @@ def stdp_update(t, x=(0.0, 3.0, INF)):
     column 1 is silent, on input volley ``x``: the planes and parity of
     weights all at 5 half-units, and the STDP update of them in place."""
     winners, z = [-1 if t == INF else 1, -1], [t, INF]
-    weights = np.full((2, 2, 3), 5, dtype=np.int16)
-    planes = weight_planes(weights.reshape(4, 3), 7)
-    parity = pack_lines((weights & 1) == 1)
-    work = KernelWorkspace(planes, PERIOD, 1, 3, 1)
-    return planes, parity, lambda: update_layer(
-        planes.reshape(2, 2, 7, 1), x, winners, z, StdpParams(), parity, work
-    )
+    state = learning_state(np.full((2, 2, 3), 5, dtype=np.int16))
+    return state.work.planes, state.parity, lambda: update_layer(state, x, winners, z)
 
 
 def clocked(times, relaxed):
@@ -132,7 +135,7 @@ class TestAccepted:
                 want[c, n] = [apply_update(5, classify_case(xt, z[c]), p) for xt in x]
         update()
         assert np.array_equal(planes, weight_planes(want.reshape(4, 3), 7))
-        assert np.array_equal(parity, pack_lines((want & 1) == 1))
+        assert np.array_equal(parity, pack_lines((want & 1) == 1).reshape(4, 1))
 
     @pytest.mark.parametrize("relaxed", [True, False])
     def test_run_cycle(self, t, relaxed):
@@ -178,13 +181,9 @@ class TestNotOneDimensional:
 def test_a_winner_at_inf_is_rejected():
     # A winner at inf would take the line mask of another step. A silent
     # column's time is read nowhere.
-    p, x = StdpParams(), np.zeros(3)
-    weights = np.full((2, 1, 3), 5, dtype=np.int16)
-    planes = weight_planes(weights.reshape(2, 3), 7)
-    parity = pack_lines((weights & 1) == 1)
-    held = planes.copy(), parity.copy()
-    work = KernelWorkspace(planes, PERIOD, 1, 3, 1)
+    state = learning_state(np.full((2, 1, 3), 5, dtype=np.int16))
+    held = state.work.planes.copy(), state.parity.copy()
     for winners, z in (([0, -1], [INF, INF]), ([0, 0], [2.0, INF])):
         with pytest.raises(ValueError, match="a winner's time must be a step, not inf"):
-            update_layer(planes.reshape(2, 1, 7, 1), x, winners, z, p, parity, work)
-    assert np.array_equal(planes, held[0]) and np.array_equal(parity, held[1])
+            update_layer(state, np.zeros(3), winners, z)
+    assert np.array_equal(state.work.planes, held[0]) and np.array_equal(state.parity, held[1])

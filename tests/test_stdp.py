@@ -1,10 +1,13 @@
 """Weight-update rule: case classification, saturation, the layer update.
 
-The layer update (``update_layer`` on bit-planes and parity) is checked
-against the scalar rule through a pack -> update -> unpack round trip, on
-planes of depth ``w_max`` up to 16383 over a 16-step layer, and for every
-weight and step on the packed planes and parity themselves.
+The layer update (``update_layer`` on a ``LearningState``: bit-planes and
+parity) is checked against the scalar rule through a pack -> update ->
+unpack round trip, on planes of depth ``w_max`` up to 16383 over a 16-step
+layer, and for every weight and step on the packed planes and parity
+themselves.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,23 +15,28 @@ from hypothesis import given
 from hypothesis import strategies as st
 from oracle import RuleCase, apply_update, classify_case
 
-from tnnsim.encode import INF, Volley
-from tnnsim.neuron import (
-    KernelWorkspace,
-    layer_spike_times,
-    pack_lines,
-    unpack_weights,
-    weight_planes,
-)
-from tnnsim.stdp import StdpParams, update_layer
+from tnnsim.encode import INF, Volley, pack_lines
+from tnnsim.neuron import KernelWorkspace, layer_spike_times, weight_planes
+from tnnsim.stdp import LearningState, StdpParams, update_layer
 
 spike_times = st.one_of(st.integers(0, 15), st.just(INF))
 
 
-def workspace(planes, lines):
-    """The kernel workspace ``update_layer`` reads, for a bank of
-    ``(neurons, depth, words)`` planes over ``lines`` input lines."""
-    return KernelWorkspace(planes, 16, 1, lines, 1)
+def learning_state(weights, p, period=16, threshold=1):
+    """The ``LearningState`` of a ``(cols, neurons, lines)`` half-unit bank,
+    on the kernel workspace of its planes of depth ``p.w_max``, as a run
+    builds them."""
+    cols, neurons, lines = weights.shape
+    planes = weight_planes(weights.reshape(-1, lines), p.w_max)
+    return LearningState(weights, KernelWorkspace(planes, period, threshold, lines, cols), p)
+
+
+def packed(weights, w_max):
+    """The planes and parity a ``(cols, neurons, lines)`` bank packs to, as
+    a ``LearningState`` holds them: one row per neuron."""
+    lines = weights.shape[2]
+    parity = pack_lines((weights & 1) == 1)
+    return weight_planes(weights.reshape(-1, lines), w_max), parity.reshape(-1, parity.shape[2])
 
 
 def scalar_update(weights, x, winner_idx, z, p):
@@ -46,21 +54,15 @@ def scalar_update(weights, x, winner_idx, z, p):
 
 def update_on_planes(weights, x, winner_idx, z, p):
     """One cycle's ``update_layer`` by way of the learning state of a
-    period-16 layer: pack the weights' planes, of depth ``w_max``, and
-    parity, update them, and unpack into ``weights``. Returns the planes
-    and parity."""
-    cols, neurons, lines = weights.shape
-    planes = weight_planes(weights.reshape(-1, lines), p.w_max)
-    parity = pack_lines((weights & 1) == 1)
+    period-16 layer: build it from the weights, update it, and unpack it
+    into ``weights``. Returns the state."""
+    state = learning_state(weights, p)
     try:
-        update_layer(
-            planes.reshape(cols, neurons, p.w_max, -1), x, winner_idx, z, p, parity,
-            workspace(planes, lines),
-        )
+        update_layer(state, x, winner_idx, z)
     finally:
         # As a run does, even when the update raises.
-        unpack_weights(planes, parity.reshape(cols * neurons, -1), weights.reshape(-1, lines))
-    return planes, parity
+        state.unpack(weights)
+    return state
 
 
 def update_packed_whole(weights, x, winner_idx, z, p):
@@ -68,10 +70,10 @@ def update_packed_whole(weights, x, winner_idx, z, p):
     to the packing of the weights they unpack to: the planes stay a
     thermometer code and padding bits stay 0, which the unpacked weights
     cannot show."""
-    planes, parity = update_on_planes(weights, x, winner_idx, z, p)
-    lines = weights.shape[2]
-    assert np.array_equal(planes, weight_planes(weights.reshape(-1, lines), p.w_max))
-    assert np.array_equal(parity, pack_lines((weights & 1) == 1))
+    state = update_on_planes(weights, x, winner_idx, z, p)
+    planes, parity = packed(weights, p.w_max)
+    assert np.array_equal(state.work.planes, planes)
+    assert np.array_equal(state.parity, parity)
 
 
 class TestClassifyCase:
@@ -244,6 +246,18 @@ class TestUpdateLayerOnPlanes(TestUpdateLayer):
     update = staticmethod(update_packed_whole)
 
 
+class TestUpdateLayerInBlocks(TestUpdateLayer):
+    """The same cases with the row stack cut to a few hundred bytes, so
+    each group's rows step two or three at a time: the blocks must cover
+    every row once."""
+
+    update = staticmethod(update_packed_whole)
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr("tnnsim.stdp._PACK_CHUNK", 200)
+
+
 class TestNoWrap:
     """Steps at or above the int16 range saturate like any other step, on
     planes up to 16383 deep over a 16-step layer."""
@@ -302,76 +316,49 @@ class TestBitSlicedSteps:
             p = StdpParams(u_capture=u, u_backoff=v, u_search=v, u_quiet=u, w_max=w_max)
             want = np.stack([np.stack([row, row])] * 2)
             scalar_update(want, x, winner_idx, z, p)
-            weights = np.stack([np.stack([row, row])] * 2)
-            planes = weight_planes(weights.reshape(4, -1), w_max)
-            parity = pack_lines((weights & 1) == 1)
-            update_layer(
-                planes.reshape(2, 2, w_max, -1), x, winner_idx, z, p, parity,
-                workspace(planes, row.size),
-            )
+            state = learning_state(np.stack([np.stack([row, row])] * 2), p)
+            update_layer(state, x, winner_idx, z)
             # Packed words compared whole, so padding bits must stay 0.
-            assert np.array_equal(planes, weight_planes(want.reshape(4, -1), w_max)), u
-            assert np.array_equal(parity, pack_lines((want & 1) == 1)), u
+            planes, parity = packed(want, w_max)
+            assert np.array_equal(state.work.planes, planes), u
+            assert np.array_equal(state.parity, parity), u
 
     def test_planes_must_hold_w_max(self):
-        planes = weight_planes(np.zeros((2, 3), dtype=np.int16), 6)
-        parity = np.zeros((1, 2, 1), dtype=np.uint64)
-        with pytest.raises(ValueError, match="w_max"):
-            update_layer(
-                planes.reshape(1, 2, 6, 1), [0, 0, 0], [0], [0.0], StdpParams(), parity,
-                workspace(planes, 3),
-            )
+        weights = np.zeros((1, 2, 3), dtype=np.int16)
+        work = KernelWorkspace(weight_planes(weights[0], 6), 16, 1, 3, 1)
+        with pytest.raises(ValueError, match="6 planes cannot hold weights up to w_max 7"):
+            LearningState(weights, work, StdpParams())
 
     def test_lines_must_fit_the_planes(self):
-        planes = weight_planes(np.zeros((2, 64), dtype=np.int16), 7)
-        parity = np.zeros((1, 2, 1), dtype=np.uint64)
+        state = learning_state(np.zeros((1, 2, 64), dtype=np.int16), StdpParams())
         # The workspace holds the line count the planes hold only to the word.
         with pytest.raises(ValueError, match="volley has 65 lines, expected 64"):
-            update_layer(
-                planes.reshape(1, 2, 7, 1), [0] * 65, [0], [0.0], StdpParams(), parity,
-                workspace(planes, 64),
-            )
-
-    def test_workspace_must_fit_the_planes(self):
-        planes = weight_planes(np.zeros((4, 3), dtype=np.int16), 7)
-        parity = np.zeros((2, 2, 1), dtype=np.uint64)
-        other = weight_planes(np.zeros((2, 3), dtype=np.int16), 7)
-        with pytest.raises(ValueError, match=r"built for \(2, 7, 1\)"):
-            update_layer(
-                planes.reshape(2, 2, 7, 1), [0, 0, 0], [0, 0], [0.0, 0.0], StdpParams(), parity,
-                workspace(other, 3),
-            )
+            update_layer(state, [0] * 65, [0], [0.0])
 
     @pytest.mark.parametrize("z", [2.5, -1.0, INF, np.nan])
     def test_winner_time_must_be_a_whole_step(self, z):
         # Distinct winner times are counted by step, so a time that is not
         # one would be truncated into the wrong line mask. Column 1 is
         # silent: no row changes before the error either.
-        weights = np.full((2, 2, 3), 5, dtype=np.int16)
-        planes = weight_planes(weights.reshape(4, 3), 7)
-        parity = pack_lines((weights & 1) == 1)
-        held = planes.copy(), parity.copy()
-        args = np.array([0, 3, INF]), np.array([1, -1]), np.array([z, INF]), StdpParams()
+        state = learning_state(np.full((2, 2, 3), 5, dtype=np.int16), StdpParams())
+        held = state.work.planes.copy(), state.parity.copy()
         # A winner at inf is no step either: it names no line mask.
         message = "must be a step, not inf" if z == INF else "not inf or a whole step"
         with pytest.raises(ValueError, match=message):
-            update_layer(planes.reshape(2, 2, 7, 1), *args, parity, workspace(planes, 3))
-        assert np.array_equal(planes, held[0]) and np.array_equal(parity, held[1])
+            update_layer(state, np.array([0, 3, INF]), np.array([1, -1]), np.array([z, INF]))
+        assert np.array_equal(state.work.planes, held[0]) and np.array_equal(state.parity, held[1])
 
     def test_winner_volley_is_held_to_the_layer_period(self):
         # Winner times given as a volley meet the same rule as raw ones: a
         # step of 20 made in a 32-step cycle is no step of a 16-step layer,
         # and no row changes before the error.
-        weights = np.full((2, 2, 3), 5, dtype=np.int16)
-        planes = weight_planes(weights.reshape(4, 3), 7)
-        parity = pack_lines((weights & 1) == 1)
-        held = planes.copy(), parity.copy()
+        state = learning_state(np.full((2, 2, 3), 5, dtype=np.int16), StdpParams())
+        held = state.work.planes.copy(), state.parity.copy()
         z = Volley.from_times([20, INF], 32)
-        args = np.array([0, 3, INF]), np.array([1, -1]), z, StdpParams()
         message = "32-step cycle cannot arrive in a 16-step one"
         with pytest.raises(ValueError, match=message):
-            update_layer(planes.reshape(2, 2, 7, 1), *args, parity, workspace(planes, 3))
-        assert np.array_equal(planes, held[0]) and np.array_equal(parity, held[1])
+            update_layer(state, np.array([0, 3, INF]), np.array([1, -1]), z)
+        assert np.array_equal(state.work.planes, held[0]) and np.array_equal(state.parity, held[1])
 
 
 class TestLearningDynamics:
@@ -381,11 +368,61 @@ class TestLearningDynamics:
         p = StdpParams()
         weights = np.full((1, 1, 8), 7, dtype=np.int16)
         pattern = [0, 0, 0, 0, INF, INF, INF, INF]
-        planes = weight_planes(weights[0], p.w_max)
-        parity = pack_lines((weights & 1) == 1)
-        work = KernelWorkspace(planes, 16, 3, 8, 1)
+        state = learning_state(weights, p, threshold=3)
         for _ in range(10):
-            idx, win = layer_spike_times(planes, pattern, work)
-            update_layer(planes.reshape(1, 1, p.w_max, 1), pattern, idx, win, p, parity, work)
-        unpack_weights(planes, parity[0], weights[0])
+            idx, win = layer_spike_times(state.work, pattern)
+            update_layer(state, pattern, idx, win)
+        state.unpack(weights)
         assert weights.ravel().tolist() == [14] * 4 + [0] * 4
+
+
+class TestLearningState:
+    def test_kernel_reads_every_update(self):
+        # STDP moves the planes of the layer's own workspace: each cycle's
+        # kernel call on it answers as a workspace built afresh from the
+        # scalar rule's weights does, with no padding bit set.
+        rng = np.random.default_rng(23)
+        p = StdpParams()
+        cols, neurons, lines, period, threshold = 3, 4, 70, 16, 120
+        weights = rng.integers(0, 15, size=(cols, neurons, lines)).astype(np.int16)
+        want = weights.copy()
+        state = learning_state(weights, p, period, threshold)
+        work, seen = state.work, set()
+        for i in range(30):
+            # From nearly every line live to nearly none.
+            x = np.where(rng.random(lines) < i / 30, INF, rng.integers(0, period, lines))
+            planes, parity = packed(want, p.w_max)
+            assert np.array_equal(work.planes, planes) and np.array_equal(state.parity, parity), i
+            fresh = layer_spike_times(KernelWorkspace(planes, period, threshold, lines, cols), x)
+            idx, out = layer_spike_times(work, x)
+            assert np.array_equal(idx, fresh[0]) and np.array_equal(out.times, fresh[1].times), i
+            seen.update(idx.tolist())
+            update_layer(state, x, idx, out)
+            scalar_update(want, x, idx, out.times, p)
+        # Silent columns and winners of several neurons both came up.
+        assert -1 in seen and len(seen) > 3, seen
+        state.unpack(weights)
+        assert np.array_equal(weights, want)
+
+    @pytest.mark.parametrize("w_max", [7, 100, 400])
+    def test_silent_layer_steps_in_blocks(self, w_max):
+        # Every row of the paper's 64x10 layer over 784 pixels steps in an
+        # all-silent cycle. A block of rows at a time, the update's peak
+        # stays near three times the 1 MiB stack of one block, where the
+        # planes take 0.9, 12.2 and 48.8 MiB.
+        cols, neurons, lines = 64, 10, 1568
+        planes = np.zeros((25, cols * neurons, w_max), dtype=np.uint64).transpose(1, 2, 0)
+        work = KernelWorkspace(planes, 16, 1, lines, cols)
+        weights = np.zeros((cols, neurons, lines), dtype=np.int16)
+        state = LearningState(weights, work, StdpParams(w_max=w_max))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            update_layer(state, np.full(lines, INF), np.full(cols, -1), np.full(cols, INF))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+        # QUIET on every line: half a unit each, in the parity alone.
+        assert not work.planes.any()
+        assert (state.parity == pack_lines(np.ones(lines, dtype=bool))).all()

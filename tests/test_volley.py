@@ -75,7 +75,7 @@ class TestKernelVolley:
             th = int(rng.integers(1, lines * min(7, period) // 2 + 2))
             work = KernelWorkspace(planes, period, th, lines, cols)
             times = np.where(rng.random(lines) < 0.3, INF, rng.integers(0, period, lines))
-            idx, made = layer_spike_times(planes, times, work)
+            idx, made = layer_spike_times(work, times)
             assert made.period == period and len(made) == cols
             assert np.array_equal(idx < 0, made.times == INF)
             assert_same_volley(made, Volley.from_times(made.times.tolist(), period))
