@@ -41,7 +41,7 @@ keeps only step codes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -50,6 +50,22 @@ INF = float("inf")
 SpikeTime = Union[int, float]
 """A spike time is a step of the gamma cycle, or ``INF`` when no spike
 occurs; ``Volley.from_times`` holds every reader to that rule."""
+
+
+def check_int(name: str, value, low: int, high: Optional[int] = None) -> None:
+    """Raise ``ValueError``, naming ``name`` and ``value``, unless ``value``
+    is an integer in ``low..high`` (``>= low`` for no ``high``). Numpy
+    integers are integers; a bool, a fraction and NaN are not, since a
+    config would write them as text it cannot read back, and ``nan < low``
+    is false."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, np.integer))
+        or value < low
+        or (high is not None and value > high)
+    ):
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
 
 def pack_lines(bits: np.ndarray) -> np.ndarray:
@@ -183,8 +199,7 @@ class PosNeg:
     threshold: int = 127
 
     def __post_init__(self):
-        if not 0 <= self.threshold <= 255:
-            raise ValueError(f"pixel_threshold must be in 0..255, got {self.threshold}")
+        check_int("pixel_threshold", self.threshold, 0, 255)
 
 
 @dataclass(frozen=True)
@@ -194,8 +209,7 @@ class _Graded:
     period: int = 16
 
     def __post_init__(self):
-        if self.period < 2:
-            raise ValueError(f"period must be >= 2, got {self.period}")
+        check_int("period", self.period, 2)
 
 
 class Linear(_Graded):

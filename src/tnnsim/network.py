@@ -34,7 +34,7 @@ import numpy as np
 
 from . import gamma, stdp
 from .dataio import LabeledDataset
-from .encode import INF, KINDS, EncoderKind, PosNeg, Volley, encode_image
+from .encode import INF, KINDS, EncoderKind, PosNeg, Volley, check_int, encode_image
 from .neuron import KernelWorkspace, kernel_bytes, layer_spike_times, weight_planes
 
 # Largest working set the spike-time kernels of all layers may need together.
@@ -138,25 +138,19 @@ class NetworkConfig:
     def __post_init__(self):
         if not self.layers:
             raise ValueError("network needs at least one layer")
-        for cols, neurons in self.layers:
-            if cols < 1 or neurons < 1:
-                raise ValueError(f"layer shape ({cols}, {neurons}) must be positive")
-        if self.pixel_count < 1:
-            raise ValueError(f"pixel_count must be >= 1, got {self.pixel_count}")
-        if self.period < 1:
-            raise ValueError(f"period must be >= 1, got {self.period}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for shape in self.layers:
+            for size in shape:
+                check_int("layer size", size, 1)
+        check_int("pixel_count", self.pixel_count, 1)
+        check_int("period", self.period, 1)
+        check_int("seed", self.seed, 0)
         th = self.thresholds
         if len(th) != len(self.layers):
             raise ValueError(
                 f"{len(th)} thresholds for {len(self.layers)} layers"
             )
         for t in th:
-            # Only an integer is written out as ``from_mapping`` reads it
-            # back, and ``nan < 1`` is false.
-            if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:
-                raise ValueError(f"threshold must be an integer >= 1, got {t!r}")
+            check_int("threshold", t, 1)
         enc_period = getattr(self.encoder, "period", self.period)
         if enc_period != self.period:
             raise ValueError(

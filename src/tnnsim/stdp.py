@@ -35,10 +35,10 @@ A layer learns on its ``LearningState``, built once per run: the
 thermometer planes ``neuron.weight_planes`` builds (plane ``k`` marks ``hu
 // 2 >= k``), of depth ``w_max`` whatever the period, which the layer's
 ``neuron.KernelWorkspace`` holds and its kernel reads, plus one packed
-parity plane, ``hu & 1``. They move by word operations: adding ``2a``
-half-units moves plane ``k - a`` up to plane ``k``, subtracting ``2b``
-moves plane ``k + b`` down to it, and an odd step carries or borrows
-through the parity. The rows a cycle changes step a block at a time, so
+parity plane, ``hu & 1``. They move by word operations, by one rule for
+either sign: after a step of ``u`` half-units, plane ``k`` marks ``hu + u
+>= 2k``, and the parity flips with an odd step and clears where the step
+saturates (``_step``). The rows a cycle changes step a block at a time, so
 their stack stays within ``neuron._PACK_CHUNK`` bytes. The int16 weights
 are unpacked from the state once, when the run ends.
 """
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encode import INF, Volley, pack_lines
+from .encode import INF, Volley, check_int, pack_lines
 from .neuron import _PACK_CHUNK, KernelWorkspace, unpack_weights
 
 # Largest w_max whose half-unit cap still fits the int16 weights.
@@ -68,10 +68,8 @@ class StdpParams:
 
     def __post_init__(self):
         for name in ("u_capture", "u_backoff", "u_search", "u_quiet"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 1 <= self.w_max <= W_MAX_LIMIT:
-            raise ValueError(f"w_max must be in 1..{W_MAX_LIMIT}, got {self.w_max}")
+            check_int(name, getattr(self, name), 0)
+        check_int("w_max", self.w_max, 1, W_MAX_LIMIT)
 
     @property
     def half_unit_cap(self) -> int:
@@ -167,45 +165,32 @@ def _groups(state, x, winner_idx, z) -> list:
     return groups
 
 
-def _reach(u: int) -> int:
-    """How many planes a step of ``u`` half-units reads past either end."""
-    return (abs(u) + 1) // 2
-
-
 def _step(stack: np.ndarray, lo: int, depth: int, parity: np.ndarray, u: int) -> tuple:
-    """Planes and parity after ``u`` half-units are added (``u >= 0``) or
-    taken away (``u < 0``), saturating into ``[0, 2 * depth]``.
+    """Planes and parity after a step of ``u`` half-units, either sign,
+    saturating into ``[0, 2 * depth]``.
 
     Plane ``k`` of the rows is ``stack[lo + k - 1]``: the stack holds the
     ``depth`` planes between ``lo`` copies of plane 0 (every line) and
-    zero planes past the depth, as many as the step reaches.
+    zero planes past the depth, as many as the step reaches. After the
+    step, plane ``k`` marks ``hu + u >= 2k``, that is ``hu >= 2(k + m) +
+    odd`` for ``m, odd = divmod(-u, 2)``: plane ``k + m`` for an even
+    step, and for an odd one plane ``k + m + 1`` or, where the parity is
+    set, plane ``k + m``. The parity flips with an odd step and clears
+    where the step saturates, at ``0`` or ``2 * depth``.
     """
-    whole, odd = divmod(abs(u), 2)
+    m, odd = divmod(-u, 2)
 
-    def plane(k):
-        return stack[lo + k - 1]
+    def plane(k):  # every line for k <= 0
+        return stack[lo + max(k, 0) - 1]
 
-    def shifted(s):  # planes k + s for k = 1..depth
-        return stack[lo + s : lo + s + depth]
-
-    if u >= 0:
-        # Units move up ``whole`` planes, an odd half carries one more where
-        # the parity was set, and no half-unit survives at the cap.
-        top = plane(depth - whole)
-        if not odd:
-            return shifted(-whole), parity & ~top
-        return (
-            shifted(-whole) ^ ((shifted(-whole - 1) ^ shifted(-whole)) & parity),
-            ~parity & ~top & plane(0),
-        )
-    # Units move down ``whole`` planes, an odd half borrows one more where
-    # the parity was clear, and no half-unit survives at the floor.
-    if not odd:
-        return shifted(whole), parity & plane(whole)
-    return (
-        shifted(whole + 1) ^ ((shifted(whole) ^ shifted(whole + 1)) & parity),
-        ~parity & plane(whole + 1),
-    )
+    planes = stack[lo + m : lo + m + depth]
+    if odd:
+        planes = stack[lo + m + 1 : lo + m + 1 + depth] | (planes & parity)
+        parity = ~parity
+    # Where the new parity is set, ``hu`` is odd after an even step and
+    # even after an odd one, so each end's test is one plane; the low
+    # end's also clears the padding bits an odd step's flip sets.
+    return planes, parity & plane(m + odd) & ~plane(depth + m + odd)
 
 
 def _update_rows(state, rows, select, first, second) -> None:
@@ -215,8 +200,10 @@ def _update_rows(state, rows, select, first, second) -> None:
     within ``_PACK_CHUNK`` bytes."""
     by_depth, parity = state.by_depth, state.parity
     depth, _, words = by_depth.shape
-    lo = max([1] + [_reach(u) for u in (first, second) if u >= 0])
-    hi = max([0] + [_reach(u) for u in (first, second) if u < 0])
+    # A step of ``u`` reads ``(u + 1) // 2`` planes below plane 1 and
+    # ``(1 - u) // 2`` past the depth; ``_step`` reads plane 0 at any step.
+    lo = max(1, (max(first, second) + 1) // 2)
+    hi = (max(0, -first, -second) + 1) // 2
     block = max(1, _PACK_CHUNK // (8 * (lo + depth + hi) * words))
     # The ``lo`` copies of plane 0 (every line) and the zero planes past the
     # depth are the same for every block.

@@ -22,12 +22,6 @@ The file is not collected by the suite, since its name does not start with
 ``test_``; ``tests/test_mutants.py`` checks only that every row still
 matches the code and names existing tests, so a refactor keeps the table
 current without running it.
-
-Left out because no test can tell it from the original:
-``stdp._update_rows`` with ``lo = max([0] + ...)``. The copies of plane 0
-(every line) below the stack's planes are read only by a step that adds
-half-units, and such a step reaches at least one plane, so ``lo`` is at
-least 1 whenever they are read.
 """
 
 from __future__ import annotations
@@ -219,10 +213,18 @@ MUTANTS = (
     ),
     Mutant(
         "config-threshold-any-number", NETWORK,
-        "if isinstance(t, bool) or not isinstance(t, (int, np.integer)) or t < 1:", "if t < 1:",
+        'check_int("threshold", t, 1)', 'check_int("threshold", t if t < 1 else 1, 1)',
         (
             W + "TestConfig::test_threshold_must_be_an_integer_at_least_one[nan]",
             W + "TestConfig::test_threshold_must_be_an_integer_at_least_one[2.5]",
+        ),
+    ),
+    Mutant(
+        "config-integer-takes-floats", ENCODE,
+        "not isinstance(value, (int, np.integer))", "not isinstance(value, (int, float, np.integer))",
+        (
+            W + "TestConfig::test_integer_fields_must_be_integers[period-fraction]",
+            S + "TestApplyUpdate::test_params_validated",
         ),
     ),
     Mutant(
@@ -414,20 +416,59 @@ MUTANTS = (
     ),
     Mutant(
         "planes-half-unit-past-cap", STDP,
-        "return shifted(-whole), parity & ~top", "return shifted(-whole), parity",
+        "parity & plane(m + odd) & ~plane(depth + m + odd)", "parity & plane(m + odd)",
         (
             S + "TestNoWrap::test_every_case_matches_scalar_rule[32767-7]",
             S + "TestBitSlicedSteps::test_every_step_on_every_weight[2]",
         ),
     ),
     Mutant(
+        "planes-top-end-misses-odd-step", STDP,
+        "~plane(depth + m + odd)", "~plane(depth + m)",
+        (S + "TestBitSlicedSteps::test_every_step_on_every_weight[2]",),
+    ),
+    Mutant(
         "planes-odd-add-parity-dropped", STDP,
-        "shifted(-whole) ^ ((shifted(-whole - 1) ^ shifted(-whole)) & parity)",
-        "shifted(-whole)",
+        "| (planes & parity)", "",
         (
             S + "TestUpdateLayerOnPlanes::test_matches_scalar_column_updates",
             S + "TestBitSlicedSteps::test_every_step_on_every_weight[1]",
         ),
+    ),
+    Mutant(
+        "planes-odd-step-parity-unflipped", STDP,
+        "parity = ~parity", "parity = parity",
+        (
+            S + "TestUpdateLayerOnPlanes::test_silent_layer_explores",
+            S + "TestBitSlicedSteps::test_every_step_on_every_weight[1]",
+        ),
+    ),
+    Mutant(
+        "planes-floor-unclipped", STDP,
+        "stack[lo + max(k, 0) - 1]", "stack[lo + k - 1]",
+        (
+            S + "TestUpdateLayerOnPlanes::test_matches_scalar_column_updates",
+            S + "TestBitSlicedSteps::test_every_step_on_every_weight[1]",
+        ),
+    ),
+    Mutant(
+        # ``lo`` falls to 0 only beside a step of 0, whose parity reads plane 0.
+        "stdp-stack-without-plane-0", STDP,
+        "lo = max(1, (max(first, second) + 1) // 2)", "lo = max(0, (max(first, second) + 1) // 2)",
+        (S + "TestBitSlicedSteps::test_every_step_on_every_weight[1]",),
+    ),
+    Mutant(
+        "stdp-stack-low-pad-rounds-down", STDP,
+        "(max(first, second) + 1) // 2", "max(first, second) // 2",
+        (
+            S + "TestBitSlicedSteps::test_every_step_on_every_weight[2]",
+            S + "TestBitSlicedSteps::test_every_step_on_every_weight[3]",
+        ),
+    ),
+    Mutant(
+        "stdp-stack-high-pad-rounds-down", STDP,
+        "hi = (max(0, -first, -second) + 1) // 2", "hi = max(0, -first, -second) // 2",
+        (S + "TestBitSlicedSteps::test_every_step_on_every_weight[1]",),
     ),
     Mutant(
         "planes-first-mask-for-every-winner", STDP,

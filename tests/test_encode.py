@@ -194,12 +194,14 @@ class TestReadmeFormulas:
 
 class TestEncoderValidation:
     def test_posneg_threshold_range(self):
-        with pytest.raises(ValueError):
-            PosNeg(threshold=256)
+        for bad in (256, 127.5, True):
+            with pytest.raises(ValueError, match=f"in 0..255, got {bad!r}"):
+                PosNeg(threshold=bad)
 
     def test_period_minimum(self):
-        with pytest.raises(ValueError):
-            Linear(period=1)
+        for bad in (1, 16.5):
+            with pytest.raises(ValueError, match=f"period must be an integer >= 2, got {bad}"):
+                Linear(period=bad)
         with pytest.raises(ValueError):
             Log(period=0)
 

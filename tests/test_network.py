@@ -112,6 +112,32 @@ class TestConfig:
         cfg = NetworkConfig(layers=((8, 10),), pixel_count=784, threshold=np.int64(5))
         assert NetworkConfig.from_mapping(cfg.to_mapping(), 784).thresholds == (5,)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("layers", ((8.5, 10),), "layer size must be an integer >= 1, got 8.5"),
+            ("layers", ((8, 10), (2, True)), "layer size must be an integer >= 1, got True"),
+            ("pixel_count", 784.0, "pixel_count must be an integer >= 1, got 784.0"),
+            ("period", 16.5, "period must be an integer >= 1, got 16.5"),
+            ("period", True, "period must be an integer >= 1, got True"),
+            ("seed", 1.5, "seed must be an integer >= 0, got 1.5"),
+            ("seed", float("nan"), "seed must be an integer >= 0, got nan"),
+        ],
+        ids=["layers-fraction", "layers-bool", "pixel_count", "period-fraction", "period-bool",
+             "seed-fraction", "seed-nan"],
+    )
+    def test_integer_fields_must_be_integers(self, field, value, message):
+        # Each was once accepted and failed later with a ``TypeError``, or
+        # was written as a config ``from_mapping`` refuses.
+        fields = {"layers": ((8, 10),), "pixel_count": 784, "threshold": 5, field: value}
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            NetworkConfig(**fields)
+        cfg = NetworkConfig(
+            layers=((np.int64(8), 10),), pixel_count=np.int64(784),
+            period=np.int64(16), seed=np.int64(3),
+        )
+        assert NetworkConfig.from_mapping(cfg.to_mapping(), 784) == cfg
+
     def test_encoder_period_must_match(self):
         for period, enc in ((8, Linear(period=16)), (16, Linear(period=4)), (8, Log(period=16))):
             with pytest.raises(ValueError, match=f"encoder period {enc.period} .* {period}"):
@@ -330,13 +356,13 @@ class TestConfigCodec:
         assert "pixel_threshold" not in cfg.to_mapping()
 
     def test_out_of_range_pixel_threshold_names_key(self):
-        with pytest.raises(ValueError, match="^pixel_threshold must be in 0..255, got 300"):
+        with pytest.raises(ValueError, match="^pixel_threshold must be an integer in 0..255, got 300"):
             NetworkConfig.from_mapping({"layers": "2x2", "pixel_threshold": "300"}, 4)
 
     def test_negative_seed_names_key(self):
         # It parses, so the config's own check rejects it, before any
         # generator is seeded.
-        with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
+        with pytest.raises(ValueError, match="^seed must be an integer >= 0, got -1"):
             NetworkConfig.from_mapping({"layers": "2x2", "seed": "-1"}, 4)
         assert NetworkConfig.from_mapping({"layers": "2x2", "seed": "0"}, 4).seed == 0
 

@@ -132,6 +132,13 @@ class TestApplyUpdate:
             StdpParams(u_capture=-1)
         with pytest.raises(ValueError):
             StdpParams(w_max=0)
+        # A NaN step once trained a net and was written as a config no
+        # reader takes; a fraction failed inside the update.
+        for name, bad in (("u_quiet", float("nan")), ("u_capture", 2.5), ("u_search", True),
+                          ("w_max", 7.5)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer .*, got {bad!r}"):
+                StdpParams(**{name: bad})
+        assert StdpParams(u_quiet=np.int64(3)).u_quiet == 3
 
     def test_cap_must_fit_int16(self):
         assert StdpParams(w_max=16383).half_unit_cap == np.iinfo(np.int16).max - 1
