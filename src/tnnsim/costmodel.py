@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence, TextIO
 
+from .encode import check_int
+
 
 class TimingViolationError(ValueError):
     """Clock period shorter than the comparator critical path."""
@@ -42,14 +44,14 @@ class ComparatorBankConfig:
     pixels_per_image: int
 
     def __post_init__(self):
-        if self.comparator_count < 1:
-            raise ValueError(f"comparator_count must be >= 1, got {self.comparator_count}")
+        # Counts of comparators and pixels are whole: a fraction would price
+        # a ragged cycle that no bank clocks.
+        check_int("comparator_count", self.comparator_count, 1)
         if not 0 < self.clock_frequency < math.inf:
             raise ValueError(
                 f"clock_frequency must be positive and finite, got {self.clock_frequency}"
             )
-        if self.pixels_per_image < 1:
-            raise ValueError(f"pixels_per_image must be >= 1, got {self.pixels_per_image}")
+        check_int("pixels_per_image", self.pixels_per_image, 1)
 
 
 # The comparator cell, synthesized at a 1 GHz nominal clock.

@@ -3,10 +3,18 @@
 The on-disk format is the classic big-endian IDX layout: magic 2051 for
 image files, 2049 for label files, 32-bit dimension sizes, then raw
 unsigned bytes.
+
+A dataset read from a file on disk maps that file read-only rather than
+copying it, so its pixels are the file's pages: the file must not be
+rewritten while the dataset lives. No CLI command writes a path it reads.
 """
 
 from __future__ import annotations
 
+import io
+import mmap
+import os
+import stat
 import struct
 from dataclasses import dataclass
 from typing import BinaryIO, Optional, Sequence, Union
@@ -95,16 +103,30 @@ class LabeledDataset:
         return PixelImage(self.pixels[i], self.width, self.height, label)
 
 
-def _as_bytes(data: Union[bytes, bytearray, BinaryIO]) -> bytes:
+def _as_bytes(data: Union[bytes, bytearray, BinaryIO]) -> Union[bytes, memoryview]:
+    """The bytes of ``data`` from its position on. A regular file on disk
+    with bytes left is mapped read-only and left at its end, as ``read()``
+    leaves it; other streams, such as pipes, ``BytesIO`` and empty files,
+    are read."""
     if isinstance(data, (bytes, bytearray)):
         return bytes(data)
+    if isinstance(getattr(data, "raw", data), io.FileIO):
+        info = os.fstat(data.fileno())
+        # A pipe has no position: only a regular file is asked for one.
+        if stat.S_ISREG(info.st_mode) and info.st_size > (start := data.tell()):
+            view = memoryview(mmap.mmap(data.fileno(), 0, access=mmap.ACCESS_READ))[start:]
+            data.seek(0, io.SEEK_END)
+            return view
     return data.read()
 
 
 def read_idx_images(data: Union[bytes, bytearray, BinaryIO]) -> LabeledDataset:
-    """Parse an IDX image file into an unlabeled dataset.
+    """Parse an IDX image file into an unlabeled dataset, whose pixels are
+    read-only.
 
-    Raises ``BadMagicError``, ``DimensionOverflowError`` or
+    ``data`` is the file's bytes or a binary stream, read from its
+    position on; a file on disk is mapped, not copied (see the module
+    docstring). Raises ``BadMagicError``, ``DimensionOverflowError`` or
     ``TruncatedStreamError`` on malformed input; trailing bytes after the
     declared payload are ignored.
     """

@@ -201,6 +201,11 @@ class PosNeg:
     def __post_init__(self):
         check_int("pixel_threshold", self.threshold, 0, 255)
 
+    def spikes(self, pixels: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Where each pixel's positive line spikes, ``pixels > threshold``,
+        into ``out`` if given; its negative line spikes everywhere else."""
+        return np.greater(pixels, self.threshold, out=out)
+
 
 @dataclass(frozen=True)
 class _Graded:
@@ -256,7 +261,7 @@ def encode_image(pixels, kind: EncoderKind) -> Union[Volley, np.ndarray]:
             raise ValueError(f"intensity {bad[0].item()} is not a whole number in 0..255")
         v = v.astype(np.int64)
     if isinstance(kind, PosNeg):
-        on = v > kind.threshold
+        on = kind.spikes(v)
         spikes = np.concatenate([on, np.logical_not(on)], axis=-1)
         if v.ndim != 1:
             return np.where(spikes, 0.0, INF)

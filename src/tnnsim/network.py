@@ -9,7 +9,10 @@ ends on a reset that clears the control state, so the network carries none
 from one presentation to the next: only the weights persist. A run packs
 each layer's weights once, into the planes of its ``neuron.KernelWorkspace``;
 while training, the layer's ``stdp.LearningState`` moves those planes in
-place, and the weights are unpacked from it when the run ends.
+place, and the weights are unpacked from it when the run ends. An
+inference under the posneg code takes layer 0 for every image at once,
+with ``neuron.posneg_spike_times``; each presentation then runs the layers
+after it and gamma control.
 
 A run leaves one columnar ``RunSummary``, one row per presentation: the
 gamma trace plus each final-layer column's winning neuron. Network
@@ -35,7 +38,13 @@ import numpy as np
 from . import gamma, stdp
 from .dataio import LabeledDataset
 from .encode import INF, KINDS, EncoderKind, PosNeg, Volley, check_int, encode_image
-from .neuron import KernelWorkspace, kernel_bytes, layer_spike_times, weight_planes
+from .neuron import (
+    KernelWorkspace,
+    kernel_bytes,
+    layer_spike_times,
+    posneg_spike_times,
+    weight_planes,
+)
 
 # Largest working set the spike-time kernels of all layers may need together.
 KERNEL_BYTES_LIMIT = 1 << 30
@@ -244,7 +253,11 @@ class TnnNetwork:
             )
 
     def run_gamma_cycle(
-        self, volley: Volley, work: list, learning: Optional[list] = None
+        self,
+        volley: Volley,
+        work: list,
+        learning: Optional[list] = None,
+        winners: Optional[np.ndarray] = None,
     ) -> tuple:
         """Present one volley to layer 0 for one gamma cycle.
 
@@ -259,9 +272,13 @@ class TnnNetwork:
         ``stdp.LearningState``, STDP updates every layer at the closing
         reset: it moves the planes the kernel reads and the parity in place
         and leaves ``self.weights`` stale until the run unpacks them.
+
+        ``work`` may also start past layer 0, with ``volley`` the output of
+        the layer before it and ``winners`` that layer's winner neurons,
+        which are returned when ``work`` is empty.
         """
         cfg = self.config
-        x = volley
+        x, idx = volley, winners
         layers = []  # (input volley, winner neurons, output volley) per layer
         for ws in work:
             idx, out = layer_spike_times(ws, x)
@@ -273,7 +290,7 @@ class TnnNetwork:
         if learning is not None:
             for state, (inputs, idx, out) in zip(learning, layers):
                 stdp.update_layer(state, inputs, idx, out)
-        return result, x, layers[-1][1]
+        return result, x, idx
 
     def _run(self, dataset: LabeledDataset, epochs: int, learn: bool) -> RunSummary:
         if len(dataset) == 0:
@@ -301,10 +318,19 @@ class TnnNetwork:
                 stdp.LearningState(w, ws, cfg.stdp_params) for w, ws in zip(self.weights, work)
             ]
         pixels = dataset.pixels
+        # With frozen weights, a posneg layer 0 answers for every image at
+        # once; each presentation then runs the layers after it.
+        batched = learning is None and isinstance(cfg.encoder, PosNeg)
+        if batched:
+            first_idx, first_codes = posneg_spike_times(work[0], pixels, cfg.encoder)
         try:
             for i in range(n):
-                volley = encode_image(pixels[i % len(pixels)], cfg.encoder)
-                result, out, col_neurons[i] = self.run_gamma_cycle(volley, work, learning)
+                if batched:
+                    volley, rest, winners = Volley(first_codes[i], cfg.period), work[1:], first_idx[i]
+                else:
+                    volley = encode_image(pixels[i % len(pixels)], cfg.encoder)
+                    rest, winners = work, None
+                result, out, col_neurons[i] = self.run_gamma_cycle(volley, rest, learning, winners)
                 col_codes[i] = out.codes
                 lengths[i] = result.length
                 control[i] = result.cause is gamma.GrstCause.CONTROL

@@ -51,6 +51,11 @@ storage, with everything else a call reuses, so a call is
 ``layer_spike_times(work, volley)`` and checks no shape; STDP moves the
 same planes in place, so the next call reads each update.
 
+Under the posneg code every line of layer 0 spikes at step 0 or never, so
+with frozen weights ``posneg_spike_times`` answers for a stack of images
+at once from the same workspace: one matrix product of the images' 0/1
+spikes with the planes' unpacked bits per block of images and neurons.
+
 The kernel reads its input's arrival steps and their packed masks from an
 ``encode.Volley``, and hands its answer on as one: each column's step
 code is its count of steps below threshold, so no reader checks it again.
@@ -64,11 +69,14 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .encode import SpikeTime, Volley
+from .encode import PosNeg, SpikeTime, Volley, pack_lines
 
-# Bytes of the bool plane stack ``weight_planes`` builds at a time, and of
-# the stack of planes ``stdp.update_layer`` steps at a time.
+# Bytes of the bool plane stack ``weight_planes`` builds at a time, of the
+# stack of planes ``stdp.update_layer`` steps at a time, and of each float
+# block ``posneg_spike_times`` multiplies.
 _PACK_CHUNK = 1 << 20
+# Most images ``posneg_spike_times`` takes in one block.
+_BATCH_IMAGES = 128
 
 
 def kernel_bytes(neurons: int, lines: int, depth: int, period: int) -> int:
@@ -80,12 +88,17 @@ def kernel_bytes(neurons: int, lines: int, depth: int, period: int) -> int:
     the ramp; per line the volley's arrival test and steps and the
     ``valid`` plane of the layer's ``stdp.LearningState``; the packed mask
     of each distinct arrival step, a count per step, and numpy's casting
-    buffers."""
+    buffers. A ``posneg_spike_times`` call on the layer adds its blocks:
+    the plane differences and potentials of at most ``_PACK_CHUNK`` bytes
+    or one neuron's ``min(depth, period)`` rows each, their bits and
+    compares, an image block's spikes and the per-column reductions,
+    within five times that."""
     words = -(-lines // 64)
     per_neuron = 17 * depth * words + 24 * depth + 9 * period + 48
     masks = min(period, lines) * (lines + 16 * words)
     ramp = 8 * min(depth, period) * depth
-    return neurons * per_neuron + masks + ramp + 32 * lines + 8 * period + (1 << 17)
+    batch = 5 * (_PACK_CHUNK + 4 * min(depth, period) * (lines + 2 * _BATCH_IMAGES))
+    return neurons * per_neuron + masks + ramp + batch + 32 * lines + 8 * period + (1 << 17)
 
 
 def weight_planes(weights_hu: np.ndarray, depth: int) -> np.ndarray:
@@ -252,3 +265,86 @@ def layer_spike_times(
     win = below[np.arange(cols), idx]
     idx[win == period] = -1
     return idx, Volley(win, period)
+
+
+def posneg_spike_times(
+    work: KernelWorkspace, pixels: np.ndarray, encoder: PosNeg
+) -> tuple[np.ndarray, np.ndarray]:
+    """Winner and step code of every column of layer 0 for a stack of
+    images under the posneg code, by one exact matrix product per block.
+
+    ``work`` is the layer's ``KernelWorkspace``, over ``2 * pixels`` lines,
+    and ``pixels`` an ``(images, pixels)`` stack. Returns ``(images,
+    cols)`` int64 winners (-1 where a column stays silent) and step codes,
+    each row what ``layer_spike_times`` gives for that image's volley.
+
+    Every posneg line spikes at step 0 or never, so plane ``k`` adds its
+    units from step ``k - 1`` on, and the potential at step ``j - 1`` is
+    the sum of the onsets of planes ``1..j``. With ``X`` the 0/1 matrix of
+    ``pixels > threshold`` and ``D`` the positive minus the negative lines'
+    plane bits, the onsets are ``X @ D`` plus the negative planes' column
+    sums, so summing ``D`` and those sums over ``k`` first makes the
+    product the potential itself at each of the first ``min(depth,
+    period)`` steps, ``rows``; it holds from then on. A neuron's step code
+    is its count of those steps below threshold, or, where it is still
+    below at the last of them, the period: the ``period - rows`` steps
+    after add to the count. Every value is a whole number no larger than
+    the workspace's reach, exact in its float type in any summation order.
+
+    Neurons are taken whole columns at a time, or part of one column at a
+    time where one column's planes fill a block, and images at most
+    ``_BATCH_IMAGES`` at a time, so each float block stays near
+    ``_PACK_CHUNK`` bytes. A column's winner is its earliest neuron, ties
+    to the lowest index, over every block of the column.
+    """
+    period, lines, cols = work.period, work.lines, work.cols
+    n_neurons, depth, words = work.shape
+    images, px = pixels.shape
+    if 2 * px != lines:
+        raise ValueError(f"images have {px} pixels, the layer has {lines} lines")
+    rows, per = min(depth, period), n_neurons // cols
+    th = work.threshold.reshape(cols, per)
+    dtype = th.dtype
+    size = dtype.itemsize
+    batch = max(1, min(_BATCH_IMAGES, images, _PACK_CHUNK // (size * px)))
+    block = max(1, _PACK_CHUNK // (size * rows * max(px, batch)))
+    # Whole columns to a block, or, where one column is larger, part of one.
+    sub = min(per, block)
+    col_block = block // sub
+    planes = work.planes.reshape(cols, per, depth, words)
+    negative = pack_lines(np.arange(lines) >= px)
+    codes = np.full((images, cols), period, dtype=np.int64)
+    idx = np.full((images, cols), -1, dtype=np.int64)
+    x = np.empty((batch, px), dtype=dtype)
+    for c in range(0, cols, col_block):
+        cs = slice(c, c + col_block)
+        for a in range(0, per, sub):
+            ns = slice(a, a + sub)
+            # The block's (rows, columns, neurons, words) planes, their
+            # positive minus negative bits, and the negative lines' counts,
+            # each then summed over the planes up to it.
+            packed = np.ascontiguousarray(planes[cs, ns, :rows].transpose(2, 0, 1, 3))
+            base = np.bitwise_count(packed & negative).sum(axis=-1, dtype=dtype)
+            bits = np.unpackbits(packed.view(np.uint8), axis=-1, count=lines, bitorder="little")
+            del packed
+            diff = np.subtract(bits[..., :px], bits[..., px:], dtype=np.int8).astype(dtype)
+            del bits
+            for k in range(1, rows):
+                diff[k] += diff[k - 1]
+                base[k] += base[k - 1]
+            shape = base.shape
+            diff = diff.reshape(-1, px)
+            for i in range(0, images, batch):
+                j = min(i + batch, images)
+                on = encoder.spikes(pixels[i:j], out=x[: j - i])
+                potential = (on @ diff.T).reshape((j - i,) + shape)
+                potential += base
+                below = potential < th[cs, ns]
+                count = below.sum(axis=1, dtype=work.count_dtype)
+                count[below[:, -1]] = period
+                win = count.argmin(axis=2)
+                code = count.min(axis=2)
+                better = code < codes[i:j, cs]
+                codes[i:j, cs][better] = code[better]
+                idx[i:j, cs][better] = (win + a)[better]
+    return idx, codes

@@ -54,8 +54,11 @@ ENCODE = "src/tnnsim/encode.py"
 NETWORK = "src/tnnsim/network.py"
 METRICS = "src/tnnsim/metrics.py"
 DATAIO = "src/tnnsim/dataio.py"
+COSTMODEL = "src/tnnsim/costmodel.py"
 
 A = "tests/test_acceptance.py::"
+C = "tests/test_costmodel.py::"
+D = "tests/test_dataio.py::"
 E = "tests/test_encode.py::"
 G = "tests/test_gamma.py::"
 M = "tests/test_metrics.py::"
@@ -589,7 +592,8 @@ MUTANTS = (
     # Encoders, run records and input files.
     Mutant(
         "posneg-equal-joins-positive", ENCODE,
-        "on = v > kind.threshold", "on = v >= kind.threshold",
+        "np.greater(pixels, self.threshold, out=out)",
+        "np.greater_equal(pixels, self.threshold, out=out)",
         (
             E + "TestPosNegBits::test_equal_joins_negative_side",
             A + "test_criterion_01_posneg_golden_encoding",
@@ -625,6 +629,102 @@ MUTANTS = (
         "run-summary-neuron-below-minus-one", NETWORK,
         " or (self.col_neurons < -1).any()", "",
         (W + "TestSummaryArtifacts::test_column_neurons_below_minus_one_rejected",),
+    ),
+    # The batched posneg layer 0 of an inference, neuron.py and network.py.
+    Mutant(
+        "posneg-batch-no-period-tail", NEURON,
+        "count[below[:, -1]] = period", "pass",
+        (
+            N + "TestPosnegBatch::test_matches_reference[w_max-lt-period-reach+1-1048576]",
+            N + "TestPosnegBatch::test_every_neuron_and_image_block",
+        ),
+    ),
+    Mutant(
+        "posneg-batch-below-less-equal", NEURON,
+        "below = potential < th[cs, ns]", "below = potential <= th[cs, ns]",
+        (
+            N + "TestPosnegBatch::test_matches_reference[w_max-lt-period-reach-1048576]",
+            N + "TestPosnegBatch::test_matches_reference[w_max-gt-period-reach-600]",
+        ),
+    ),
+    Mutant(
+        "posneg-batch-negative-base-dropped", NEURON,
+        "potential += base", "pass",
+        (
+            N + "TestPosnegBatch::test_matches_reference[w_max-lt-period-per-neuron-2000]",
+            N + "TestPosnegBatch::test_matches_layer_kernel",
+        ),
+    ),
+    Mutant(
+        "posneg-batch-ties-to-highest-index", NEURON,
+        "win = count.argmin(axis=2)", "win = count.shape[2] - 1 - count[:, :, ::-1].argmin(axis=2)",
+        (
+            N + "TestPosnegBatch::test_matches_reference[w_max-lt-period-one-1048576]",
+            N + "TestPosnegBatch::test_matches_reference[w_max-gt-period-one-6000]",
+        ),
+    ),
+    Mutant(
+        "posneg-batch-later-block-wins-ties", NEURON,
+        "better = code < codes[i:j, cs]", "better = code <= codes[i:j, cs]",
+        (
+            N + "TestPosnegBatch::test_matches_reference[w_max-lt-period-one-600]",
+            N + "TestPosnegBatch::test_matches_reference[w_max-gt-period-reach-2000]",
+        ),
+    ),
+    Mutant(
+        "posneg-batch-image-block-off-by-one", NEURON,
+        "j = min(i + batch, images)", "j = min(i + batch - 1, images)",
+        (
+            N + "TestPosnegBatch::test_every_neuron_and_image_block",
+            N + "TestPosnegBatch::test_matches_reference[w_max-lt-period-one-1048576]",
+        ),
+    ),
+    Mutant(
+        "posneg-batch-neuron-block-off-by-one", NEURON,
+        "ns = slice(a, a + sub)", "ns = slice(a, a + sub - 1)",
+        (
+            N + "TestPosnegBatch::test_matches_reference[w_max-lt-period-per-neuron-2000]",
+            N + "TestPosnegBatch::test_matches_layer_kernel",
+        ),
+    ),
+    Mutant(
+        "infer-posneg-unbatched", NETWORK,
+        "batched = learning is None and isinstance(cfg.encoder, PosNeg)", "batched = False",
+        (W + "TestReferenceRun::test_seeded_random_configs",),
+    ),
+    Mutant(
+        "weights-shape-unchecked", NETWORK,
+        "if arr.shape != current.shape:", "if False:",
+        (W + "TestSummaryArtifacts::test_weights_shape_mismatch_rejected",),
+    ),
+    # Comparator-bank counts, costmodel.py.
+    Mutant(
+        "cost-comparator-count-rounded", COSTMODEL,
+        'check_int("comparator_count", self.comparator_count, 1)',
+        'check_int("comparator_count", round(self.comparator_count), 1)',
+        (C + "TestValidation::test_counts_must_be_integers[comparator_count-2.5]",),
+    ),
+    Mutant(
+        "cost-pixel-count-rounded", COSTMODEL,
+        'check_int("pixels_per_image", self.pixels_per_image, 1)',
+        'check_int("pixels_per_image", round(self.pixels_per_image), 1)',
+        (C + "TestValidation::test_counts_must_be_integers[pixels_per_image-783.5]",),
+    ),
+    # Mapped IDX files, dataio.py.
+    Mutant(
+        "idx-file-copied", DATAIO,
+        "if stat.S_ISREG(info.st_mode) and", "if False and",
+        (D + "TestReadFromFile::test_dataset_outlives_its_file",),
+    ),
+    Mutant(
+        "idx-map-from-file-start", DATAIO,
+        "access=mmap.ACCESS_READ))[start:]", "access=mmap.ACCESS_READ))[0:]",
+        (D + "TestReadFromFile::test_reads_from_the_stream_position",),
+    ),
+    Mutant(
+        "idx-map-leaves-stream-unread", DATAIO,
+        "data.seek(0, io.SEEK_END)", "pass",
+        (D + "TestReadFromFile::test_dataset_outlives_its_file",),
     ),
     Mutant(
         "idx-payload-bound-doubled", DATAIO,

@@ -3,6 +3,7 @@
 import io
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -199,3 +200,26 @@ class TestValidation:
                 ComparatorBankConfig(49, bad, 784)
         with pytest.raises(ValueError):
             ComparatorBankConfig(49, GHZ, 0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("comparator_count", 2.5),
+            ("comparator_count", True),
+            ("comparator_count", math.nan),
+            ("comparator_count", 49.0),
+            ("pixels_per_image", 783.5),
+            ("pixels_per_image", True),
+            ("pixels_per_image", math.nan),
+        ],
+    )
+    def test_counts_must_be_integers(self, field, value):
+        # Unchecked, 2.5 comparators priced a 784-pixel image at 314 cycles
+        # with 1.0 wasted comparator cycle, and True passed for 1.
+        counts = {"comparator_count": 49, "pixels_per_image": 784, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer >= 1, got {value!r}"):
+            ComparatorBankConfig(clock_frequency=GHZ, **counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = ComparatorBankConfig(np.int64(49), GHZ, np.int32(784))
+        assert cost_report(cfg).cycles == 16

@@ -1,7 +1,11 @@
-"""IDX parsing against hand-packed byte layouts."""
+"""IDX parsing against hand-packed byte layouts, from bytes, streams and
+files on disk, which are mapped."""
 
 import io
+import mmap
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -116,6 +120,110 @@ class TestReadIdxLabels:
         blob = struct.pack(">ii", 2049, 5) + bytes(3)
         with pytest.raises(TruncatedStreamError):
             read_idx_labels(blob)
+
+
+def mapped(array) -> bool:
+    """Whether ``array`` views a memory map."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return isinstance(array, memoryview) and isinstance(array.obj, mmap.mmap)
+
+
+class TestReadFromFile:
+    """A file on disk is mapped, not copied, and reads as its bytes do."""
+
+    IMAGES = [[10, 20, 30, 40, 50, 60], [0, 255, 128, 1, 2, 3]]
+
+    def write(self, tmp_path, blob, name="data.idx"):
+        path = tmp_path / name
+        path.write_bytes(blob)
+        return path
+
+    def test_dataset_outlives_its_file(self, tmp_path):
+        path = self.write(tmp_path, pack_images(self.IMAGES, rows=2, cols=3))
+        with open(path, "rb") as f:
+            dataset = read_idx_images(f)
+            assert f.tell() == os.path.getsize(path)
+        assert f.closed and mapped(dataset.pixels)
+        assert dataset.pixels.tolist() == self.IMAGES
+        assert (dataset.width, dataset.height) == (3, 2)
+
+    def test_pixels_are_read_only(self, tmp_path):
+        path = self.write(tmp_path, pack_images(self.IMAGES, rows=2, cols=3))
+        with open(path, "rb") as f:
+            pixels = read_idx_images(f).pixels
+        assert not pixels.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            pixels[0, 0] = 1
+        assert path.read_bytes() == pack_images(self.IMAGES, rows=2, cols=3)
+
+    def test_reads_from_the_stream_position(self, tmp_path):
+        # Two files back to back, the second read from where the first ends.
+        first = pack_images(self.IMAGES, rows=2, cols=3)
+        second = pack_images([[9, 8, 7, 6]], rows=2, cols=2)
+        path = self.write(tmp_path, b"junk" + first + second + pack_labels([3, 1]))
+        with open(path, "rb") as f:
+            f.seek(4)
+            assert read_idx_images(io.BytesIO(f.read(len(first)))).pixels.tolist() == self.IMAGES
+            assert read_idx_images(f).pixels.tolist() == [[9, 8, 7, 6]]
+            assert f.tell() == os.path.getsize(path)
+            f.seek(4 + len(first) + len(second))
+            assert read_idx_labels(f).tolist() == [3, 1]
+
+    def test_labels_read_from_file(self, tmp_path):
+        path = self.write(tmp_path, pack_labels([4, 0, 9, 7]))
+        with open(path, "rb") as f:
+            labels = read_idx_labels(f)
+        assert labels.dtype == np.int64 and labels.tolist() == [4, 0, 9, 7]
+
+    @pytest.mark.parametrize(
+        "reader, blob",
+        [
+            (read_idx_images, b""),
+            (read_idx_images, b"\x00\x00\x08\x03\x00"),
+            (read_idx_images, struct.pack(">iiii", 2051, 2, 2, 2)),
+            (read_idx_images, struct.pack(">iiii", 2051, 2, 2, 2) + bytes(7)),
+            (read_idx_images, struct.pack(">iiii", 2049, 1, 2, 2) + bytes(4)),
+            (read_idx_labels, b""),
+            (read_idx_labels, struct.pack(">ii", 2049, 5)),
+            (read_idx_labels, struct.pack(">ii", 2049, 5) + bytes(3)),
+        ],
+        ids=[
+            "images-empty", "images-short-header", "images-header-only", "images-truncated",
+            "images-bad-magic", "labels-empty", "labels-header-only", "labels-truncated",
+        ],
+    )
+    def test_malformed_files_fail_as_their_bytes_do(self, tmp_path, reader, blob):
+        with pytest.raises(IdxFormatError) as from_bytes:
+            reader(blob)
+        path = self.write(tmp_path, blob)
+        with open(path, "rb") as f, pytest.raises(IdxFormatError) as from_file:
+            reader(f)
+        assert type(from_file.value) is type(from_bytes.value)
+        assert str(from_file.value) == str(from_bytes.value)
+
+    def test_file_at_its_end_reads_as_empty(self, tmp_path):
+        path = self.write(tmp_path, pack_images(self.IMAGES, rows=2, cols=3))
+        with open(path, "rb") as f:
+            f.seek(0, io.SEEK_END)
+            with pytest.raises(TruncatedStreamError, match="stream has 0"):
+                read_idx_images(f)
+
+    def test_pipe_is_read(self):
+        blob = pack_images(self.IMAGES, rows=2, cols=3)
+        read_end, write_end = os.pipe()
+        writer = threading.Thread(target=lambda: (os.write(write_end, blob), os.close(write_end)))
+        writer.start()
+        with open(read_end, "rb") as f:
+            dataset = read_idx_images(f)
+        writer.join()
+        assert not mapped(dataset.pixels) and dataset.pixels.tolist() == self.IMAGES
+
+    def test_bytes_and_streams_are_not_mapped(self):
+        blob = pack_images(self.IMAGES, rows=2, cols=3)
+        for data in (blob, bytearray(blob), io.BytesIO(blob)):
+            pixels = read_idx_images(data).pixels
+            assert not mapped(pixels) and pixels.tolist() == self.IMAGES
 
 
 class TestIdxRoundTrip:

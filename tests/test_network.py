@@ -148,10 +148,11 @@ class TestConfig:
         # Period 16 and depth w_max = 7; both layers fit one word, so each
         # neuron needs 17 * 7 + 24 * 7 + 9 * 16 + 48 = 479 bytes. Layer 1
         # has 4 lines: 4 * (4 + 16) + 8 * 7 * 7 + 32 * 4 + 8 * 16 + 2**17
-        # = 131800 bytes on top. Layer 0's 8 neurons over 18 lines hold
-        # 8 * 479 + 16 * (18 + 16) + 8 * 7 * 7 + 32 * 18 + 8 * 16 + 2**17
-        # = 136544 bytes of the limit.
-        most = (KERNEL_BYTES_LIMIT - 136544 - 131800) // 479
+        # + 5 * (2**20 + 4 * 7 * (4 + 256)) = 5411080 bytes on top. Layer
+        # 0's 8 neurons over 18 lines hold 8 * 479 + 16 * (18 + 16)
+        # + 8 * 7 * 7 + 32 * 18 + 8 * 16 + 2**17 + 5 * (2**20 + 4 * 7
+        # * (18 + 256)) = 5417784 bytes of the limit.
+        most = (KERNEL_BYTES_LIMIT - 5417784 - 5411080) // 479
         NetworkConfig(layers=((4, 2), (1, most)), pixel_count=9, threshold=5)
         with pytest.raises(ValueError, match="layer 1 .* 1024 MiB"):
             NetworkConfig(layers=((4, 2), (1, most + 1)), pixel_count=9, threshold=5)
@@ -160,10 +161,10 @@ class TestConfig:
 
     def test_planes_deeper_than_the_period_count_in_full(self):
         # A layer learns on planes of depth w_max, whatever the period, so
-        # the paper's 64x10 layer over 784 pixels fits up to w_max 3733.
+        # the paper's 64x10 layer over 784 pixels fits up to w_max 3713.
         shape = dict(layers=((64, 10),), pixel_count=784, threshold=5)
-        NetworkConfig(**shape, stdp_params=StdpParams(w_max=3733))
-        for w_max in (3734, 4000):
+        NetworkConfig(**shape, stdp_params=StdpParams(w_max=3713))
+        for w_max in (3714, 4000):
             with pytest.raises(ValueError, match=r"layer 0 \(64x10, 1568 lines\) needs a"):
                 NetworkConfig(**shape, stdp_params=StdpParams(w_max=w_max))
 
@@ -491,9 +492,15 @@ class TestReferenceRun:
 
     FUZZ_CONFIGS = 150
 
-    def test_seeded_random_configs(self):
+    def test_seeded_random_configs(self, monkeypatch):
         failed = {}
         fired = silent = control = period = changed = deep = 0
+        # Every posneg inference takes layer 0 in one batched call.
+        batched = []
+        batch = network.posneg_spike_times
+        monkeypatch.setattr(
+            network, "posneg_spike_times", lambda *args: batched.append(1) or batch(*args)
+        )
         for seed in range(self.FUZZ_CONFIGS):
             cfg, ds, epochs = random_case(seed)
             differ, (rows, winners, weights), _ = reference_mismatches(cfg, ds, epochs)
@@ -515,6 +522,8 @@ class TestReferenceRun:
         assert min(fired, silent, control, period) > 200, (fired, silent, control, period)
         assert changed > 0.9 * self.FUZZ_CONFIGS, changed
         assert deep > 0.3 * self.FUZZ_CONFIGS, deep
+        # The 42 posneg configs, 27 of them with layers after layer 0.
+        assert len(batched) == 42, len(batched)
 
 
 class TestWeightsWrittenBack:
@@ -920,12 +929,20 @@ class TestSummaryArtifacts:
         assert np.array_equal(net.weights[0], before)
 
     def test_weights_shape_mismatch_rejected(self, tmp_path):
-        net = TnnNetwork(tiny_config())
         path = tmp_path / "weights.npz"
-        save_weights_npz(net, path)
+        save_weights_npz(TnnNetwork(tiny_config()), path)
         other = TnnNetwork(tiny_config(layers=((2, 2),)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="trained with layers = 3x4, the config has layers = 2x2"):
             load_weights_npz(other, path)
+        # The pixel count is no weight key, so 784-pixel weights pass the
+        # config check of a 100-pixel network and meet the shape check.
+        save_weights_npz(TnnNetwork(tiny_config(layers=((4, 3),), pixel_count=784)), path)
+        net = TnnNetwork(tiny_config(layers=((4, 3),), pixel_count=100, seed=3))
+        before = net.weights[0].copy()
+        want = re.escape("layer0 shape (4, 3, 1568) does not match network (4, 3, 200)")
+        with pytest.raises(ValueError, match=want):
+            load_weights_npz(net, path)
+        assert np.array_equal(net.weights[0], before)
 
 
 class TestClockAccounting:

@@ -5,6 +5,8 @@ against the two spike-time references in ``oracle.py``, both read from the
 raw weights: the scalar ``brute_force_spike_time``, neuron by neuron, and
 the bank-wide ``stepwise_spike_times``, reduced to column winners by
 ``column_argmin``. A bank of one-neuron columns gives per-neuron times.
+The batched posneg kernel is checked against the same references, image
+by image.
 """
 
 import tracemalloc
@@ -14,13 +16,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracle import brute_force_spike_time, column_argmin, stepwise_spike_times
+from oracle import brute_force_spike_time, column_argmin, readme_encode, stepwise_spike_times
 
-from tnnsim.encode import INF, pack_lines
+from tnnsim import neuron
+from tnnsim.encode import INF, PosNeg, pack_lines
 from tnnsim.neuron import (
     KernelWorkspace,
     kernel_bytes,
     layer_spike_times,
+    posneg_spike_times,
     unpack_weights,
     weight_planes,
 )
@@ -497,6 +501,111 @@ class TestExactPotential:
         assert self.saturated(8, [top - 0.5, top + 0.25]) == (np.float32, [0, -1], [7, INF])
 
 
+def posneg_reference(weights_hu, pixels, encoder, period, threshold, cols):
+    """Each image's column winners and step codes, ``(images, cols)``, from
+    its README posneg times through ``stepwise_spike_times`` and
+    ``column_argmin``."""
+    idx, codes = [], []
+    for row in pixels:
+        times = stepwise_spike_times(weights_hu, readme_encode(row.tolist(), encoder), period, threshold)
+        winner, time = column_argmin(times, cols)
+        idx.append(winner)
+        codes.append(np.where(np.isinf(time), period, time))
+    return np.array(idx, dtype=np.int64), np.array(codes, dtype=np.int64)
+
+
+class TestPosnegBatch:
+    """``posneg_spike_times`` gives every image the column winners and step
+    codes of the stepwise reference, whatever blocks it takes neurons and
+    images in: whole columns, several columns, or a few neurons of one
+    column at a time, and image blocks the image count does not fill."""
+
+    COLS, PER, PIXELS, IMAGES = 3, 5, 40, 11
+
+    def bank(self, rng, w_max):
+        """Column 0's neurons share one row, so they tie, across blocks
+        too; column 1 is random; column 2 has no weight and stays silent."""
+        weights = rng.integers(0, 2 * w_max + 1, size=(self.COLS, self.PER, 2 * self.PIXELS))
+        weights[0] = weights[0, 0]
+        weights[2] = 0
+        return weights.reshape(self.COLS * self.PER, -1).astype(np.int16)
+
+    def thresholds(self, kind, weights, pixels, encoder, period, rng):
+        # A neuron's reach on image 0: each spiking line's unit ramp tops
+        # out at its whole-unit weight, or at the period.
+        spikes = np.isfinite(np.asarray(readme_encode(pixels[0].tolist(), encoder)))
+        reach = (np.minimum(weights // 2, period) * spikes).sum(axis=1)
+        return {
+            "one": 1,
+            "reach": np.maximum(reach, 1),
+            "reach+1": reach + 1,
+            "per-neuron": rng.integers(1, int(reach.max()) + 2, size=len(weights)),
+        }[kind]
+
+    @pytest.mark.parametrize("chunk", [600, 2000, 6000, 1 << 20])
+    @pytest.mark.parametrize("threshold", ["one", "reach", "reach+1", "per-neuron"])
+    @pytest.mark.parametrize("w_max, period", [(3, 16), (20, 8)], ids=["w_max-lt-period", "w_max-gt-period"])
+    def test_matches_reference(self, monkeypatch, chunk, threshold, w_max, period):
+        # Four images to a block over 11 images: the last block holds 3. A
+        # chunk of 600 bytes takes one neuron at a time, 2000 four of a
+        # column's five, 6000 two whole columns, 1 MiB the whole layer.
+        monkeypatch.setattr(neuron, "_PACK_CHUNK", chunk)
+        monkeypatch.setattr(neuron, "_BATCH_IMAGES", 4)
+        rng = np.random.default_rng(chunk + w_max)
+        encoder = PosNeg(int(rng.integers(60, 200)))
+        pixels = rng.integers(0, 256, size=(self.IMAGES, self.PIXELS), dtype=np.uint8)
+        weights = self.bank(rng, w_max)
+        th = self.thresholds(threshold, weights, pixels, encoder, period, rng)
+        planes = weight_planes(weights, w_max)
+        work = KernelWorkspace(planes, period, th, weights.shape[1], self.COLS)
+        idx, codes = posneg_spike_times(work, pixels, encoder)
+        want = posneg_reference(weights, pixels, encoder, period, th, self.COLS)
+        assert np.array_equal(idx, want[0]) and np.array_equal(codes, want[1]), (idx, want)
+        assert (idx[:, 2] == -1).all() and (codes[:, 2] == period).all()
+        if threshold != "per-neuron":
+            # Column 0's neurons tie, so its winner is neuron 0.
+            assert (idx[:, 0] <= 0).all()
+        if threshold == "reach":
+            # Image 0 brings every neuron of columns 0 and 1 to threshold
+            # on the last step its potential rises, and no further.
+            assert (codes[0, :2] < period).all()
+        if threshold == "reach+1":
+            assert (idx[0] == -1).all()
+
+    def test_every_neuron_and_image_block(self, monkeypatch):
+        # One neuron and one image at a time, and 130 images in blocks of
+        # 128, against the same call in one block each.
+        rng = np.random.default_rng(5)
+        weights = rng.integers(0, 15, size=(12, 64), dtype=np.int16)
+        pixels = rng.integers(0, 256, size=(130, 32), dtype=np.uint8)
+        planes = weight_planes(weights, 7)
+        whole = posneg_spike_times(KernelWorkspace(planes, 16, 110, 64, 4), pixels, PosNeg())
+        monkeypatch.setattr(neuron, "_PACK_CHUNK", 1)
+        monkeypatch.setattr(neuron, "_BATCH_IMAGES", 1)
+        single = posneg_spike_times(KernelWorkspace(planes, 16, 110, 64, 4), pixels, PosNeg())
+        want = posneg_reference(weights, pixels, PosNeg(), 16, 110, 4)
+        for got in (whole, single):
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert 0 < (want[0] >= 0).mean() < 1
+
+    def test_matches_layer_kernel(self):
+        # Each row is what ``layer_spike_times`` gives that image's volley.
+        rng = np.random.default_rng(9)
+        weights = rng.integers(0, 15, size=(80, 1568), dtype=np.int16)
+        pixels = rng.integers(0, 256, size=(20, 784), dtype=np.uint8)
+        work = KernelWorkspace(weight_planes(weights, 7), 16, 2650, 1568, 8)
+        idx, codes = posneg_spike_times(work, pixels, PosNeg())
+        for row, want_idx, want_codes in zip(pixels, idx, codes):
+            got, out = layer_spike_times(work, readme_encode(row.tolist(), PosNeg()))
+            assert np.array_equal(got, want_idx) and np.array_equal(out.codes, want_codes)
+        assert 0 < (idx >= 0).mean() < 1
+
+    def test_pixel_count_must_fit_the_lines(self):
+        work = KernelWorkspace(weight_planes(np.zeros((2, 10), dtype=np.int16), 7), 16, 5, 10, 1)
+        with pytest.raises(ValueError, match="images have 4 pixels, the layer has 10 lines"):
+            posneg_spike_times(work, np.zeros((3, 4), dtype=np.uint8), PosNeg())
+
+
 # Bank shapes, volleys and thresholds whose kernel memory is measured.
 KERNEL_CASES = [
     (640, 64, 1568, 7, 16, 3000, "graded"),  # deep-linear's first layer
@@ -566,3 +675,37 @@ class TestKernelBytes:
             tracemalloc.stop()
         assert held + peak + planes.nbytes <= kernel_bytes(neurons, lines, depth, period)
         assert idx.shape == (cols,)
+
+    @pytest.mark.parametrize(
+        "neurons, cols, lines, w_max, period, images",
+        [
+            (640, 64, 1568, 7, 16, 150),  # desk-posneg
+            (80, 8, 1568, 7, 16, 300),  # cli-pipeline, three image blocks
+            (640, 64, 1568, 40, 16, 100),  # planes deeper than the period
+            (2000, 1, 2, 2, 256, 300),  # one pixel, one column of 2000
+            (20000, 20000, 2, 7, 16, 1),  # one pixel, one image
+            (30, 3, 70000, 7, 1024, 5),  # a neuron's rows fill the block
+            (3, 1, 200000, 7, 64, 3),
+        ],
+    )
+    def test_bounds_workspace_and_batched_posneg_call(self, neurons, cols, lines, w_max, period, images):
+        # As an inference holds it: the workspace, then one batched call.
+        # The call's answers, two ``(images, cols)`` arrays, grow with the
+        # image count, as the run's record does, and are not counted.
+        rng = np.random.default_rng(neurons + lines)
+        weights = rng.integers(0, 2 * w_max + 1, size=(neurons, lines), dtype=np.int16)
+        planes = weight_planes(weights, w_max)
+        pixels = rng.integers(0, 256, size=(images, lines // 2), dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            work = KernelWorkspace(planes, period, 3000, lines, cols)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            idx, codes = posneg_spike_times(work, pixels, PosNeg())
+            peak = tracemalloc.get_traced_memory()[1] - before - idx.nbytes - codes.nbytes
+        finally:
+            tracemalloc.stop()
+        assert held + peak + planes.nbytes <= kernel_bytes(neurons, lines, w_max, period)
+        assert idx.shape == codes.shape == (images, cols)
