@@ -18,10 +18,11 @@ column first fires at step ``t``, the cycle has length ``t + 1`` (steps
 step 0 of the next cycle. A never-satisfied controller leaves the periodic
 rollover in charge and the cycle runs the full period.
 
-A run's ``GammaTrace`` is columnar: arrays of cycle lengths, end causes
-and per-column first-spike times, one row per cycle, validated once; its
-distinct column times go through ``encode.Volley.from_times``, as raw
-times given to ``run_cycle`` do.
+``cycle_ends`` states that rule once, over the step codes of any number
+of cycles, and ``run_cycle`` is its one-cycle case. A run's ``GammaTrace``
+is columnar: arrays of cycle lengths, end causes and per-column step codes,
+one row per cycle, the codes the kernel made. Raw times given to
+``run_cycle`` go through ``encode.Volley.from_times``.
 """
 
 from __future__ import annotations
@@ -48,26 +49,41 @@ class CycleResult:
     cause: GrstCause
 
 
+def cycle_ends(codes: np.ndarray, period: int, relaxed: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Each cycle's length and whether control ended it, from the step codes
+    of its columns: one cycle's codes, or one row per cycle, each column's
+    first-spike step and ``period`` where it stayed silent.
+
+    In relaxed mode a cycle ends one step after its last column fires, if
+    that lands before the rollover; otherwise, and always in fixed mode, the
+    cycle runs the full period.
+    """
+    # One step after the last column fires; widened first, since a silent
+    # uint8 code 255 plus one would wrap to 0.
+    end = codes.max(axis=-1).astype(np.int64) + 1
+    if not relaxed:
+        end = np.full_like(end, period)
+    # A silent column's code is the period, so a cycle ends before the
+    # rollover, by control, only once every column has fired.
+    return np.minimum(end, period), end < period
+
+
 def run_cycle(
     column_spike_times: Union[Volley, Sequence[SpikeTime]], period: int, relaxed: bool
 ) -> CycleResult:
-    """Length and cause of one gamma cycle from each column's first-spike time.
-
-    The times are the final layer's ``encode.Volley``, or raw times, which
-    ``Volley.from_times`` checks. In relaxed mode the cycle ends one step
-    after the last column fires, if that lands before the rollover;
-    otherwise, and always in fixed mode, the cycle runs the full period.
+    """Length and cause of one gamma cycle, by ``cycle_ends``, from each
+    column's first-spike time: the final layer's ``encode.Volley``, or raw
+    times, which ``Volley.from_times`` checks.
     """
     if not len(column_spike_times):
         raise ValueError("gamma control must monitor at least one column")
     volley = Volley.from_times(column_spike_times, period)
-    # A silent column's code is the volley's period, so the largest code is
-    # below it exactly when every column has fired, and is then the last
-    # step. Control rises on it, and the cycle ends one step later.
-    last = int(volley.codes.max())
-    if relaxed and last < volley.period and last + 1 < period:
-        return CycleResult(last + 1, GrstCause.CONTROL)
-    return CycleResult(period, GrstCause.PERIOD)
+    codes = volley.codes
+    if volley.period < period:
+        # A made volley marks silence with its own period.
+        codes = np.where(codes < volley.period, codes, period)
+    length, control = cycle_ends(codes, period, relaxed)
+    return CycleResult(int(length), GrstCause.CONTROL if control else GrstCause.PERIOD)
 
 
 # Trace cause names, indexed by ``control``.
@@ -80,34 +96,39 @@ class GammaTrace:
 
     ``lengths[i]`` is cycle ``i``'s length in clock steps, ``control[i]`` is
     true when the controller ended it and false when the period rolled over,
-    and ``col_times[i, c]`` is monitored column ``c``'s first spike time,
-    ``inf`` when the column stayed silent: a time that
-    ``encode.Volley.from_times`` takes.
+    and ``col_codes[i, c]`` is monitored column ``c``'s first-spike step,
+    ``period`` when the column stayed silent, held at the narrowest unsigned
+    width that holds the period. ``col_times`` gives them as float times,
+    ``inf`` for silence.
     """
 
     period: int
     lengths: np.ndarray
     control: np.ndarray
-    col_times: np.ndarray
+    col_codes: np.ndarray
 
     def __post_init__(self):
         self.lengths = np.asarray(self.lengths, dtype=np.int64)
         self.control = np.asarray(self.control, dtype=bool)
-        self.col_times = np.asarray(self.col_times, dtype=float)
-        shapes = (self.lengths.shape, self.control.shape, self.col_times.shape)
-        if self.col_times.ndim != 2 or not self.column_count or not (
-            shapes[0] == shapes[1] == shapes[2][:1]
-        ):
-            raise ValueError(f"trace shapes disagree: lengths, control, col_times {shapes}")
+        codes = np.asarray(self.col_codes)
+        shapes = (self.lengths.shape, self.control.shape, codes.shape)
+        if codes.ndim != 2 or not codes.shape[1] or not shapes[0] == shapes[1] == shapes[2][:1]:
+            raise ValueError(f"trace shapes disagree: lengths, control, col_codes {shapes}")
         bad = self.lengths[(self.lengths < 1) | (self.lengths > self.period)]
         if bad.size:
             raise ValueError(f"cycle length {bad[0]} outside 1..{self.period}")
-        # The distinct times alone, so a long run checks each time once.
-        Volley.from_times(np.unique(self.col_times), self.period)
+        # Codes that are integers in 0..period hold their value at its width.
+        self.col_codes = codes.astype(np.min_scalar_type(self.period), copy=False)
+        if not np.array_equal(self.col_codes, codes) or (self.col_codes > self.period).any():
+            raise ValueError(f"column codes must be integers in 0..{self.period}")
+
+    @property
+    def col_times(self) -> np.ndarray:
+        return np.where(self.col_codes < self.period, self.col_codes, INF)
 
     @property
     def column_count(self) -> int:
-        return self.col_times.shape[1]
+        return self.col_codes.shape[1]
 
     def __len__(self) -> int:
         return len(self.lengths)
@@ -116,9 +137,9 @@ class GammaTrace:
 def write_trace_csv(trace: GammaTrace, stream: TextIO) -> None:
     """One row per gamma cycle; firing columns packed as ``col:time`` pairs."""
     stream.write("cycle,length,cause,winners\n")
-    rows = zip(trace.lengths.tolist(), trace.control.tolist(), trace.col_times.tolist())
-    for i, (length, control, times) in enumerate(rows):
-        packed = ";".join(f"{c}:{int(t)}" for c, t in enumerate(times) if t != INF)
+    rows = zip(trace.lengths.tolist(), trace.control.tolist(), trace.col_codes.tolist())
+    for i, (length, control, codes) in enumerate(rows):
+        packed = ";".join(f"{c}:{t}" for c, t in enumerate(codes) if t < trace.period)
         stream.write(f"{i},{length},{CAUSE_NAMES[control]},{packed}\n")
 
 

@@ -16,7 +16,7 @@ Cycle savings compares the gamma period against what actually happened:
   ideal zero-delay controller would reach.
 
 A cycle in which some monitored column never fired could not have ended
-early, so its last-spike time counts as the full period.
+early: its largest step code is the silent column's, the full period.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
-from .encode import INF
 from .gamma import GammaTrace
 from .network import RunSummary
 
@@ -52,10 +51,10 @@ class SpikeHistogram:
 
 def spike_histogram(summary: RunSummary) -> SpikeHistogram:
     """Count network winner times over all presentations."""
-    times = summary.win_time
-    fired = times != INF
-    counts = np.bincount(times[fired].astype(np.int64), minlength=summary.trace.period)
-    return SpikeHistogram(counts=tuple(counts.tolist()), inf_count=int((~fired).sum()))
+    period = summary.trace.period
+    # A winner's time is its step code; code ``period`` counts the silent ones.
+    counts = np.bincount(summary.trace.col_codes.min(axis=1), minlength=period + 1).tolist()
+    return SpikeHistogram(counts=tuple(counts[:period]), inf_count=counts[period])
 
 
 @dataclass(frozen=True)
@@ -72,10 +71,6 @@ class PurityReport:
     purity: float
     groups: tuple[GroupStat, ...]
     unassigned: int
-
-    def __post_init__(self):
-        if not 0.0 <= self.purity <= 1.0:
-            raise ValueError(f"purity {self.purity} outside [0, 1]")
 
 
 def purity(summary: RunSummary, labels: Sequence[int]) -> PurityReport:
@@ -114,18 +109,16 @@ def cycle_savings(trace: GammaTrace, period: int) -> tuple[float, float]:
     """(realized, potential) fractional savings against the fixed period,
     which must be the trace's.
 
-    Realized uses delivered cycle lengths; potential uses last-spike times,
-    charging cycles with silent columns the whole period.
+    Realized uses delivered cycle lengths; potential uses last-spike steps,
+    which charge cycles with silent columns the whole period.
     """
     if period != trace.period:
         raise ValueError(f"savings against period {period} of a trace with period {trace.period}")
     n = len(trace)
     if n == 0:
         raise ValueError("trace is empty")
-    times = trace.col_times
-    last_spikes = np.where((times != INF).all(axis=1), times.max(axis=1), period)
     realized = 1.0 - (int(trace.lengths.sum()) / n) / period
-    potential = 1.0 - (int(last_spikes.sum()) / n) / period
+    potential = 1.0 - (int(trace.col_codes.max(axis=1).sum()) / n) / period
     return realized, potential
 
 

@@ -15,8 +15,10 @@ with ``neuron.posneg_spike_times``; each presentation then runs the layers
 after it and gamma control.
 
 A run leaves one columnar ``RunSummary``, one row per presentation: the
-gamma trace plus each final-layer column's winning neuron. Network
-winners, clock totals and every metric derive from these arrays.
+gamma trace of the final layer's step codes, as the kernel made them, plus
+each final-layer column's winning neuron, each at the narrowest width that
+holds it. Network winners, clock totals and every metric derive from these
+arrays.
 
 Everything is deterministic given the config seed: weight initialization
 draws from a seeded generator and the simulation itself has no other
@@ -197,9 +199,10 @@ class RunSummary:
 
     One row per presentation: the gamma trace plus ``col_neurons``, the
     winning neuron of each final-layer column, -1 exactly where the
-    column stayed silent. The network winner is the earliest column, ties
-    going to the lowest index; ``win_col`` and ``win_neuron`` are -1 and
-    ``win_time`` is inf where every column stayed silent.
+    column stayed silent. The network winner is the column with the
+    lowest step code, ties going to the lowest index; ``win_col`` and
+    ``win_neuron`` are -1 and ``win_time`` is inf where every column stayed
+    silent.
     """
 
     trace: gamma.GammaTrace
@@ -208,8 +211,8 @@ class RunSummary:
     images: int
 
     def __post_init__(self):
-        self.col_neurons = np.asarray(self.col_neurons, dtype=np.int64)
-        silent = self.trace.col_times == INF
+        self.col_neurons = np.asarray(self.col_neurons)
+        silent = self.trace.col_codes == self.trace.period
         if not np.array_equal(self.col_neurons == -1, silent) or (self.col_neurons < -1).any():
             raise ValueError(
                 "col_neurons must hold a neuron index for every column that "
@@ -226,15 +229,16 @@ class RunSummary:
 
     @property
     def win_time(self) -> np.ndarray:
-        return self.trace.col_times.min(axis=1)
+        first = self.trace.col_codes.min(axis=1)
+        return np.where(first < self.trace.period, first, INF)
 
     @property
     def win_col(self) -> np.ndarray:
-        return np.where(self.win_time == INF, -1, self.trace.col_times.argmin(axis=1))
+        return np.where(self.win_time < INF, self.trace.col_codes.argmin(axis=1), -1)
 
     @property
     def win_neuron(self) -> np.ndarray:
-        col = self.trace.col_times.argmin(axis=1)
+        col = self.trace.col_codes.argmin(axis=1)
         return self.col_neurons[np.arange(len(col)), col]
 
 
@@ -300,11 +304,11 @@ class TnnNetwork:
             raise ValueError(
                 f"images have {dataset.pixels.shape[1]} pixels, layer 0 expects {cfg.pixel_count}"
             )
-        n, cols = epochs * len(dataset), cfg.layers[-1][0]
+        n, (cols, neurons) = epochs * len(dataset), cfg.layers[-1]
         lengths = np.empty(n, dtype=np.int64)
         control = np.empty(n, dtype=bool)
-        col_codes = np.empty((n, cols), dtype=np.int64)
-        col_neurons = np.empty((n, cols), dtype=np.int64)
+        col_codes = np.empty((n, cols), dtype=np.min_scalar_type(cfg.period))
+        col_neurons = np.empty((n, cols), dtype=np.min_scalar_type(-neurons))
         # Every column's neurons stacked into one bank per layer, deep
         # enough to hold every weight, so a layer learns on its planes.
         depth = cfg.stdp_params.w_max
@@ -338,10 +342,8 @@ class TnnNetwork:
             # The weights of every presentation that finished, even if one raised.
             for w, state in zip(self.weights, learning or ()):
                 state.unpack(w)
-        # A column's step code is the period where it stayed silent.
-        col_times = np.where(col_codes < cfg.period, col_codes, INF)
         return RunSummary(
-            trace=gamma.GammaTrace(cfg.period, lengths, control, col_times),
+            trace=gamma.GammaTrace(cfg.period, lengths, control, col_codes),
             col_neurons=col_neurons,
             epochs=epochs,
             images=len(dataset),
@@ -375,14 +377,16 @@ def write_summary_csv(summary: RunSummary, stream: TextIO) -> None:
 
 
 def save_summary_npz(summary: RunSummary, path) -> None:
-    """Binary form of the run record, each array at the dtype it holds."""
+    """Binary form of the run record, in the format it has always had:
+    int64 counts and neurons, and float64 column times with ``inf`` for
+    silence."""
     trace = summary.trace
     np.savez_compressed(
         path,
         lengths=trace.lengths,
         causes=trace.control,
         col_times=trace.col_times,
-        col_neurons=summary.col_neurons,
+        col_neurons=summary.col_neurons.astype(np.int64),
         meta=np.array(
             [trace.period, trace.column_count, summary.epochs, summary.images],
             dtype=np.int64,
@@ -444,8 +448,11 @@ def load_summary_npz(path) -> RunSummary:
     if causes.dtype.kind not in "biu" or not np.isin(causes, (0, 1)).all():
         raise ValueError(f"{path}: member 'causes' must hold bools or integers 0 and 1")
     period, columns, epochs, images = (int(v) for v in data["meta"])
+    times = data["col_times"]
     try:
-        trace = gamma.GammaTrace(period, data["lengths"], causes, data["col_times"])
+        # Stored times go through the spike-time rule once, into step codes.
+        codes = Volley.from_times(times.ravel(), period).codes.reshape(times.shape)
+        trace = gamma.GammaTrace(period, data["lengths"], causes, codes)
         summary = RunSummary(trace, data["col_neurons"], epochs, images)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
@@ -458,22 +465,17 @@ def load_summary_npz(path) -> RunSummary:
             f"{path}: meta records {epochs} epochs of {images} images "
             f"for a trace of {len(trace)} cycles"
         )
-    # As run_cycle ends them: a control cycle one step after its last
-    # column time and before the period, any other cycle on the period.
-    lengths, control = trace.lengths, trace.control
-    last = trace.col_times.max(axis=1)  # inf where a column stayed silent
-    bad = np.flatnonzero(
-        np.where(control, (lengths != last + 1) | (lengths == period), lengths != period)
-    )
+    # Cycles end as gamma control ends them; a record with a control cycle
+    # is a relaxed run's, and one without may be a fixed run's.
+    want = gamma.cycle_ends(trace.col_codes, period, relaxed=trace.control.any())
+    bad = np.flatnonzero((trace.lengths != want[0]) | (trace.control != want[1]))
     if bad.size:
-        i = int(bad[0])
-        if control[i]:
-            raise ValueError(
-                f"{path}: control cycle {i} has length {lengths[i]}; control ends a cycle one "
-                f"step after its last column time ({last[i]:g}), before the period {period}"
-            )
+        i = bad[0]
+        cause = gamma.CAUSE_NAMES[bool(trace.control[i])]
         raise ValueError(
-            f"{path}: period cycle {i} has length {lengths[i]}, not the period {period}"
+            f"{path}: {cause} cycle {i} has length {trace.lengths[i]}; control ends a cycle one "
+            f"step after its last column time ({trace.col_times[i].max():g}), before the period "
+            f"{period}, and a cycle it does not end runs the period"
         )
     return summary
 

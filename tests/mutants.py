@@ -55,6 +55,8 @@ NETWORK = "src/tnnsim/network.py"
 METRICS = "src/tnnsim/metrics.py"
 DATAIO = "src/tnnsim/dataio.py"
 COSTMODEL = "src/tnnsim/costmodel.py"
+CLI = "src/tnnsim/cli.py"
+SYNTH = "src/tnnsim/synth.py"
 
 A = "tests/test_acceptance.py::"
 C = "tests/test_costmodel.py::"
@@ -67,7 +69,8 @@ S = "tests/test_stdp.py::"
 T = "tests/test_spike_times.py::"
 V = "tests/test_volley.py::"
 W = "tests/test_network.py::"
-GOLDEN = "tests/test_cli.py::TestTrainInferReport::test_golden_run_keeps_its_bytes"
+L = "tests/test_cli.py::"
+GOLDEN = L + "TestTrainInferReport::test_golden_run_keeps_its_bytes"
 
 MUTANTS = (
     # The spike-time kernel, neuron.py.
@@ -520,7 +523,7 @@ MUTANTS = (
     # Gamma control, gamma.py.
     Mutant(
         "gamma-control-at-rollover", GAMMA,
-        "last + 1 < period", "last + 1 <= period",
+        "end < period", "end <= period",
         (
             G + "TestRunCycle::test_spike_on_last_step_cannot_beat_rollover",
             A + "test_criterion_04_gamma_functional_suite",
@@ -528,15 +531,12 @@ MUTANTS = (
     ),
     Mutant(
         "gamma-control-without-all-fired", GAMMA,
-        "if relaxed and last < volley.period and", "if relaxed and",
-        (
-            G + "TestRunCycle::test_silent_column_leaves_periodic_rollover",
-            V + "TestVolley::test_silence_counts_in_the_volley_cycle",
-        ),
+        "if volley.period < period:", "if False:",
+        (V + "TestVolley::test_silence_counts_in_the_volley_cycle",),
     ),
     Mutant(
         "gamma-fixed-mode-ends-early", GAMMA,
-        "if relaxed and last < volley.period and", "if last < volley.period and",
+        "if not relaxed:", "if False:",
         (
             G + "TestRunCycle::test_fixed_mode_always_runs_full_period",
             G + "TestRunCycle::test_matches_oracle",
@@ -544,7 +544,7 @@ MUTANTS = (
     ),
     Mutant(
         "gamma-control-length-short", GAMMA,
-        "CycleResult(last + 1, GrstCause.CONTROL)", "CycleResult(last, GrstCause.CONTROL)",
+        "np.minimum(end, period)", "np.minimum(end - 1, period)",
         (
             G + "TestRunCycle::test_simultaneous_spikes_end_one_step_later",
             G + "TestRunCycle::test_matches_oracle",
@@ -552,16 +552,64 @@ MUTANTS = (
     ),
     Mutant(
         "gamma-reads-first-step", GAMMA,
-        "last = int(volley.codes.max())", "last = int(volley.codes.min())",
+        "end = codes.max(axis=-1)", "end = codes.min(axis=-1)",
         (
             G + "TestRunCycle::test_last_column_gates_the_reset",
             G + "TestRunCycle::test_matches_oracle",
         ),
     ),
     Mutant(
-        "trace-times-unchecked", GAMMA,
-        "Volley.from_times(np.unique(self.col_times), self.period)", "pass",
+        "gamma-rule-unwidened", GAMMA,
+        ".astype(np.int64) + 1", " + 1",
+        (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[255-128]",),
+    ),
+    Mutant(
+        "gamma-rule-plus-one-dropped", GAMMA,
+        ".astype(np.int64) + 1", ".astype(np.int64)",
+        (
+            G + "TestRunCycle::test_simultaneous_spikes_end_one_step_later",
+            W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[255-128]",
+        ),
+    ),
+    Mutant(
+        "trace-codes-unchecked", GAMMA,
+        "if not np.array_equal(self.col_codes, codes) or (self.col_codes > self.period).any():",
+        "if (self.col_codes > self.period).any():",
+        (
+            G + "TestTrace::test_rejects_codes_that_are_not_steps[16--1]",
+            G + "TestTrace::test_rejects_codes_that_are_not_steps[255-300]",
+        ),
+    ),
+    Mutant(
+        "trace-codes-one-byte", GAMMA,
+        "codes.astype(np.min_scalar_type(self.period), copy=False)",
+        "codes.astype(np.uint8, copy=False)",
+        (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[256-128]",),
+    ),
+    Mutant(
+        "trace-times-unchecked", NETWORK,
+        "Volley.from_times(times.ravel(), period).codes",
+        "Volley(np.where(times == INF, period, times).ravel().astype(np.int64), period).codes",
         (T + "TestRejected::test_trace[2.5]", T + "TestRejected::test_trace[16]"),
+    ),
+    Mutant(
+        "summary-loader-rule-unchecked", NETWORK,
+        "bad = np.flatnonzero((trace.lengths != want[0]) | (trace.control != want[1]))",
+        "bad = np.flatnonzero(want[1] != want[1])",
+        (
+            W + "TestSummaryArtifacts::test_summary_npz_control_cycle_ends_after_its_last_time",
+            W + "TestSummaryArtifacts::test_summary_npz_period_cycle_runs_the_period",
+        ),
+    ),
+    Mutant(
+        "run-winners-one-byte", NETWORK,
+        "dtype=np.min_scalar_type(-neurons)", "dtype=np.int8",
+        (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[255-129]",),
+    ),
+    Mutant(
+        "win-col-ties-to-highest", NETWORK,
+        "codes.argmin(axis=1), -1)", "codes.shape[1] - 1 - codes[:, ::-1].argmin(axis=1), -1)",
+        (M + "TestAgainstPerRowReference::test_random_records",),
     ),
     # The CSV writers.
     Mutant(
@@ -619,10 +667,19 @@ MUTANTS = (
     ),
     Mutant(
         "savings-any-column-fired", METRICS,
-        "(times != INF).all(axis=1)", "(times != INF).any(axis=1)",
+        "trace.col_codes.max(axis=1).sum()",
+        "np.where(trace.col_codes < period, trace.col_codes, 0).max(axis=1).sum()",
         (
             M + "TestCycleSavings::test_silent_column_charges_full_period",
             M + "TestAgainstPerRowReference::test_random_records",
+        ),
+    ),
+    Mutant(
+        "savings-silent-code-uncharged", METRICS,
+        "trace.col_codes.max(axis=1).sum()", "(trace.col_codes.max(axis=1) % period).sum()",
+        (
+            M + "TestCycleSavings::test_silent_column_charges_full_period",
+            M + "TestCycleSavings::test_mixed_trace_averages",
         ),
     ),
     Mutant(
@@ -730,6 +787,44 @@ MUTANTS = (
         "idx-payload-bound-doubled", DATAIO,
         "if need > _MAX_DECLARED:", "if need > 2 * _MAX_DECLARED:",
         ("tests/test_dataio.py::TestReadIdxImages::test_dimension_overflow",),
+    ),
+    Mutant(
+        "labels-magic-unchecked", DATAIO,
+        "if magic != IDX_LABEL_MAGIC:", "if False:",
+        (D + "TestReadIdxLabels::test_bad_magic_named",),
+    ),
+    Mutant(
+        "labels-negative-count", DATAIO,
+        "if count < 0 or count > _MAX_DECLARED:", "if count > _MAX_DECLARED:",
+        (D + "TestReadIdxLabels::test_declared_count_out_of_range[-1]",),
+    ),
+    # Config reading, cli.py; synthetic digits, synth.py; the rest of a run's
+    # rejections and reports.
+    Mutant(
+        "cli-run-integer-any-text", CLI,
+        'raise ConfigError(f"key {key!r}: {cfg[key]!r} is not an integer") from None',
+        "return default",
+        (L + "TestTrainInferReport::test_epochs_not_an_integer_exits_one",),
+    ),
+    Mutant(
+        "cli-images-key-unchecked", CLI,
+        "if img_key is None:", "if False:",
+        (L + "TestTrainInferReport::test_config_without_images_exits_one[train-('train_images', 'images')]",),
+    ),
+    Mutant(
+        "glyph-any-digit", SYNTH,
+        "if digit not in _DIGIT_SEGMENTS:", "if False:",
+        (L + "TestSynthScript::test_glyph_takes_a_digit[10]",),
+    ),
+    Mutant(
+        "volley-repr-codes", ENCODE,
+        'f"Volley({self.times.tolist()!r}', 'f"Volley({self.codes.tolist()!r}',
+        (V + "TestVolley::test_repr_shows_times_and_period",),
+    ),
+    Mutant(
+        "purity-empty-record-divides", METRICS,
+        "return PurityReport(purity=0.0, groups=(), unassigned=0)", "pass",
+        (M + "TestPurity::test_empty_record_scores_zero",),
     ),
 )
 

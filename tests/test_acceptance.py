@@ -222,7 +222,7 @@ def test_criterion_08_cycle_savings(desk_scale):
             period=16,
             lengths=np.full(64, 6),
             control=np.ones(64, dtype=bool),
-            col_times=np.full((64, 3), 5.0),
+            col_codes=np.full((64, 3), 5),
         )
         realized, potential = metrics.cycle_savings(trace, 16)
         assert potential == 0.6875
@@ -237,9 +237,9 @@ def test_criterion_08_cycle_savings(desk_scale):
 def test_criterion_09_purity_sanity(desk_scale):
     with criterion(9, "winner-group purity"):
         # winners (column, neuron) at time 5: (0,0) three times, (1,1) twice
-        col_times = np.array([[5, INF]] * 3 + [[INF, 5]] * 2)
+        col_codes = np.array([[5, 16]] * 3 + [[16, 5]] * 2)
         col_neurons = np.array([[0, -1]] * 3 + [[-1, 1]] * 2)
-        trace = GammaTrace(16, np.full(5, 6), np.ones(5, dtype=bool), col_times)
+        trace = GammaTrace(16, np.full(5, 6), np.ones(5, dtype=bool), col_codes)
         summary = RunSummary(trace, col_neurons, epochs=1, images=5)
         assert purity_metric(summary, [7, 7, 3, 2, 2]).purity == 0.8
         desk = purity_metric(desk_scale.summary, desk_scale.labels)

@@ -724,6 +724,33 @@ class TestTrainInferReport:
         assert err.startswith("error: ") and key in err
         assert not (tmp_path / "o").exists()
 
+    def test_epochs_not_an_integer_exits_one(self, data_dir, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "run.cfg", images=data_dir / "imgs.idx", layers="2x2", threshold=10,
+            epochs="x",
+        )
+        rc = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: key 'epochs': 'x' is not an integer\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("train", "('train_images', 'images')"),
+            ("infer", "('test_images', 'images', 'train_images')"),
+        ],
+    )
+    def test_config_without_images_exits_one(self, tmp_path, capsys, command, keys):
+        cfg = write_config(tmp_path / "run.cfg", labels=tmp_path / "labs.idx", layers="2x2")
+        weights = tmp_path / "weights.npz"
+        save_weights_npz(TnnNetwork(NetworkConfig(layers=((2, 2),), pixel_count=16)), weights)
+        extra = ["--weights", str(weights)] if command == "infer" else []
+        rc = run_cli([command, "--config", str(cfg), *extra, "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: one of {keys} is required\n"
+        assert not (tmp_path / "o").exists()
+
     def test_infer_requires_weights_flag(self, cfg_path, tmp_path, capsys):
         rc = run_cli(["infer", "--config", str(cfg_path), "--out", str(tmp_path / "o")])
         assert rc == 1
@@ -750,6 +777,11 @@ class TestSynthScript:
         err = capsys.readouterr().err
         assert f"error: argument {flag}: invalid int value: 'x'\n" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("digit", [10, -1])
+    def test_glyph_takes_a_digit(self, digit):
+        with pytest.raises(ValueError, match=f"digit must be 0..9, got {digit}"):
+            synth.glyph(digit)
 
     def test_writes_train_and_test_pairs(self, tmp_path, capsys):
         out = tmp_path / "digits"

@@ -112,6 +112,18 @@ class TestReadIdxLabels:
         with pytest.raises(BadMagicError):
             read_idx_labels(pack_images([[1, 2, 3, 4]], 2, 2))
 
+    def test_bad_magic_named(self):
+        blob = struct.pack(">ii", 2050, 1) + bytes(1)
+        with pytest.raises(BadMagicError, match="expected label magic 2049, got 2050"):
+            read_idx_labels(blob)
+
+    @pytest.mark.parametrize("count", [-1, -(1 << 31)])
+    def test_declared_count_out_of_range(self, count):
+        # A signed header count; unchecked, -1 would read every byte after it.
+        blob = struct.pack(">ii", 2049, count) + bytes(4)
+        with pytest.raises(DimensionOverflowError, match=f"declared count {count} out of range"):
+            read_idx_labels(blob)
+
     def test_out_of_range_label(self):
         with pytest.raises(LabelRangeError):
             read_idx_labels(pack_labels([3, 10]))

@@ -238,11 +238,11 @@ class TestRunCycle:
 class TestTrace:
     def test_rejects_over_length_record(self):
         with pytest.raises(ValueError, match="cycle length 17"):
-            GammaTrace(16, [17], [False], [[INF, INF]])
+            GammaTrace(16, [17], [False], [[16, 16]])
 
     def test_rejects_malformed_rows(self):
         with pytest.raises(ValueError):
-            GammaTrace(16, [0], [False], [[INF, INF]])  # length below 1
+            GammaTrace(16, [0], [False], [[16, 16]])  # length below 1
         with pytest.raises(ValueError):
             GammaTrace(16, [6, 6], [True], [[1, 2], [1, 2]])  # control too short
         with pytest.raises(ValueError):
@@ -250,12 +250,20 @@ class TestTrace:
         with pytest.raises(ValueError):
             GammaTrace(16, [6], [True], np.empty((1, 0)))  # no columns
 
+    @pytest.mark.parametrize(
+        "period, code", [(16, 17), (16, -1), (16, 2.5), (255, 300), (256, 2**16 + 3)]
+    )
+    def test_rejects_codes_that_are_not_steps(self, period, code):
+        # Past the period, negative, fractional, or wrapped by the narrow width.
+        with pytest.raises(ValueError, match=f"column codes must be integers in 0..{period}"):
+            GammaTrace(period, [period], [False], [[code, period]])
+
     def test_lengths_and_csv(self):
         trace = GammaTrace(
             period=16,
             lengths=[6, 16],
             control=[True, False],
-            col_times=[[3, 5], [2, INF]],
+            col_codes=[[3, 5], [2, 16]],
         )
         assert trace.lengths.tolist() == [6, 16]
         assert trace.column_count == 2

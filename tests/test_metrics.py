@@ -10,7 +10,6 @@ import pytest
 import oracle
 
 from tnnsim.dataio import read_idx_labels
-from tnnsim.encode import INF
 from tnnsim.gamma import GammaTrace
 from tnnsim.metrics import (
     SpikeHistogram,
@@ -32,16 +31,16 @@ def fake_summary(winners, period=16, column_count=3, epochs=1):
     Each winner's column fires alone at the winner's time.
     """
     n = len(winners)
-    col_times = np.full((n, column_count), INF)
+    col_codes = np.full((n, column_count), period)
     col_neurons = np.full((n, column_count), -1)
     lengths = np.full(n, period)
     for i, win in enumerate(winners):
         if win is not None:
             column, neuron, time = win
-            col_times[i, column] = time
+            col_codes[i, column] = time
             col_neurons[i, column] = neuron
             lengths[i] = min(period, time + 1)
-    trace = GammaTrace(period, lengths, lengths < period, col_times)
+    trace = GammaTrace(period, lengths, lengths < period, col_codes)
     return RunSummary(trace, col_neurons, epochs=epochs, images=n // epochs)
 
 
@@ -89,6 +88,10 @@ class TestSpikeHistogram:
 
 
 class TestPurity:
+    def test_empty_record_scores_zero(self):
+        report = purity(fake_summary([]), [])
+        assert (report.purity, report.groups, report.unassigned) == (0.0, (), 0)
+
     def test_five_sample_example_is_exactly_point_eight(self):
         # group (0,0): labels 7,7,3 -> majority 2; group (1,1): labels 2,2
         winners = [
@@ -154,12 +157,12 @@ class TestPurity:
 
 class TestCycleSavings:
     def make_trace(self, entries, period=16, column_count=3):
-        col_times = np.full((len(entries), column_count), INF)
+        col_codes = np.full((len(entries), column_count), period)
         for i, (_, winners) in enumerate(entries):
             for c, t in winners:
-                col_times[i, c] = t
+                col_codes[i, c] = t
         lengths = np.array([length for length, _ in entries], dtype=np.int64)
-        return GammaTrace(period, lengths, lengths < period, col_times)
+        return GammaTrace(period, lengths, lengths < period, col_codes)
 
     def test_uniform_last_spike_at_five(self):
         # every column spikes by step 5; controller delivers 6-step cycles
@@ -190,7 +193,7 @@ class TestCycleSavings:
 
     def test_period_must_be_the_traces(self):
         # Against period 8, a 16-step trace once read realized savings -0.25.
-        trace = GammaTrace(16, [16, 4], [False, True], [[INF, 3], [3, 3]])
+        trace = GammaTrace(16, [16, 4], [False, True], [[16, 3], [3, 3]])
         assert cycle_savings(trace, 16) == (1.0 - 10 / 16, 1.0 - 9.5 / 16)
         for period in (8, 32):
             with pytest.raises(ValueError, match=f"against period {period} of a trace with"):
@@ -222,10 +225,10 @@ class TestAgainstPerRowReference:
             True,
             (kind == 1)[:, None] & (rng.random((n, cols)) < 0.5),
         )
-        col_times = np.where(silent, INF, rng.integers(0, period, size=(n, cols)))
+        col_codes = np.where(silent, period, rng.integers(0, period, size=(n, cols)))
         col_neurons = np.where(silent, -1, rng.integers(0, 5, size=(n, cols)))
         lengths = rng.integers(1, period + 1, size=n)
-        trace = GammaTrace(period, lengths, rng.random(n) < 0.5, col_times)
+        trace = GammaTrace(period, lengths, rng.random(n) < 0.5, col_codes)
         summary = RunSummary(trace, col_neurons, epochs=epochs, images=images)
         # Few distinct labels, so majority votes often tie.
         labels = rng.integers(0, 3, size=images)

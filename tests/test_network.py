@@ -16,9 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+import oracle
 from oracle import reference_run
 
-from tnnsim import gamma, network, synth
+from tnnsim import gamma, metrics, network, synth
 from tnnsim.dataio import LabeledDataset
 from tnnsim.encode import INF, KINDS, Linear, Log, PosNeg
 from tnnsim.network import (
@@ -711,6 +712,55 @@ class TestSummaryArtifacts:
         assert loaded.trace.lengths.tolist() == [period, 1, 1]
         assert loaded.trace.control.tolist() == [False, True, True]
 
+    @pytest.mark.parametrize("neurons", [128, 129])
+    @pytest.mark.parametrize("period", [255, 256])
+    def test_record_widths_at_their_boundaries(self, tmp_path, period, neurons):
+        # Codes are uint8 up to period 255 and uint16 from 256, winners int8
+        # up to 128 neurons a column and int16 from 129. Three presentations:
+        # column 0 first fires on the last step, stays silent, and fires with
+        # column 1 halfway through the cycle, which control ends.
+        cfg = NetworkConfig(((2, neurons),), 1, period=period, threshold=1, encoder=Linear(period))
+        net = TnnNetwork(cfg)
+        w = net.weights[0]
+        w[:] = 0
+        w[0, -1, 0] = w[1, -1, 1] = 2  # column 0 reads the positive line, column 1 the negative
+        ds = dataset_of([[1], [0], [128]], labels=[0, 1, 2], side=1)
+        run = net.infer(ds)
+        assert run.trace.col_codes.dtype == (np.uint8 if period == 255 else np.uint16)
+        assert run.col_neurons.dtype == (np.int8 if neurons == 128 else np.int16)
+        assert run.trace.col_codes[:2, 0].tolist() == [period - 1, period]
+        assert run.trace.control.tolist() == [False, False, True]
+        # The same record held at int64, and the reference run's rows.
+        trace = gamma.GammaTrace(period, run.trace.lengths, run.trace.control, run.trace.col_codes)
+        trace.col_codes = trace.col_codes.astype(np.int64)
+        wide = RunSummary(trace, run.col_neurons.astype(np.int64), epochs=1, images=3)
+        rows = reference_run(cfg, ds.pixels, 1, False, net.weights)[0]
+        assert [list(r) for r in zip(*rows)] == [
+            run.trace.lengths.tolist(), run.trace.control.tolist(),
+            run.trace.col_times.tolist(), run.col_neurons.tolist(),
+        ]
+        for codes in (run.trace.col_codes, wide.trace.col_codes):
+            lengths, control = gamma.cycle_ends(codes, period, relaxed=True)
+            assert lengths.tolist() == run.trace.lengths.tolist()
+            assert control.tolist() == run.trace.control.tolist()
+        for summary in (run, wide):
+            assert metrics.cycle_savings(summary.trace, period) == oracle.cycle_savings(
+                run.trace.lengths.tolist(), run.trace.col_times.tolist(), period
+            )
+        for write in (write_summary_csv, lambda s, f: gamma.write_trace_csv(s.trace, f)):
+            texts = [io.StringIO(), io.StringIO()]
+            write(run, texts[0])
+            write(wide, texts[1])
+            assert texts[0].getvalue() == texts[1].getvalue()
+        assert metrics.spike_histogram(run) == metrics.spike_histogram(wide)
+        path = tmp_path / "summary.npz"
+        save_summary_npz(run, path)
+        loaded = load_summary_npz(path)
+        for field in ("lengths", "control", "col_codes"):
+            got, want = getattr(loaded.trace, field), getattr(run.trace, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(loaded.col_neurons, run.col_neurons)
+
     def test_summary_npz_narrow_format_loads(self, tmp_path):
         # Files written with int32/int8/float32/int16 members still load.
         net = TnnNetwork(tiny_config())
@@ -724,11 +774,11 @@ class TestSummaryArtifacts:
         assert np.array_equal(loaded.col_neurons, summary.col_neurons)
 
     @staticmethod
-    def two_cycles(lengths=(16, 4), col_times=((2, INF), (3, 1))):
+    def two_cycles(lengths=(16, 4), col_codes=((2, 16), (3, 1))):
         """A period cycle and a control cycle of 2 columns, by default as a
         relaxed run writes them."""
-        trace = gamma.GammaTrace(16, lengths, (False, True), col_times)
-        neurons = np.where(np.isinf(trace.col_times), -1, 0)
+        trace = gamma.GammaTrace(16, lengths, (False, True), col_codes)
+        neurons = np.where(trace.col_codes == 16, -1, 0)
         return RunSummary(trace, neurons, epochs=1, images=2)
 
     @pytest.mark.parametrize(
@@ -759,24 +809,25 @@ class TestSummaryArtifacts:
         assert str(path) in str(exc.value)
 
     @pytest.mark.parametrize(
-        "lengths, col_times",
+        "lengths, col_codes",
         [
-            ((16, 5), ((2, INF), (10, 2))),
-            ((16, 4), ((2, INF), (3, INF))),
-            ((16, 16), ((2, INF), (15, 1))),
+            ((16, 5), ((2, 16), (10, 2))),
+            ((16, 4), ((2, 16), (3, 16))),
+            ((16, 16), ((2, 16), (15, 1))),
         ],
         ids=["before-last-time", "silent-column", "at-the-period"],
     )
     def test_summary_npz_control_cycle_ends_after_its_last_time(
-        self, tmp_path, lengths, col_times
+        self, tmp_path, lengths, col_codes
     ):
         # run_cycle ends a cycle by control only once every column fired,
         # one step after the last, and only before the period.
         path = tmp_path / "summary.npz"
-        save_summary_npz(self.two_cycles(lengths, col_times=col_times), path)
+        save_summary_npz(self.two_cycles(lengths, col_codes=col_codes), path)
+        last = max(col_codes[1])
         message = (
             f"{path}: control cycle 1 has length {lengths[1]}; control ends a cycle "
-            f"one step after its last column time ({max(col_times[1]):g})"
+            f"one step after its last column time ({'inf' if last == 16 else last})"
         )
         with pytest.raises(ValueError, match=re.escape(message)):
             load_summary_npz(path)

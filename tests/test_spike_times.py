@@ -3,9 +3,10 @@
 ``encode.Volley.from_times`` states the rule: a spike time is ``inf`` or a
 whole step in ``0..period - 1``. Each row goes through every module that
 reads spike times: the layer kernel (a volley line), the STDP update (a
-winner time), gamma control and the gamma trace (a column time). A rejected
-row raises ``ValueError`` naming the value in each of them, before anything
-changes; an accepted row reads as the step it is, as the oracles read it.
+winner time), gamma control and the run record's loader (a stored column
+time). A rejected row raises ``ValueError`` naming the value in each of
+them, before anything changes; an accepted row reads as the step it is, as
+the oracles read it.
 Times that are not 1-D are rejected by every reader too.
 """
 
@@ -25,7 +26,8 @@ from oracle import (
 )
 
 from tnnsim.encode import INF, Volley, pack_lines
-from tnnsim.gamma import GammaTrace, run_cycle
+from tnnsim.gamma import run_cycle
+from tnnsim.network import load_summary_npz
 from tnnsim.neuron import KernelWorkspace, layer_spike_times, weight_planes
 from tnnsim.stdp import LearningState, StdpParams, update_layer
 
@@ -78,6 +80,17 @@ def stdp_update(t, x=(0.0, 3.0, INF)):
     return state.work.planes, state.parity, lambda: update_layer(state, x, winners, z)
 
 
+def load_record(tmp_path, t):
+    """A one-cycle run record whose columns first fire at ``t`` and never,
+    saved as a ``summary.npz`` and loaded again."""
+    path = tmp_path / "summary.npz"
+    np.savez_compressed(
+        path, lengths=[PERIOD], causes=[False], col_times=[[t, INF]],
+        col_neurons=[[-1 if t == INF else 0, -1]], meta=[PERIOD, 2, 1, 1],
+    )
+    return load_summary_npz(path)
+
+
 def clocked(times, relaxed):
     res, _, _ = clocked_cycle(
         GeneratorState(period=PERIOD), make_controller(len(times)), times, relaxed
@@ -107,9 +120,9 @@ class TestRejected:
         with rejects(text):
             run_cycle([t, 3], PERIOD, relaxed)
 
-    def test_trace(self, t, text):
+    def test_trace(self, t, text, tmp_path):
         with rejects(text):
-            GammaTrace(PERIOD, [PERIOD], [False], [[t, INF]])
+            load_record(tmp_path, t)
 
 
 @pytest.mark.parametrize("t", ACCEPTED, ids=repr)
@@ -141,8 +154,8 @@ class TestAccepted:
     def test_run_cycle(self, t, relaxed):
         assert run_cycle([t, 3], PERIOD, relaxed) == clocked([t, 3], relaxed)
 
-    def test_trace(self, t):
-        trace = GammaTrace(PERIOD, [PERIOD], [False], [[t, INF]])
+    def test_trace(self, t, tmp_path):
+        trace = load_record(tmp_path, t).trace
         assert trace.col_times.tolist() == [[float(t), INF]]
 
 

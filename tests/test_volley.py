@@ -93,6 +93,9 @@ class TestVolley:
         with pytest.raises(AttributeError, match="immutable"):
             volley.codes = volley.codes.copy()
 
+    def test_repr_shows_times_and_period(self):
+        assert repr(Volley.from_times([3, INF, 0], 16)) == "Volley([3.0, inf, 0.0], period=16)"
+
     def test_asarray_gives_times(self):
         volley = encode_image(np.array([0, 200, 90], dtype=np.uint8), PosNeg(127))
         assert np.asarray(volley, dtype=float).tolist() == [INF, 0, INF, 0, INF, 0]
@@ -128,10 +131,10 @@ class TestVolley:
 
 
 def test_a_run_checks_no_volley_it_made(monkeypatch):
-    """Every ``Volley.from_times`` call a seeded ``train`` and ``infer`` make
-    on raw times is the gamma trace's one check of its column times: none
-    is on the times of a volley the encoder or a kernel made, which pass
-    through as they are. Both weight stores and both codes run."""
+    """A seeded ``train`` and ``infer`` make no ``Volley.from_times`` call on
+    raw times: the volleys the encoder and the kernels made pass through as
+    they are, and the run record keeps the final layer's step codes. Both
+    weight stores and both codes run."""
     callers = []
     door = Volley.from_times.__func__
 
@@ -161,5 +164,4 @@ def test_a_run_checks_no_volley_it_made(monkeypatch):
         inferred = net.infer(ds)
         for summary in (trained, inferred):
             assert (summary.col_neurons >= 0).any()
-    # One per run: ``GammaTrace.__post_init__``.
-    assert callers == ["__post_init__"] * (2 * len(configs))
+    assert callers == []
