@@ -107,11 +107,8 @@ def _load_dataset(
 
 
 def _cmd_encode(args) -> int:
-    with open(args.idx, "rb") as f:
-        dataset = dataio.read_idx_images(f)
-    if args.labels:
-        with open(args.labels, "rb") as f:
-            dataset = dataio.attach_labels(dataset, dataio.read_idx_labels(f))
+    files = {"images": args.idx, "labels": args.labels}
+    dataset = _load_dataset(files, ("images",), ("labels",) if args.labels else ())
     kind = KINDS[args.encoder]
     kind = PosNeg(args.threshold) if kind is PosNeg else kind(args.period)
     out = pathlib.Path(args.out)

@@ -81,8 +81,9 @@ class Volley:
     """One volley, checked once, where it is made.
 
     - ``period``: the length of the cycle its codes count in;
-    - ``codes``: each line's spike step, a 1-D integer array, equal to
-      ``period`` where the line never spikes;
+    - ``codes``: each line's spike step, a 1-D array held at
+      ``np.min_scalar_type(period)``, the narrowest unsigned width that
+      holds the period, equal to ``period`` where the line never spikes;
     - ``steps``: the distinct arrival steps, increasing, as int64;
     - ``masks``: one packed ``uint64`` mask of the lines arriving at each
       step, ``(len(steps), ceil(lines / 64))``, as ``pack_lines`` packs them.
@@ -149,7 +150,7 @@ class Volley:
                 raise ValueError(
                     f"spike time {bad[0]:g} is not inf or a whole step in 0..{period - 1}"
                 )
-        return cls(np.where(t == INF, period, t).astype(np.int64), period)
+        return cls(np.where(t == INF, period, t).astype(np.min_scalar_type(period)), period)
 
     def _derive(self, name: str, value: np.ndarray) -> np.ndarray:
         value.setflags(write=False)
@@ -233,13 +234,13 @@ KINDS = {"posneg": PosNeg, "linear": Linear, "log": Log}
 
 def _graded(v: np.ndarray, kind: Union[Linear, Log]) -> np.ndarray:
     """Step codes of int64 intensities under a graded code, ``kind.period``
-    for no spike."""
+    for no spike, as whole numbers, which ``encode_image`` narrows."""
     if isinstance(kind, Linear):
         # ceil(v * period / 256), which is 0 for intensity 0: no spike.
         return kind.period - (v * kind.period + 255) // 256
     if isinstance(kind, Log):
         steps = np.floor(np.log2(255 / np.maximum(v, 1)) * (kind.period - 1) / 8)
-        return np.where(v > 0, np.minimum(kind.period - 1, steps), kind.period).astype(np.int64)
+        return np.where(v > 0, np.minimum(kind.period - 1, steps), kind.period)
     raise TypeError(f"unknown encoder {kind!r}")
 
 
@@ -273,6 +274,7 @@ def encode_image(pixels, kind: EncoderKind) -> Union[Volley, np.ndarray]:
     # Widened first: in uint8, ``v * period`` wraps.
     v = v.astype(np.int64)
     codes = np.concatenate([_graded(v, kind), _graded(255 - v, kind)], axis=-1)
+    codes = codes.astype(np.min_scalar_type(kind.period))
     if v.ndim != 1:
         return np.where(codes < kind.period, codes, INF)
     return Volley(codes, kind.period)

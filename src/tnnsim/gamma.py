@@ -80,8 +80,9 @@ def run_cycle(
     volley = Volley.from_times(column_spike_times, period)
     codes = volley.codes
     if volley.period < period:
-        # A made volley marks silence with its own period.
-        codes = np.where(codes < volley.period, codes, period)
+        # A made volley marks silence with its own period: mapped to this
+        # period at this period's width, since its own width may not hold it.
+        codes = np.where(codes < volley.period, codes.astype(np.min_scalar_type(period)), period)
     length, control = cycle_ends(codes, period, relaxed)
     return CycleResult(int(length), GrstCause.CONTROL if control else GrstCause.PERIOD)
 
@@ -97,9 +98,10 @@ class GammaTrace:
     ``lengths[i]`` is cycle ``i``'s length in clock steps, ``control[i]`` is
     true when the controller ended it and false when the period rolled over,
     and ``col_codes[i, c]`` is monitored column ``c``'s first-spike step,
-    ``period`` when the column stayed silent, held at the narrowest unsigned
-    width that holds the period. ``col_times`` gives them as float times,
-    ``inf`` for silence.
+    ``period`` when the column stayed silent. Lengths and codes are held at
+    ``np.min_scalar_type(period)``, the narrowest unsigned width that holds
+    the period. ``col_times`` gives the codes as float times, ``inf`` for
+    silence.
     """
 
     period: int
@@ -108,17 +110,20 @@ class GammaTrace:
     col_codes: np.ndarray
 
     def __post_init__(self):
-        self.lengths = np.asarray(self.lengths, dtype=np.int64)
+        lengths, codes = np.asarray(self.lengths), np.asarray(self.col_codes)
         self.control = np.asarray(self.control, dtype=bool)
-        codes = np.asarray(self.col_codes)
-        shapes = (self.lengths.shape, self.control.shape, codes.shape)
+        shapes = (lengths.shape, self.control.shape, codes.shape)
         if codes.ndim != 2 or not codes.shape[1] or not shapes[0] == shapes[1] == shapes[2][:1]:
             raise ValueError(f"trace shapes disagree: lengths, control, col_codes {shapes}")
-        bad = self.lengths[(self.lengths < 1) | (self.lengths > self.period)]
+        # Lengths are checked at the width they came in, before one past the
+        # period can wrap to a legal length.
+        bad = lengths[(lengths < 1) | (lengths > self.period)]
         if bad.size:
             raise ValueError(f"cycle length {bad[0]} outside 1..{self.period}")
+        width = np.min_scalar_type(self.period)
+        self.lengths = lengths.astype(width, copy=False)
         # Codes that are integers in 0..period hold their value at its width.
-        self.col_codes = codes.astype(np.min_scalar_type(self.period), copy=False)
+        self.col_codes = codes.astype(width, copy=False)
         if not np.array_equal(self.col_codes, codes) or (self.col_codes > self.period).any():
             raise ValueError(f"column codes must be integers in 0..{self.period}")
 

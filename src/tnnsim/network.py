@@ -305,9 +305,9 @@ class TnnNetwork:
                 f"images have {dataset.pixels.shape[1]} pixels, layer 0 expects {cfg.pixel_count}"
             )
         n, (cols, neurons) = epochs * len(dataset), cfg.layers[-1]
-        lengths = np.empty(n, dtype=np.int64)
+        lengths = np.empty(n, dtype=np.min_scalar_type(cfg.period))
         control = np.empty(n, dtype=bool)
-        col_codes = np.empty((n, cols), dtype=np.min_scalar_type(cfg.period))
+        col_codes = np.empty((n, cols), dtype=lengths.dtype)
         col_neurons = np.empty((n, cols), dtype=np.min_scalar_type(-neurons))
         # Every column's neurons stacked into one bank per layer, deep
         # enough to hold every weight, so a layer learns on its planes.
@@ -350,9 +350,9 @@ class TnnNetwork:
         )
 
     def train(self, dataset: LabeledDataset, epochs: int) -> RunSummary:
-        """Present the whole dataset ``epochs`` times with learning on."""
-        if epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {epochs}")
+        """Present the whole dataset ``epochs`` times with learning on;
+        ``epochs`` must be an integer >= 1."""
+        check_int("epochs", epochs, 1)
         return self._run(dataset, epochs, learn=True)
 
     def infer(self, dataset: LabeledDataset) -> RunSummary:
@@ -383,7 +383,7 @@ def save_summary_npz(summary: RunSummary, path) -> None:
     trace = summary.trace
     np.savez_compressed(
         path,
-        lengths=trace.lengths,
+        lengths=trace.lengths.astype(np.int64),
         causes=trace.control,
         col_times=trace.col_times,
         col_neurons=summary.col_neurons.astype(np.int64),
@@ -448,14 +448,18 @@ def load_summary_npz(path) -> RunSummary:
     if causes.dtype.kind not in "biu" or not np.isin(causes, (0, 1)).all():
         raise ValueError(f"{path}: member 'causes' must hold bools or integers 0 and 1")
     period, columns, epochs, images = (int(v) for v in data["meta"])
-    times = data["col_times"]
+    times, neurons = data["col_times"], data["col_neurons"]
     try:
         # Stored times go through the spike-time rule once, into step codes.
         codes = Volley.from_times(times.ravel(), period).codes.reshape(times.shape)
         trace = gamma.GammaTrace(period, data["lengths"], causes, codes)
-        summary = RunSummary(trace, data["col_neurons"], epochs, images)
+        summary = RunSummary(trace, neurons, epochs, images)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    # Winners, once checked, at a run's width for the fewest neurons a
+    # column the file implies, one more than its largest winner: the file
+    # records no neuron count.
+    summary.col_neurons = neurons.astype(np.min_scalar_type(-1 - int(neurons.max(initial=0))))
     if columns != trace.column_count:
         raise ValueError(
             f"{path}: meta records {columns} columns, col_times holds {trace.column_count}"

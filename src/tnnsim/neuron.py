@@ -183,7 +183,7 @@ class KernelWorkspace:
         self.anded = np.empty((words, n_neurons * depth), dtype=np.uint64)
         self.counts = np.empty(self.anded.shape, dtype=np.uint8)
         # A popcount is at most 64 and a plane marks at most ``lines`` bits.
-        self.sums = np.empty(n_neurons * depth, dtype=np.uint16 if lines < 1 << 16 else np.int64)
+        self.sums = np.empty(n_neurons * depth, dtype=np.min_scalar_type(lines))
         # A ramp runs at most ``period`` steps of a cycle: only its first
         # ``rows`` rows are read, and no synapse adds more than ``rows`` units.
         rows = min(depth, period)
@@ -200,8 +200,9 @@ class KernelWorkspace:
         self.potential = np.empty((period, n_neurons), dtype=dtype)
         self.product = np.empty((rows, n_neurons), dtype=dtype)
         self.below = np.empty(self.potential.shape, dtype=bool)
-        # A neuron's count of steps below threshold is at most the period.
-        self.count_dtype = np.uint16 if period < 1 << 16 else np.int64
+        # A neuron's count of steps below threshold, its step code, is at
+        # most the period.
+        self.count_dtype = np.min_scalar_type(period)
         # ``ramp[i, k]`` is 1 where plane ``k + 1`` of an arrival at step
         # ``s`` has started its unit by step ``s + i``; from ``s + depth - 1``
         # on every plane has.
@@ -220,7 +221,8 @@ def layer_spike_times(
     ``encode.Volley``, or raw spike times, which ``Volley.from_times``
     checks. Returns each column's winner neuron (-1 where it stays silent)
     as int64, and the ``Volley`` of the columns' spikes, one line per
-    column: the next layer's input.
+    column, its codes at ``np.min_scalar_type(period)``: the next layer's
+    input.
     """
     period, lines, cols = work.period, work.lines, work.cols
     volley = Volley.from_times(volley, period)
@@ -228,7 +230,8 @@ def layer_spike_times(
         raise ValueError(f"volley has {len(volley)} lines, expected {lines}")
     steps = volley.steps
     if not steps.size:
-        return np.full(cols, -1, dtype=np.int64), Volley(np.full(cols, period), period)
+        silent = np.full(cols, period, dtype=work.count_dtype)
+        return np.full(cols, -1, dtype=np.int64), Volley(silent, period)
     depth, store, th = work.shape[1], work.store, work.threshold
     anded, counts, sums = work.anded, work.counts, work.sums
     potential, product, onsets, ramp = work.potential, work.product, work.onsets, work.ramp
@@ -275,8 +278,10 @@ def posneg_spike_times(
 
     ``work`` is the layer's ``KernelWorkspace``, over ``2 * pixels`` lines,
     and ``pixels`` an ``(images, pixels)`` stack. Returns ``(images,
-    cols)`` int64 winners (-1 where a column stays silent) and step codes,
-    each row what ``layer_spike_times`` gives for that image's volley.
+    cols)`` winners (-1 where a column stays silent), at
+    ``np.min_scalar_type(-neurons)`` for a column's ``neurons``, and step
+    codes at ``np.min_scalar_type(period)``, each row what
+    ``layer_spike_times`` gives for that image's volley.
 
     Every posneg line spikes at step 0 or never, so plane ``k`` adds its
     units from step ``k - 1`` on, and the potential at step ``j - 1`` is
@@ -313,8 +318,8 @@ def posneg_spike_times(
     col_block = block // sub
     planes = work.planes.reshape(cols, per, depth, words)
     negative = pack_lines(np.arange(lines) >= px)
-    codes = np.full((images, cols), period, dtype=np.int64)
-    idx = np.full((images, cols), -1, dtype=np.int64)
+    codes = np.full((images, cols), period, dtype=work.count_dtype)
+    idx = np.full((images, cols), -1, dtype=np.min_scalar_type(-per))
     x = np.empty((batch, px), dtype=dtype)
     for c in range(0, cols, col_block):
         cs = slice(c, c + col_block)

@@ -183,9 +183,21 @@ MUTANTS = (
     ),
     Mutant(
         "kernel-count-uint16-always", NEURON,
-        "self.count_dtype = np.uint16 if period < 1 << 16 else np.int64",
-        "self.count_dtype = np.uint16",
+        "self.count_dtype = np.min_scalar_type(period)", "self.count_dtype = np.uint16",
         (N + "TestLayerSpikeTimes::test_silent_past_a_uint16_count",),
+    ),
+    Mutant(
+        "kernel-sums-one-byte", NEURON,
+        "dtype=np.min_scalar_type(lines))", "dtype=np.uint8)",
+        (
+            N + "TestNeuronSpikeTime::test_saturated_inputs_cross_high_threshold_at_five",
+            N + "TestWordBoundaries::test_matches_references[127]",
+        ),
+    ),
+    Mutant(
+        "kernel-silent-codes-int64", NEURON,
+        "silent = np.full(cols, period, dtype=work.count_dtype)", "silent = np.full(cols, period)",
+        (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[255-128]",),
     ),
     Mutant(
         "kernel-copied-store", NEURON,
@@ -255,6 +267,16 @@ MUTANTS = (
         (V + "test_a_run_checks_no_volley_it_made",),
     ),
     # Made volleys, encode.Volley and the encoders.
+    Mutant(
+        "volley-from-times-int64", ENCODE,
+        ".astype(np.min_scalar_type(period)), period)", ".astype(np.int64), period)",
+        (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[256-129]",),
+    ),
+    Mutant(
+        "graded-codes-int64", ENCODE,
+        "codes = codes.astype(np.min_scalar_type(kind.period))", "codes = codes.astype(np.int64)",
+        (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[255-129]",),
+    ),
     Mutant(
         "volley-drops-last-step", ENCODE,
         "counts.nonzero()[0])", "counts.nonzero()[0][:-1])",
@@ -572,6 +594,11 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "gamma-shorter-cycle-silence-narrow", GAMMA,
+        "codes.astype(np.min_scalar_type(period)), period)", "codes, period)",
+        (G + "TestRunCycle::test_silence_of_a_shorter_cycle_holds_at_any_period[300]",),
+    ),
+    Mutant(
         "trace-codes-unchecked", GAMMA,
         "if not np.array_equal(self.col_codes, codes) or (self.col_codes > self.period).any():",
         "if (self.col_codes > self.period).any():",
@@ -582,9 +609,38 @@ MUTANTS = (
     ),
     Mutant(
         "trace-codes-one-byte", GAMMA,
-        "codes.astype(np.min_scalar_type(self.period), copy=False)",
-        "codes.astype(np.uint8, copy=False)",
+        "width = np.min_scalar_type(self.period)", "width = np.uint8",
         (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[256-128]",),
+    ),
+    Mutant(
+        "trace-lengths-int64", GAMMA,
+        "self.lengths = lengths.astype(width, copy=False)", "self.lengths = lengths.astype(np.int64)",
+        (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[255-128]",),
+    ),
+    Mutant(
+        "trace-lengths-narrowed-before-check", GAMMA,
+        "lengths, codes = np.asarray(self.lengths), np.asarray(self.col_codes)",
+        "lengths, codes = np.asarray(self.lengths).astype(np.uint8), np.asarray(self.col_codes)",
+        (
+            W + "TestSummaryArtifacts::test_summary_npz_length_past_its_width_rejected[256]",
+            W + "TestSummaryArtifacts::test_summary_npz_length_past_its_width_rejected[-1]",
+        ),
+    ),
+    Mutant(
+        "loader-winners-int64", NETWORK,
+        "summary.col_neurons = neurons.astype(", "summary.col_neurons = neurons; (",
+        (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[255-128]",),
+    ),
+    Mutant(
+        "loader-winners-narrowed-before-check", NETWORK,
+        'times, neurons = data["col_times"], data["col_neurons"]',
+        'times, neurons = data["col_times"], data["col_neurons"].astype(np.int8)',
+        (W + "TestSummaryArtifacts::test_summary_npz_winner_past_its_width_rejected",),
+    ),
+    Mutant(
+        "loader-winners-two-bytes", NETWORK,
+        "np.min_scalar_type(-1 - int(neurons.max(initial=0)))", "np.int16",
+        (W + "TestSummaryArtifacts::test_summary_npz_winner_keeps_its_value_past_two_bytes",),
     ),
     Mutant(
         "trace-times-unchecked", NETWORK,
@@ -745,6 +801,17 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "posneg-batch-codes-int64", NEURON,
+        "codes = np.full((images, cols), period, dtype=work.count_dtype)",
+        "codes = np.full((images, cols), period, dtype=np.int64)",
+        (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[256-128]",),
+    ),
+    Mutant(
+        "posneg-batch-winners-int64", NEURON,
+        "dtype=np.min_scalar_type(-per))", "dtype=np.int64)",
+        (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[255-129]",),
+    ),
+    Mutant(
         "infer-posneg-unbatched", NETWORK,
         "batched = learning is None and isinstance(cfg.encoder, PosNeg)", "batched = False",
         (W + "TestReferenceRun::test_seeded_random_configs",),
@@ -810,6 +877,19 @@ MUTANTS = (
         "cli-images-key-unchecked", CLI,
         "if img_key is None:", "if False:",
         (L + "TestTrainInferReport::test_config_without_images_exits_one[train-('train_images', 'images')]",),
+    ),
+    Mutant(
+        "train-epochs-any-number", NETWORK,
+        'check_int("epochs", epochs, 1)', 'check_int("epochs", epochs if epochs < 1 else 1, 1)',
+        (
+            W + "TestLearning::test_epochs_must_be_an_integer[2.5]",
+            W + "TestLearning::test_epochs_must_be_an_integer[True]",
+        ),
+    ),
+    Mutant(
+        "dataset-any-count", SYNTH,
+        "if count < 1:", "if False:",
+        (L + "TestSynthScript::test_make_dataset_takes_a_count[0]",),
     ),
     Mutant(
         "glyph-any-digit", SYNTH,

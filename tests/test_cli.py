@@ -783,6 +783,13 @@ class TestSynthScript:
         with pytest.raises(ValueError, match=f"digit must be 0..9, got {digit}"):
             synth.glyph(digit)
 
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_make_dataset_takes_a_count(self, count):
+        # The script checks its own flags first, so only a library call
+        # reaches the dataset's check.
+        with pytest.raises(ValueError, match=f"count must be >= 1, got {count}"):
+            synth.make_dataset(count, seed=0)
+
     def test_writes_train_and_test_pairs(self, tmp_path, capsys):
         out = tmp_path / "digits"
         assert synth.main([str(out), "--train", "3", "--test", "2", "--seed", "0"]) == 0

@@ -17,7 +17,7 @@ from oracle import (
     grst_clear,
     make_controller,
 )
-from tnnsim.encode import INF
+from tnnsim.encode import INF, PosNeg, encode_image
 from tnnsim.gamma import (
     GammaTrace,
     GrstCause,
@@ -153,6 +153,14 @@ class TestRunCycle:
     def test_silent_column_leaves_periodic_rollover(self):
         res = run_cycle([3, INF], 16, True)
         assert (res.length, res.cause) == (16, GrstCause.PERIOD)
+
+    @pytest.mark.parametrize("period", [16, 300])
+    def test_silence_of_a_shorter_cycle_holds_at_any_period(self, period):
+        # A posneg volley counts in a one-step cycle, in one-byte codes;
+        # its silent lines stay silent past the 255 one byte holds.
+        volley = encode_image(np.array([200, 3], dtype=np.uint8), PosNeg())
+        res = run_cycle(volley, period, True)
+        assert (res.length, res.cause) == (period, GrstCause.PERIOD)
 
     def test_fixed_mode_always_runs_full_period(self):
         res = run_cycle([0, 0], 16, False)

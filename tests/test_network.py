@@ -21,7 +21,7 @@ from oracle import reference_run
 
 from tnnsim import gamma, metrics, network, synth
 from tnnsim.dataio import LabeledDataset
-from tnnsim.encode import INF, KINDS, Linear, Log, PosNeg
+from tnnsim.encode import INF, KINDS, Linear, Log, PosNeg, Volley, encode_image
 from tnnsim.network import (
     CONFIG_KEYS,
     KERNEL_BYTES_LIMIT,
@@ -35,7 +35,13 @@ from tnnsim.network import (
     save_weights_npz,
     write_summary_csv,
 )
-from tnnsim.neuron import kernel_bytes
+from tnnsim.neuron import (
+    KernelWorkspace,
+    kernel_bytes,
+    layer_spike_times,
+    posneg_spike_times,
+    weight_planes,
+)
 from tnnsim.stdp import W_MAX_LIMIT, StdpParams
 
 
@@ -258,6 +264,15 @@ class TestLearning:
         net = TnnNetwork(tiny_config())
         with pytest.raises(ValueError):
             net.train(tiny_dataset(), epochs=0)
+
+    @pytest.mark.parametrize("epochs", [2.5, True, float("nan")])
+    def test_epochs_must_be_an_integer(self, epochs):
+        # A fraction or NaN used to fail inside numpy, and True to train
+        # one epoch recorded as ``epochs=True``.
+        net = TnnNetwork(tiny_config())
+        message = re.escape(f"epochs must be an integer >= 1, got {epochs!r}")
+        with pytest.raises(ValueError, match=message):
+            net.train(tiny_dataset(), epochs=epochs)
 
     def test_empty_dataset_rejected(self):
         net = TnnNetwork(tiny_config())
@@ -712,6 +727,35 @@ class TestSummaryArtifacts:
         assert loaded.trace.lengths.tolist() == [period, 1, 1]
         assert loaded.trace.control.tolist() == [False, True, True]
 
+    @pytest.mark.parametrize("length", [256, -1])
+    def test_summary_npz_length_past_its_width_rejected(self, tmp_path, length):
+        # At period 255 a length is held in one byte, where 256 would wrap
+        # to 0 and -1 to the legal 255: each is checked, and named, as stored.
+        summary = RunSummary(gamma.GammaTrace(255, [255], [False], [[255]]), [[-1]], 1, 1)
+        path = tmp_path / "summary.npz"
+        self._write_summary_members(summary, path, lengths=np.array([length]))
+        with pytest.raises(ValueError, match=f"cycle length {length} outside 1..255"):
+            load_summary_npz(path)
+
+    def test_summary_npz_winner_past_its_width_rejected(self, tmp_path):
+        # The other winner, 5, fits one byte, where -129 would wrap to the
+        # legal 127: it is checked as stored.
+        summary = RunSummary(gamma.GammaTrace(16, [4, 4], [True] * 2, [[3], [3]]), [[0], [5]], 1, 2)
+        path = tmp_path / "summary.npz"
+        self._write_summary_members(summary, path, col_neurons=np.array([[-129], [5]]))
+        with pytest.raises(ValueError, match="col_neurons must hold a neuron index"):
+            load_summary_npz(path)
+
+    def test_summary_npz_winner_keeps_its_value_past_two_bytes(self, tmp_path):
+        # 2**15 would wrap to -2**15 in two bytes; it loads as stored, at
+        # the width it needs.
+        summary = RunSummary(gamma.GammaTrace(16, [4, 4], [True] * 2, [[3], [3]]), [[0], [5]], 1, 2)
+        path = tmp_path / "summary.npz"
+        self._write_summary_members(summary, path, col_neurons=np.array([[2**15], [5]]))
+        loaded = load_summary_npz(path)
+        assert loaded.col_neurons.tolist() == [[2**15], [5]]
+        assert loaded.col_neurons.dtype == np.int32
+
     @pytest.mark.parametrize("neurons", [128, 129])
     @pytest.mark.parametrize("period", [255, 256])
     def test_record_widths_at_their_boundaries(self, tmp_path, period, neurons):
@@ -726,8 +770,23 @@ class TestSummaryArtifacts:
         w[0, -1, 0] = w[1, -1, 1] = 2  # column 0 reads the positive line, column 1 the negative
         ds = dataset_of([[1], [0], [128]], labels=[0, 1, 2], side=1)
         run = net.infer(ds)
-        assert run.trace.col_codes.dtype == (np.uint8 if period == 255 else np.uint16)
-        assert run.col_neurons.dtype == (np.int8 if neurons == 128 else np.int16)
+        code = np.uint8 if period == 255 else np.uint16
+        winner = np.int8 if neurons == 128 else np.int16
+        assert run.trace.col_codes.dtype == run.trace.lengths.dtype == code
+        assert run.col_neurons.dtype == winner
+        # Each maker of codes and winners makes them at the record's widths:
+        # raw times, both graded encoders, the kernel for a volley with
+        # arrivals and for one without, and the batched posneg layer.
+        work = KernelWorkspace(weight_planes(w.reshape(-1, 2), cfg.stdp_params.w_max), period, 1, 2, 2)
+        volleys = [
+            Volley.from_times([period - 1, INF], period),
+            encode_image(ds.pixels[0], Linear(period)),
+            encode_image(ds.pixels[0], Log(period)),
+        ]
+        volleys += [layer_spike_times(work, v)[1] for v in (volleys[0], [INF, INF])]
+        assert [v.codes.dtype for v in volleys] == [code] * 5
+        idx, codes = posneg_spike_times(work, ds.pixels, PosNeg())
+        assert (idx.dtype, codes.dtype) == (winner, code)
         assert run.trace.col_codes[:2, 0].tolist() == [period - 1, period]
         assert run.trace.control.tolist() == [False, False, True]
         # The same record held at int64, and the reference run's rows.
@@ -759,6 +818,7 @@ class TestSummaryArtifacts:
         for field in ("lengths", "control", "col_codes"):
             got, want = getattr(loaded.trace, field), getattr(run.trace, field)
             assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert loaded.col_neurons.dtype == winner
         assert np.array_equal(loaded.col_neurons, run.col_neurons)
 
     def test_summary_npz_narrow_format_loads(self, tmp_path):
