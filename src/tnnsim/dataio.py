@@ -137,7 +137,7 @@ def read_idx_images(data: Union[bytes, bytearray, BinaryIO]) -> LabeledDataset:
     if magic != IDX_IMAGE_MAGIC:
         raise BadMagicError(f"expected image magic {IDX_IMAGE_MAGIC}, got {magic}")
     for name, dim in (("count", count), ("rows", rows), ("cols", cols)):
-        if dim < 0 or dim > _MAX_DECLARED:
+        if dim < 0:
             raise DimensionOverflowError(f"declared {name} {dim} out of range")
     need = count * rows * cols
     if need > _MAX_DECLARED:
@@ -159,7 +159,7 @@ def read_idx_labels(data: Union[bytes, bytearray, BinaryIO]) -> np.ndarray:
     magic, count = struct.unpack(">ii", raw[:8])
     if magic != IDX_LABEL_MAGIC:
         raise BadMagicError(f"expected label magic {IDX_LABEL_MAGIC}, got {magic}")
-    if count < 0 or count > _MAX_DECLARED:
+    if count < 0:
         raise DimensionOverflowError(f"declared count {count} out of range")
     if len(raw) - 8 < count:
         raise TruncatedStreamError(f"payload needs {count} bytes, stream has {len(raw) - 8}")

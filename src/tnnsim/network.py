@@ -6,13 +6,13 @@ becomes one input line of the next layer. Gamma control watches the
 final layer only, so in relaxed mode a cycle ends one step after the last
 final-layer column has fired and inner layers simply free-run. Every cycle
 ends on a reset that clears the control state, so the network carries none
-from one presentation to the next: only the weights persist. A run packs
-each layer's weights once, into the planes of its ``neuron.KernelWorkspace``;
-while training, the layer's ``stdp.LearningState`` moves those planes in
-place, and the weights are unpacked from it when the run ends. An
-inference under the posneg code takes layer 0 for every image at once,
-with ``neuron.posneg_spike_times``; each presentation then runs the layers
-after it and gamma control.
+from one presentation to the next: only the weights persist. A run builds
+each layer's ``neuron.KernelWorkspace`` from its weights, which packs them
+once into planes; while training, the layer's ``stdp.LearningState``, built
+from that workspace, moves those planes in place, and unpacks them into the
+same weights when the run ends. An inference under the posneg code takes
+layer 0 for every image at once, with ``neuron.posneg_spike_times``; each
+presentation then runs the layers after it and gamma control.
 
 A run leaves one columnar ``RunSummary``, one row per presentation: the
 gamma trace of the final layer's step codes, as the kernel made them, plus
@@ -40,13 +40,7 @@ import numpy as np
 from . import gamma, stdp
 from .dataio import LabeledDataset
 from .encode import INF, KINDS, EncoderKind, PosNeg, Volley, check_int, encode_image
-from .neuron import (
-    KernelWorkspace,
-    kernel_bytes,
-    layer_spike_times,
-    posneg_spike_times,
-    weight_planes,
-)
+from .neuron import KernelWorkspace, kernel_bytes, layer_spike_times, posneg_spike_times
 
 # Largest working set the spike-time kernels of all layers may need together.
 KERNEL_BYTES_LIMIT = 1 << 30
@@ -309,18 +303,13 @@ class TnnNetwork:
         control = np.empty(n, dtype=bool)
         col_codes = np.empty((n, cols), dtype=lengths.dtype)
         col_neurons = np.empty((n, cols), dtype=np.min_scalar_type(-neurons))
-        # Every column's neurons stacked into one bank per layer, deep
-        # enough to hold every weight, so a layer learns on its planes.
-        depth = cfg.stdp_params.w_max
-        work = []
-        for w, th in zip(self.weights, cfg.thresholds):
-            planes = weight_planes(w.reshape(-1, w.shape[2]), depth)
-            work.append(KernelWorkspace(planes, cfg.period, th, w.shape[2], w.shape[0]))
-        learning = None
-        if learn:
-            learning = [
-                stdp.LearningState(w, ws, cfg.stdp_params) for w, ws in zip(self.weights, work)
-            ]
+        # Each layer's kernel from its weights, planes deep enough to hold
+        # every weight, so a layer learns on its planes.
+        work = [
+            KernelWorkspace(w, cfg.period, th, cfg.stdp_params.w_max)
+            for w, th in zip(self.weights, cfg.thresholds)
+        ]
+        learning = [stdp.LearningState(ws, cfg.stdp_params) for ws in work] if learn else None
         pixels = dataset.pixels
         # With frozen weights, a posneg layer 0 answers for every image at
         # once; each presentation then runs the layers after it.
@@ -340,8 +329,8 @@ class TnnNetwork:
                 control[i] = result.cause is gamma.GrstCause.CONTROL
         finally:
             # The weights of every presentation that finished, even if one raised.
-            for w, state in zip(self.weights, learning or ()):
-                state.unpack(w)
+            for state in learning or ():
+                state.unpack()
         return RunSummary(
             trace=gamma.GammaTrace(cfg.period, lengths, control, col_codes),
             col_neurons=col_neurons,
@@ -458,8 +447,11 @@ def load_summary_npz(path) -> RunSummary:
         raise ValueError(f"{path}: {exc}") from None
     # Winners, once checked, at a run's width for the fewest neurons a
     # column the file implies, one more than its largest winner: the file
-    # records no neuron count.
-    summary.col_neurons = neurons.astype(np.min_scalar_type(-1 - int(neurons.max(initial=0))))
+    # records no neuron count. A run writes them as int64.
+    top = int(neurons.max(initial=0))
+    if top > np.iinfo(np.int64).max:
+        raise ValueError(f"{path}: winner {top} does not fit the int64 a summary holds")
+    summary.col_neurons = neurons.astype(np.min_scalar_type(-1 - top))
     if columns != trace.column_count:
         raise ValueError(
             f"{path}: meta records {columns} columns, col_times holds {trace.column_count}"

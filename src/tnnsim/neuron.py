@@ -46,10 +46,13 @@ spreads its lines over the cycle, so many of its steps touch only a few
 words. Each step copies just the rows of the words its lines touch into
 the AND buffer and ANDs, popcounts and sums them alone.
 
-A layer's ``KernelWorkspace`` holds its planes, in that word-major
-storage, with everything else a call reuses, so a call is
-``layer_spike_times(work, volley)`` and checks no shape; STDP moves the
-same planes in place, so the next call reads each update.
+A layer's ``KernelWorkspace`` is built from its ``(columns, neurons,
+lines)`` weight bank, which it keeps: it packs the bank's planes, in that
+word-major storage, and reads its line and column counts from the bank's
+shape, so this module alone knows the layout. It holds everything else a
+call reuses, so a call is ``layer_spike_times(work, volley)`` and checks
+no shape; STDP moves the same planes in place, so the next call reads
+each update.
 
 Under the posneg code every line of layer 0 spikes at step 0 or never, so
 with frozen weights ``posneg_spike_times`` answers for a stack of images
@@ -153,32 +156,25 @@ def unpack_weights(planes: np.ndarray, parity: np.ndarray, out: np.ndarray) -> N
 
 
 class KernelWorkspace:
-    """One layer's kernel: its planes, period, line and column counts, and
-    what every call reuses: the AND, popcount and onset buffers, the
+    """One layer's kernel, built from its ``(columns, neurons, lines)``
+    half-unit bank ``weights``, which it keeps: the bank's planes
+    ``depth`` deep and its column and line counts, the layer's period,
+    and what every call reuses: the AND, popcount and onset buffers, the
     potential, the per-neuron thresholds and the ramp.
 
-    The planes are held in word-major storage, as ``weight_planes`` gives
-    it, so a bank from ``weight_planes`` is held as it is and a bank in
-    another layout is copied once, here. ``planes`` is its ``(neurons,
-    depth, words)`` view, which ``stdp.LearningState`` writes in place, and
-    ``store`` the ``(words, neurons * depth)`` view the kernel reads.
+    The planes are packed once, here, by ``weight_planes``, into its
+    word-major storage. ``planes`` is their ``(neurons, depth, words)``
+    view, which ``stdp.LearningState`` writes in place, and ``store`` the
+    ``(words, neurons * depth)`` view the kernel reads.
     """
 
     def __init__(
-        self,
-        planes: np.ndarray,
-        period: int,
-        threshold: Union[int, np.ndarray],
-        lines: int,
-        cols: int,
+        self, weights: np.ndarray, period: int, threshold: Union[int, np.ndarray], depth: int
     ):
-        n_neurons, depth, words = self.shape = planes.shape
-        if -(-lines // 64) != words:
-            raise ValueError(f"{lines} lines do not pack into {words} words")
-        if cols < 1 or n_neurons % cols:
-            raise ValueError(f"{n_neurons} neurons do not split into {cols} columns")
-        self.period, self.lines, self.cols = period, lines, cols
-        self.planes = np.ascontiguousarray(planes.transpose(2, 0, 1)).transpose(1, 2, 0)
+        self.cols, _, lines = weights.shape
+        self.weights, self.period, self.lines = weights, period, lines
+        self.planes = weight_planes(weights.reshape(-1, lines), depth)
+        n_neurons, depth, words = self.shape = self.planes.shape
         self.store = self.planes.transpose(2, 0, 1).reshape(words, -1)
         self.anded = np.empty((words, n_neurons * depth), dtype=np.uint64)
         self.counts = np.empty(self.anded.shape, dtype=np.uint8)
@@ -217,9 +213,8 @@ def layer_spike_times(
 
     ``work`` is the layer's ``KernelWorkspace``: its planes, whose neurons
     are ``work.cols`` columns in order, its period, thresholds and line
-    count, which the planes hold only to the word. ``volley`` is an
-    ``encode.Volley``, or raw spike times, which ``Volley.from_times``
-    checks. Returns each column's winner neuron (-1 where it stays silent)
+    count. ``volley`` is an ``encode.Volley``, or raw spike times, which
+    ``Volley.from_times`` checks. Returns each column's winner neuron (-1 where it stays silent)
     as int64, and the ``Volley`` of the columns' spikes, one line per
     column, its codes at ``np.min_scalar_type(period)``: the next layer's
     input.

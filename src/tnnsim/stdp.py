@@ -31,16 +31,17 @@ objects, as the layer kernel takes and gives them, or raw times, each
 checked by one ``Volley.from_times`` call; a silent column's raw time is
 set to ``inf`` first, since it is read nowhere.
 
-A layer learns on its ``LearningState``, built once per run: the
-thermometer planes ``neuron.weight_planes`` builds (plane ``k`` marks ``hu
-// 2 >= k``), of depth ``w_max`` whatever the period, which the layer's
-``neuron.KernelWorkspace`` holds and its kernel reads, plus one packed
-parity plane, ``hu & 1``. They move by word operations, by one rule for
-either sign: after a step of ``u`` half-units, plane ``k`` marks ``hu + u
->= 2k``, and the parity flips with an odd step and clears where the step
-saturates (``_step``). The rows a cycle changes step a block at a time, so
-their stack stays within ``neuron._PACK_CHUNK`` bytes. The int16 weights
-are unpacked from the state once, when the run ends.
+A layer learns on its ``LearningState``, built once per run from the
+layer's ``neuron.KernelWorkspace``: the thermometer planes the workspace
+packed from its weight bank (plane ``k`` marks ``hu // 2 >= k``), of depth
+``w_max`` whatever the period, which its kernel reads, plus one packed
+parity plane, ``hu & 1``, of that same bank. They move by word operations,
+by one rule for either sign: after a step of ``u`` half-units, plane ``k``
+marks ``hu + u >= 2k``, and the parity flips with an odd step and clears
+where the step saturates (``_step``). The rows a cycle changes step a
+block at a time, so their stack stays within ``neuron._PACK_CHUNK`` bytes.
+The int16 weights are unpacked from the state into the workspace's bank
+once, when the run ends.
 """
 
 from __future__ import annotations
@@ -83,15 +84,15 @@ class LearningState:
     - ``by_depth``: a depth-major ``(depth, columns * neurons, words)``
       view of the planes of the layer's ``neuron.KernelWorkspace``,
       ``work``, so the kernel reads every update without a rebuild;
-    - ``parity``: the packed ``weights & 1``, one ``(words,)`` row per
-      neuron, in the planes' row order;
+    - ``parity``: the packed ``hu & 1`` of the workspace's weight bank,
+      one ``(words,)`` row per neuron, in the planes' row order;
     - ``valid``: the packed plane of every line;
     - ``params``: the rule's ``StdpParams``, whose ``w_max`` is the depth.
 
     ``shape`` is the planes' ``(columns, neurons, depth, words)``.
     """
 
-    def __init__(self, weights: np.ndarray, work: KernelWorkspace, params: StdpParams):
+    def __init__(self, work: KernelWorkspace, params: StdpParams):
         neurons, depth, words = work.shape
         if depth != params.w_max:
             raise ValueError(f"{depth} planes cannot hold weights up to w_max {params.w_max}")
@@ -101,14 +102,15 @@ class LearningState:
         self.by_depth = work.planes.transpose(1, 0, 2)
         # The parity is packed from bools, which packbits takes on its fast
         # path: the low byte of a weight keeps its low bit.
-        low = np.bitwise_and(weights, 1, dtype=np.uint8, casting="unsafe").view(bool)
+        low = np.bitwise_and(work.weights, 1, dtype=np.uint8, casting="unsafe").view(bool)
         self.parity = pack_lines(low).reshape(neurons, words)
         self.valid = pack_lines(np.ones(work.lines, dtype=bool))
 
-    def unpack(self, weights: np.ndarray) -> None:
+    def unpack(self) -> None:
         """The half-unit weights the planes and parity hold, written into
-        ``weights``, the ``(columns, neurons, lines)`` bank they came from."""
-        unpack_weights(self.work.planes, self.parity, weights.reshape(len(self.parity), -1))
+        the workspace's ``(columns, neurons, lines)`` bank they came from."""
+        work = self.work
+        unpack_weights(work.planes, self.parity, work.weights.reshape(-1, work.lines))
 
 
 def _groups(state, x, winner_idx, z) -> list:

@@ -200,6 +200,17 @@ MUTANTS = (
         (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[255-128]",),
     ),
     Mutant(
+        "workspace-bank-copied", NEURON,
+        "self.weights, self.period, self.lines = weights, period, lines",
+        "self.weights, self.period, self.lines = weights.copy(), period, lines",
+        (N + "TestWorkspaceReuse::test_holds_the_bank_it_was_given",),
+    ),
+    Mutant(
+        "workspace-cols-from-neurons", NEURON,
+        "self.cols, _, lines = weights.shape", "_, self.cols, lines = weights.shape",
+        (N + "TestWorkspaceReuse::test_holds_the_bank_it_was_given",),
+    ),
+    Mutant(
         "kernel-copied-store", NEURON,
         "self.store = self.planes.transpose(2, 0, 1).reshape(words, -1)",
         "self.store = self.planes.transpose(2, 0, 1).reshape(words, -1).copy()",
@@ -535,12 +546,17 @@ MUTANTS = (
     ),
     Mutant(
         "learning-state-parity-unpacked", STDP,
-        'low = np.bitwise_and(weights, 1, dtype=np.uint8, casting="unsafe").view(bool)',
-        "low = np.zeros(weights.shape, dtype=bool)",
+        'low = np.bitwise_and(work.weights, 1, dtype=np.uint8, casting="unsafe").view(bool)',
+        "low = np.zeros(work.weights.shape, dtype=bool)",
         (
             S + "TestUpdateLayer::test_matches_scalar_column_updates",
             T + "TestAccepted::test_stdp_stores[0]",
         ),
+    ),
+    Mutant(
+        "learning-state-unpacks-a-copy", STDP,
+        "work.weights.reshape(-1, work.lines))", "work.weights.reshape(-1, work.lines).copy())",
+        (S + "TestLearningState::test_unpack_writes_the_scalar_rule_into_the_bank",),
     ),
     # Gamma control, gamma.py.
     Mutant(
@@ -639,8 +655,23 @@ MUTANTS = (
     ),
     Mutant(
         "loader-winners-two-bytes", NETWORK,
-        "np.min_scalar_type(-1 - int(neurons.max(initial=0)))", "np.int16",
+        "np.min_scalar_type(-1 - top)", "np.int16",
         (W + "TestSummaryArtifacts::test_summary_npz_winner_keeps_its_value_past_two_bytes",),
+    ),
+    Mutant(
+        "loader-winners-past-int64-unchecked", NETWORK,
+        "if top > np.iinfo(np.int64).max:", "if False:",
+        (W + "TestSummaryArtifacts::test_summary_npz_winner_past_int64_rejected[9223372036854775813]",),
+    ),
+    Mutant(
+        "loader-winners-int64-max-refused", NETWORK,
+        "if top > np.iinfo(np.int64).max:", "if top >= np.iinfo(np.int64).max:",
+        (W + "TestSummaryArtifacts::test_summary_npz_winner_at_int64_max_loads",),
+    ),
+    Mutant(
+        "loader-winners-bounded-after-int64-cast", NETWORK,
+        "top = int(neurons.max(initial=0))", "top = int(neurons.astype(np.int64).max(initial=0))",
+        (W + "TestSummaryArtifacts::test_summary_npz_winner_past_int64_rejected[9223372036854775813]",),
     ),
     Mutant(
         "trace-times-unchecked", NETWORK,
@@ -862,7 +893,7 @@ MUTANTS = (
     ),
     Mutant(
         "labels-negative-count", DATAIO,
-        "if count < 0 or count > _MAX_DECLARED:", "if count > _MAX_DECLARED:",
+        "if count < 0:", "if count > _MAX_DECLARED:",
         (D + "TestReadIdxLabels::test_declared_count_out_of_range[-1]",),
     ),
     # Config reading, cli.py; synthetic digits, synth.py; the rest of a run's

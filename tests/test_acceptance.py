@@ -28,7 +28,7 @@ from tnnsim.encode import INF, PosNeg, encode_image
 from tnnsim.gamma import GammaTrace, run_cycle, verify_scenarios
 from tnnsim.metrics import purity as purity_metric
 from tnnsim.network import NetworkConfig, RunSummary, TnnNetwork
-from tnnsim.neuron import KernelWorkspace, layer_spike_times, weight_planes
+from tnnsim.neuron import KernelWorkspace, layer_spike_times
 from tnnsim.stdp import StdpParams
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -174,16 +174,16 @@ def test_criterion_05_rnl_oracle_equivalence():
         mismatches = 0
         for _ in range(10000):
             cols, per, lines = (int(v) for v in rng.integers(1, (4, 4, 9)))
-            weights = rng.integers(0, 15, size=(cols * per, lines))
+            weights = rng.integers(0, 15, size=(cols, per, lines))
             times = [
                 INF if rng.random() < 0.3 else int(rng.integers(0, 16))
                 for _ in range(lines)
             ]
             threshold = int(rng.integers(1, 60))
-            planes = weight_planes(weights, 7)
-            work = KernelWorkspace(planes, 16, threshold, lines, cols)
+            work = KernelWorkspace(weights, 16, threshold, 7)
             idx, win = layer_spike_times(work, times)
-            spikes = [brute_force_spike_time(row, times, 16, threshold) for row in weights.tolist()]
+            rows = weights.reshape(-1, lines).tolist()
+            spikes = [brute_force_spike_time(row, times, 16, threshold) for row in rows]
             want_idx, want_win = column_argmin(spikes, cols)
             if not (np.array_equal(idx, want_idx) and np.array_equal(win, want_win)):
                 mismatches += 1

@@ -35,13 +35,7 @@ from tnnsim.network import (
     save_weights_npz,
     write_summary_csv,
 )
-from tnnsim.neuron import (
-    KernelWorkspace,
-    kernel_bytes,
-    layer_spike_times,
-    posneg_spike_times,
-    weight_planes,
-)
+from tnnsim.neuron import KernelWorkspace, kernel_bytes, layer_spike_times, posneg_spike_times
 from tnnsim.stdp import W_MAX_LIMIT, StdpParams
 
 
@@ -756,6 +750,25 @@ class TestSummaryArtifacts:
         assert loaded.col_neurons.tolist() == [[2**15], [5]]
         assert loaded.col_neurons.dtype == np.int32
 
+    @pytest.mark.parametrize("winner", [2**63, 2**63 + 5, 2**64 - 1])
+    def test_summary_npz_winner_past_int64_rejected(self, tmp_path, winner):
+        # A run writes winners as int64; a uint64 one past it is named, not
+        # loaded as an object array.
+        summary = RunSummary(gamma.GammaTrace(16, [4], [True], [[3]]), [[0]], 1, 1)
+        path = tmp_path / "summary.npz"
+        self._write_summary_members(summary, path, col_neurons=np.array([[winner]], dtype=np.uint64))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: winner {winner} does not fit")):
+            load_summary_npz(path)
+
+    def test_summary_npz_winner_at_int64_max_loads(self, tmp_path):
+        # The largest winner int64 holds loads with its value, at int64.
+        top = np.iinfo(np.int64).max
+        summary = RunSummary(gamma.GammaTrace(16, [4], [True], [[3]]), [[0]], 1, 1)
+        path = tmp_path / "summary.npz"
+        self._write_summary_members(summary, path, col_neurons=np.array([[top]], dtype=np.uint64))
+        loaded = load_summary_npz(path)
+        assert loaded.col_neurons.tolist() == [[top]] and loaded.col_neurons.dtype == np.int64
+
     @pytest.mark.parametrize("neurons", [128, 129])
     @pytest.mark.parametrize("period", [255, 256])
     def test_record_widths_at_their_boundaries(self, tmp_path, period, neurons):
@@ -777,7 +790,7 @@ class TestSummaryArtifacts:
         # Each maker of codes and winners makes them at the record's widths:
         # raw times, both graded encoders, the kernel for a volley with
         # arrivals and for one without, and the batched posneg layer.
-        work = KernelWorkspace(weight_planes(w.reshape(-1, 2), cfg.stdp_params.w_max), period, 1, 2, 2)
+        work = KernelWorkspace(w, period, 1, cfg.stdp_params.w_max)
         volleys = [
             Volley.from_times([period - 1, INF], period),
             encode_image(ds.pixels[0], Linear(period)),

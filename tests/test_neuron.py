@@ -30,20 +30,15 @@ from tnnsim.neuron import (
 )
 
 
-def kernel_call(planes, times, period, threshold, lines, cols):
-    """One kernel call on a workspace built for it alone: each column's
-    winner neuron and the times of the volley it hands on."""
-    idx, out = layer_spike_times(KernelWorkspace(planes, period, threshold, lines, cols), times)
-    return idx, out.times
-
-
 def column_winners(weights_hu, times, period, threshold, cols, w_max=7):
     """Each column's (winner neuron, winner time) of a ``(neurons, lines)``
-    bank, through its bit-planes of depth ``w_max``, as a run packs them,
-    and the production kernel."""
+    bank split into ``cols`` columns, through one call of the production
+    kernel on a workspace built for it alone, its planes ``w_max`` deep as
+    a run packs them."""
     weights_hu = np.asarray(weights_hu)
-    planes = weight_planes(weights_hu, w_max)
-    return kernel_call(planes, times, period, threshold, weights_hu.shape[1], cols)
+    bank = weights_hu.reshape(cols, -1, weights_hu.shape[1])
+    idx, out = layer_spike_times(KernelWorkspace(bank, period, threshold, w_max), times)
+    return idx, out.times
 
 
 def bank_spike_times(weights_hu, times, period, threshold, w_max=7):
@@ -172,17 +167,6 @@ class TestLayerSpikeTimes:
         for bank, volley in ((64, 63), (63, 64), (65, 64), (64, 65)):
             with pytest.raises(ValueError, match="volley has"):
                 bank_spike_times(np.zeros((2, bank), dtype=np.int16), [0] * volley, 16, 1)
-
-    def test_lines_must_fit_the_planes(self):
-        planes = weight_planes(np.zeros((2, 64), dtype=np.int16), 7)
-        with pytest.raises(ValueError, match="do not pack"):
-            kernel_call(planes, [0] * 65, 16, 1, 65, 1)
-
-    def test_neurons_must_split_into_columns(self):
-        planes = weight_planes(np.zeros((6, 3), dtype=np.int16), 7)
-        for cols in (0, 4, 7):
-            with pytest.raises(ValueError, match="do not split"):
-                kernel_call(planes, [0] * 3, 16, 1, 3, cols)
 
     def test_planes_mark_whole_units(self):
         # half-units 0..5 are weights 0, 0, 1, 1, 2, 2: plane k marks c >= k.
@@ -314,7 +298,6 @@ class TestWordBoundaries:
                 neurons = 6
                 weights = rng.integers(0, 2 * w_max + 1, size=(neurons, lines))
                 depths = sorted({min(w_max, period), w_max})
-                banks = [weight_planes(weights, depth) for depth in depths]
                 random = np.where(
                     rng.random(lines) < 0.3, INF, rng.integers(0, period, size=lines)
                 ).astype(float)
@@ -323,8 +306,8 @@ class TestWordBoundaries:
                     reach = lines * min(w_max, period)
                     thresholds = rng.integers(1, reach + 2, size=neurons)
                     want = stepwise_spike_times(weights, times, period, thresholds)
-                    for planes in banks:
-                        got = kernel_call(planes, times, period, thresholds, lines, cols)
+                    for depth in depths:
+                        got = column_winners(weights, times, period, thresholds, cols, depth)
                         assert_winners(got, column_argmin(want, cols))
                     fired += int((got[0] >= 0).sum())
                     silent += int((got[0] < 0).sum())
@@ -357,9 +340,8 @@ class TestWordBoundaries:
         for w_max, period in ((7, 16), (20, 5)):
             neurons, cols = 8, 4
             weights = rng.integers(0, 2 * w_max + 1, size=(neurons, lines))
-            planes = weight_planes(weights, w_max)
             thresholds = rng.integers(1, lines * min(w_max, period) + 2, size=neurons)
-            work = KernelWorkspace(planes, period, thresholds, lines, cols)
+            work = KernelWorkspace(weights.reshape(cols, -1, lines), period, thresholds, w_max)
             clustered = (word % period).astype(float)
             # Gathered steps around one that lights every word.
             mixed = np.where(sprinkled, 2.0, clustered)
@@ -390,9 +372,9 @@ class TestWorkspaceReuse:
     def test_matches_fresh_calls(self, monkeypatch, per_neuron):
         rng = np.random.default_rng(31 + per_neuron)
         neurons, cols, lines, period = 24, 6, 130, 16
-        planes = weight_planes(rng.integers(0, 15, size=(neurons, lines)), 7)
+        weights = rng.integers(0, 15, size=(neurons, lines))
         threshold = rng.integers(1, 700, size=neurons) if per_neuron else 300
-        work = KernelWorkspace(planes, period, threshold, lines, cols)
+        work = KernelWorkspace(weights.reshape(cols, -1, lines), period, threshold, 7)
         anded = []  # store rows ANDed at each arrival step the kernel evaluates
         popcount = np.bitwise_count
 
@@ -422,9 +404,12 @@ class TestWorkspaceReuse:
                     rng.random(lines) < 0.2, rng.integers(period), np.arange(lines) // 64 * 5
                 ).astype(float)
             if i % 7 == 6:
+                # A row rewritten in place, as learning moves it, in the
+                # planes the kernel reads and in the bank they came from.
                 row = rng.integers(neurons)
-                work.planes[row] = weight_planes(rng.integers(0, 15, size=(1, lines)), 7)[0]
-            want = kernel_call(work.planes, times, period, threshold, lines, cols)
+                weights[row] = rng.integers(0, 15, size=(1, lines))
+                work.planes[row] = weight_planes(weights[row : row + 1], 7)[0]
+            want = column_winners(weights, times, period, threshold, cols)
             anded.clear()
             got = layer_spike_times(work, times)
             assert_winners(got, want)
@@ -442,25 +427,18 @@ class TestWorkspaceReuse:
         assert outcomes["full and gathered"] > 20, outcomes
 
 
-    @pytest.mark.parametrize("layout", ["neuron-major", "fortran"])
-    def test_planes_in_another_layout_give_the_same_answers(self, layout):
-        # A bank ``weight_planes`` packs is held as it is; one in another
-        # layout is copied once, into word-major storage, and read the same.
+    def test_holds_the_bank_it_was_given(self):
+        # The workspace keeps the bank itself, reads its line and column
+        # counts from the bank's shape, and packs the bank's planes, in the
+        # word-major storage the kernel reads, ``depth`` deep.
         rng = np.random.default_rng(41)
-        neurons, cols, lines, period = 12, 4, 130, 16
-        planes = weight_planes(rng.integers(0, 15, size=(neurons, lines)), 7)
-        other = np.ascontiguousarray(planes) if layout == "neuron-major" else np.asfortranarray(planes)
-        work = KernelWorkspace(planes, period, 280, lines, cols)
-        moved = KernelWorkspace(other, period, 280, lines, cols)
-        assert np.shares_memory(work.planes, planes) and not np.shares_memory(moved.planes, other)
-        assert np.array_equal(moved.planes, planes)
-        fired = 0
-        for _ in range(20):
-            times = np.where(rng.random(lines) < 0.3, INF, rng.integers(0, period, lines))
-            (idx, out), (want, made) = layer_spike_times(moved, times), layer_spike_times(work, times)
-            assert np.array_equal(idx, want) and np.array_equal(out.times, made.times)
-            fired += int((idx >= 0).sum())
-        assert 10 < fired < 70, fired
+        weights = rng.integers(0, 15, size=(4, 3, 130), dtype=np.int16)
+        work = KernelWorkspace(weights, 16, 280, 7)
+        assert work.weights is weights
+        assert (work.cols, work.lines, work.shape) == (4, 130, (12, 7, 3))
+        assert np.array_equal(work.planes, weight_planes(weights.reshape(12, 130), 7))
+        assert np.shares_memory(work.store, work.planes)
+        assert work.planes.transpose(2, 0, 1).flags.c_contiguous
 
 
 class TestExactPotential:
@@ -472,8 +450,8 @@ class TestExactPotential:
     def saturated(w_max, threshold, lines=1 << 20):
         # ``lines`` lines at step 0, each at the cap: the potential is
         # (t + 1) * lines until it saturates at w_max * lines.
-        planes = weight_planes(np.full((len(threshold), lines), 2 * w_max, dtype=np.int16), w_max)
-        work = KernelWorkspace(planes, 16, threshold, lines, len(threshold))
+        weights = np.full((len(threshold), 1, lines), 2 * w_max, dtype=np.int16)
+        work = KernelWorkspace(weights, 16, threshold, w_max)
         idx, out = layer_spike_times(work, np.zeros(lines))
         return work.potential.dtype, idx.tolist(), out.times.tolist()
 
@@ -556,8 +534,7 @@ class TestPosnegBatch:
         pixels = rng.integers(0, 256, size=(self.IMAGES, self.PIXELS), dtype=np.uint8)
         weights = self.bank(rng, w_max)
         th = self.thresholds(threshold, weights, pixels, encoder, period, rng)
-        planes = weight_planes(weights, w_max)
-        work = KernelWorkspace(planes, period, th, weights.shape[1], self.COLS)
+        work = KernelWorkspace(weights.reshape(self.COLS, self.PER, -1), period, th, w_max)
         idx, codes = posneg_spike_times(work, pixels, encoder)
         want = posneg_reference(weights, pixels, encoder, period, th, self.COLS)
         assert np.array_equal(idx, want[0]) and np.array_equal(codes, want[1]), (idx, want)
@@ -578,11 +555,11 @@ class TestPosnegBatch:
         rng = np.random.default_rng(5)
         weights = rng.integers(0, 15, size=(12, 64), dtype=np.int16)
         pixels = rng.integers(0, 256, size=(130, 32), dtype=np.uint8)
-        planes = weight_planes(weights, 7)
-        whole = posneg_spike_times(KernelWorkspace(planes, 16, 110, 64, 4), pixels, PosNeg())
+        bank = weights.reshape(4, 3, 64)
+        whole = posneg_spike_times(KernelWorkspace(bank, 16, 110, 7), pixels, PosNeg())
         monkeypatch.setattr(neuron, "_PACK_CHUNK", 1)
         monkeypatch.setattr(neuron, "_BATCH_IMAGES", 1)
-        single = posneg_spike_times(KernelWorkspace(planes, 16, 110, 64, 4), pixels, PosNeg())
+        single = posneg_spike_times(KernelWorkspace(bank, 16, 110, 7), pixels, PosNeg())
         want = posneg_reference(weights, pixels, PosNeg(), 16, 110, 4)
         for got in (whole, single):
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -593,7 +570,7 @@ class TestPosnegBatch:
         rng = np.random.default_rng(9)
         weights = rng.integers(0, 15, size=(80, 1568), dtype=np.int16)
         pixels = rng.integers(0, 256, size=(20, 784), dtype=np.uint8)
-        work = KernelWorkspace(weight_planes(weights, 7), 16, 2650, 1568, 8)
+        work = KernelWorkspace(weights.reshape(8, 10, 1568), 16, 2650, 7)
         idx, codes = posneg_spike_times(work, pixels, PosNeg())
         for row, want_idx, want_codes in zip(pixels, idx, codes):
             got, out = layer_spike_times(work, readme_encode(row.tolist(), PosNeg()))
@@ -601,7 +578,7 @@ class TestPosnegBatch:
         assert 0 < (idx >= 0).mean() < 1
 
     def test_pixel_count_must_fit_the_lines(self):
-        work = KernelWorkspace(weight_planes(np.zeros((2, 10), dtype=np.int16), 7), 16, 5, 10, 1)
+        work = KernelWorkspace(np.zeros((1, 2, 10), dtype=np.int16), 16, 5, 7)
         with pytest.raises(ValueError, match="images have 4 pixels, the layer has 10 lines"):
             posneg_spike_times(work, np.zeros((3, 4), dtype=np.uint8), PosNeg())
 
@@ -623,12 +600,11 @@ KERNEL_CASES = [
 
 
 def kernel_case(neurons, lines, w_max, period, threshold, volley):
-    """Planes, volley, threshold and depth of one ``KERNEL_CASES`` row,
-    packed at depth ``w_max`` as a run packs them."""
+    """Weights, volley, threshold and depth of one ``KERNEL_CASES`` row,
+    whose planes are packed at depth ``w_max`` as a run packs them."""
     rng = np.random.default_rng(neurons + lines + period)
     weights = rng.integers(0, 2 * w_max + 1, size=(neurons, lines), dtype=np.int16)
     depth = w_max
-    planes = weight_planes(weights, depth)
     times = {
         "graded": rng.integers(0, period, size=lines),
         "time0": np.where(rng.random(lines) < 0.5, 0.0, INF),
@@ -637,35 +613,36 @@ def kernel_case(neurons, lines, w_max, period, threshold, volley):
     }[volley].astype(float)
     if threshold == "per-neuron":
         threshold = list(rng.integers(1, 10**6, size=neurons))
-    return planes, times, threshold, depth
+    return weights, times, threshold, depth
 
 
 class TestKernelBytes:
-    """``kernel_bytes`` bounds what a layer's kernel holds at once: its
-    planes plus the workspace and the peak a call allocates, as
-    ``tracemalloc`` sees it."""
+    """``kernel_bytes`` bounds what a layer's kernel holds at once: the
+    workspace, with the planes it packs from the weights, and the peak a
+    call allocates, as ``tracemalloc`` sees it."""
 
     @pytest.mark.parametrize("neurons, cols, lines, w_max, period, threshold, volley", KERNEL_CASES)
     def test_bounds_measured_peak(self, neurons, cols, lines, w_max, period, threshold, volley):
-        planes, times, threshold, depth = kernel_case(neurons, lines, w_max, period, threshold, volley)
+        weights, times, threshold, depth = kernel_case(neurons, lines, w_max, period, threshold, volley)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            idx, _ = kernel_call(planes, times, period, threshold, lines, cols)
+            idx, _ = column_winners(weights, times, period, threshold, cols, depth)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak + planes.nbytes <= kernel_bytes(neurons, lines, depth, period)
+        # The peak holds the planes, which the workspace packs.
+        assert peak <= kernel_bytes(neurons, lines, depth, period)
         assert idx.shape == (cols,)
 
     @pytest.mark.parametrize("neurons, cols, lines, w_max, period, threshold, volley", KERNEL_CASES)
     def test_bounds_workspace_and_call(self, neurons, cols, lines, w_max, period, threshold, volley):
         # As a run holds it: the workspace built first, then one call on it.
-        planes, times, threshold, depth = kernel_case(neurons, lines, w_max, period, threshold, volley)
+        weights, times, threshold, depth = kernel_case(neurons, lines, w_max, period, threshold, volley)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            work = KernelWorkspace(planes, period, threshold, lines, cols)
+            work = KernelWorkspace(weights.reshape(cols, -1, lines), period, threshold, depth)
             held = tracemalloc.get_traced_memory()[0] - before
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
@@ -673,7 +650,8 @@ class TestKernelBytes:
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert held + peak + planes.nbytes <= kernel_bytes(neurons, lines, depth, period)
+        # What the workspace holds includes its planes.
+        assert held + peak <= kernel_bytes(neurons, lines, depth, period)
         assert idx.shape == (cols,)
 
     @pytest.mark.parametrize(
@@ -694,12 +672,11 @@ class TestKernelBytes:
         # image count, as the run's record does, and are not counted.
         rng = np.random.default_rng(neurons + lines)
         weights = rng.integers(0, 2 * w_max + 1, size=(neurons, lines), dtype=np.int16)
-        planes = weight_planes(weights, w_max)
         pixels = rng.integers(0, 256, size=(images, lines // 2), dtype=np.uint8)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            work = KernelWorkspace(planes, period, 3000, lines, cols)
+            work = KernelWorkspace(weights.reshape(cols, -1, lines), period, 3000, w_max)
             held = tracemalloc.get_traced_memory()[0] - before
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
@@ -707,5 +684,5 @@ class TestKernelBytes:
             peak = tracemalloc.get_traced_memory()[1] - before - idx.nbytes - codes.nbytes
         finally:
             tracemalloc.stop()
-        assert held + peak + planes.nbytes <= kernel_bytes(neurons, lines, w_max, period)
+        assert held + peak <= kernel_bytes(neurons, lines, w_max, period)
         assert idx.shape == codes.shape == (images, cols)

@@ -58,17 +58,14 @@ def kernel(t, times=None):
     """A three-line volley with ``t`` on line 1, or the given ``times``,
     through the layer kernel; with the oracle's answer for the same volley."""
     weights, times = np.full((2, 3), 14), [0, t, 0] if times is None else times
-    planes = weight_planes(weights, 7)
-    got = layer_spike_times(KernelWorkspace(planes, PERIOD, 20, 3, 1), times)
+    got = layer_spike_times(KernelWorkspace(weights[None], PERIOD, 20, 7), times)
     return got, column_argmin(stepwise_spike_times(weights, times, PERIOD, 20), 1)
 
 
 def learning_state(weights):
     """The ``LearningState`` of a ``(cols, neurons, 3)`` bank, on the
-    kernel workspace of its planes."""
-    cols, neurons, lines = weights.shape
-    work = KernelWorkspace(weight_planes(weights.reshape(-1, lines), 7), PERIOD, 1, lines, cols)
-    return LearningState(weights, work, StdpParams())
+    kernel workspace built from it."""
+    return LearningState(KernelWorkspace(weights, PERIOD, 1, 7), StdpParams())
 
 
 def stdp_update(t, x=(0.0, 3.0, INF)):

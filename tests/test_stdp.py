@@ -24,11 +24,9 @@ spike_times = st.one_of(st.integers(0, 15), st.just(INF))
 
 def learning_state(weights, p, period=16, threshold=1):
     """The ``LearningState`` of a ``(cols, neurons, lines)`` half-unit bank,
-    on the kernel workspace of its planes of depth ``p.w_max``, as a run
-    builds them."""
-    cols, neurons, lines = weights.shape
-    planes = weight_planes(weights.reshape(-1, lines), p.w_max)
-    return LearningState(weights, KernelWorkspace(planes, period, threshold, lines, cols), p)
+    on the kernel workspace built from it with planes of depth ``p.w_max``,
+    as a run builds them."""
+    return LearningState(KernelWorkspace(weights, period, threshold, p.w_max), p)
 
 
 def packed(weights, w_max):
@@ -61,7 +59,7 @@ def update_on_planes(weights, x, winner_idx, z, p):
         update_layer(state, x, winner_idx, z)
     finally:
         # As a run does, even when the update raises.
-        state.unpack(weights)
+        state.unpack()
     return state
 
 
@@ -331,10 +329,9 @@ class TestBitSlicedSteps:
             assert np.array_equal(state.parity, parity), u
 
     def test_planes_must_hold_w_max(self):
-        weights = np.zeros((1, 2, 3), dtype=np.int16)
-        work = KernelWorkspace(weight_planes(weights[0], 6), 16, 1, 3, 1)
+        work = KernelWorkspace(np.zeros((1, 2, 3), dtype=np.int16), 16, 1, 6)
         with pytest.raises(ValueError, match="6 planes cannot hold weights up to w_max 7"):
-            LearningState(weights, work, StdpParams())
+            LearningState(work, StdpParams())
 
     def test_lines_must_fit_the_planes(self):
         state = learning_state(np.zeros((1, 2, 64), dtype=np.int16), StdpParams())
@@ -379,7 +376,7 @@ class TestLearningDynamics:
         for _ in range(10):
             idx, win = layer_spike_times(state.work, pattern)
             update_layer(state, pattern, idx, win)
-        state.unpack(weights)
+        state.unpack()
         assert weights.ravel().tolist() == [14] * 4 + [0] * 4
 
 
@@ -400,7 +397,7 @@ class TestLearningState:
             x = np.where(rng.random(lines) < i / 30, INF, rng.integers(0, period, lines))
             planes, parity = packed(want, p.w_max)
             assert np.array_equal(work.planes, planes) and np.array_equal(state.parity, parity), i
-            fresh = layer_spike_times(KernelWorkspace(planes, period, threshold, lines, cols), x)
+            fresh = layer_spike_times(KernelWorkspace(want, period, threshold, p.w_max), x)
             idx, out = layer_spike_times(work, x)
             assert np.array_equal(idx, fresh[0]) and np.array_equal(out.times, fresh[1].times), i
             seen.update(idx.tolist())
@@ -408,7 +405,28 @@ class TestLearningState:
             scalar_update(want, x, idx, out.times, p)
         # Silent columns and winners of several neurons both came up.
         assert -1 in seen and len(seen) > 3, seen
-        state.unpack(weights)
+        state.unpack()
+        assert np.array_equal(weights, want)
+
+    def test_unpack_writes_the_scalar_rule_into_the_bank(self):
+        # The weights stay as they were while the planes learn; unpacking
+        # writes exactly the scalar rule's weights into the bank the
+        # workspace was built from, and into no copy of it.
+        rng = np.random.default_rng(29)
+        p = StdpParams(u_capture=3, u_backoff=5, u_search=1, u_quiet=1, w_max=6)
+        cols, neurons, lines, period = 4, 3, 130, 16
+        weights = rng.integers(0, 13, size=(cols, neurons, lines)).astype(np.int16)
+        start, want = weights.copy(), weights.copy()
+        state = learning_state(weights, p, period)
+        assert state.work.weights is weights
+        for _ in range(12):
+            x = np.where(rng.random(lines) < 0.4, INF, rng.integers(0, period, lines))
+            idx = rng.integers(-1, neurons, size=cols)
+            z = rng.integers(0, period, size=cols).astype(float)
+            update_layer(state, x, idx, z)
+            scalar_update(want, x, idx, z, p)
+        assert np.array_equal(weights, start) and not np.array_equal(want, start)
+        state.unpack()
         assert np.array_equal(weights, want)
 
     @pytest.mark.parametrize("w_max", [7, 100, 400])
@@ -418,10 +436,8 @@ class TestLearningState:
         # stays near three times the 1 MiB stack of one block, where the
         # planes take 0.9, 12.2 and 48.8 MiB.
         cols, neurons, lines = 64, 10, 1568
-        planes = np.zeros((25, cols * neurons, w_max), dtype=np.uint64).transpose(1, 2, 0)
-        work = KernelWorkspace(planes, 16, 1, lines, cols)
-        weights = np.zeros((cols, neurons, lines), dtype=np.int16)
-        state = LearningState(weights, work, StdpParams(w_max=w_max))
+        work = KernelWorkspace(np.zeros((cols, neurons, lines), dtype=np.int16), 16, 1, w_max)
+        state = LearningState(work, StdpParams(w_max=w_max))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -16,7 +16,7 @@ from oracle import readme_encode
 from tnnsim import gamma, network, synth
 from tnnsim.dataio import LabeledDataset
 from tnnsim.encode import INF, Linear, Log, PosNeg, Volley, encode_image
-from tnnsim.neuron import KernelWorkspace, layer_spike_times, weight_planes
+from tnnsim.neuron import KernelWorkspace, layer_spike_times
 from tnnsim.stdp import StdpParams
 
 
@@ -70,10 +70,9 @@ class TestKernelVolley:
         for _ in range(60):
             cols, per = (int(v) for v in rng.integers(1, (70, 4)))
             period = int(rng.integers(2, 20))
-            weights = rng.integers(0, 15, size=(cols * per, lines))
-            planes = weight_planes(weights, min(7, period))
+            weights = rng.integers(0, 15, size=(cols, per, lines))
             th = int(rng.integers(1, lines * min(7, period) // 2 + 2))
-            work = KernelWorkspace(planes, period, th, lines, cols)
+            work = KernelWorkspace(weights, period, th, min(7, period))
             times = np.where(rng.random(lines) < 0.3, INF, rng.integers(0, period, lines))
             idx, made = layer_spike_times(work, times)
             assert made.period == period and len(made) == cols
