@@ -28,7 +28,7 @@ import sys
 from typing import Optional
 
 from . import costmodel, dataio, gamma, metrics, network
-from .encode import KINDS, Linear, PosNeg, encode_image, format_spike_time
+from .encode import KINDS, Linear, PosNeg, encode_image
 
 
 class ConfigError(ValueError):
@@ -114,18 +114,18 @@ def _cmd_encode(args) -> int:
     out = pathlib.Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
 
-    def render(times) -> str:
+    def render(codes) -> str:
         if isinstance(kind, PosNeg):
-            # Channel bit: 1 where the spike fires at time 0.
-            return " ".join("1" if t == 0 else "0" for t in times)
-        return " ".join(map(format_spike_time, times))
+            # Channel bit: 1 where the line spikes, at step 0.
+            return " ".join("1" if c == 0 else "0" for c in codes)
+        return " ".join("inf" if c == kind.period else str(c) for c in codes)
 
     pixel_count = dataset.width * dataset.height
     with open(f"{out}_pos.txt", "w") as pos_f, open(f"{out}_neg.txt", "w") as neg_f:
         for pixels in dataset.pixels:
-            times = encode_image(pixels, kind).times.tolist()
-            pos_f.write(render(times[:pixel_count]) + "\n")
-            neg_f.write(render(times[pixel_count:]) + "\n")
+            codes = encode_image(pixels, kind).codes.tolist()
+            pos_f.write(render(codes[:pixel_count]) + "\n")
+            neg_f.write(render(codes[pixel_count:]) + "\n")
     if dataset.labels is not None:
         with open(f"{out}_labels.txt", "w") as lab_f:
             lab_f.writelines(f"{lab}\n" for lab in dataset.labels.tolist())

@@ -2,7 +2,9 @@
 
 The on-disk format is the classic big-endian IDX layout: magic 2051 for
 image files, 2049 for label files, 32-bit dimension sizes, then raw
-unsigned bytes.
+unsigned bytes. Both readers parse that header in one place, which checks
+its length, the magic, each declared size and the payload the sizes
+promise, and raises an ``IdxFormatError`` (a ``ValueError``) on any fault.
 
 A dataset read from a file on disk maps that file read-only rather than
 copying it, so its pixels are the file's pages: the file must not be
@@ -12,6 +14,7 @@ rewritten while the dataset lives. No CLI command writes a path it reads.
 from __future__ import annotations
 
 import io
+import math
 import mmap
 import os
 import stat
@@ -120,6 +123,32 @@ def _as_bytes(data: Union[bytes, bytearray, BinaryIO]) -> Union[bytes, memoryvie
     return data.read()
 
 
+def _read_idx(
+    data: Union[bytes, bytearray, BinaryIO], kind: str, magic: int, names: tuple[str, ...]
+) -> tuple[list[int], np.ndarray]:
+    """The declared sizes, one per name in ``names``, and the uint8 payload
+    of an IDX file of ``kind`` ("image" or "label") whose magic must be
+    ``magic``. Raises ``TruncatedStreamError``, ``BadMagicError`` or
+    ``DimensionOverflowError`` on a malformed header; trailing bytes after
+    the declared payload are ignored."""
+    raw = _as_bytes(data)
+    head = 4 + 4 * len(names)
+    if len(raw) < head:
+        raise TruncatedStreamError(f"{kind} header needs {head} bytes, stream has {len(raw)}")
+    got, *sizes = struct.unpack(f">{1 + len(names)}i", raw[:head])
+    if got != magic:
+        raise BadMagicError(f"expected {kind} magic {magic}, got {got}")
+    for name, dim in zip(names, sizes):
+        if dim < 0:
+            raise DimensionOverflowError(f"declared {name} {dim} out of range")
+    need = math.prod(sizes)
+    if need > _MAX_DECLARED:
+        raise DimensionOverflowError(f"declared payload of {need} bytes is implausible")
+    if len(raw) - head < need:
+        raise TruncatedStreamError(f"payload needs {need} bytes, stream has {len(raw) - head}")
+    return sizes, np.frombuffer(raw, dtype=np.uint8, count=need, offset=head)
+
+
 def read_idx_images(data: Union[bytes, bytearray, BinaryIO]) -> LabeledDataset:
     """Parse an IDX image file into an unlabeled dataset, whose pixels are
     read-only.
@@ -130,41 +159,20 @@ def read_idx_images(data: Union[bytes, bytearray, BinaryIO]) -> LabeledDataset:
     ``TruncatedStreamError`` on malformed input; trailing bytes after the
     declared payload are ignored.
     """
-    raw = _as_bytes(data)
-    if len(raw) < 16:
-        raise TruncatedStreamError(f"image header needs 16 bytes, stream has {len(raw)}")
-    magic, count, rows, cols = struct.unpack(">iiii", raw[:16])
-    if magic != IDX_IMAGE_MAGIC:
-        raise BadMagicError(f"expected image magic {IDX_IMAGE_MAGIC}, got {magic}")
-    for name, dim in (("count", count), ("rows", rows), ("cols", cols)):
-        if dim < 0:
-            raise DimensionOverflowError(f"declared {name} {dim} out of range")
-    need = count * rows * cols
-    if need > _MAX_DECLARED:
-        raise DimensionOverflowError(f"declared payload of {need} bytes is implausible")
-    if len(raw) - 16 < need:
-        raise TruncatedStreamError(f"payload needs {need} bytes, stream has {len(raw) - 16}")
-    pixels = np.frombuffer(raw, dtype=np.uint8, count=need, offset=16)
+    (count, rows, cols), pixels = _read_idx(
+        data, "image", IDX_IMAGE_MAGIC, ("count", "rows", "cols")
+    )
     return LabeledDataset(pixels.reshape(count, rows * cols), width=cols, height=rows)
 
 
 def read_idx_labels(data: Union[bytes, bytearray, BinaryIO]) -> np.ndarray:
     """Parse an IDX label file into an int64 label array.
 
-    Any byte outside 0..9 raises ``LabelRangeError``.
+    Malformed headers raise as ``read_idx_images`` says; any byte outside
+    0..9 raises ``LabelRangeError``.
     """
-    raw = _as_bytes(data)
-    if len(raw) < 8:
-        raise TruncatedStreamError(f"label header needs 8 bytes, stream has {len(raw)}")
-    magic, count = struct.unpack(">ii", raw[:8])
-    if magic != IDX_LABEL_MAGIC:
-        raise BadMagicError(f"expected label magic {IDX_LABEL_MAGIC}, got {magic}")
-    if count < 0:
-        raise DimensionOverflowError(f"declared count {count} out of range")
-    if len(raw) - 8 < count:
-        raise TruncatedStreamError(f"payload needs {count} bytes, stream has {len(raw) - 8}")
     # Widened so that label arithmetic (negation, sums) cannot wrap.
-    labels = np.frombuffer(raw, dtype=np.uint8, count=count, offset=8).astype(np.int64)
+    labels = _read_idx(data, "label", IDX_LABEL_MAGIC, ("count",))[1].astype(np.int64)
     _check_labels(labels)
     return labels
 

@@ -28,9 +28,11 @@ log
 Both graded codes are monotone: a brighter pixel never spikes later than a
 dimmer one.
 
-Every encoder computes each line's step code, an integer, and hands a
-``Volley`` built from those codes to the network; its arrival steps, their
-line masks and its float times are made only when something asks for them,
+``encode_image`` encodes one image, a non-empty 1-D row of pixels, and
+gives only its ``Volley``. Every encoder computes each line's step code, an
+integer, and builds that ``Volley`` from those codes, which the network
+runs and ``tnnsim encode`` writes out; its arrival steps, their line masks
+and its float times are made only when something asks for them,
 except the posneg encoder's one arrival step and mask, which it gives.
 Intensities come as ``uint8``, or as other numbers that must be whole and
 in 0..255. Raw spike times from anywhere else come in through
@@ -244,41 +246,28 @@ def _graded(v: np.ndarray, kind: Union[Linear, Log]) -> np.ndarray:
     raise TypeError(f"unknown encoder {kind!r}")
 
 
-def encode_image(pixels, kind: EncoderKind) -> Union[Volley, np.ndarray]:
-    """Encode intensities 0..255 into dual-channel spikes: the positive
-    block first, then the negative block, so synapse line indices are
-    stable across modules.
+def encode_image(pixels, kind: EncoderKind) -> Volley:
+    """The ``Volley`` of one image, a non-empty 1-D row of intensities
+    0..255, in dual-channel spikes: the positive block first, then the
+    negative block, so synapse line indices are stable across modules.
 
-    ``pixels`` holds one image along its last axis. One row gives its
-    ``Volley``; a stack of rows gives the float64 times of each row's
-    volley, ``inf`` for no spike, along a last axis twice as long. Pixels
-    of any type but ``uint8`` must be whole numbers in 0..255, or
-    ``ValueError`` names the first that is not.
+    Pixels of any type but ``uint8`` must be whole numbers in 0..255, or
+    ``ValueError`` names the first that is not; pixels of any other shape
+    raise ``ValueError`` naming it.
     """
     v = np.asarray(pixels)
     if v.dtype != np.uint8:
         bad = v[~((v >= 0) & (v <= 255) & (np.floor(v) == v))]
         if bad.size:
             raise ValueError(f"intensity {bad[0].item()} is not a whole number in 0..255")
-        v = v.astype(np.int64)
+    if v.ndim != 1 or not v.size:
+        raise ValueError(f"an image must be a non-empty 1-D row of pixels, got shape {v.shape}")
     if isinstance(kind, PosNeg):
         on = kind.spikes(v)
-        spikes = np.concatenate([on, np.logical_not(on)], axis=-1)
-        if v.ndim != 1:
-            return np.where(spikes, 0.0, INF)
+        spikes = np.concatenate([on, np.logical_not(on)])
         codes = np.logical_not(spikes).view(np.uint8)
-        # An empty row has no arrival step, not step 0.
-        if not v.size:
-            return Volley(codes, 1)
         return Volley(codes, 1, _POSNEG_STEPS, pack_lines(spikes[None]))
     # Widened first: in uint8, ``v * period`` wraps.
     v = v.astype(np.int64)
-    codes = np.concatenate([_graded(v, kind), _graded(255 - v, kind)], axis=-1)
-    codes = codes.astype(np.min_scalar_type(kind.period))
-    if v.ndim != 1:
-        return np.where(codes < kind.period, codes, INF)
-    return Volley(codes, kind.period)
-
-
-def format_spike_time(t: SpikeTime) -> str:
-    return "inf" if t == INF else str(int(t))
+    codes = np.concatenate([_graded(v, kind), _graded(255 - v, kind)])
+    return Volley(codes.astype(np.min_scalar_type(kind.period)), kind.period)

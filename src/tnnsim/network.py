@@ -299,10 +299,16 @@ class TnnNetwork:
                 f"images have {dataset.pixels.shape[1]} pixels, layer 0 expects {cfg.pixel_count}"
             )
         n, (cols, neurons) = epochs * len(dataset), cfg.layers[-1]
-        lengths = np.empty(n, dtype=np.min_scalar_type(cfg.period))
-        control = np.empty(n, dtype=bool)
-        col_codes = np.empty((n, cols), dtype=lengths.dtype)
-        col_neurons = np.empty((n, cols), dtype=np.min_scalar_type(-neurons))
+        count, winner = np.min_scalar_type(cfg.period), np.min_scalar_type(-neurons)
+        try:
+            lengths, control = np.empty(n, dtype=count), np.empty(n, dtype=bool)
+            col_codes, col_neurons = np.empty((n, cols), count), np.empty((n, cols), winner)
+        except (MemoryError, ValueError):
+            size = n * (count.itemsize + 1 + cols * (count.itemsize + winner.itemsize))
+            raise ValueError(
+                f"the run record of {epochs} epochs x {len(dataset)} images needs "
+                f"{size} bytes, more than numpy can allocate"
+            ) from None
         # Each layer's kernel from its weights, planes deep enough to hold
         # every weight, so a layer learns on its planes.
         work = [

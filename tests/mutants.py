@@ -285,7 +285,7 @@ MUTANTS = (
     ),
     Mutant(
         "graded-codes-int64", ENCODE,
-        "codes = codes.astype(np.min_scalar_type(kind.period))", "codes = codes.astype(np.int64)",
+        "codes.astype(np.min_scalar_type(kind.period))", "codes.astype(np.int64)",
         (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[255-129]",),
     ),
     Mutant(
@@ -690,7 +690,7 @@ MUTANTS = (
     ),
     Mutant(
         "run-winners-one-byte", NETWORK,
-        "dtype=np.min_scalar_type(-neurons)", "dtype=np.int8",
+        "np.min_scalar_type(-neurons)", "np.dtype(np.int8)",
         (W + "TestSummaryArtifacts::test_record_widths_at_their_boundaries[255-129]",),
     ),
     Mutant(
@@ -746,6 +746,16 @@ MUTANTS = (
         "encoder-takes-any-intensity", ENCODE,
         "bad = v[~((v >= 0) & (v <= 255) & (np.floor(v) == v))]", "bad = v[:0]",
         (E + "TestEncoderValidation::test_intensities_must_be_whole_numbers_in_range",),
+    ),
+    Mutant(
+        "encoder-takes-a-stack", ENCODE,
+        "if v.ndim != 1 or not v.size:", "if not v.size:",
+        (E + "TestEncodeImage::test_accepts_object_with_pixels",),
+    ),
+    Mutant(
+        "encoder-takes-an-empty-row", ENCODE,
+        "if v.ndim != 1 or not v.size:", "if v.ndim != 1:",
+        (V + "TestEncodedVolley::test_empty_image",),
     ),
     Mutant(
         "savings-any-period", METRICS,
@@ -886,15 +896,19 @@ MUTANTS = (
         "if need > _MAX_DECLARED:", "if need > 2 * _MAX_DECLARED:",
         ("tests/test_dataio.py::TestReadIdxImages::test_dimension_overflow",),
     ),
+    # The header checks both IDX readers share, each mutated once.
     Mutant(
         "labels-magic-unchecked", DATAIO,
-        "if magic != IDX_LABEL_MAGIC:", "if False:",
-        (D + "TestReadIdxLabels::test_bad_magic_named",),
+        "if got != magic:", "if False:",
+        (D + "TestReadIdxLabels::test_bad_magic_named", D + "TestReadIdxImages::test_bad_magic"),
     ),
     Mutant(
         "labels-negative-count", DATAIO,
-        "if count < 0:", "if count > _MAX_DECLARED:",
-        (D + "TestReadIdxLabels::test_declared_count_out_of_range[-1]",),
+        "if dim < 0:", "if dim > _MAX_DECLARED:",
+        (
+            D + "TestReadIdxLabels::test_declared_count_out_of_range[-1]",
+            D + "TestReadIdxImages::test_negative_dimension",
+        ),
     ),
     # Config reading, cli.py; synthetic digits, synth.py; the rest of a run's
     # rejections and reports.
@@ -908,6 +922,19 @@ MUTANTS = (
         "cli-images-key-unchecked", CLI,
         "if img_key is None:", "if False:",
         (L + "TestTrainInferReport::test_config_without_images_exits_one[train-('train_images', 'images')]",),
+    ),
+    Mutant(
+        "record-memory-error-escapes", NETWORK,
+        "except (MemoryError, ValueError):", "except ValueError:",
+        (
+            W + "TestLearning::test_record_numpy_cannot_allocate_refused[36028797018963968]",
+            L + "TestTrainInferReport::test_record_numpy_cannot_allocate_exits_one",
+        ),
+    ),
+    Mutant(
+        "record-shape-error-unnamed", NETWORK,
+        "except (MemoryError, ValueError):", "except MemoryError:",
+        (W + "TestLearning::test_record_numpy_cannot_allocate_refused[2305843009213693952]",),
     ),
     Mutant(
         "train-epochs-any-number", NETWORK,

@@ -227,6 +227,19 @@ class TestEncodeCommand:
         assert pos[2].split() == ["15"] * 16
         assert not (tmp_path / "spikes_labels.txt").exists()
 
+    def test_posneg_digit4_keeps_its_bytes(self, tmp_path):
+        # The synthetic digit-4 sample behind the golden channel files.
+        sample = synth.make_dataset(50, seed=7)[4]
+        with open(tmp_path / "digit4.idx", "wb") as f:
+            pixels = sample.pixels[None]
+            dataio.write_idx_images(dataio.LabeledDataset(pixels, sample.width, sample.height), f)
+        out = tmp_path / "digit4"
+        argv = ["encode", "--idx", str(tmp_path / "digit4.idx"), "--encoder", "posneg"]
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        for side in ("pos", "neg"):
+            got = (tmp_path / f"digit4_{side}.txt").read_bytes()
+            assert got == (DATA / f"digit4_{side}.txt").read_bytes(), side
+
     def test_empty_idx_gives_empty_outputs(self, tmp_path):
         empty = tmp_path / "empty.idx"
         empty.write_bytes(struct.pack(">iiii", 2051, 0, 4, 4))
@@ -732,6 +745,21 @@ class TestTrainInferReport:
         rc = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err == "error: key 'epochs': 'x' is not an integer\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_record_numpy_cannot_allocate_exits_one(self, data_dir, tmp_path, capsys):
+        # 4 images x 2**55 epochs, 8 record bytes each: numpy's MemoryError
+        # used to end the command in a traceback with no error line.
+        cfg = write_config(
+            tmp_path / "run.cfg", images=data_dir / "imgs.idx", layers="3x4", threshold=8,
+            epochs=2**55,
+        )
+        rc = run_cli(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: the run record of {2**55} epochs x 4 images needs {2**60} bytes, "
+            "more than numpy can allocate\n"
+        )
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize(

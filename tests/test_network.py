@@ -273,6 +273,23 @@ class TestLearning:
         with pytest.raises(ValueError):
             net.infer(dataset_of([]))
 
+    @pytest.mark.parametrize("epochs", [2**55, 2**61])
+    def test_record_numpy_cannot_allocate_refused(self, epochs):
+        # 4 images x 2**55 epochs, 8 record bytes each, is 2**60 bytes, past
+        # any 64-bit address space, so the first allocation fails at once:
+        # its MemoryError used to escape the run. At 2**61 epochs numpy
+        # refuses the shape itself, and the message is the same.
+        net = TnnNetwork(tiny_config())
+        before = [w.copy() for w in net.weights]
+        ds = dataset_of([flat_image(v) for v in (0, 90, 180, 250)])
+        message = (
+            f"the run record of {epochs} epochs x 4 images needs {epochs * 32} bytes, "
+            "more than numpy can allocate"
+        )
+        with pytest.raises(ValueError, match=message):
+            net.train(ds, epochs=epochs)
+        assert all(np.array_equal(a, b) for a, b in zip(before, net.weights))
+
 
 @st.composite
 def configs(draw):

@@ -57,9 +57,11 @@ class TestEncodedVolley:
                 assert_same_volley(got, want)
 
     def test_empty_image(self):
+        # An image has at least one pixel; an empty row is refused, not
+        # encoded to a volley of no lines.
         for kind in kinds(16):
-            volley = encode_image(np.zeros(0, dtype=np.uint8), kind)
-            assert len(volley) == 0 and volley.steps.size == 0
+            with pytest.raises(ValueError, match=r"non-empty 1-D row of pixels, got shape \(0,\)"):
+                encode_image(np.zeros(0, dtype=np.uint8), kind)
 
 
 class TestKernelVolley:
